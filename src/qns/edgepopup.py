@@ -23,11 +23,6 @@ from .masknet import Activation, Dataset, MaskedNetwork
 THETA_CLAMP = math.pi / 2.0
 
 
-class EvalMode(str, Enum):
-    SAMPLED_MASK = "sampled_mask"
-    THRESHOLD_MASK = "threshold_mask"
-
-
 class ResampleRule(str, Enum):
     PER_SAMPLE = "per_sample"
     PER_EPOCH = "per_epoch"
@@ -49,7 +44,6 @@ class PopupLayerCircuit:
 class PopupTrainConfig:
     alpha: float = 0.05
     epochs: int = 20
-    eval_mode: EvalMode = EvalMode.THRESHOLD_MASK
     seed: int = 0
     resample: ResampleRule = ResampleRule.PER_SAMPLE
     topk_fraction: float | None = None  # per-layer top-k% rule instead of threshold
@@ -102,15 +96,6 @@ def _deterministic_masks(circs, cfg: PopupTrainConfig) -> list[np.ndarray]:
     if cfg.topk_fraction is not None:
         return [topk_mask(c, cfg.topk_fraction) for c in circs]
     return [threshold_mask(c) for c in circs]
-
-
-def evaluation_masks(circs, cfg: PopupTrainConfig,
-                     rng: np.random.Generator | None = None) -> list[np.ndarray]:
-    if cfg.eval_mode is EvalMode.SAMPLED_MASK:
-        if rng is None:
-            rng = np.random.default_rng(cfg.seed)
-        return [sample_mask(c, rng) for c in circs]
-    return _deterministic_masks(circs, cfg)
 
 
 def _masked_view(net: MaskedNetwork, masks) -> MaskedNetwork:

@@ -95,6 +95,26 @@ def _resolve_iterations(cfg: GroverConfig, k_marked: int) -> int:
     return t
 
 
+def _check_register(o: CostOracle, n_qubits: int) -> None:
+    if n_qubits > max_qubits():
+        raise ValueError(f"{n_qubits} qubits exceeds the ceiling {max_qubits()}")
+    if n_qubits != o.n_bits:
+        raise ValueError(f"{n_qubits} qubits requested, oracle expects {o.n_bits} bits")
+
+
+def _amplify_and_verify(o: CostOracle, marked: np.ndarray, t: int,
+                        rng: np.random.Generator) -> tuple[np.ndarray, bool]:
+    """One attempt: t oracle+diffusion rounds, a measurement, a classical check.
+
+    Counts the t quantum queries on ``o.call_counter``; the attempt costs
+    t + 1 oracle calls including the verification.
+    """
+    state = amplified_state(marked, o.n_bits, t)
+    o.call_counter += t
+    bits = index_to_bits(measure(state, rng), o.n_bits).astype(np.uint8)
+    return bits, bool(o.is_good(bits))
+
+
 def grover_search(o: CostOracle, cfg: GroverConfig) -> GroverResult:
     """Search for a pattern accepted by the oracle's threshold predicate.
 
@@ -103,27 +123,16 @@ def grover_search(o: CostOracle, cfg: GroverConfig) -> GroverResult:
     classically. The reported ``oracle_calls`` is exactly
     iterations * restarts_used + restarts_used.
     """
-    n = cfg.n_qubits
-    if n > max_qubits():
-        raise ValueError(f"{n} qubits exceeds the ceiling {max_qubits()}")
-    if n != o.n_bits:
-        raise ValueError(f"config has {n} qubits, oracle expects {o.n_bits} bits")
+    _check_register(o, cfg.n_qubits)
     marked = o.marked_table()
     t = _resolve_iterations(cfg, int(marked.sum()))
     rng = np.random.default_rng(cfg.seed)
 
     calls = 0
-    bits = np.zeros(n, dtype=np.uint8)
     for restart in range(1, cfg.max_restarts + 1):
-        state = uniform_superposition(n)
-        for _ in range(t):
-            apply_phase_oracle(state, marked)
-            o.call_counter += 1  # one quantum oracle query
-            calls += 1
-            apply_diffusion(state)
-        bits = index_to_bits(measure(state, rng), n).astype(np.uint8)
-        calls += 1
-        if o.is_good(bits):
+        bits, good = _amplify_and_verify(o, marked, t, rng)
+        calls += t + 1
+        if good:
             return GroverResult(bits, True, calls, t, restart, seed=cfg.seed)
     return GroverResult(bits, False, calls, t, cfg.max_restarts, seed=cfg.seed)
 
@@ -136,10 +145,7 @@ def search_unknown_k(o: CostOracle, n_qubits: int, seed: int = 0) -> GroverResul
     measurement. Stops on success or when the call budget
     3 * sqrt(N) * log2(N) is exhausted.
     """
-    if n_qubits > max_qubits():
-        raise ValueError(f"{n_qubits} qubits exceeds the ceiling {max_qubits()}")
-    if n_qubits != o.n_bits:
-        raise ValueError(f"{n_qubits} qubits requested, oracle expects {o.n_bits} bits")
+    _check_register(o, n_qubits)
     n_states = 1 << n_qubits
     budget = int(3 * math.sqrt(n_states) * math.log2(n_states))
     t_cap = math.ceil(math.pi / 4.0 * math.sqrt(n_states))
@@ -154,15 +160,9 @@ def search_unknown_k(o: CostOracle, n_qubits: int, seed: int = 0) -> GroverResul
     while calls < budget:
         rounds += 1
         t = int(rng.integers(0, min(math.ceil(m), t_cap) + 1))
-        state = uniform_superposition(n_qubits)
-        for _ in range(t):
-            apply_phase_oracle(state, marked)
-            o.call_counter += 1
-            calls += 1
-            apply_diffusion(state)
-        bits = index_to_bits(measure(state, rng), n_qubits).astype(np.uint8)
-        calls += 1
-        if o.is_good(bits):
+        bits, good = _amplify_and_verify(o, marked, t, rng)
+        calls += t + 1
+        if good:
             return GroverResult(bits, True, calls, t, rounds, seed=seed)
         m *= UNKNOWN_K_GROWTH
     return GroverResult(bits, False, calls, t, rounds, seed=seed)

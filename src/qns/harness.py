@@ -159,20 +159,36 @@ def _resolve_epsilon(cfg: ExperimentConfig, net, data, seed: int) -> float:
 # ---------------------------------------------------------------------------
 # Per-method runners. Each returns a JSON-safe metrics dict.
 
-def _run_exhaustive(cfg, seed):
+def _hamiltonian_task(cfg, seed):
+    """(cost Hamiltonian, epsilon) of a selection task."""
     net, data = build_selection_task(cfg.task)
     eps = _resolve_epsilon(cfg, net, data, seed)
-    h = oracle.build_cost_hamiltonian(net, data)
-    best = int(np.argmin(h.costs))
-    best_loss = float(h.costs[best])
+    return oracle.build_cost_hamiltonian(net, data), eps
+
+
+def _score(h, eps, index: int, **extra) -> dict:
+    """Metrics of the basis state ``index``; every table entry counts as a call."""
+    loss = float(h.costs[index])
     return {
-        "loss": best_loss,
-        "success": bool(best_loss < eps),
+        "loss": loss,
+        "success": bool(loss < eps),
         "oracle_calls": int(h.dim),
         "epsilon": eps,
-        "best_bits_hex": format(best, "x"),
-        "k_solutions": oracle.count_solutions(h, eps),
+        **extra,
     }
+
+
+def _score_measured(h, eps, state, seed, **extra) -> dict:
+    """Measure ``state`` once with a ``seed``-seeded generator and score it."""
+    measured = measure(state, np.random.default_rng(seed))
+    return _score(h, eps, measured, bits_hex=format(measured, "x"), **extra)
+
+
+def _run_exhaustive(cfg, seed):
+    h, eps = _hamiltonian_task(cfg, seed)
+    best = int(np.argmin(h.costs))
+    return _score(h, eps, best, best_bits_hex=format(best, "x"),
+                  k_solutions=oracle.count_solutions(h, eps))
 
 
 def _run_grover(cfg, seed):
@@ -201,9 +217,7 @@ def _run_grover(cfg, seed):
 
 
 def _run_anneal(cfg, seed):
-    net, data = build_selection_task(cfg.task)
-    eps = _resolve_epsilon(cfg, net, data, seed)
-    h = oracle.build_cost_hamiltonian(net, data)
+    h, eps = _hamiltonian_task(cfg, seed)
     params = cfg.method_params
     sched = anneal_mod.AnnealSchedule(
         total_time=params.get("total_time", 50.0),
@@ -211,62 +225,33 @@ def _run_anneal(cfg, seed):
         mixer=_mixer_from_params(params, h.n_qubits),
     )
     result = anneal_mod.anneal(h, sched)
-    measured = measure(result.final_state, np.random.default_rng(seed))
-    loss = float(h.costs[measured])
-    return {
-        "loss": loss,
-        "success": bool(loss < eps),
-        "oracle_calls": int(h.dim),
-        "epsilon": eps,
-        "p_ground": result.p_ground,
-        "final_expectation": result.final_expectation,
-        "bits_hex": format(measured, "x"),
-    }
+    return _score_measured(h, eps, result.final_state, seed,
+                           p_ground=result.p_ground,
+                           final_expectation=result.final_expectation)
 
 
 def _run_qaoa(cfg, seed):
-    net, data = build_selection_task(cfg.task)
-    eps = _resolve_epsilon(cfg, net, data, seed)
-    h = oracle.build_cost_hamiltonian(net, data)
+    h, eps = _hamiltonian_task(cfg, seed)
     params = cfg.method_params
     mixer = _mixer_from_params(params, h.n_qubits)
     result = variational.qaoa_optimize(h, params.get("p", 2),
                                        params.get("budget", 300), seed, mixer)
     state = variational.qaoa_state(h, result.best_params, mixer)
-    measured = measure(state, np.random.default_rng(seed))
-    loss = float(h.costs[measured])
-    return {
-        "loss": loss,
-        "success": bool(loss < eps),
-        "oracle_calls": int(h.dim),
-        "epsilon": eps,
-        "best_expectation": result.best_value,
-        "evaluations": len(result.trace),
-        "bits_hex": format(measured, "x"),
-    }
+    return _score_measured(h, eps, state, seed,
+                           best_expectation=result.best_value,
+                           evaluations=len(result.trace))
 
 
 def _run_vqe(cfg, seed):
-    net, data = build_selection_task(cfg.task)
-    eps = _resolve_epsilon(cfg, net, data, seed)
-    h = oracle.build_cost_hamiltonian(net, data)
+    h, eps = _hamiltonian_task(cfg, seed)
     params = cfg.method_params
     ansatz = variational.make_ansatz(h.n_qubits, params.get("layers", 2), seed)
     result = variational.vqe_run(h, ansatz, params.get("budget", 300), seed)
     final = variational.VqeAnsatz(ansatz.layers, result.best_params,
                                   ansatz.entangler)
-    state = variational.ansatz_state(final)
-    measured = measure(state, np.random.default_rng(seed))
-    loss = float(h.costs[measured])
-    return {
-        "loss": loss,
-        "success": bool(loss < eps),
-        "oracle_calls": int(h.dim),
-        "epsilon": eps,
-        "best_expectation": result.best_value,
-        "evaluations": len(result.trace),
-        "bits_hex": format(measured, "x"),
-    }
+    return _score_measured(h, eps, variational.ansatz_state(final), seed,
+                           best_expectation=result.best_value,
+                           evaluations=len(result.trace))
 
 
 def _run_edge_popup(cfg, seed):

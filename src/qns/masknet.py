@@ -96,6 +96,10 @@ class MaskedNetwork:
                 raise ValueError(f"layer {i} bias shape {self.biases[i].shape}")
             if not np.all((self.masks[i] == 0) | (self.masks[i] == 1)):
                 raise ValueError(f"layer {i} mask has entries outside {{0, 1}}")
+            if self.bias_masks[i].shape != (spec.fan_out,):
+                raise ValueError(f"layer {i} bias mask shape {self.bias_masks[i].shape}")
+            if not np.all((self.bias_masks[i] == 0) | (self.bias_masks[i] == 1)):
+                raise ValueError(f"layer {i} bias mask has entries outside {{0, 1}}")
 
     @property
     def depth(self) -> int:
@@ -259,6 +263,7 @@ def network_to_json(net: MaskedNetwork, include_arrays: bool = True) -> dict:
         doc["weights"] = [w.tolist() for w in net.weights]
         doc["biases"] = [b.tolist() for b in net.biases]
         doc["masks"] = [m.tolist() for m in net.masks]
+        doc["bias_masks"] = [m.tolist() for m in net.bias_masks]
     return doc
 
 
@@ -274,7 +279,9 @@ def network_from_json(doc: dict) -> MaskedNetwork:
         net.mask_biases = mask_biases
         if "masks" in doc:
             net.masks = [np.array(m, dtype=np.float64) for m in doc["masks"]]
-            net._validate()
+        if "bias_masks" in doc:
+            net.bias_masks = [np.array(m, dtype=np.float64) for m in doc["bias_masks"]]
+        net._validate()
         return net
     if doc.get("seed") is None:
         raise ValueError("network document needs explicit weights or a seed")

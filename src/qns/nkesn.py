@@ -304,11 +304,6 @@ def nkesn_output(z: np.ndarray, pf: ProbeFilter, land: NKLandscape,
     return _phi(sums, activation)
 
 
-def ensemble_prediction(outputs: np.ndarray) -> float:
-    """The deployed prediction: the mean of the N output neurons."""
-    return float(np.mean(outputs))
-
-
 def probe_signal_series(model: NkEsn, data: Dataset,
                         washout: int = DEFAULT_WASHOUT) -> tuple[np.ndarray, np.ndarray]:
     """Raw (unmasked) probe outputs and targets after the washout prefix."""

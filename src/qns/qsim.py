@@ -3,7 +3,8 @@
 Everything a register-level search needs: uniform superposition, the handful
 of gates used elsewhere in this package (H, X, Z, Ry, CZ), diagonal phase
 oracles, mean-inversion diffusion, diagonal cost Hamiltonians, mixer
-operators, Trotterized annealing evolution, expectation values, and
+operators and their exponential (the one kernel shared by annealing and
+QAOA), Trotterized annealing evolution, expectation values, and
 non-destructive Born-rule sampling.
 
 Convention: qubit ``j`` is bit ``j`` of a basis-state index, so the index
@@ -18,11 +19,12 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 DEFAULT_MAX_QUBITS = 16
-DENSE_EVOLVE_MAX_QUBITS = 12
+DENSE_MIXER_MAX_QUBITS = 12
 DEFAULT_TROTTER_STEPS = 400
 
 NORM_ATOL = 1e-9
@@ -30,7 +32,18 @@ NORM_ATOL = 1e-9
 
 def max_qubits() -> int:
     """Register-size ceiling; the QNS_MAX_QUBITS env var overrides the default."""
-    return int(os.environ.get("QNS_MAX_QUBITS", DEFAULT_MAX_QUBITS))
+    raw = os.environ.get("QNS_MAX_QUBITS")
+    if raw is None:
+        return DEFAULT_MAX_QUBITS
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0  # rejected below, with the raw value in the message
+    if limit < 1:
+        raise ValueError(
+            f"QNS_MAX_QUBITS must be a positive integer, got {raw!r}"
+        )
+    return limit
 
 
 class StateVector:
@@ -282,6 +295,38 @@ def expectation(state: StateVector, h: DiagonalCostHamiltonian) -> float:
     return float(np.dot(state.probabilities(), h.costs))
 
 
+@lru_cache(maxsize=2)  # one n=12 entry holds about 128 MB
+def _mixer_eigensystem(mixer: MixerSpec, n_qubits: int):
+    return np.linalg.eigh(mixer_dense(mixer, n_qubits))
+
+
+def apply_mixer(state: StateVector, mixer: MixerSpec, beta: float) -> StateVector:
+    """Apply exp(-i*beta*H_mixer) in place.
+
+    The transverse field factorizes into exact per-qubit rotations and works
+    at any register size. A bit-flip mixer is diagonalized densely once per
+    (mixer, size) and cached, which limits it to ``DENSE_MIXER_MAX_QUBITS``
+    qubits; the limit is checked before the dense matrix is built.
+    """
+    n = state.n_qubits
+    if mixer.kind is MixerKind.TRANSVERSE_FIELD:
+        # exp(-i * beta * (-X)) = cos(beta) I + i sin(beta) X per qubit
+        cos_b = math.cos(beta)
+        isin_b = 1j * math.sin(beta)
+        for q in range(n):
+            _apply_single_qubit(state, q, cos_b, isin_b, isin_b, cos_b)
+        return state
+    if n > DENSE_MIXER_MAX_QUBITS:
+        raise ValueError(
+            f"the dense bit-flip mixer is limited to {DENSE_MIXER_MAX_QUBITS} "
+            f"qubits, got {n}"
+        )
+    evals, evecs = _mixer_eigensystem(mixer, n)
+    # the eigenvectors are real, so the transpose is the adjoint
+    state.amplitudes = evecs @ (np.exp(-1j * beta * evals) * (evecs.T @ state.amplitudes))
+    return state
+
+
 def evolve(
     state: StateVector,
     h_c: DiagonalCostHamiltonian,
@@ -291,11 +336,10 @@ def evolve(
 ) -> StateVector:
     """First-order Trotterized evolution under (1 - t/T)*H_mixer + (t/T)*H_C.
 
-    Each step applies the cost phase then the mixer exponential, both
-    sampled at the midpoint of the step's time interval. The transverse
-    field splits into exact per-qubit rotations; a bit-flip mixer is
-    diagonalized densely once, which caps evolution at
-    ``DENSE_EVOLVE_MAX_QUBITS`` qubits.
+    Each step applies the cost phase then :func:`apply_mixer`, both sampled
+    at the midpoint of the step's time interval, so the result equals a
+    QAOA state with the linear-ramp angles of ``steps`` blocks. Register
+    limits are those of :func:`apply_mixer`.
     """
     n = state.n_qubits
     if h_c.n_qubits != n:
@@ -306,32 +350,10 @@ def evolve(
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not total_time > 0:
         raise ValueError(f"total_time must be positive, got {total_time}")
-    if n > DENSE_EVOLVE_MAX_QUBITS:
-        raise ValueError(
-            f"dense evolution is limited to {DENSE_EVOLVE_MAX_QUBITS} qubits, got {n}"
-        )
 
     dt = total_time / steps
-    costs = h_c.costs
-
-    if mixer.kind is MixerKind.TRANSVERSE_FIELD:
-        for step in range(steps):
-            s = (step + 0.5) / steps
-            state.amplitudes *= np.exp(-1j * dt * s * costs)
-            # exp(-i * c * (-X)) = cos(c) I + i sin(c) X per qubit
-            c = dt * (1.0 - s)
-            cos_c = math.cos(c)
-            isin_c = 1j * math.sin(c)
-            for q in range(n):
-                _apply_single_qubit(state, q, cos_c, isin_c, isin_c, cos_c)
-        return state
-
-    hm = mixer_dense(mixer, n)
-    evals, evecs = np.linalg.eigh(hm)
-    evecs_h = evecs.conj().T
     for step in range(steps):
         s = (step + 0.5) / steps
-        state.amplitudes *= np.exp(-1j * dt * s * costs)
-        c = dt * (1.0 - s)
-        state.amplitudes = evecs @ (np.exp(-1j * c * evals) * (evecs_h @ state.amplitudes))
+        state.amplitudes *= np.exp(-1j * dt * s * h_c.costs)
+        apply_mixer(state, mixer, dt * (1.0 - s))
     return state

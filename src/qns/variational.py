@@ -11,24 +11,20 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .qsim import (
     DiagonalCostHamiltonian,
-    MixerKind,
     MixerSpec,
     StateVector,
     apply_cz,
+    apply_mixer,
     apply_ry,
     expectation,
-    mixer_dense,
     uniform_superposition,
 )
-
-DENSE_MIXER_EXP_MAX_QUBITS = 10
 
 
 @dataclass
@@ -115,34 +111,6 @@ def ansatz_state(ansatz: VqeAnsatz) -> StateVector:
     return state
 
 
-@lru_cache(maxsize=8)
-def _mixer_eigensystem(mixer: MixerSpec, n_qubits: int):
-    return np.linalg.eigh(mixer_dense(mixer, n_qubits))
-
-
-def _apply_mixer_exponential(state: StateVector, mixer: MixerSpec, beta: float) -> None:
-    if mixer.kind is MixerKind.TRANSVERSE_FIELD:
-        # exp(-i*beta*(-sum X)) factorizes into per-qubit exp(i*beta*X)
-        c = math.cos(beta)
-        isin = 1j * math.sin(beta)
-        a = state.amplitudes
-        for q in range(state.n_qubits):
-            view = a.reshape(-1, 2, 1 << q)
-            lo = view[:, 0, :]
-            hi = view[:, 1, :]
-            new_lo = c * lo + isin * hi
-            new_hi = isin * lo + c * hi
-            view[:, 0, :] = new_lo
-            view[:, 1, :] = new_hi
-        return
-    if state.n_qubits > DENSE_MIXER_EXP_MAX_QUBITS:
-        raise ValueError(
-            f"dense mixer exponential is limited to {DENSE_MIXER_EXP_MAX_QUBITS} qubits"
-        )
-    evals, evecs = _mixer_eigensystem(mixer, state.n_qubits)
-    state.amplitudes = evecs @ (np.exp(-1j * beta * evals) * (evecs.conj().T @ state.amplitudes))
-
-
 def qaoa_state(h_c: DiagonalCostHamiltonian, params: QaoaParams,
                mixer: MixerSpec | None = None) -> StateVector:
     """Apply p blocks of U(gamma_j) then U(beta_j) to the uniform state."""
@@ -150,7 +118,7 @@ def qaoa_state(h_c: DiagonalCostHamiltonian, params: QaoaParams,
     state = uniform_superposition(h_c.n_qubits)
     for gamma, beta in zip(params.gammas, params.betas):
         state.amplitudes *= np.exp(-1j * gamma * h_c.costs)
-        _apply_mixer_exponential(state, mixer, beta)
+        apply_mixer(state, mixer, beta)
     return state
 
 

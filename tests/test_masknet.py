@@ -236,6 +236,18 @@ def test_network_json_round_trip(tmp_path):
     assert loaded.specs == net.specs
 
 
+def test_network_json_round_trip_keeps_bias_masks():
+    net = network_from_weights([(1, 1, "identity")], [[[1.0]]], [[1.0]])
+    net.mask_biases = True
+    view = apply_flat_mask(net, flat_mask(net, [1, 0]))  # weight kept, bias cleared
+    assert forward(view, [0.0])[0] == 0.0
+    loaded = masknet.network_from_json(masknet.network_to_json(view))
+    np.testing.assert_array_equal(loaded.bias_masks[0], [0.0])
+    assert forward(loaded, [0.0])[0] == 0.0
+    with pytest.raises(ValueError, match="bias mask"):
+        masknet.network_from_json({**masknet.network_to_json(view), "bias_masks": [[2.0]]})
+
+
 def test_network_json_seed_only_document():
     doc = {"specs": [{"fan_in": 2, "fan_out": 1, "activation": "identity"}],
            "seed": 11}

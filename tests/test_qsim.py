@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from qns import qsim
 from qns.qsim import (
@@ -68,6 +71,15 @@ def test_qubit_ceiling_env_override(monkeypatch):
     assert qsim.max_qubits() == 3
     with pytest.raises(ValueError):
         StateVector(4)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_qubit_ceiling_env_override_is_validated(monkeypatch, raw):
+    monkeypatch.setenv("QNS_MAX_QUBITS", raw)
+    with pytest.raises(ValueError, match=f"QNS_MAX_QUBITS .*'{raw}'"):
+        qsim.max_qubits()
+    with pytest.raises(ValueError, match="QNS_MAX_QUBITS"):
+        StateVector(2)
 
 
 @pytest.mark.parametrize("n,amp", [(1, 1 / math.sqrt(2)), (2, 0.5)])
@@ -397,11 +409,49 @@ def test_evolve_validates_arguments():
 
 def test_evolve_rejects_beyond_dense_limit(monkeypatch):
     monkeypatch.setenv("QNS_MAX_QUBITS", "16")
-    n = qsim.DENSE_EVOLVE_MAX_QUBITS + 1
+    n = qsim.DENSE_MIXER_MAX_QUBITS + 1
+    built = []
+    monkeypatch.setattr(qsim, "mixer_dense", lambda *args: built.append(args))
     h = DiagonalCostHamiltonian(n, np.zeros(1 << n))
     s = uniform_superposition(n)
-    with pytest.raises(ValueError):
-        evolve(s, h, MixerSpec.transverse_field(), 1.0, steps=1)
+    with pytest.raises(ValueError, match="bit-flip mixer is limited"):
+        evolve(s, h, MixerSpec.bit_flip(ring_graph(n)), 1.0, steps=1)
+    assert built == []  # rejected before the 2^n x 2^n matrix is allocated
+
+
+def test_transverse_field_evolve_has_no_dense_limit(monkeypatch):
+    monkeypatch.setenv("QNS_MAX_QUBITS", "16")
+    n = qsim.DENSE_MIXER_MAX_QUBITS + 1
+    h = DiagonalCostHamiltonian(n, np.random.default_rng(3).uniform(0, 1, 1 << n))
+    s = evolve(uniform_superposition(n), h, MixerSpec.transverse_field(), 2.0, steps=3)
+    assert s.norm_error() < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    edge_draws=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=10),
+    transverse=st.booleans(),
+    target_bit=st.integers(0, 1),
+    beta=st.floats(-4.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_mixer_matches_dense_exponential(n, edge_draws, transverse,
+                                               target_bit, beta, seed):
+    if transverse:
+        mixer = MixerSpec.transverse_field()
+    else:
+        graph = [set() for _ in range(n)]
+        for a, b in edge_draws:
+            a, b = a % n, b % n
+            if a != b:
+                graph[a].add(b)
+                graph[b].add(a)
+        mixer = MixerSpec.bit_flip([sorted(nbrs) for nbrs in graph], target_bit)
+    s = random_state(n, seed)
+    expected = expm(-1j * beta * mixer_dense(mixer, n)) @ s.amplitudes
+    qsim.apply_mixer(s, mixer, beta)
+    np.testing.assert_allclose(s.amplitudes, expected, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

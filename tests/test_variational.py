@@ -4,7 +4,14 @@ import pytest
 from scipy.linalg import expm
 
 from qns import anneal
-from qns.qsim import DiagonalCostHamiltonian, MixerSpec, mixer_dense, ring_graph, uniform_superposition
+from qns.qsim import (
+    DiagonalCostHamiltonian,
+    MixerSpec,
+    evolve,
+    mixer_dense,
+    ring_graph,
+    uniform_superposition,
+)
 from qns.variational import (
     Entangler,
     QaoaParams,
@@ -90,6 +97,17 @@ def test_linear_ramp_qaoa_approaches_annealing():
     p_qaoa = float(state.probabilities()[ground].sum())
     p_anneal = anneal.anneal(h, anneal.AnnealSchedule(total_time, steps=p)).p_ground
     assert abs(p_qaoa - p_anneal) < 0.1
+
+
+@pytest.mark.parametrize("mixer_name", ["transverse", "bit_flip"])
+def test_annealing_is_linear_ramp_qaoa_bit_for_bit(mixer_name):
+    h = random_instance(4, 11)
+    mixer = (MixerSpec.transverse_field() if mixer_name == "transverse"
+             else MixerSpec.bit_flip(ring_graph(4)))
+    total_time, steps = 7.5, 30
+    annealed = evolve(uniform_superposition(4), h, mixer, total_time, steps)
+    ramped = qaoa_state(h, linear_ramp_params(steps, total_time), mixer)
+    assert np.array_equal(annealed.amplitudes, ramped.amplitudes)
 
 
 # ---------------------------------------------------------------------------
