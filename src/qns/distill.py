@@ -112,7 +112,8 @@ def record_activations(net: MaskedNetwork, data: Dataset) -> ActivationTrace:
     z = data.inputs
     layers = []
     for i, spec in enumerate(net.specs):
-        z = z @ (net.masks[i] * net.weights[i]) + net.biases[i]
+        b = net.biases[i] * net.bias_masks[i] if net.mask_biases else net.biases[i]
+        z = z @ (net.masks[i] * net.weights[i]) + b
         if spec.activation is Activation.RELU:
             z = np.maximum(z, 0.0)
         layers.append(z)

@@ -4,8 +4,8 @@ Everything a register-level search needs: uniform superposition, the handful
 of gates used elsewhere in this package (H, X, Z, Ry, CZ), diagonal phase
 oracles, mean-inversion diffusion, diagonal cost Hamiltonians, mixer
 operators and their exponential (the one kernel shared by annealing and
-QAOA), Trotterized annealing evolution, expectation values, and
-non-destructive Born-rule sampling.
+QAOA, sparse for the bit-flip mixer), Trotterized annealing evolution,
+expectation values, and non-destructive Born-rule sampling.
 
 Convention: qubit ``j`` is bit ``j`` of a basis-state index, so the index
 ``6 = 0b110`` has qubit 0 clear and qubits 1 and 2 set. Gate functions
@@ -22,9 +22,10 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import expm_multiply
 
 DEFAULT_MAX_QUBITS = 16
-DENSE_MIXER_MAX_QUBITS = 12
 DEFAULT_TROTTER_STEPS = 400
 
 NORM_ATOL = 1e-9
@@ -162,20 +163,15 @@ def ring_graph(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(((v - 1) % n, (v + 1) % n) for v in range(n))
 
 
-def mixer_dense(mixer: MixerSpec, n_qubits: int) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of the mixer Hamiltonian."""
+@lru_cache(maxsize=4)  # one 16-qubit ring entry holds about 3 MB
+def _mixer_sparse(mixer: MixerSpec, n_qubits: int) -> sparse.csr_matrix:
+    """CSR matrix of a bit-flip mixer, built once per (mixer, size)."""
+    if mixer.graph is None or len(mixer.graph) != n_qubits:
+        raise ValueError(f"bit-flip mixer graph must have exactly {n_qubits} vertices")
     dim = 1 << n_qubits
     idx = np.arange(dim)
-    h = np.zeros((dim, dim), dtype=np.float64)
-    if mixer.kind is MixerKind.TRANSVERSE_FIELD:
-        for v in range(n_qubits):
-            h[idx ^ (1 << v), idx] += -1.0
-        return h
-    if mixer.graph is None or len(mixer.graph) != n_qubits:
-        raise ValueError(
-            f"bit-flip mixer graph must have exactly {n_qubits} vertices"
-        )
     b = mixer.target_bit
+    flips = []
     for v in range(n_qubits):
         # The 1/2^d(v) prefactor cancels against the neighbor projectors,
         # leaving matrix element 1 exactly when every neighbor equals b.
@@ -183,8 +179,21 @@ def mixer_dense(mixer: MixerSpec, n_qubits: int) -> np.ndarray:
         for w in mixer.graph[v]:
             allowed &= ((idx >> w) & 1) == b
         src = idx[allowed]
-        h[src ^ (1 << v), src] += 1.0
-    return h
+        flips.append((src ^ (1 << v), src))
+    rows, cols = (np.concatenate(part) for part in zip(*flips))
+    return sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(dim, dim))
+
+
+def mixer_dense(mixer: MixerSpec, n_qubits: int) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of the mixer Hamiltonian."""
+    if mixer.kind is MixerKind.TRANSVERSE_FIELD:
+        dim = 1 << n_qubits
+        idx = np.arange(dim)
+        h = np.zeros((dim, dim), dtype=np.float64)
+        for v in range(n_qubits):
+            h[idx ^ (1 << v), idx] += -1.0
+        return h
+    return _mixer_sparse(mixer, n_qubits).toarray()
 
 
 def _apply_single_qubit(state: StateVector, qubit: int, u00, u01, u10, u11) -> StateVector:
@@ -295,18 +304,13 @@ def expectation(state: StateVector, h: DiagonalCostHamiltonian) -> float:
     return float(np.dot(state.probabilities(), h.costs))
 
 
-@lru_cache(maxsize=2)  # one n=12 entry holds about 128 MB
-def _mixer_eigensystem(mixer: MixerSpec, n_qubits: int):
-    return np.linalg.eigh(mixer_dense(mixer, n_qubits))
-
-
 def apply_mixer(state: StateVector, mixer: MixerSpec, beta: float) -> StateVector:
     """Apply exp(-i*beta*H_mixer) in place.
 
-    The transverse field factorizes into exact per-qubit rotations and works
-    at any register size. A bit-flip mixer is diagonalized densely once per
-    (mixer, size) and cached, which limits it to ``DENSE_MIXER_MAX_QUBITS``
-    qubits; the limit is checked before the dense matrix is built.
+    The transverse field factorizes into exact per-qubit rotations. A
+    bit-flip mixer is built once per (mixer, size) as a sparse matrix and
+    applied by ``expm_multiply`` (Al-Mohy & Higham 2011). Neither forms a
+    dense 2^n x 2^n matrix, so both run up to :func:`max_qubits`.
     """
     n = state.n_qubits
     if mixer.kind is MixerKind.TRANSVERSE_FIELD:
@@ -316,14 +320,8 @@ def apply_mixer(state: StateVector, mixer: MixerSpec, beta: float) -> StateVecto
         for q in range(n):
             _apply_single_qubit(state, q, cos_b, isin_b, isin_b, cos_b)
         return state
-    if n > DENSE_MIXER_MAX_QUBITS:
-        raise ValueError(
-            f"the dense bit-flip mixer is limited to {DENSE_MIXER_MAX_QUBITS} "
-            f"qubits, got {n}"
-        )
-    evals, evecs = _mixer_eigensystem(mixer, n)
-    # the eigenvectors are real, so the transpose is the adjoint
-    state.amplitudes = evecs @ (np.exp(-1j * beta * evals) * (evecs.T @ state.amplitudes))
+    h = _mixer_sparse(mixer, n)  # zero diagonal, so traceA=0 spares a trace pass
+    state.amplitudes = expm_multiply((-1j * beta) * h, state.amplitudes, traceA=0.0)
     return state
 
 
@@ -338,8 +336,7 @@ def evolve(
 
     Each step applies the cost phase then :func:`apply_mixer`, both sampled
     at the midpoint of the step's time interval, so the result equals a
-    QAOA state with the linear-ramp angles of ``steps`` blocks. Register
-    limits are those of :func:`apply_mixer`.
+    QAOA state with the linear-ramp angles of ``steps`` blocks.
     """
     n = state.n_qubits
     if h_c.n_qubits != n:

@@ -407,21 +407,20 @@ def test_evolve_validates_arguments():
         evolve(s, DiagonalCostHamiltonian(3, np.zeros(8)), MixerSpec.transverse_field(), 1.0)
 
 
-def test_evolve_rejects_beyond_dense_limit(monkeypatch):
+def test_bit_flip_evolve_has_no_dense_limit(monkeypatch):
     monkeypatch.setenv("QNS_MAX_QUBITS", "16")
-    n = qsim.DENSE_MIXER_MAX_QUBITS + 1
+    n = 13
     built = []
     monkeypatch.setattr(qsim, "mixer_dense", lambda *args: built.append(args))
-    h = DiagonalCostHamiltonian(n, np.zeros(1 << n))
-    s = uniform_superposition(n)
-    with pytest.raises(ValueError, match="bit-flip mixer is limited"):
-        evolve(s, h, MixerSpec.bit_flip(ring_graph(n)), 1.0, steps=1)
-    assert built == []  # rejected before the 2^n x 2^n matrix is allocated
+    h = DiagonalCostHamiltonian(n, np.random.default_rng(3).uniform(0, 1, 1 << n))
+    s = evolve(uniform_superposition(n), h, MixerSpec.bit_flip(ring_graph(n)), 2.0, steps=3)
+    assert s.norm_error() < 1e-9
+    assert built == []  # no 2^n x 2^n matrix is ever allocated
 
 
 def test_transverse_field_evolve_has_no_dense_limit(monkeypatch):
     monkeypatch.setenv("QNS_MAX_QUBITS", "16")
-    n = qsim.DENSE_MIXER_MAX_QUBITS + 1
+    n = 13
     h = DiagonalCostHamiltonian(n, np.random.default_rng(3).uniform(0, 1, 1 << n))
     s = evolve(uniform_superposition(n), h, MixerSpec.transverse_field(), 2.0, steps=3)
     assert s.norm_error() < 1e-9
@@ -429,8 +428,8 @@ def test_transverse_field_evolve_has_no_dense_limit(monkeypatch):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    n=st.integers(1, 5),
-    edge_draws=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=10),
+    n=st.integers(1, 8),
+    edge_draws=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=16),
     transverse=st.booleans(),
     target_bit=st.integers(0, 1),
     beta=st.floats(-4.0, 4.0),
@@ -452,6 +451,20 @@ def test_apply_mixer_matches_dense_exponential(n, edge_draws, transverse,
     expected = expm(-1j * beta * mixer_dense(mixer, n)) @ s.amplitudes
     qsim.apply_mixer(s, mixer, beta)
     np.testing.assert_allclose(s.amplitudes, expected, atol=1e-10)
+
+
+def test_sparse_bit_flip_mixer_matches_dense_exponential_on_ring():
+    n = 10
+    mixer = MixerSpec.bit_flip(ring_graph(n))
+    h = mixer_dense(mixer, n)
+    start = random_state(n, 17)
+    for beta in (0.0, 0.05, 1.0, math.pi, -3.0):
+        s = start.copy()
+        qsim.apply_mixer(s, mixer, beta)
+        expected = expm(-1j * beta * h) @ start.amplitudes
+        np.testing.assert_allclose(s.amplitudes, expected, rtol=0, atol=1e-12)
+        if beta == 0.0:
+            np.testing.assert_array_equal(s.amplitudes, start.amplitudes)
 
 
 # ---------------------------------------------------------------------------
