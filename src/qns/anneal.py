@@ -18,7 +18,6 @@ from .qsim import (
     StateVector,
     evolve,
     expectation,
-    mixer_dense,
     uniform_superposition,
 )
 
@@ -57,15 +56,6 @@ def anneal(h_c: DiagonalCostHamiltonian, sched: AnnealSchedule) -> AnnealResult:
     ground = ground_states(h_c)
     p_ground = float(state.probabilities()[ground].sum())
     return AnnealResult(state, p_ground, ground, expectation(state, h_c))
-
-
-def instantaneous_hamiltonian(h_c: DiagonalCostHamiltonian, mixer: MixerSpec,
-                              t: float, total_time: float) -> np.ndarray:
-    """Dense (1 - t/T) * H_mixer + (t/T) * H_C, for endpoint diagnostics."""
-    if not 0 <= t <= total_time:
-        raise ValueError(f"t={t} outside the schedule [0, {total_time}]")
-    s = t / total_time
-    return (1.0 - s) * mixer_dense(mixer, h_c.n_qubits) + s * np.diag(h_c.costs)
 
 
 def sweep_total_time(h_c: DiagonalCostHamiltonian, total_times, steps: int,

@@ -9,6 +9,7 @@ which always report their gap to the exhaustive optimum.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -109,29 +110,19 @@ class ActivationTrace:
 
 def record_activations(net: MaskedNetwork, data: Dataset) -> ActivationTrace:
     """Exact post-activation outputs of every layer for every sample."""
-    z = data.inputs
-    layers = []
-    for i, spec in enumerate(net.specs):
-        b = net.biases[i] * net.bias_masks[i] if net.mask_biases else net.biases[i]
-        z = z @ (net.masks[i] * net.weights[i]) + b
-        if spec.activation is Activation.RELU:
-            z = np.maximum(z, 0.0)
-        layers.append(z)
-    return ActivationTrace(layers)
+    return ActivationTrace([z for _, z in masknet.masked_layers(net, data.inputs)])
 
 
 def compress(vector: np.ndarray, target_dim: int,
              mode: CompressMode = CompressMode.AVERAGE_POOL) -> np.ndarray:
-    """Shrink an activation vector to ``target_dim`` entries.
+    """Shrink the last axis of an activation array to ``target_dim`` entries.
 
     AVERAGE_POOL means contiguous group means (the source dimension must be
     divisible); MAGNITUDE_TOP_K keeps the largest-|value| entries in their
-    original order.
+    original order. Leading axes index independent vectors.
     """
     vector = np.asarray(vector, dtype=np.float64)
-    batched = vector.ndim == 2
-    rows = vector if batched else vector[None, :]
-    dim = rows.shape[1]
+    dim = vector.shape[-1]
     if dim < target_dim:
         raise ValueError(f"cannot compress {dim} values up to {target_dim}")
     mode = CompressMode(mode)
@@ -140,23 +131,22 @@ def compress(vector: np.ndarray, target_dim: int,
             raise ValueError(
                 f"average pooling needs {target_dim} to divide {dim}"
             )
-        out = rows.reshape(len(rows), target_dim, dim // target_dim).mean(axis=2)
-    else:
-        order = np.argsort(-np.abs(rows), axis=1, kind="stable")[:, :target_dim]
-        keep = np.sort(order, axis=1)
-        out = np.take_along_axis(rows, keep, axis=1)
-    return out if batched else out[0]
+        return vector.reshape(*vector.shape[:-1], target_dim, -1).mean(-1)
+    order = np.argsort(-np.abs(vector), axis=-1, kind="stable")[..., :target_dim]
+    return np.take_along_axis(vector, np.sort(order, axis=-1), axis=-1)
 
 
 def block_loss(teacher_acts: np.ndarray, block: MaskedNetwork, bits,
                block_inputs: np.ndarray,
-               mode: CompressMode = CompressMode.AVERAGE_POOL) -> float:
+               mode: CompressMode = CompressMode.AVERAGE_POOL):
     """Mean L2 distance between teacher activations and the compressed
-    masked block output, over the given block inputs."""
-    view = masknet.apply_flat_mask(block, masknet.flat_mask(block, bits))
-    out = masknet.forward_batch(view, block_inputs)
+    masked block output, over the given block inputs: a float for one mask,
+    M losses for an (M, n) matrix of masks in ``mask_layout`` order."""
+    bits = np.asarray(bits)
+    out = masknet.batch_forward(block, np.atleast_2d(bits), block_inputs)
     compressed = compress(out, teacher_acts.shape[1], mode)
-    return float(np.mean(np.linalg.norm(compressed - teacher_acts, axis=1)))
+    losses = np.mean(np.linalg.norm(compressed - teacher_acts, axis=-1), axis=-1)
+    return float(losses[0]) if bits.ndim == 1 else losses
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +173,9 @@ class DistillResult:
         return float(sum(r.loss for r in self.reports))
 
 
-def _block_epsilon(cost_fn, n_bits: int, rng: np.random.Generator,
+def _block_epsilon(costs_of, n_bits: int, rng: np.random.Generator,
                    n_probe: int = 16, scale: float = 1.1) -> float:
-    best = min(cost_fn(rng.integers(0, 2, size=n_bits).astype(np.uint8))
-               for _ in range(n_probe))
+    best = costs_of(rng.integers(0, 2, size=(n_probe, n_bits)).astype(np.uint8)).min()
     return float(best * scale) if best > 0 else 1e-12
 
 
@@ -201,9 +190,9 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
                    max_restarts: int = 8) -> DistillResult:
     """Select one mask per student block, feeding blocks forward in order.
 
-    Quantum backends require each block's maskable parameter count to fit
-    the qubit ceiling. QAOA and annealing optimize the enumerated block
-    Hamiltonian and report their gap to the exhaustive block optimum.
+    Every backend enumerates the block's cost table, so each block's maskable
+    parameter count must fit the qubit ceiling. QAOA and annealing optimize
+    that table as a Hamiltonian and report their gap to its optimum.
     """
     backend = Backend(backend)
     teacher_trace = record_activations(pair.teacher, data)
@@ -219,18 +208,14 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
                 f"block {i} has {n_bits} maskable parameters, budget is "
                 f"{per_block_bit_budget}"
             )
-        if backend is not Backend.EXHAUSTIVE and n_bits > max_qubits():
+        if n_bits > max_qubits():
             raise ValueError(
                 f"block {i} needs {n_bits} qubits, ceiling is {max_qubits()}"
             )
         teacher_acts = teacher_trace.layers[i]
-        inputs = block_inputs
-
-        def cost_fn(bits, _block=block, _acts=teacher_acts, _inputs=inputs):
-            return block_loss(_acts, _block, bits, _inputs, mode)
-
-        costs = np.array([cost_fn(index_to_bits(x, n_bits))
-                          for x in range(1 << n_bits)])
+        costs_of = functools.partial(block_loss, teacher_acts, block,
+                                     block_inputs=block_inputs, mode=mode)
+        costs = CostOracle(costs_of, n_bits, 0.0).enumerate_costs()
         exhaustive_min = float(costs.min())
         report = BlockReport(i, np.zeros(n_bits, np.uint8), 0.0,
                              exhaustive_min=exhaustive_min)
@@ -240,8 +225,8 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
             report.bits = index_to_bits(best, n_bits).astype(np.uint8)
         elif backend is Backend.GROVER:
             eps = (epsilons[i] if epsilons is not None
-                   else _block_epsilon(cost_fn, n_bits, rng))
-            oracle = CostOracle(cost_fn, n_bits, eps)
+                   else _block_epsilon(costs_of, n_bits, rng))
+            oracle = CostOracle(costs_of, n_bits, eps)
             result = grover_search(oracle, GroverConfig(
                 n_qubits=n_bits, max_restarts=max_restarts,
                 seed=int(rng.integers(2 ** 31))))
@@ -266,7 +251,7 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
             best = int(np.argmax(state.probabilities()))
             report.bits = index_to_bits(best, n_bits).astype(np.uint8)
 
-        report.loss = float(cost_fn(report.bits))
+        report.loss = costs_of(report.bits)
         report.gap = report.loss - exhaustive_min
         masks.append(masknet.flat_mask(block, report.bits))
         reports.append(report)
@@ -275,7 +260,7 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
         # the teacher's own activations in the comparison variant).
         if chaining is Chaining.STUDENT:
             view = masknet.apply_flat_mask(block, masks[-1])
-            out = masknet.forward_batch(view, inputs)
+            out = masknet.forward_batch(view, block_inputs)
             block_inputs = compress(out, teacher_acts.shape[1], mode)
         else:
             block_inputs = teacher_acts

@@ -98,18 +98,6 @@ def _deterministic_masks(circs, cfg: PopupTrainConfig) -> list[np.ndarray]:
     return [threshold_mask(c) for c in circs]
 
 
-def _masked_view(net: MaskedNetwork, masks) -> MaskedNetwork:
-    view = MaskedNetwork.__new__(MaskedNetwork)
-    view.specs = net.specs
-    view.weights = net.weights
-    view.biases = net.biases
-    view.masks = list(masks)
-    view.bias_masks = net.bias_masks
-    view.seed = net.seed
-    view.mask_biases = False
-    return view
-
-
 def straight_through_grads(net: MaskedNetwork, masks, x: np.ndarray,
                            y: np.ndarray):
     """Forward with the given masks, backward as if every mask entry were 1.
@@ -119,16 +107,10 @@ def straight_through_grads(net: MaskedNetwork, masks, x: np.ndarray,
     neuron v in layer i; activations[i][u] is the masked-forward output
     feeding layer i.
     """
-    pre = []
-    acts = [np.asarray(x, dtype=np.float64)]
-    z = acts[0]
-    for i, spec in enumerate(net.specs):
-        a = z @ (masks[i] * net.weights[i]) + net.biases[i]
-        pre.append(a)
-        z = np.maximum(a, 0.0) if spec.activation is Activation.RELU else a
-        acts.append(z)
+    x = np.asarray(x, dtype=np.float64)
+    layers = masknet.masked_layers(net, x, masks)
 
-    diff = acts[-1] - np.asarray(y, dtype=np.float64)
+    diff = layers[-1][1] - np.asarray(y, dtype=np.float64)
     loss = float(np.linalg.norm(diff))
     if not math.isfinite(loss):
         raise FloatingPointError("non-finite loss in popup update")
@@ -138,10 +120,10 @@ def straight_through_grads(net: MaskedNetwork, masks, x: np.ndarray,
     g = grad_out
     for i in reversed(range(net.depth)):
         if net.specs[i].activation is Activation.RELU:
-            g = g * (pre[i] > 0)
+            g = g * (layers[i][0] > 0)
         grads[i] = g
         g = g @ net.weights[i].T  # full weights: the straight-through pass
-    return loss, grads, acts[:-1]
+    return loss, grads, [x] + [z for _, z in layers[:-1]]
 
 
 def popup_update(net: MaskedNetwork, circs, x, y, cfg: PopupTrainConfig,
@@ -197,13 +179,13 @@ def popup_train(net: MaskedNetwork, data: Dataset,
             except FloatingPointError as err:
                 raise FloatingPointError(f"sample {idx}: {err}") from err
         eval_masks = _deterministic_masks(circs, cfg)
-        loss_curve.append(masknet.dataset_loss(_masked_view(net, eval_masks), data))
+        loss_curve.append(masked_loss(net, eval_masks, data))
     return PopupTrainResult(circs, loss_curve, _deterministic_masks(circs, cfg))
 
 
 def masked_loss(net: MaskedNetwork, masks, data: Dataset) -> float:
     """Dataset loss of ``net`` under explicit per-layer masks."""
-    return masknet.dataset_loss(_masked_view(net, masks), data)
+    return masknet.dataset_loss(masknet._view(net, masks), data)
 
 
 # ---------------------------------------------------------------------------

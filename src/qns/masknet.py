@@ -6,6 +6,7 @@ masks or a :class:`FlatMask` bitstring that other modules search over.
 """
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
@@ -155,21 +156,55 @@ def forward_batch(net: MaskedNetwork, xs: np.ndarray) -> np.ndarray:
     """Evaluate a (samples, fan_in) batch; returns (samples, fan_out)."""
     if xs.shape[1] != net.input_dim:
         raise ValueError(f"input dim {xs.shape[1]} != network fan_in {net.input_dim}")
-    z = xs
+    return masked_layers(net, xs)[-1][1]
+
+
+def masked_layers(net: MaskedNetwork, z: np.ndarray, masks=None,
+                  bias_masks=None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(pre-activation, output) of every layer, each ``z @ (m * W) + b``.
+
+    Without ``masks``, the network's own masks and bias rule apply; given
+    ``masks`` without ``bias_masks``, biases enter unmasked. Masks may carry a
+    leading axis of M masks (bias masks then (M, 1, fan_out)), giving outputs
+    of shape (M, samples, fan_out).
+    """
+    if masks is None:
+        masks = net.masks
+        bias_masks = net.bias_masks if net.mask_biases else None
+    layers = []
     for i, spec in enumerate(net.specs):
-        b = net.biases[i] * net.bias_masks[i] if net.mask_biases else net.biases[i]
-        z = z @ (net.masks[i] * net.weights[i]) + b
-        if spec.activation is Activation.RELU:
-            z = np.maximum(z, 0.0)
-    return z
+        b = net.biases[i] if bias_masks is None else net.biases[i] * bias_masks[i]
+        a = z @ (masks[i] * net.weights[i]) + b
+        z = np.maximum(a, 0.0) if spec.activation is Activation.RELU else a
+        layers.append((a, z))
+    return layers
 
 
 def dataset_loss(net: MaskedNetwork, data: Dataset) -> float:
     """Mean L2 distance between predictions and targets."""
+    return float(_mean_l2(forward_batch(net, data.inputs), data))
+
+
+def batch_losses(net: MaskedNetwork, data: Dataset, rows) -> np.ndarray:
+    """Dataset loss of ``net`` under each row of an (M, n) 0/1 matrix.
+
+    Bit j of a row masks parameter ``mask_layout(net)[j]``; returns M losses,
+    each equal to ``dataset_loss(apply_flat_mask(net, flat_mask(net, row)), data)``.
+    """
+    return _mean_l2(batch_forward(net, rows, data.inputs), data)
+
+
+def batch_forward(net: MaskedNetwork, rows, xs: np.ndarray) -> np.ndarray:
+    """Outputs (M, samples, fan_out) of ``net`` under each row of an (M, n) 0/1
+    matrix in ``mask_layout`` order."""
+    masks, bias_masks = _layout_masks(net, mask_layout(net), rows)
+    return masked_layers(net, xs, masks, bias_masks if net.mask_biases else None)[-1][1]
+
+
+def _mean_l2(preds: np.ndarray, data: Dataset) -> np.ndarray:
     if len(data) == 0:
         raise ValueError("dataset is empty")
-    preds = forward_batch(net, data.inputs)
-    return float(np.mean(np.linalg.norm(preds - data.targets, axis=1)))
+    return np.mean(np.linalg.norm(preds - data.targets, axis=-1), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -226,24 +261,44 @@ def flat_mask_from_index(net: MaskedNetwork, index: int) -> FlatMask:
 
 def apply_flat_mask(net: MaskedNetwork, m: FlatMask) -> MaskedNetwork:
     """Masked view of ``net``: shares the frozen weights, owns fresh masks."""
+    masks, bias_masks = _layout_masks(net, m.layout, m.bits[None, :])
+    return _view(net, [w[0] for w in masks], [b[0, 0] for b in bias_masks])
+
+
+def _layout_masks(net: MaskedNetwork, layout, rows):
+    """Per-layer weight masks (M, fan_in, fan_out) and bias masks (M, 1, fan_out)
+    of an (M, n) 0/1 matrix whose bit j masks parameter ``layout[j]``; parameters
+    the layout does not address stay 1."""
     n = net.total_maskable()
-    if len(m) != n:
-        raise ValueError(f"mask has {len(m)} bits, network has {n} maskable parameters")
-    masks = [np.ones((s.fan_in, s.fan_out)) for s in net.specs]
-    bias_masks = [np.ones(s.fan_out) for s in net.specs]
-    for bit, (layer, row, col) in zip(m.bits, m.layout):
-        if row == BIAS_ROW:
-            bias_masks[layer][col] = float(bit)
-        else:
-            masks[layer][row, col] = float(bit)
-    view = MaskedNetwork.__new__(MaskedNetwork)
-    view.specs = net.specs
-    view.weights = net.weights
-    view.biases = net.biases
-    view.masks = masks
-    view.bias_masks = bias_masks
-    view.seed = net.seed
-    view.mask_biases = net.mask_biases
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"mask has {rows.shape[-1]} bits, network has {n} "
+                         "maskable parameters")
+    if not np.all((rows == 0) | (rows == 1)):
+        raise ValueError("mask bits must be 0 or 1")
+    layer, row, col = np.asarray(layout, dtype=np.intp).reshape(-1, 3).T
+    masks, bias_masks = [], []
+    for i, spec in enumerate(net.specs):
+        on_bias = (layer == i) & (row == BIAS_ROW)
+        on_weight = (layer == i) & (row != BIAS_ROW)
+        w = np.ones((len(rows), spec.fan_in, spec.fan_out))
+        w[:, row[on_weight], col[on_weight]] = rows[:, on_weight]
+        b = np.ones((len(rows), 1, spec.fan_out))
+        b[:, 0, col[on_bias]] = rows[:, on_bias]
+        masks.append(w)
+        bias_masks.append(b)
+    return masks, bias_masks
+
+
+def _view(net: MaskedNetwork, masks, bias_masks=None) -> MaskedNetwork:
+    """``net`` under new masks, sharing its frozen weights; without
+    ``bias_masks`` its biases enter unmasked."""
+    view = copy.copy(net)
+    view.masks = list(masks)
+    if bias_masks is None:
+        view.mask_biases = False
+    else:
+        view.bias_masks = list(bias_masks)
     return view
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitstrings import all_patterns, bits_to_index, bits_to_string, index_to_bits
+from .bitstrings import all_patterns, bits_to_string, index_to_bits
 from .grover import GroverConfig, GroverResult, grover_search
 from .masknet import Dataset
 from .oracle import CostOracle
@@ -456,7 +456,7 @@ def grover_table_select(column: np.ndarray, epsilon: float, seed: int = 0,
     k = int(column.size).bit_length() - 1
     if 1 << k != column.size:
         raise ValueError(f"column length {column.size} is not a power of two")
-    oracle = CostOracle(lambda bits: float(column[bits_to_index(bits)]), k, epsilon)
+    oracle = CostOracle(lambda rows: column[rows @ (1 << np.arange(k))], k, epsilon)
     return grover_search(oracle, GroverConfig(n_qubits=k, max_restarts=max_restarts,
                                               seed=seed))
 

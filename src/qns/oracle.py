@@ -9,6 +9,7 @@ loops act on.
 from __future__ import annotations
 
 import csv
+import functools
 import struct
 from pathlib import Path
 
@@ -18,31 +19,36 @@ from . import masknet
 from .bitstrings import bits_to_string, index_to_bits
 from .qsim import DiagonalCostHamiltonian, max_qubits
 
+ENUMERATION_CHUNK = 1024  # rows per batched call: bounds the memory of a step
+
 
 class CostOracle:
     """Predicate `cost(bits) < epsilon` over n-bit patterns, with call accounting.
 
-    ``call_counter`` counts predicate-level queries only: one per
-    :meth:`is_good` call and one per oracle application charged by a search
-    (see :mod:`qns.grover`). ``cost`` itself is free so that searches can
-    compile the phase oracle without distorting the accounting.
+    ``costs_of`` maps an (M, n) 0/1 row matrix to M costs; :meth:`cost` is
+    its one-row case. ``call_counter`` counts predicate-level queries only:
+    one per :meth:`is_good` call and one per oracle application charged by a
+    search (see :mod:`qns.grover`). ``cost`` itself is free so that searches
+    can compile the phase oracle without distorting the accounting.
     """
 
-    def __init__(self, cost_fn, n_bits: int, epsilon: float):
+    def __init__(self, costs_of, n_bits: int, epsilon: float):
         # epsilon 0 is allowed as a degenerate probe: no mask has loss < 0.
         if not epsilon >= 0:
             raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-        self._cost_fn = cost_fn
+        self._costs_of = costs_of
         self.n_bits = n_bits
         self.epsilon = float(epsilon)
         self.call_counter = 0
         self._enumerated: np.ndarray | None = None
 
     def cost(self, bits) -> float:
-        bits = np.asarray(bits, dtype=np.uint8)
+        bits = np.asarray(bits)
         if bits.size != self.n_bits:
             raise ValueError(f"pattern has {bits.size} bits, oracle expects {self.n_bits}")
-        return float(self._cost_fn(bits))
+        if not np.all((bits == 0) | (bits == 1)):
+            raise ValueError("pattern bits must be 0 or 1")
+        return float(self._costs_of(bits.reshape(1, -1).astype(np.uint8))[0])
 
     def is_good(self, bits) -> bool:
         self.call_counter += 1
@@ -58,8 +64,9 @@ class CostOracle:
                 )
             dim = 1 << self.n_bits
             costs = np.empty(dim)
-            for x in range(dim):
-                costs[x] = self.cost(index_to_bits(x, self.n_bits))
+            for start in range(0, dim, ENUMERATION_CHUNK):
+                index = np.arange(start, min(start + ENUMERATION_CHUNK, dim))
+                costs[index] = self._costs_of((index[:, None] >> np.arange(self.n_bits)) & 1)
             self._enumerated = costs
         return self._enumerated
 
@@ -72,31 +79,16 @@ class SubnetworkOracle(CostOracle):
 
     def __init__(self, net: masknet.MaskedNetwork, data: masknet.Dataset,
                  epsilon: float):
-        self.net = net
-        self.data = data
-        self._layout = masknet.mask_layout(net)
-        super().__init__(self._mask_loss, net.total_maskable(), epsilon)
-
-    def _mask_loss(self, bits) -> float:
-        view = masknet.apply_flat_mask(self.net, masknet.FlatMask(bits, self._layout))
-        return masknet.dataset_loss(view, self.data)
+        super().__init__(functools.partial(masknet.batch_losses, net, data),
+                         net.total_maskable(), epsilon)
 
 
-def build_cost_hamiltonian(net: masknet.MaskedNetwork, data: masknet.Dataset,
-                           n_bits: int | None = None) -> DiagonalCostHamiltonian:
+def build_cost_hamiltonian(net: masknet.MaskedNetwork,
+                           data: masknet.Dataset) -> DiagonalCostHamiltonian:
     """costs[x] = dataset loss of the network masked with bitstring x."""
-    total = net.total_maskable()
-    if n_bits is None:
-        n_bits = total
-    if n_bits != total:
-        raise ValueError(f"n_bits {n_bits} != network maskable count {total}")
-    if n_bits > max_qubits():
-        raise ValueError(
-            f"{n_bits} bits is too large to enumerate (limit {max_qubits()})"
-        )
     # epsilon is irrelevant for enumeration; any positive value works.
     costs = SubnetworkOracle(net, data, epsilon=1.0).enumerate_costs()
-    return DiagonalCostHamiltonian(n_bits, costs)
+    return DiagonalCostHamiltonian(net.total_maskable(), costs)
 
 
 def count_solutions(h: DiagonalCostHamiltonian, epsilon: float) -> int:
@@ -108,14 +100,8 @@ def default_epsilon(net: masknet.MaskedNetwork, data: masknet.Dataset, seed,
                     n_probe: int = 64, scale: float = 0.5) -> float:
     """Half the median loss of ``n_probe`` random masks: a task-adaptive threshold."""
     rng = np.random.default_rng(seed)
-    n = net.total_maskable()
-    layout = masknet.mask_layout(net)
-    losses = []
-    for _ in range(n_probe):
-        bits = rng.integers(0, 2, size=n).astype(np.uint8)
-        view = masknet.apply_flat_mask(net, masknet.FlatMask(bits, layout))
-        losses.append(masknet.dataset_loss(view, data))
-    return float(np.median(losses) * scale)
+    rows = rng.integers(0, 2, size=(n_probe, net.total_maskable())).astype(np.uint8)
+    return float(np.median(masknet.batch_losses(net, data, rows)) * scale)
 
 
 # ---------------------------------------------------------------------------

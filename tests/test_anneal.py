@@ -1,4 +1,4 @@
-"""Annealing schedules, ground-state diagnostics, endpoint reconstruction."""
+"""Annealing schedules and ground-state diagnostics."""
 import numpy as np
 import pytest
 
@@ -6,7 +6,6 @@ from qns.anneal import (
     AnnealSchedule,
     anneal,
     ground_states,
-    instantaneous_hamiltonian,
     sweep_total_time,
     write_sweep_csv,
 )
@@ -52,20 +51,6 @@ def test_long_schedule_reaches_ground_state():
     result = anneal(h, AnnealSchedule(200.0, steps=2000))
     assert result.p_ground > 0.9
     assert result.final_state.norm_error() < 1e-6
-
-
-def test_instantaneous_hamiltonian_endpoints_match_reconstruction():
-    """H(0) is the mixer, H(T) is the diagonal cost operator, entrywise."""
-    rng = np.random.default_rng(4)
-    costs = rng.uniform(0, 1, 16)
-    h = DiagonalCostHamiltonian(4, costs)
-    for mixer in (MixerSpec.transverse_field(), MixerSpec.bit_flip(ring_graph(4))):
-        start = instantaneous_hamiltonian(h, mixer, t=0.0, total_time=7.0)
-        end = instantaneous_hamiltonian(h, mixer, t=7.0, total_time=7.0)
-        np.testing.assert_allclose(start, mixer_dense(mixer, 4), atol=1e-12)
-        np.testing.assert_allclose(end, np.diag(costs), atol=1e-12)
-    with pytest.raises(ValueError):
-        instantaneous_hamiltonian(h, MixerSpec.transverse_field(), t=8.0, total_time=7.0)
 
 
 def test_trotter_evolution_matches_ode_integration():

@@ -1,6 +1,8 @@
 """Masked networks: construction, evaluation, flat masks, persistence."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qns import masknet
 from qns.masknet import (
@@ -313,3 +315,48 @@ def test_bias_masking_is_optional_and_off_by_default():
     assert net_b.total_maskable() == 12 + 5
     layout = mask_layout(net_b)
     assert sum(1 for (_, row, _) in layout if row == masknet.BIAS_ROW) == 5
+
+
+# ---------------------------------------------------------------------------
+# Batched mask costs against the one-mask view.
+
+@st.composite
+def random_networks(draw):
+    """1-3 layers of width 1-3 with random biases; at most 12 maskable bits."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    hidden = draw(st.lists(st.sampled_from(["relu", "identity"]),
+                           min_size=len(widths) - 2, max_size=len(widths) - 2))
+    specs = [(a, b, act) for a, b, act in
+             zip(widths[:-1], widths[1:], [*hidden, "identity"])]
+    seed = draw(st.integers(0, 2**32 - 1))
+    net = init_network(specs, seed, mask_biases=draw(st.booleans()))
+    assume(net.total_maskable() <= 12)
+    rng = np.random.default_rng(seed)
+    net.biases = [rng.normal(size=b.shape) for b in net.biases]
+    return net, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=random_networks(), n_samples=st.integers(1, 5))
+def test_batch_losses_equal_per_mask_losses(drawn, n_samples):
+    net, rng = drawn
+    data = Dataset(rng.normal(size=(n_samples, net.input_dim)),
+                   rng.normal(size=(n_samples, net.output_dim)))
+    rows = rng.integers(0, 2, size=(40, net.total_maskable())).astype(np.uint8)
+    expected = [dataset_loss(apply_flat_mask(net, flat_mask(net, row)), data)
+                for row in rows]
+    assert np.array_equal(masknet.batch_losses(net, data, rows), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=random_networks())
+def test_apply_flat_mask_follows_any_bijective_layout(drawn):
+    net, rng = drawn
+    layout = [mask_layout(net)[j] for j in rng.permutation(net.total_maskable())]
+    bits = rng.integers(0, 2, size=len(layout)).astype(np.uint8)
+    view = apply_flat_mask(net, FlatMask(bits, tuple(layout)))
+    for bit, (layer, row, col) in zip(bits, layout):
+        if row == masknet.BIAS_ROW:
+            assert view.bias_masks[layer][col] == bit
+        else:
+            assert view.masks[layer][row, col] == bit

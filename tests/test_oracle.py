@@ -55,6 +55,19 @@ def test_is_good_rejects_wrong_length():
         o.is_good(np.ones(o.n_bits + 1, dtype=np.uint8))
 
 
+def test_cost_rejects_bits_outside_zero_one():
+    net, data, _ = make_planted_task(LAYERS_6BIT, seed=2)
+    o = SubnetworkOracle(net, data, epsilon=0.1)
+    bits = np.ones(o.n_bits, dtype=np.uint8)
+    bits[0] = 2  # would double a weight if it reached the forward pass
+    with pytest.raises(ValueError, match="0 or 1"):
+        o.cost(bits)
+    with pytest.raises(ValueError, match="0 or 1"):
+        masknet.batch_losses(net, data, bits[None, :])
+    with pytest.raises(ValueError, match="maskable"):
+        masknet.batch_losses(net, data, np.ones((3, o.n_bits + 1), dtype=np.uint8))
+
+
 def test_build_cost_hamiltonian_single_bit_network():
     net = masknet.init_network([(1, 1, "identity")], seed=5)
     rng = np.random.default_rng(1)
@@ -85,12 +98,6 @@ def test_hamiltonian_argmin_matches_exhaustive_loop():
             best_loop, best_cost = x, c
     assert int(np.argmin(h.costs)) == best_loop
     assert h.costs[best_loop] == best_cost
-
-
-def test_build_cost_hamiltonian_rejects_wrong_bit_count():
-    net, data, _ = make_planted_task(LAYERS_6BIT, seed=7)
-    with pytest.raises(ValueError):
-        build_cost_hamiltonian(net, data, n_bits=7)
 
 
 def test_enumeration_refuses_beyond_ceiling(monkeypatch):
@@ -132,7 +139,7 @@ def test_default_epsilon_recipe_is_half_random_median():
 
 def test_function_oracle_wraps_arbitrary_costs():
     column = np.array([0.5, 0.1, 0.9, 0.3])
-    o = CostOracle(lambda bits: float(column[bits[0] + 2 * bits[1]]), 2, 0.2)
+    o = CostOracle(lambda rows: column[rows[:, 0] + 2 * rows[:, 1]], 2, 0.2)
     assert o.is_good(np.array([1, 0]))
     assert not o.is_good(np.array([0, 0]))
     np.testing.assert_array_equal(o.enumerate_costs(), column)
