@@ -215,7 +215,12 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
         teacher_acts = teacher_trace.layers[i]
         costs_of = functools.partial(block_loss, teacher_acts, block,
                                      block_inputs=block_inputs, mode=mode)
-        costs = CostOracle(costs_of, n_bits, 0.0).enumerate_costs()
+        eps = 0.0
+        if backend is Backend.GROVER:
+            eps = (epsilons[i] if epsilons is not None
+                   else _block_epsilon(costs_of, n_bits, rng))
+        oracle = CostOracle(costs_of, n_bits, eps)
+        costs = oracle.enumerate_costs()
         exhaustive_min = float(costs.min())
         report = BlockReport(i, np.zeros(n_bits, np.uint8), 0.0,
                              exhaustive_min=exhaustive_min)
@@ -224,9 +229,6 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
             best = int(np.argmin(costs))
             report.bits = index_to_bits(best, n_bits).astype(np.uint8)
         elif backend is Backend.GROVER:
-            eps = (epsilons[i] if epsilons is not None
-                   else _block_epsilon(costs_of, n_bits, rng))
-            oracle = CostOracle(costs_of, n_bits, eps)
             result = grover_search(oracle, GroverConfig(
                 n_qubits=n_bits, max_restarts=max_restarts,
                 seed=int(rng.integers(2 ** 31))))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -25,8 +24,6 @@ from .masknet import Dataset
 from .oracle import CostOracle
 
 DEFAULT_WASHOUT = 20
-POWER_ITERATIONS = 1000
-POWER_TOL = 1e-10
 DP_MAX_N = 64
 DP_MAX_K = 12
 EXHAUSTIVE_MAX_N = 20
@@ -52,79 +49,19 @@ class Reservoir:
         return self.w_in.shape[1]
 
 
-def estimate_spectral_radius(w: np.ndarray, iterations: int = POWER_ITERATIONS,
-                             tol: float = POWER_TOL, seed: int = 0) -> float:
-    """|largest eigenvalue| by power iteration.
-
-    Real nonsymmetric matrices often have a dominant complex-conjugate
-    pair, under which the plain norm ratio oscillates forever; each sweep
-    therefore fits the quadratic that annihilates the two leading Krylov
-    components (the classical power-method treatment of that case) and
-    reads the radius off its roots.
-    """
+def estimate_spectral_radius(w: np.ndarray) -> float:
+    """|largest eigenvalue|, from the full (dense) eigenvalue spectrum."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {w.shape}")
     if not np.any(w):
         raise ValueError("matrix is identically zero")
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=w.shape[0])
-    v /= np.linalg.norm(v)
-    previous = math.inf
-    prev_change = math.inf
-    stable = 0
-    for _ in range(iterations):
-        w1 = w @ v
-        n1 = float(np.linalg.norm(w1))
-        if n1 == 0.0:
-            return 0.0
-        w2 = w @ w1
-        b1 = w1 / n1
-        overlap = float(np.dot(b1, v))
-        if 1.0 - overlap * overlap < 1e-12:
-            estimate = n1  # Krylov space collapsed: single dominant eigenvalue
-        else:
-            # solve w2 ~ alpha*b1 + beta*v, then lambda^2 - a*lambda - b = 0
-            gram = np.array([[1.0, overlap], [overlap, 1.0]])
-            rhs = np.array([np.dot(b1, w2), np.dot(v, w2)])
-            alpha, beta = np.linalg.solve(gram, rhs)
-            a, b = alpha / n1, beta
-            disc = a * a + 4.0 * b
-            if disc >= 0.0:
-                root = math.sqrt(disc)
-                estimate = max(abs(a + root), abs(a - root)) / 2.0
-            else:
-                estimate = math.sqrt(-b)  # conjugate pair: |lambda|^2 = -b
-        n2 = float(np.linalg.norm(w2))
-        if n2 == 0.0:
-            return 0.0
-        v = w2 / n2
-        change = abs(estimate - previous)
-        scale = tol * max(estimate, 1.0)
-        settled = False
-        if change < scale:
-            # under slow geometric convergence the per-sweep change
-            # understates the remaining error; bound it Aitken-style
-            ratio = change / prev_change if prev_change > 0 else 0.0
-            remaining = change * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-            settled = remaining < scale
-        # the fit oscillates while subdominant modes die out, so a single
-        # small step can be a coincidence; demand a few in a row
-        stable = stable + 1 if settled else 0
-        if stable >= 3:
-            return float(estimate)
-        previous = estimate
-        prev_change = change
-    raise RuntimeError(
-        f"power iteration did not converge within {iterations} iterations"
-    )
+    return float(np.abs(np.linalg.eigvals(w)).max())
 
 
-def scale_to_spectral_radius(w: np.ndarray, rho_target: float,
-                             iterations: int = POWER_ITERATIONS,
-                             tol: float = POWER_TOL) -> np.ndarray:
-    """Rescale so the estimated spectral radius equals ``rho_target``."""
-    estimate = estimate_spectral_radius(w, iterations, tol)
+def scale_to_spectral_radius(w: np.ndarray, rho_target: float) -> np.ndarray:
+    """Rescale so the spectral radius equals ``rho_target``."""
+    estimate = estimate_spectral_radius(w)
     if estimate == 0.0:
         raise ValueError("cannot rescale a matrix with zero spectral radius")
     return np.asarray(w, dtype=np.float64) * (rho_target / estimate)
@@ -137,13 +74,7 @@ def make_reservoir(size: int, input_dim: int, spectral_radius: float = 0.9,
     rng = np.random.default_rng(seed)
     w = rng.uniform(-1.0, 1.0, size=(size, size))
     w *= rng.random((size, size)) < connectivity
-    try:
-        w_res = scale_to_spectral_radius(w, spectral_radius)
-    except RuntimeError as err:
-        raise RuntimeError(
-            f"reservoir seed {seed}: {err} (near-degenerate leading eigenvalues; "
-            "try another seed or raise the iteration cap)"
-        ) from err
+    w_res = scale_to_spectral_radius(w, spectral_radius)
     w_in = rng.uniform(-1.0, 1.0, size=(size, input_dim))
     return Reservoir(w_res, w_in, spectral_radius, connectivity, seed)
 

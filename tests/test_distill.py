@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from qns import masknet
+from qns import distill, masknet
 from qns.bitstrings import index_to_bits
 from qns.distill import (
     Backend,
@@ -193,6 +193,26 @@ def test_grover_backend_succeeds_with_epsilon_above_minimum():
     for report, eps_i in zip(result.reports, eps):
         assert report.loss < eps_i
         assert report.oracle_calls > 0
+
+
+def test_grover_backend_enumerates_each_block_once(monkeypatch):
+    teacher = small_teacher()
+    data = teacher_io_data(teacher)
+    pair = make_student(teacher, width_factor=1, seed=1)
+    tables = []
+
+    def counting_block_loss(teacher_acts, block, bits, **kwargs):
+        bits = np.asarray(bits)
+        n_states = 1 << block.total_maskable()
+        if len(bits) == n_states and len(np.unique(bits, axis=0)) == n_states:
+            tables.append(block)  # one call costs the whole table
+        return block_loss(teacher_acts, block, bits, **kwargs)
+
+    monkeypatch.setattr(distill, "block_loss", counting_block_loss)
+    result = distill_select(pair, data, backend=Backend.GROVER,
+                            per_block_bit_budget=12, seed=5)
+    assert len(result.reports) == len(pair.blocks)
+    assert [id(b) for b in tables] == [id(b) for b in pair.blocks]
 
 
 def test_hamiltonian_backends_report_gaps():

@@ -176,22 +176,32 @@ def test_cli_run_method_failure_exit_code(tmp_path):
 
 
 def test_cli_maps_method_exceptions_to_exit_codes(tmp_path, capsys):
-    """A reservoir whose radius estimate cannot be certified is a method failure."""
+    """An exception raised inside a method is a method failure."""
+    csv_path = tmp_path / "huge.csv"
+    np.savetxt(csv_path, np.full((4, 3), 1e200), delimiter=",")
     doc = {
-        "method": "nk_esn",
-        "task": {"kind": "sequence", "length": 80, "seed": 1},
-        "method_params": {"n_outputs": 4, "k": 2, "reservoir_size": 30},
-        "seeds": [3],  # this seed's reservoir has near-degenerate leading eigenvalues
+        "method": "edge_popup",
+        "task": {"kind": "csv", "path": str(csv_path), "n_inputs": 2,
+                 "layers": [[2, 1, "identity"]], "net_seed": 1},
+        "epsilon": 1.0,
+        "method_params": {"epochs": 1},
+        "seeds": [3],  # every squared loss overflows: FloatingPointError
         "output_dir": str(tmp_path / "runs"),
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
-    assert cli.main(["run", str(path)]) == 3
+    with np.errstate(over="ignore"):
+        assert cli.main(["run", str(path)]) == 3
     assert "method failure" in capsys.readouterr().err
 
     # a method_params value violating a module bound is a config problem
-    doc["seeds"] = [4]
-    doc["method_params"]["k"] = 9  # K > N
+    doc = {
+        "method": "nk_esn",
+        "task": {"kind": "sequence", "length": 80, "seed": 1},
+        "method_params": {"n_outputs": 4, "k": 9, "reservoir_size": 30},  # K > N
+        "seeds": [4],
+        "output_dir": str(tmp_path / "runs"),
+    }
     path.write_text(json.dumps(doc))
     assert cli.main(["run", str(path)]) == 2
     assert "config error" in capsys.readouterr().err

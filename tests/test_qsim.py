@@ -426,6 +426,17 @@ def test_transverse_field_evolve_has_no_dense_limit(monkeypatch):
     assert s.norm_error() < 1e-9
 
 
+def graph_from_draws(n, edge_draws):
+    """Adjacency list over n vertices from (a, b) draws taken mod n, loops dropped."""
+    graph = [set() for _ in range(n)]
+    for a, b in edge_draws:
+        a, b = a % n, b % n
+        if a != b:
+            graph[a].add(b)
+            graph[b].add(a)
+    return [sorted(nbrs) for nbrs in graph]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 8),
@@ -440,13 +451,7 @@ def test_apply_mixer_matches_dense_exponential(n, edge_draws, transverse,
     if transverse:
         mixer = MixerSpec.transverse_field()
     else:
-        graph = [set() for _ in range(n)]
-        for a, b in edge_draws:
-            a, b = a % n, b % n
-            if a != b:
-                graph[a].add(b)
-                graph[b].add(a)
-        mixer = MixerSpec.bit_flip([sorted(nbrs) for nbrs in graph], target_bit)
+        mixer = MixerSpec.bit_flip(graph_from_draws(n, edge_draws), target_bit)
     s = random_state(n, seed)
     expected = expm(-1j * beta * mixer_dense(mixer, n)) @ s.amplitudes
     qsim.apply_mixer(s, mixer, beta)
@@ -465,6 +470,39 @@ def test_sparse_bit_flip_mixer_matches_dense_exponential_on_ring():
         np.testing.assert_allclose(s.amplitudes, expected, rtol=0, atol=1e-12)
         if beta == 0.0:
             np.testing.assert_array_equal(s.amplitudes, start.amplitudes)
+
+
+@pytest.mark.parametrize("beta", [30.0, -30.0])
+def test_bit_flip_mixer_matches_dense_exponential_at_large_beta(beta):
+    # |beta| * R = 300 needs ~375 Chebyshev terms: the degree must grow with |beta|
+    n = 10
+    mixer = MixerSpec.bit_flip(ring_graph(n))
+    start = random_state(n, 23)
+    s = qsim.apply_mixer(start.copy(), mixer, beta)
+    expected = expm(-1j * beta * mixer_dense(mixer, n)) @ start.amplitudes
+    np.testing.assert_allclose(s.amplitudes, expected, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    edge_draws=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=16),
+    target_bit=st.integers(0, 1),
+)
+def test_bit_flip_row_count_bounds_spectral_radius(n, edge_draws, target_bit):
+    # the Chebyshev expansion needs the spectrum inside [-R, R]
+    mixer = MixerSpec.bit_flip(graph_from_draws(n, edge_draws), target_bit)
+    r = np.diff(qsim._mixer_sparse(mixer, n).indptr).max()
+    radius = np.abs(np.linalg.eigvalsh(mixer_dense(mixer, n))).max()
+    assert r >= radius - 1e-12
+
+
+def test_bit_flip_evolve_preserves_norm_at_14_qubits():
+    n = 14
+    h = DiagonalCostHamiltonian(n, np.random.default_rng(5).uniform(0, 1, 1 << n))
+    s = evolve(uniform_superposition(n), h, MixerSpec.bit_flip(ring_graph(n)), 40.0,
+               steps=400)
+    assert s.norm_error() < 1e-9
 
 
 # ---------------------------------------------------------------------------
