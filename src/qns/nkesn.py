@@ -27,6 +27,8 @@ DEFAULT_WASHOUT = 20
 DP_MAX_N = 64
 DP_MAX_K = 12
 EXHAUSTIVE_MAX_N = 20
+TABLE_BLOCK = 512
+DP_PREFIX_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -69,12 +71,26 @@ def scale_to_spectral_radius(w: np.ndarray, rho_target: float) -> np.ndarray:
 
 def make_reservoir(size: int, input_dim: int, spectral_radius: float = 0.9,
                    connectivity: float = 0.1, seed: int = 0) -> Reservoir:
+    """Draw a sparse random reservoir and rescale it to ``spectral_radius``.
+
+    A draw whose spectral radius is 0 (a nilpotent or all-zero matrix) cannot
+    be rescaled; that depends on the seed, so it raises ``RuntimeError``.
+    """
     if not 0 < spectral_radius < 1:
         raise ValueError(f"spectral radius must be in (0, 1), got {spectral_radius}")
+    if size < 1 or connectivity <= 0:
+        raise ValueError(f"need size >= 1 and connectivity > 0, "
+                         f"got size {size}, connectivity {connectivity}")
     rng = np.random.default_rng(seed)
     w = rng.uniform(-1.0, 1.0, size=(size, size))
     w *= rng.random((size, size)) < connectivity
-    w_res = scale_to_spectral_radius(w, spectral_radius)
+    try:
+        w_res = scale_to_spectral_radius(w, spectral_radius)
+    except ValueError as err:
+        raise RuntimeError(
+            f"reservoir seed {seed} drew a {size}x{size} matrix at connectivity "
+            f"{connectivity} with spectral radius 0; another seed is needed"
+        ) from err
     w_in = rng.uniform(-1.0, 1.0, size=(size, input_dim))
     return Reservoir(w_res, w_in, spectral_radius, connectivity, seed)
 
@@ -94,17 +110,26 @@ def run_reservoir(r: Reservoir, inputs: np.ndarray, z0: np.ndarray | None = None
                   nonlinearity: str = "identity") -> np.ndarray:
     """Roll the recurrence over a (T, input_dim) sequence; returns (T, size).
 
-    ``nonlinearity="tanh"`` wraps each step in tanh, the conventional
-    reservoir variant; the default keeps the recurrence linear.
+    The input drive ``inputs @ W_in.T`` is computed once, into the returned
+    array, and each step adds ``W_res z`` to its row in place, so the loop
+    makes one matrix-vector product per step and allocates nothing. At
+    ``input_dim`` 1 the states equal a :func:`reservoir_step` loop bit for
+    bit; at larger widths the drive's dot products may round differently in
+    the last place. ``nonlinearity="tanh"`` wraps each step in tanh, the
+    conventional reservoir variant; the default keeps the recurrence linear.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     z = np.zeros(r.size) if z0 is None else np.asarray(z0, dtype=np.float64)
-    states = np.empty((len(inputs), r.size))
-    for t, x in enumerate(inputs):
-        z = reservoir_step(r, z, x)
+    if z.shape != (r.size,):
+        raise ValueError(f"state shape {z.shape} != ({r.size},)")
+    if inputs.shape[1:] != (r.input_dim,):
+        raise ValueError(f"input shape {inputs.shape[1:]} != ({r.input_dim},)")
+    states = inputs @ r.w_in.T
+    for row in states:
+        row += r.w_res @ z
         if nonlinearity == "tanh":
-            z = np.tanh(z)
-        states[t] = z
+            np.tanh(row, out=row)
+        z = row
     return states
 
 
@@ -209,8 +234,9 @@ def make_nkesn(n_outputs: int, k: int, reservoir_size: int, input_dim: int = 1,
 
 
 def _phi(values: np.ndarray, activation: str) -> np.ndarray:
+    """Apply the output activation to ``values`` in place and return them."""
     if activation == "tanh":
-        return np.tanh(values)
+        return np.tanh(values, out=values)
     if activation == "identity":
         return values
     raise ValueError(f"unknown activation {activation!r}")
@@ -264,18 +290,39 @@ def per_output_losses(model: NkEsn, data: Dataset, bits,
 def build_table(model: NkEsn, data: Dataset,
                 washout: int = DEFAULT_WASHOUT) -> np.ndarray:
     """(2^K, N) table: entry [p, i] is output i's loss when its neighborhood
-    bits are set to pattern p (bit j of p gates neighborhood member j)."""
+    bits are set to pattern p (bit j of p gates neighborhood member j).
+
+    Each output walks the series in near-equal blocks of at most
+    ``TABLE_BLOCK`` time steps through one (block + 1, 2^K) buffer, so the
+    working memory is about 4 KiB x 2^K, whatever the series length. Row 0
+    of the buffer carries the running sum of squared errors, so the sum over
+    time is taken in sequential order, the order of a mean over the whole
+    (T, 2^K) error array, and the table equals it bit for bit.
+    """
     land = model.landscape
     if land.k > 20:
         raise ValueError(f"K={land.k} is beyond the practical 2^K table bound")
     signals, targets = probe_signal_series(model, data, washout)
+    n_steps = len(targets)
+    n_blocks = -(-n_steps // TABLE_BLOCK)
+    # near-equal blocks: a one-row block would take numpy's matrix-vector path
+    bounds = [n_steps * b // n_blocks for b in range(n_blocks + 1)]
+    buf = np.empty((-(-n_steps // n_blocks) + 1, 1 << land.k))
     patterns = all_patterns(land.k).astype(np.float64)
     table = np.empty((1 << land.k, land.n))
     for i in range(land.n):
         nb = land.neighborhoods[i]
-        weighted = patterns * model.w_out[nb, i]
-        series = _phi(signals[:, nb] @ weighted.T, model.activation)
-        table[:, i] = np.mean((series - targets[:, None]) ** 2, axis=0)
+        weighted_t = (patterns * model.w_out[nb, i]).T
+        probes = signals[:, nb]
+        buf[0] = 0.0
+        for lo, hi in zip(bounds, bounds[1:]):
+            rows = buf[1:hi - lo + 1]
+            np.matmul(probes[lo:hi], weighted_t, out=rows)
+            _phi(rows, model.activation)
+            np.subtract(rows, targets[lo:hi, None], out=rows)
+            np.square(rows, out=rows)
+            buf[0] = buf[:hi - lo + 1].sum(axis=0)
+        table[:, i] = buf[0] / n_steps
     model.landscape.table = table
     return table
 
@@ -313,9 +360,14 @@ def exhaustive_optimize(land: NKLandscape, table: np.ndarray) -> tuple[np.ndarra
 def dp_optimize(land: NKLandscape, table: np.ndarray) -> tuple[np.ndarray, float]:
     """Exact minimizer of the mean per-output loss for adjacent neighborhoods.
 
-    Conditions on the first K-1 bits, sweeps the ring propagating minimal
-    partial sums over (K-1)-bit boundary states, then closes the ring with
-    the wrap-around subfunctions. Cost O(2^(2K-2) * N) time.
+    Conditions on the first K-1 bits (the prefix), sweeps the ring
+    propagating minimal partial sums over (K-1)-bit boundary states, then
+    closes the ring with the wrap-around subfunctions. Cost O(2^(2K-2) * N)
+    time. The sweep runs over all prefixes at once, as a (prefixes, states)
+    array of at most ``DP_PREFIX_BLOCK`` rows (4 MiB per array at K = 12),
+    and records no choices. Ties go to the first minimum in prefix order,
+    then in final-state order. Only the winning prefix is swept again, to
+    record its choices for the walk back.
     """
     if land.topology is not Topology.ADJACENT:
         raise ValueError("dynamic programming requires the adjacent topology")
@@ -335,46 +387,58 @@ def dp_optimize(land: NKLandscape, table: np.ndarray) -> tuple[np.ndarray, float
     pattern0 = pred_base | (x_t << s_bits)      # predecessor with dropped bit 0
     pattern1 = (pred_base | 1) | (x_t << s_bits)
 
-    best_value = np.inf
-    best_bits: np.ndarray | None = None
-    for prefix in range(n_state):
-        value = np.full(n_state, np.inf)
-        value[prefix] = 0.0
-        choices = np.empty((n - s_bits, n_state), dtype=np.uint8)
+    def sweep(prefixes: np.ndarray, choices: np.ndarray | None = None) -> np.ndarray:
+        """Ring totals, (prefixes, final states); the choices of row 0 if asked."""
+        value = np.full((len(prefixes), n_state), np.inf)
+        value[np.arange(len(prefixes)), prefixes] = 0.0
         for t in range(s_bits, n):
             out = t - s_bits  # the subfunction completed by choosing x_t
-            cand0 = value[pred_base] + table[pattern0, out]
-            cand1 = value[pred_base | 1] + table[pattern1, out]
+            cand0 = value[:, pred_base] + table[pattern0, out]
+            cand1 = value[:, pred_base | 1] + table[pattern1, out]
             take1 = cand1 < cand0
-            choices[out] = take1
+            if choices is not None:
+                choices[out] = take1[0]
             value = np.where(take1, cand1, cand0)
 
-        closure = np.zeros(n_state)
+        closure = np.zeros(value.shape)
         for i in range(n - s_bits, n):
-            pattern = np.zeros(n_state, dtype=np.int64)
+            from_state = np.zeros(n_state, dtype=np.int64)
+            from_prefix = np.zeros(len(prefixes), dtype=np.int64)
             for j in range(k):
                 idx = (i + j) % n
                 if idx >= n - s_bits:
-                    bit = (states >> (idx - (n - s_bits))) & 1
+                    from_state |= ((states >> (idx - (n - s_bits))) & 1) << j
                 else:
-                    bit = np.full(n_state, (prefix >> idx) & 1)
-                pattern |= bit << j
-            closure += table[pattern, i]
+                    from_prefix |= ((prefixes >> idx) & 1) << j
+            closure += table[from_prefix[:, None] | from_state, i]
+        return value + closure
 
-        total = value + closure
-        final = int(np.argmin(total))
-        if total[final] < best_value:
-            best_value = float(total[final])
-            # walk the choices backwards to recover x_{N-1} .. x_{S}
-            bits = np.empty(n, dtype=np.uint8)
-            bits[:s_bits] = index_to_bits(prefix, s_bits)
-            state = final
-            for t in range(n - 1, s_bits - 1, -1):
-                bits[t] = state >> (s_bits - 1)
-                dropped = int(choices[t - s_bits, state])
-                state = ((state & ((1 << (s_bits - 1)) - 1)) << 1) | dropped
-            best_bits = bits
-    return best_bits, best_value / n
+    best_value = np.inf
+    best_prefix = best_final = None
+    for lo in range(0, n_state, DP_PREFIX_BLOCK):
+        prefixes = np.arange(lo, min(lo + DP_PREFIX_BLOCK, n_state))
+        total = sweep(prefixes)
+        finals = np.argmin(total, axis=1)
+        row_best = total[np.arange(len(prefixes)), finals]
+        # the first row beating every earlier one, as a strict-< scan would find
+        p = int(np.argmin(np.where(row_best < best_value, row_best, np.inf)))
+        if row_best[p] < best_value:
+            best_value = float(row_best[p])
+            best_prefix, best_final = int(prefixes[p]), int(finals[p])
+    if best_prefix is None:
+        return None, best_value / n
+
+    choices = np.empty((n - s_bits, n_state), dtype=np.uint8)
+    sweep(np.array([best_prefix]), choices)
+    # walk the choices backwards to recover x_{N-1} .. x_{S}
+    bits = np.empty(n, dtype=np.uint8)
+    bits[:s_bits] = index_to_bits(best_prefix, s_bits)
+    state = best_final
+    for t in range(n - 1, s_bits - 1, -1):
+        bits[t] = state >> (s_bits - 1)
+        dropped = int(choices[t - s_bits, state])
+        state = ((state & ((1 << (s_bits - 1)) - 1)) << 1) | dropped
+    return bits, best_value / n
 
 
 # ---------------------------------------------------------------------------

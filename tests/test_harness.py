@@ -207,6 +207,22 @@ def test_cli_maps_method_exceptions_to_exit_codes(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_nilpotent_reservoir_is_a_method_failure(tmp_path, capsys):
+    """Run seed 273 derives a reservoir seed whose 20x20 draw has spectral
+    radius 0; that depends on the seed, so it is no config error."""
+    doc = {
+        "method": "nk_esn",
+        "task": {"kind": "sequence", "length": 80, "seed": 1},
+        "method_params": {"n_outputs": 4, "k": 2, "reservoir_size": 20},
+        "seeds": [273],
+        "output_dir": str(tmp_path / "runs"),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path)]) == 3
+    assert "method failure" in capsys.readouterr().err
+
+
 def test_cli_compare(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config_doc(out=str(tmp_path / "runs"))))

@@ -1,12 +1,15 @@
 """Reservoirs, probe filters, NK tables, and their optimizers."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qns import harness, nkesn
-from qns.bitstrings import bits_to_index, index_to_bits
+from qns.bitstrings import all_patterns, bits_to_index, index_to_bits
 from qns.nkesn import (
     NKLandscape,
     Reservoir,
+    TABLE_BLOCK,
     Topology,
     build_table,
     combine_per_output,
@@ -77,6 +80,58 @@ def test_reservoir_step_validates_shapes():
         reservoir_step(r, np.zeros(9), np.zeros(1))
     with pytest.raises(ValueError):
         reservoir_step(r, np.zeros(10), np.zeros(2))
+
+
+def stepped_states(r, inputs, z0=None, nonlinearity="identity"):
+    """Reference roll: one reservoir_step per input row."""
+    z = np.zeros(r.size) if z0 is None else z0
+    states = []
+    for x in inputs:
+        z = reservoir_step(r, z, x)
+        if nonlinearity == "tanh":
+            z = np.tanh(z)
+        states.append(z)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("nonlinearity", ["identity", "tanh"])
+@pytest.mark.parametrize("with_z0", [False, True])
+def test_run_reservoir_equals_step_loop_bit_for_bit(nonlinearity, with_z0):
+    r = make_reservoir(30, 1, seed=3)
+    inputs = sequence_data(400).inputs
+    z0 = np.random.default_rng(1).normal(size=30) if with_z0 else None
+    expected = stepped_states(r, inputs, z0, nonlinearity)
+    np.testing.assert_array_equal(run_reservoir(r, inputs, z0, nonlinearity), expected)
+
+
+def test_run_reservoir_wide_input_matches_step_loop():
+    """The drive is one matrix product for the whole series; its dot products
+    may round differently from per-step ones when input_dim > 1."""
+    r = make_reservoir(30, 3, seed=4)
+    inputs = np.random.default_rng(2).normal(size=(400, 3))
+    for nonlinearity in ("identity", "tanh"):
+        np.testing.assert_allclose(run_reservoir(r, inputs, nonlinearity=nonlinearity),
+                                   stepped_states(r, inputs, None, nonlinearity),
+                                   rtol=1e-13, atol=1e-13)
+
+
+def test_run_reservoir_validates_shapes():
+    r = make_reservoir(10, 1, seed=0)
+    with pytest.raises(ValueError, match=r"state shape \(9,\) != \(10,\)"):
+        run_reservoir(r, np.zeros((5, 1)), z0=np.zeros(9))
+    with pytest.raises(ValueError, match=r"input shape \(2,\) != \(1,\)"):
+        run_reservoir(r, np.zeros((5, 2)))
+
+
+def test_nilpotent_reservoir_draw_is_a_method_failure():
+    """Seed 578 draws a 20x20 matrix with spectral radius 0: a seed-dependent
+    failure, not a bad argument."""
+    with pytest.raises(RuntimeError, match=r"seed 578 .*20x20.*connectivity 0\.1"):
+        make_reservoir(20, 1, 0.9, 0.1, seed=578)
+    # an empty reservoir or zero connectivity fails on every seed: bad arguments
+    for size, connectivity in ((0, 0.1), (20, 0.0)):
+        with pytest.raises(ValueError, match="connectivity"):
+            make_reservoir(size, 1, 0.9, connectivity, seed=578)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +270,40 @@ def test_table_entries_match_direct_evaluation_with_fillers():
         assert direct == pytest.approx(table[p, i], abs=1e-12)
 
 
+def unblocked_table(model, data, washout=nkesn.DEFAULT_WASHOUT):
+    """Reference table: each output's whole (T, 2^K) error array and its mean."""
+    signals, targets = nkesn.probe_signal_series(model, data, washout)
+    land = model.landscape
+    patterns = all_patterns(land.k).astype(np.float64)
+    table = np.empty((1 << land.k, land.n))
+    for i in range(land.n):
+        nb = land.neighborhoods[i]
+        series = signals[:, nb] @ (patterns * model.w_out[nb, i]).T
+        if model.activation == "tanh":
+            series = np.tanh(series)
+        table[:, i] = np.mean((series - targets[:, None]) ** 2, axis=0)
+    return table
+
+
+@pytest.mark.parametrize("steps", [7, TABLE_BLOCK, 2 * TABLE_BLOCK, 2 * TABLE_BLOCK + 1,
+                                   3 * TABLE_BLOCK - 5])
+@pytest.mark.parametrize("activation", ["tanh", "identity"])
+def test_blocked_table_equals_unblocked_reference(steps, activation):
+    data = harness.make_sequence_task(steps + nkesn.DEFAULT_WASHOUT, seed=steps)
+    for k in range(1, 9):
+        for topology in (Topology.ADJACENT, Topology.RANDOM):
+            model = make_nkesn(n_outputs=k + 1, k=k, reservoir_size=16, topology=topology,
+                               activation=activation, seed=k)
+            np.testing.assert_array_equal(build_table(model, data),
+                                          unblocked_table(model, data))
+
+
+def test_table_rejects_unknown_activation():
+    model = make_nkesn(n_outputs=4, k=2, reservoir_size=16, activation="relu", seed=1)
+    with pytest.raises(ValueError, match="unknown activation"):
+        build_table(model, sequence_data())
+
+
 def test_constant_zero_input_gives_constant_table_columns():
     model = demo_model()
     data = harness.make_sequence_task(60, seed=0)
@@ -263,6 +352,89 @@ def test_dp_with_tied_entries_returns_an_optimal_value():
     table = np.full((4, 6), 0.37)
     _, value = dp_optimize(land, table)
     assert value == pytest.approx(0.37, abs=1e-12)
+
+
+def per_prefix_dp(land, table):
+    """Reference ring DP: one forward sweep per prefix, first strict minimum wins."""
+    n, k = land.n, land.k
+    if k == 1:
+        bits = np.argmin(table, axis=0).astype(np.uint8)
+        return bits, float(np.mean(table[bits, np.arange(n)]))
+    s_bits = k - 1
+    n_state = 1 << s_bits
+    states = np.arange(n_state)
+    x_t = states >> (s_bits - 1)
+    pred_base = (states & ((1 << (s_bits - 1)) - 1)) << 1
+    pattern0 = pred_base | (x_t << s_bits)
+    pattern1 = (pred_base | 1) | (x_t << s_bits)
+    best_value, best_bits = np.inf, None
+    for prefix in range(n_state):
+        value = np.full(n_state, np.inf)
+        value[prefix] = 0.0
+        choices = np.empty((n - s_bits, n_state), dtype=np.uint8)
+        for t in range(s_bits, n):
+            out = t - s_bits
+            cand0 = value[pred_base] + table[pattern0, out]
+            cand1 = value[pred_base | 1] + table[pattern1, out]
+            take1 = cand1 < cand0
+            choices[out] = take1
+            value = np.where(take1, cand1, cand0)
+        closure = np.zeros(n_state)
+        for i in range(n - s_bits, n):
+            pattern = np.zeros(n_state, dtype=np.int64)
+            for j in range(k):
+                idx = (i + j) % n
+                if idx >= n - s_bits:
+                    bit = (states >> (idx - (n - s_bits))) & 1
+                else:
+                    bit = np.full(n_state, (prefix >> idx) & 1)
+                pattern |= bit << j
+            closure += table[pattern, i]
+        total = value + closure
+        final = int(np.argmin(total))
+        if total[final] < best_value:
+            best_value = float(total[final])
+            bits = np.empty(n, dtype=np.uint8)
+            bits[:s_bits] = index_to_bits(prefix, s_bits)
+            state = final
+            for t in range(n - 1, s_bits - 1, -1):
+                bits[t] = state >> (s_bits - 1)
+                dropped = int(choices[t - s_bits, state])
+                state = ((state & ((1 << (s_bits - 1)) - 1)) << 1) | dropped
+            best_bits = bits
+    return best_bits, best_value / n
+
+
+@st.composite
+def ring_tables(draw):
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, min(n, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        table = rng.uniform(0, 1, (1 << k, n))
+    else:  # few distinct values: many tied optima
+        table = rng.integers(0, 3, (1 << k, n)).astype(np.float64)
+    return make_landscape(n, k), table
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=ring_tables())
+def test_dp_matches_per_prefix_reference_and_exhaustive(drawn):
+    land, table = drawn
+    bits, value = dp_optimize(land, table)
+    ref_bits, ref_value = per_prefix_dp(land, table)
+    np.testing.assert_array_equal(bits, ref_bits)
+    assert value == ref_value
+    assert value == pytest.approx(exhaustive_optimize(land, table)[1], abs=1e-12)
+
+
+def test_dp_at_k12_spans_several_prefix_blocks():
+    land = make_landscape(14, 12)
+    assert 1 << (land.k - 1) > nkesn.DP_PREFIX_BLOCK
+    table = np.random.default_rng(12).uniform(0, 1, (1 << 12, 14))
+    bits, value = dp_optimize(land, table)
+    assert value == pytest.approx(exhaustive_optimize(land, table)[1], abs=1e-12)
+    assert mean_loss_from_table(table, land, bits) == pytest.approx(value, abs=1e-12)
 
 
 def test_dp_refuses_random_topology():
