@@ -88,7 +88,14 @@ def _cmd_compare(args) -> int:
         if not p.exists():
             print(f"config error: record file not found: {p}", file=sys.stderr)
             return EXIT_CONFIG
-        records.append(json.loads(p.read_text()))
+        try:
+            record = json.loads(p.read_text())
+            harness.compare([record])  # checks the fields a comparison reads
+        except (ValueError, KeyError, TypeError) as err:
+            detail = f"missing field {err}" if isinstance(err, KeyError) else err
+            print(f"config error: record {p}: {detail}", file=sys.stderr)
+            return EXIT_CONFIG
+        records.append(record)
     try:
         rows = harness.compare(records)
     except ValueError as err:

@@ -10,10 +10,8 @@ which always report their gap to the exhaustive optimum.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -267,41 +265,6 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
         else:
             block_inputs = teacher_acts
     return DistillResult(masks, reports)
-
-
-# ---------------------------------------------------------------------------
-# Persistence: selected block masks as hex bitstrings with layout tables.
-
-def masks_to_json(masks: list[masknet.FlatMask]) -> dict:
-    return {
-        "blocks": [
-            {
-                "n_bits": len(m),
-                "bits_hex": format(int(np.dot(m.bits, 1 << np.arange(len(m)))), "x"),
-                "layout": [list(entry) for entry in m.layout],
-            }
-            for m in masks
-        ]
-    }
-
-
-def masks_from_json(doc: dict) -> list[masknet.FlatMask]:
-    out = []
-    for block in doc["blocks"]:
-        n = block["n_bits"]
-        value = int(block["bits_hex"], 16)
-        bits = index_to_bits(value, n).astype(np.uint8)
-        layout = tuple(tuple(entry) for entry in block["layout"])
-        out.append(masknet.FlatMask(bits, layout))
-    return out
-
-
-def save_selected_masks(masks: list[masknet.FlatMask], path) -> None:
-    Path(path).write_text(json.dumps(masks_to_json(masks), indent=2))
-
-
-def load_selected_masks(path) -> list[masknet.FlatMask]:
-    return masks_from_json(json.loads(Path(path).read_text()))
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,9 @@ product states, so sampling is done per qubit analytically.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -150,10 +147,6 @@ class PopupTrainResult:
     loss_curve: list[float]
     final_masks: list[np.ndarray]
 
-    @property
-    def final_thetas(self) -> list[np.ndarray]:
-        return [c.thetas for c in self.circuits]
-
 
 def popup_train(net: MaskedNetwork, data: Dataset,
                 cfg: PopupTrainConfig) -> PopupTrainResult:
@@ -186,29 +179,3 @@ def popup_train(net: MaskedNetwork, data: Dataset,
 def masked_loss(net: MaskedNetwork, masks, data: Dataset) -> float:
     """Dataset loss of ``net`` under explicit per-layer masks."""
     return masknet.dataset_loss(masknet._view(net, masks), data)
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints and curves.
-
-def save_checkpoint(circs, epoch: int, seed, path) -> None:
-    doc = {
-        "thetas": [c.thetas.tolist() for c in circs],
-        "epoch": epoch,
-        "seed": seed,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2))
-
-
-def load_checkpoint(path) -> tuple[list[PopupLayerCircuit], int, int]:
-    doc = json.loads(Path(path).read_text())
-    circs = [PopupLayerCircuit(np.array(t)) for t in doc["thetas"]]
-    return circs, doc["epoch"], doc["seed"]
-
-
-def write_loss_curve_csv(loss_curve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss"])
-        for i, value in enumerate(loss_curve, start=1):
-            writer.writerow([i, repr(float(value))])

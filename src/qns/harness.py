@@ -282,7 +282,12 @@ def _run_distill(cfg, seed):
         raise ConfigError("field 'task.kind': distill runs need kind 'distill'")
     if "teacher_path" not in task:
         raise ConfigError("field 'task.teacher_path' is required for distill tasks")
-    teacher = masknet.load_network(task["teacher_path"])
+    try:
+        teacher = masknet.load_network(task["teacher_path"])
+    except (ValueError, KeyError, TypeError) as err:
+        detail = f"missing field {err}" if isinstance(err, KeyError) else err
+        raise ConfigError(
+            f"field 'task.teacher_path': {task['teacher_path']}: {detail}") from err
     data_seed = int(np.random.SeedSequence(task.get("seed", 0)).generate_state(1)[0])
     rng = np.random.default_rng(data_seed)
     xs = rng.uniform(-1, 1, size=(task.get("n_samples", 32), teacher.input_dim))

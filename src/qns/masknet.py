@@ -305,21 +305,19 @@ def _view(net: MaskedNetwork, masks, bias_masks=None) -> MaskedNetwork:
 # ---------------------------------------------------------------------------
 # Persistence.
 
-def network_to_json(net: MaskedNetwork, include_arrays: bool = True) -> dict:
-    doc = {
+def network_to_json(net: MaskedNetwork) -> dict:
+    return {
         "specs": [
             {"fan_in": s.fan_in, "fan_out": s.fan_out, "activation": s.activation.value}
             for s in net.specs
         ],
         "seed": net.seed,
         "mask_biases": net.mask_biases,
+        "weights": [w.tolist() for w in net.weights],
+        "biases": [b.tolist() for b in net.biases],
+        "masks": [m.tolist() for m in net.masks],
+        "bias_masks": [m.tolist() for m in net.bias_masks],
     }
-    if include_arrays:
-        doc["weights"] = [w.tolist() for w in net.weights]
-        doc["biases"] = [b.tolist() for b in net.biases]
-        doc["masks"] = [m.tolist() for m in net.masks]
-        doc["bias_masks"] = [m.tolist() for m in net.bias_masks]
-    return doc
 
 
 def network_from_json(doc: dict) -> MaskedNetwork:
@@ -349,24 +347,6 @@ def save_network(net: MaskedNetwork, path) -> None:
 
 def load_network(path) -> MaskedNetwork:
     return network_from_json(json.loads(Path(path).read_text()))
-
-
-def dataset_to_json(data: Dataset) -> dict:
-    return {"inputs": data.inputs.tolist(), "targets": data.targets.tolist(),
-            "name": data.name}
-
-
-def dataset_from_json(doc: dict) -> Dataset:
-    return Dataset(np.array(doc["inputs"]), np.array(doc["targets"]),
-                   name=doc.get("name", ""))
-
-
-def save_dataset(data: Dataset, path) -> None:
-    Path(path).write_text(json.dumps(dataset_to_json(data)))
-
-
-def load_dataset(path) -> Dataset:
-    return dataset_from_json(json.loads(Path(path).read_text()))
 
 
 def load_dataset_csv(path, n_inputs: int, name: str | None = None) -> Dataset:

@@ -10,15 +10,12 @@ amplitude-amplification search.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
-from .bitstrings import all_patterns, bits_to_string, index_to_bits
+from .bitstrings import all_patterns, index_to_bits
 from .grover import GroverConfig, GroverResult, grover_search
 from .masknet import Dataset
 from .oracle import CostOracle
@@ -118,6 +115,8 @@ def run_reservoir(r: Reservoir, inputs: np.ndarray, z0: np.ndarray | None = None
     the last place. ``nonlinearity="tanh"`` wraps each step in tanh, the
     conventional reservoir variant; the default keeps the recurrence linear.
     """
+    if nonlinearity not in ("identity", "tanh"):
+        raise ValueError(f"unknown nonlinearity {nonlinearity!r}")
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     z = np.zeros(r.size) if z0 is None else np.asarray(z0, dtype=np.float64)
     if z.shape != (r.size,):
@@ -512,60 +511,3 @@ def combine_per_output(patterns, land: NKLandscape,
             _, result.dp_loss = dp_optimize(land, table)
             result.dp_gap = result.mean_loss - result.dp_loss
     return result
-
-
-# ---------------------------------------------------------------------------
-# Persistence.
-
-def landscape_table_csv(land: NKLandscape, table: np.ndarray, path) -> None:
-    """Rows: output index, pattern bits (character j = neighborhood member j), loss."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["output", "pattern", "loss"])
-        for i in range(land.n):
-            for p in range(table.shape[0]):
-                writer.writerow([i, bits_to_string(index_to_bits(p, land.k)),
-                                 repr(float(table[p, i]))])
-
-
-def esn_to_json(model: NkEsn) -> dict:
-    return {
-        "esn": {
-            "seed": model.seed,
-            "activation": model.activation,
-            "spectral_radius": model.reservoir.spectral_radius,
-            "connectivity": model.reservoir.connectivity,
-            "w_res": model.reservoir.w_res.tolist(),
-            "w_in": model.reservoir.w_in.tolist(),
-            "w_pf": model.probe.w_pf.tolist(),
-            "probe_mask": model.probe.mask.tolist(),
-            "w_out": model.w_out.tolist(),
-            "landscape": {
-                "n": model.landscape.n,
-                "k": model.landscape.k,
-                "topology": model.landscape.topology.value,
-                "neighborhoods": model.landscape.neighborhoods.tolist(),
-            },
-        }
-    }
-
-
-def esn_from_json(doc: dict) -> NkEsn:
-    body = doc["esn"]
-    land = body["landscape"]
-    reservoir = Reservoir(np.array(body["w_res"]), np.array(body["w_in"]),
-                          body["spectral_radius"], body["connectivity"],
-                          body.get("seed"))
-    probe = ProbeFilter(np.array(body["w_pf"]), np.array(body["probe_mask"]))
-    landscape = NKLandscape(land["n"], land["k"], np.array(land["neighborhoods"]),
-                            Topology(land["topology"]))
-    return NkEsn(reservoir, probe, landscape, np.array(body["w_out"]),
-                 body["activation"], body.get("seed"))
-
-
-def save_esn(model: NkEsn, path) -> None:
-    Path(path).write_text(json.dumps(esn_to_json(model), indent=2))
-
-
-def load_esn(path) -> NkEsn:
-    return esn_from_json(json.loads(Path(path).read_text()))

@@ -8,15 +8,11 @@ loops act on.
 """
 from __future__ import annotations
 
-import csv
 import functools
-import struct
-from pathlib import Path
 
 import numpy as np
 
 from . import masknet
-from .bitstrings import bits_to_string, index_to_bits
 from .qsim import DiagonalCostHamiltonian, max_qubits
 
 ENUMERATION_CHUNK = 1024  # rows per batched call: bounds the memory of a step
@@ -102,32 +98,3 @@ def default_epsilon(net: masknet.MaskedNetwork, data: masknet.Dataset, seed,
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, 2, size=(n_probe, net.total_maskable())).astype(np.uint8)
     return float(np.median(masknet.batch_losses(net, data, rows)) * scale)
-
-
-# ---------------------------------------------------------------------------
-# Hamiltonian export: binary (uint32 little-endian qubit count, then 2^n
-# float64 little-endian costs) and CSV for inspection.
-
-def save_hamiltonian_bin(h: DiagonalCostHamiltonian, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", h.n_qubits))
-        fh.write(h.costs.astype("<f8").tobytes())
-
-
-def load_hamiltonian_bin(path) -> DiagonalCostHamiltonian:
-    raw = Path(path).read_bytes()
-    (n,) = struct.unpack_from("<I", raw, 0)
-    costs = np.frombuffer(raw, dtype="<f8", offset=4)
-    if costs.size != 1 << n:
-        raise ValueError(f"payload has {costs.size} costs, header says {1 << n}")
-    return DiagonalCostHamiltonian(n, costs.astype(np.float64))
-
-
-def save_hamiltonian_csv(h: DiagonalCostHamiltonian, path) -> None:
-    """Rows: index, bitstring (character j = mask bit j), cost."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "bitstring", "cost"])
-        for x in range(h.dim):
-            writer.writerow([x, bits_to_string(index_to_bits(x, h.n_qubits)),
-                             repr(float(h.costs[x]))])

@@ -7,7 +7,6 @@ derivative-free simplex optimizer with random restarts.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -178,16 +177,6 @@ def optimize_variational(objective, init, budget: int, seed) -> OptimizeResult:
             break
         start = rng.uniform(-math.pi, math.pi, size=x0.shape)
     return OptimizeResult(best_x, best_v, trace)
-
-
-def write_trace_csv(trace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if trace:
-            d = len(trace[0][0])
-            writer.writerow(["evaluation", *[f"param_{i}" for i in range(d)], "value"])
-            for i, (params, value) in enumerate(trace):
-                writer.writerow([i, *[repr(float(p)) for p in params], repr(value)])
 
 
 # ---------------------------------------------------------------------------

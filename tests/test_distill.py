@@ -281,22 +281,6 @@ def test_total_loss_not_worse_than_random_masks():
     assert result.total_loss <= best_random + 1e-12
 
 
-def test_selected_masks_hex_round_trip(tmp_path):
-    teacher = small_teacher()
-    data = teacher_io_data(teacher)
-    pair = make_student(teacher, width_factor=1, seed=1)
-    result = distill_select(pair, data, backend=Backend.EXHAUSTIVE,
-                            per_block_bit_budget=12)
-    from qns.distill import load_selected_masks, save_selected_masks
-
-    path = tmp_path / "masks.json"
-    save_selected_masks(result.masks, path)
-    loaded = load_selected_masks(path)
-    for a, b in zip(loaded, result.masks):
-        np.testing.assert_array_equal(a.bits, b.bits)
-        assert a.layout == b.layout
-
-
 def test_fit_identity_teacher_recovers_linear_map():
     rng = np.random.default_rng(1)
     w = rng.normal(size=(3, 2))

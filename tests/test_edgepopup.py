@@ -11,17 +11,14 @@ from qns.edgepopup import (
     PopupLayerCircuit,
     PopupTrainConfig,
     init_circuits,
-    load_checkpoint,
     masked_loss,
     popup_train,
     popup_update,
     prob_one,
     sample_mask,
-    save_checkpoint,
     straight_through_grads,
     threshold_mask,
     topk_mask,
-    write_loss_curve_csv,
 )
 from qns.masknet import Activation, LayerSpec, network_from_weights
 
@@ -190,21 +187,3 @@ def test_per_epoch_resampling_is_available():
     cfg = PopupTrainConfig(alpha=0.1, epochs=3, seed=2, resample="per_epoch")
     result = popup_train(net, data, cfg)
     assert len(result.loss_curve) == 3
-
-
-def test_checkpoint_round_trip(tmp_path):
-    net, data, _ = make_planted_task(POPUP_LAYERS, seed=7, n_samples=8)
-    result = popup_train(net, data, PopupTrainConfig(alpha=0.1, epochs=2, seed=3))
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(result.circuits, epoch=2, seed=3, path=path)
-    circs, epoch, seed = load_checkpoint(path)
-    assert (epoch, seed) == (2, 3)
-    for a, b in zip(circs, result.circuits):
-        np.testing.assert_array_equal(a.thetas, b.thetas)
-
-
-def test_loss_curve_csv(tmp_path):
-    path = tmp_path / "curve.csv"
-    write_loss_curve_csv([0.5, 0.25], path)
-    lines = path.read_text().strip().splitlines()
-    assert lines == ["epoch,loss", "1,0.5", "2,0.25"]

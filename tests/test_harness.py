@@ -235,6 +235,52 @@ def test_cli_compare(tmp_path, capsys):
     assert cli.main(["compare", str(tmp_path / "nope.json")]) == 2
 
 
+def test_cli_compare_bad_record_is_config_error(tmp_path, capsys):
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("this is not JSON")
+    no_task = tmp_path / "no_task.json"
+    no_task.write_text(json.dumps({"config": {"method": "grover"}, "per_seed": []}))
+    for path, detail in [(not_json, "Expecting value"), (no_task, "missing field 'task'")]:
+        assert cli.main(["compare", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: record {path}: " in err
+        assert detail in err
+
+
+def test_cli_distill_malformed_teacher_is_config_error(tmp_path, capsys):
+    """A teacher file load_network cannot read exits 2 and names the field;
+    a weights-only document with a null seed and no bias masks still runs."""
+    teacher_path = tmp_path / "teacher.json"
+    doc = {
+        "method": "distill",
+        "task": {"kind": "distill", "teacher_path": str(teacher_path),
+                 "n_samples": 8, "seed": 1},
+        "method_params": {"backend": "exhaustive", "width_factor": 1},
+        "seeds": [2],
+        "output_dir": str(tmp_path / "runs"),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    teacher_path.write_text(json.dumps({
+        "specs": [{"fan_in": 2, "fan_out": 1, "activation": "identity"}],
+        "seed": None, "mask_biases": False,
+        "weights": [[[0.5], [-0.25]]], "biases": [[0.1]], "masks": [[[1.0], [1.0]]],
+    }))
+    assert cli.main(["run", str(cfg_path)]) == 0
+    capsys.readouterr()
+    for teacher, detail in [
+        ({}, "missing field 'specs'"),  # KeyError
+        ({"specs": 5}, "not iterable"),  # TypeError
+        ({"specs": [{"fan_in": 2, "fan_out": 1, "activation": "relu"}],
+          "seed": 3}, "identity activation"),  # ValueError
+    ]:
+        teacher_path.write_text(json.dumps(teacher))
+        assert cli.main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: field 'task.teacher_path': {teacher_path}: " in err
+        assert detail in err
+
+
 def test_cli_sweep_writes_summary(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config_doc(out=str(tmp_path / "runs"),

@@ -1,8 +1,9 @@
-"""Masked networks: construction, evaluation, flat masks, persistence."""
+"""Masked networks: construction, evaluation, flat masks, network JSON and dataset CSV."""
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qns import masknet
 from qns.masknet import (
@@ -225,17 +226,45 @@ def test_layer1_bit_blocked_by_downstream_zero_mask():
 # ---------------------------------------------------------------------------
 # Persistence and planted tasks.
 
-def test_network_json_round_trip(tmp_path):
-    net = init_network(SPECS, seed=6)
-    net.masks[0][0, 0] = 0.0
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+BITS = st.sampled_from([0.0, 1.0])
+TMP_PATH_EXAMPLES = settings(max_examples=50, deadline=None,
+                             suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def stored_networks(draw):
+    """1-3 layer stacks with arbitrary finite weights and biases, random
+    masks and bias masks, and mask_biases either way."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    hidden = draw(st.lists(st.sampled_from(list(Activation)),
+                           min_size=len(widths) - 2, max_size=len(widths) - 2))
+    specs = [LayerSpec(a, b, act) for a, b, act in
+             zip(widths[:-1], widths[1:], [*hidden, Activation.IDENTITY])]
+    return masknet.MaskedNetwork(
+        specs,
+        [draw(arrays(np.float64, (s.fan_in, s.fan_out), elements=FINITE)) for s in specs],
+        [draw(arrays(np.float64, s.fan_out, elements=FINITE)) for s in specs],
+        [draw(arrays(np.float64, (s.fan_in, s.fan_out), elements=BITS)) for s in specs],
+        seed=draw(st.none() | st.integers(0, 2**63 - 1)),
+        bias_masks=[draw(arrays(np.float64, s.fan_out, elements=BITS)) for s in specs],
+        mask_biases=draw(st.booleans()),
+    )
+
+
+@TMP_PATH_EXAMPLES
+@given(net=stored_networks())
+def test_network_json_round_trip(tmp_path, net):
     path = tmp_path / "net.json"
     save_network(net, path)
     loaded = load_network(path)
-    for a, b in zip(net.weights, loaded.weights):
-        np.testing.assert_array_equal(a, b)
-    for a, b in zip(net.masks, loaded.masks):
-        np.testing.assert_array_equal(a, b)
     assert loaded.specs == net.specs
+    assert loaded.seed == net.seed
+    assert loaded.mask_biases == net.mask_biases
+    for name in ("weights", "biases", "masks", "bias_masks"):
+        stored, restored = getattr(net, name), getattr(loaded, name)
+        assert len(restored) == len(stored)
+        assert all(np.array_equal(a, b) for a, b in zip(stored, restored))
 
 
 def test_network_json_round_trip_keeps_bias_masks():
@@ -260,25 +289,17 @@ def test_network_json_seed_only_document():
         masknet.network_from_json({"specs": doc["specs"]})
 
 
-def test_dataset_json_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    data = Dataset(rng.normal(size=(6, 2)), rng.normal(size=(6, 1)), name="toy")
-    path = tmp_path / "data.json"
-    masknet.save_dataset(data, path)
-    loaded = masknet.load_dataset(path)
-    np.testing.assert_array_equal(loaded.inputs, data.inputs)
-    np.testing.assert_array_equal(loaded.targets, data.targets)
-    assert loaded.name == "toy"
-
-
-def test_dataset_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    data = Dataset(rng.normal(size=(8, 2)), rng.normal(size=(8, 1)), name="x")
+@TMP_PATH_EXAMPLES
+@given(draw=st.data(), n_rows=st.integers(1, 6), n_inputs=st.integers(1, 3),
+       n_targets=st.integers(1, 3))
+def test_dataset_csv_round_trip(tmp_path, draw, n_rows, n_inputs, n_targets):
+    data = Dataset(draw.draw(arrays(np.float64, (n_rows, n_inputs), elements=FINITE)),
+                   draw.draw(arrays(np.float64, (n_rows, n_targets), elements=FINITE)))
     path = tmp_path / "data.csv"
     save_dataset_csv(data, path)
-    loaded = load_dataset_csv(path, n_inputs=2)
-    np.testing.assert_allclose(loaded.inputs, data.inputs)
-    np.testing.assert_allclose(loaded.targets, data.targets)
+    loaded = load_dataset_csv(path, n_inputs=n_inputs)
+    assert np.array_equal(loaded.inputs, data.inputs)
+    assert np.array_equal(loaded.targets, data.targets)
 
 
 def test_dataset_csv_rejects_bad_split(tmp_path):

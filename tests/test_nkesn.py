@@ -14,12 +14,9 @@ from qns.nkesn import (
     build_table,
     combine_per_output,
     dp_optimize,
-    esn_from_json,
-    esn_to_json,
     estimate_spectral_radius,
     exhaustive_optimize,
     grover_table_select,
-    landscape_table_csv,
     make_landscape,
     make_nkesn,
     make_reservoir,
@@ -121,6 +118,12 @@ def test_run_reservoir_validates_shapes():
         run_reservoir(r, np.zeros((5, 1)), z0=np.zeros(9))
     with pytest.raises(ValueError, match=r"input shape \(2,\) != \(1,\)"):
         run_reservoir(r, np.zeros((5, 2)))
+
+
+def test_run_reservoir_rejects_unknown_nonlinearity():
+    r = make_reservoir(10, 1, seed=0)
+    with pytest.raises(ValueError, match="unknown nonlinearity 'relu'"):
+        run_reservoir(r, np.zeros((5, 1)), nonlinearity="relu")
 
 
 def test_nilpotent_reservoir_draw_is_a_method_failure():
@@ -521,26 +524,3 @@ def test_combined_loss_reported_against_dp():
     assert result.mean_loss >= result.dp_loss - 1e-12
     assert result.dp_gap == pytest.approx(result.mean_loss - result.dp_loss)
 
-
-# ---------------------------------------------------------------------------
-# Persistence.
-
-def test_esn_json_round_trip():
-    model = demo_model()
-    doc = esn_to_json(model)
-    loaded = esn_from_json(doc)
-    np.testing.assert_array_equal(loaded.reservoir.w_res, model.reservoir.w_res)
-    np.testing.assert_array_equal(loaded.probe.w_pf, model.probe.w_pf)
-    np.testing.assert_array_equal(loaded.landscape.neighborhoods,
-                                  model.landscape.neighborhoods)
-    assert loaded.activation == model.activation
-
-
-def test_landscape_table_csv(tmp_path):
-    model = make_nkesn(n_outputs=3, k=1, reservoir_size=15, seed=0)
-    table = build_table(model, sequence_data(60, seed=1))
-    path = tmp_path / "table.csv"
-    landscape_table_csv(model.landscape, table, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "output,pattern,loss"
-    assert len(lines) == 1 + 3 * 2

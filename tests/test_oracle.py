@@ -1,4 +1,4 @@
-"""Threshold oracle, cost Hamiltonians, and their exports."""
+"""Threshold oracle and cost Hamiltonians."""
 import numpy as np
 import pytest
 
@@ -11,9 +11,6 @@ from qns.oracle import (
     build_cost_hamiltonian,
     count_solutions,
     default_epsilon,
-    load_hamiltonian_bin,
-    save_hamiltonian_bin,
-    save_hamiltonian_csv,
 )
 
 
@@ -143,25 +140,3 @@ def test_function_oracle_wraps_arbitrary_costs():
     assert o.is_good(np.array([1, 0]))
     assert not o.is_good(np.array([0, 0]))
     np.testing.assert_array_equal(o.enumerate_costs(), column)
-
-
-def test_binary_export_round_trip(tmp_path):
-    net, data, _ = make_planted_task(LAYERS_6BIT, seed=8)
-    h = build_cost_hamiltonian(net, data)
-    path = tmp_path / "h.bin"
-    save_hamiltonian_bin(h, path)
-    loaded = load_hamiltonian_bin(path)
-    assert loaded.n_qubits == h.n_qubits
-    np.testing.assert_array_equal(loaded.costs, h.costs)
-    assert path.stat().st_size == 4 + 8 * h.dim
-
-
-def test_csv_export_is_inspectable(tmp_path):
-    h = oracle.DiagonalCostHamiltonian(2, [0.0, 1.5, 2.0, 0.25])
-    path = tmp_path / "h.csv"
-    save_hamiltonian_csv(h, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,bitstring,cost"
-    assert lines[1].startswith("0,00,")
-    assert lines[2].startswith("1,10,")  # character j is mask bit j
-    assert float(lines[4].split(",")[2]) == 0.25

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qns import qsim
+from qns.bitstrings import all_patterns, bits_to_index, bits_to_string, index_to_bits
 from qns.qsim import (
     DiagonalCostHamiltonian,
     MixerSpec,
@@ -44,6 +45,20 @@ def kron_on(op, qubit, n):
     for q in range(n):  # later factors take higher bits, so qubit 0 is lowest
         out = np.kron(op if q == qubit else I2, out)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Bit convention: bit j of an index is qubit and mask position j.
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12))
+def test_bit_convention_round_trips(data, n):
+    i = data.draw(st.integers(0, (1 << n) - 1))
+    bits = index_to_bits(i, n)
+    assert bits_to_index(bits) == i
+    assert np.array_equal(bits, [(i >> j) & 1 for j in range(n)])
+    assert np.array_equal(all_patterns(n)[i], bits)
+    assert bits_to_string(bits) == "".join(str((i >> j) & 1) for j in range(n))
 
 
 # ---------------------------------------------------------------------------

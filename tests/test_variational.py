@@ -24,7 +24,6 @@ from qns.variational import (
     qaoa_optimize,
     qaoa_state,
     vqe_run,
-    write_trace_csv,
 )
 
 
@@ -148,16 +147,6 @@ def test_optimizer_trace_is_seed_deterministic():
     for (xa, va), (xb, vb) in zip(a.trace, b.trace):
         np.testing.assert_array_equal(xa, xb)
         assert va == vb
-
-
-def test_trace_csv(tmp_path):
-    result = optimize_variational(lambda x: float(x[0] ** 2), np.array([1.0]),
-                                  budget=10, seed=0)
-    path = tmp_path / "trace.csv"
-    write_trace_csv(result.trace, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "evaluation,param_0,value"
-    assert len(lines) == len(result.trace) + 1
 
 
 # ---------------------------------------------------------------------------
