@@ -14,6 +14,7 @@ import json
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -133,7 +134,10 @@ def build_selection_task(task: dict) -> tuple[masknet.MaskedNetwork, masknet.Dat
         for key in ("path", "n_inputs", "layers", "net_seed"):
             if key not in task:
                 raise ConfigError(f"field 'task.{key}' is required for csv tasks")
-        data = masknet.load_dataset_csv(task["path"], task["n_inputs"])
+        try:
+            data = masknet.load_dataset_csv(task["path"], task["n_inputs"])
+        except ValueError as err:
+            raise ConfigError(f"field 'task.path': {task['path']}: {err}") from err
         net = masknet.init_network(
             [tuple(layer) for layer in task["layers"]], task["net_seed"])
         return net, data
@@ -156,14 +160,36 @@ def _resolve_epsilon(cfg: ExperimentConfig, net, data, seed: int) -> float:
     return oracle.default_epsilon(net, data, seed)
 
 
-# ---------------------------------------------------------------------------
-# Per-method runners. Each returns a JSON-safe metrics dict.
+class _RunTask:
+    """The selection task of one :func:`run` call, built on first use.
 
-def _hamiltonian_task(cfg, seed):
+    Neither the task nor its cost table depends on the run seed, so the
+    call's seeds share them. The object lives only as long as the call: the
+    next call reads a CSV task's file again.
+    """
+
+    def __init__(self, spec: dict):
+        self.spec = spec
+
+    @cached_property
+    def selection(self) -> tuple[masknet.MaskedNetwork, masknet.Dataset]:
+        return build_selection_task(self.spec)
+
+    @cached_property
+    def hamiltonian(self):
+        h = oracle.build_cost_hamiltonian(*self.selection)
+        h.costs.flags.writeable = False  # shared by every seed
+        return h
+
+
+# ---------------------------------------------------------------------------
+# Per-method runners. Each takes (config, seed, the call's _RunTask) and
+# returns a JSON-safe metrics dict.
+
+def _hamiltonian_task(cfg, seed, task):
     """(cost Hamiltonian, epsilon) of a selection task."""
-    net, data = build_selection_task(cfg.task)
-    eps = _resolve_epsilon(cfg, net, data, seed)
-    return oracle.build_cost_hamiltonian(net, data), eps
+    eps = _resolve_epsilon(cfg, *task.selection, seed)
+    return task.hamiltonian, eps
 
 
 def _score(h, eps, index: int, **extra) -> dict:
@@ -184,15 +210,15 @@ def _score_measured(h, eps, state, seed, **extra) -> dict:
     return _score(h, eps, measured, bits_hex=format(measured, "x"), **extra)
 
 
-def _run_exhaustive(cfg, seed):
-    h, eps = _hamiltonian_task(cfg, seed)
+def _run_exhaustive(cfg, seed, task):
+    h, eps = _hamiltonian_task(cfg, seed, task)
     best = int(np.argmin(h.costs))
     return _score(h, eps, best, best_bits_hex=format(best, "x"),
                   k_solutions=oracle.count_solutions(h, eps))
 
 
-def _run_grover(cfg, seed):
-    net, data = build_selection_task(cfg.task)
+def _run_grover(cfg, seed, task):
+    net, data = task.selection
     eps = _resolve_epsilon(cfg, net, data, seed)
     o = oracle.SubnetworkOracle(net, data, eps)
     params = cfg.method_params
@@ -216,8 +242,8 @@ def _run_grover(cfg, seed):
     }
 
 
-def _run_anneal(cfg, seed):
-    h, eps = _hamiltonian_task(cfg, seed)
+def _run_anneal(cfg, seed, task):
+    h, eps = _hamiltonian_task(cfg, seed, task)
     params = cfg.method_params
     sched = anneal_mod.AnnealSchedule(
         total_time=params.get("total_time", 50.0),
@@ -230,8 +256,8 @@ def _run_anneal(cfg, seed):
                            final_expectation=result.final_expectation)
 
 
-def _run_qaoa(cfg, seed):
-    h, eps = _hamiltonian_task(cfg, seed)
+def _run_qaoa(cfg, seed, task):
+    h, eps = _hamiltonian_task(cfg, seed, task)
     params = cfg.method_params
     mixer = _mixer_from_params(params, h.n_qubits)
     result = variational.qaoa_optimize(h, params.get("p", 2),
@@ -242,8 +268,8 @@ def _run_qaoa(cfg, seed):
                            evaluations=len(result.trace))
 
 
-def _run_vqe(cfg, seed):
-    h, eps = _hamiltonian_task(cfg, seed)
+def _run_vqe(cfg, seed, task):
+    h, eps = _hamiltonian_task(cfg, seed, task)
     params = cfg.method_params
     ansatz = variational.make_ansatz(h.n_qubits, params.get("layers", 2), seed)
     result = variational.vqe_run(h, ansatz, params.get("budget", 300), seed)
@@ -254,8 +280,8 @@ def _run_vqe(cfg, seed):
                            evaluations=len(result.trace))
 
 
-def _run_edge_popup(cfg, seed):
-    net, data = build_selection_task(cfg.task)
+def _run_edge_popup(cfg, seed, task):
+    net, data = task.selection
     eps = _resolve_epsilon(cfg, net, data, seed)
     params = cfg.method_params
     train_cfg = edgepopup.PopupTrainConfig(
@@ -276,7 +302,7 @@ def _run_edge_popup(cfg, seed):
     }
 
 
-def _run_distill(cfg, seed):
+def _run_distill(cfg, seed, _task):
     task = cfg.task
     if task.get("kind") != "distill":
         raise ConfigError("field 'task.kind': distill runs need kind 'distill'")
@@ -314,7 +340,7 @@ def _run_distill(cfg, seed):
     return metrics
 
 
-def _run_nk_esn(cfg, seed):
+def _run_nk_esn(cfg, seed, _task):
     task = cfg.task
     if task.get("kind") != "sequence":
         raise ConfigError("field 'task.kind': nk_esn runs need kind 'sequence'")
@@ -391,10 +417,11 @@ def run(cfg: ExperimentConfig) -> dict:
     records. The metrics hash covers only the deterministic payload.
     """
     runner = _RUNNERS[cfg.method]
+    task = _RunTask(cfg.task)
     per_seed = []
     for seed in cfg.seeds:
         started = time.perf_counter()
-        metrics = _jsonify(runner(cfg, seed))
+        metrics = _jsonify(runner(cfg, seed, task))
         per_seed.append({
             "seed": seed,
             "metrics": metrics,

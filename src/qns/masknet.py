@@ -350,12 +350,24 @@ def load_network(path) -> MaskedNetwork:
 
 
 def load_dataset_csv(path, n_inputs: int, name: str | None = None) -> Dataset:
-    """One row = input values then target values; split after ``n_inputs`` columns."""
+    """One row = input values then target values; split after ``n_inputs`` columns.
+
+    A non-numeric cell, or a row whose length differs from the first row's,
+    raises ``ValueError`` naming its line.
+    """
     rows = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row:
+                continue
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"line {reader.line_num} has {len(row)} cells, "
+                                 f"the first row has {len(rows[0])}")
+            try:
                 rows.append([float(v) for v in row])
+            except ValueError as err:
+                raise ValueError(f"line {reader.line_num}: {err}") from None
     arr = np.asarray(rows, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] <= n_inputs:
         raise ValueError(

@@ -2,14 +2,16 @@
 
 QAOA alternates exact diagonal cost phases exp(-i*gamma*H_C) with mixer
 exponentials exp(-i*beta*H_0); the VQE ansatz stacks per-qubit Ry layers
-with a ring of controlled-Z entanglers. Both are driven by a seeded,
-derivative-free simplex optimizer with random restarts.
+with a ring of controlled-Z entanglers, each Ry layer applied as one tensor
+product and the CZ ring as one cached +-1 diagonal. Both are driven by a
+seeded, derivative-free simplex optimizer with random restarts.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize
@@ -18,9 +20,9 @@ from .qsim import (
     DiagonalCostHamiltonian,
     MixerSpec,
     StateVector,
-    apply_cz,
     apply_mixer,
-    apply_ry,
+    apply_product,
+    cost_phase,
     expectation,
     uniform_superposition,
 )
@@ -99,14 +101,29 @@ def _ring_edges(n: int) -> list[tuple[int, int]]:
     return [(q, (q + 1) % n) for q in range(n)]
 
 
+@lru_cache(maxsize=4)  # one 16-qubit entry holds 512 kB
+def _ring_cz_signs(n: int) -> np.ndarray:
+    """Diagonal of the CZ ring: -1 where an odd number of ring edges have both bits set."""
+    idx = np.arange(1 << n)
+    odd = np.zeros(1 << n, dtype=np.int64)
+    for a, b in _ring_edges(n):
+        odd ^= (idx >> a) & (idx >> b) & 1
+    signs = 1.0 - 2.0 * odd
+    signs.flags.writeable = False  # shared by every caller
+    return signs
+
+
 def ansatz_state(ansatz: VqeAnsatz) -> StateVector:
     state = StateVector(ansatz.n_qubits)  # |0...0>
-    edges = _ring_edges(ansatz.n_qubits) if ansatz.entangler is Entangler.RING_CZ else []
-    for layer in range(ansatz.layers):
-        for q in range(ansatz.n_qubits):
-            apply_ry(state, q, ansatz.thetas[layer, q])
-        for a, b in edges:
-            apply_cz(state, a, b)
+    half = ansatz.thetas / 2.0
+    cos, sin = np.cos(half), np.sin(half)
+    # Ry(theta) = [[cos, -sin], [sin, cos]] of theta/2, one per (layer, qubit)
+    gates = np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
+    ring = ansatz.entangler is Entangler.RING_CZ
+    for layer in gates:
+        apply_product(state, layer)
+        if ring:
+            state.amplitudes *= _ring_cz_signs(ansatz.n_qubits)
     return state
 
 
@@ -116,7 +133,7 @@ def qaoa_state(h_c: DiagonalCostHamiltonian, params: QaoaParams,
     mixer = mixer or MixerSpec.transverse_field()
     state = uniform_superposition(h_c.n_qubits)
     for gamma, beta in zip(params.gammas, params.betas):
-        state.amplitudes *= np.exp(-1j * gamma * h_c.costs)
+        state.amplitudes *= cost_phase(h_c.costs, gamma)
         apply_mixer(state, mixer, beta)
     return state
 

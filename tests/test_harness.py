@@ -175,6 +175,49 @@ def test_cli_run_method_failure_exit_code(tmp_path):
     assert cli.main(["run", str(path)]) == 3
 
 
+@pytest.mark.parametrize("content", ["1,2,3\n4,x,6\n", "1,2,3\n4,5\n"],
+                         ids=["bad-cell", "short-row"])
+def test_cli_malformed_csv_task_is_config_error(tmp_path, capsys, content):
+    csv_path = tmp_path / "task.csv"
+    csv_path.write_text(content)
+    doc = config_doc(method="exhaustive", out=str(tmp_path / "runs"))
+    doc["task"] = {"kind": "csv", "path": str(csv_path), "n_inputs": 2,
+                   "layers": [[2, 1, "identity"]], "net_seed": 1}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "field 'task.path'" in err
+    assert str(csv_path) in err
+    assert "line 2" in err
+
+
+@pytest.mark.parametrize("method", ["exhaustive", "anneal", "qaoa", "vqe", "grover",
+                                    "edge_popup"])
+def test_run_builds_the_task_once_per_call(tmp_path, monkeypatch, method):
+    calls = {"task": 0, "table": 0}
+
+    def counted(module, name, key):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(harness, "build_selection_task", "task")
+    counted(harness.oracle, "build_cost_hamiltonian", "table")
+    params = {"anneal": {"steps": 5}, "qaoa": {"budget": 5}, "vqe": {"budget": 5},
+              "edge_popup": {"epochs": 1}}.get(method, {})
+    cfg = ExperimentConfig.from_dict(config_doc(
+        method=method, out=str(tmp_path), method_params=params, seeds=[1, 2, 3]))
+    tables = int(method in {"exhaustive", "anneal", "qaoa", "vqe"})
+    run(cfg)
+    assert calls == {"task": 1, "table": tables}
+    run(cfg)  # the next call builds its own task
+    assert calls == {"task": 2, "table": 2 * tables}
+
+
 def test_cli_maps_method_exceptions_to_exit_codes(tmp_path, capsys):
     """An exception raised inside a method is a method failure."""
     csv_path = tmp_path / "huge.csv"

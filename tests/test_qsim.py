@@ -17,7 +17,9 @@ from qns.qsim import (
     apply_diffusion,
     apply_h,
     apply_phase_oracle,
+    apply_product,
     apply_ry,
+    cost_phase,
     evolve,
     expectation,
     measure,
@@ -26,6 +28,7 @@ from qns.qsim import (
     sample,
     uniform_superposition,
 )
+from qns.variational import _ring_cz_signs
 
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -37,6 +40,20 @@ def random_state(n, seed):
     amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amp /= np.linalg.norm(amp)
     return StateVector(n, amp)
+
+
+def random_gates(n, seed):
+    """n random 2x2 unitaries: the Q factors of complex Gaussian draws."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
+    return q
+
+
+def apply_per_qubit(state, gates):
+    """Reference for apply_product: one single-qubit pass per gate."""
+    for q, gate in enumerate(gates):
+        qsim._apply_single_qubit(state, q, *gate.ravel())
+    return state
 
 
 def kron_on(op, qubit, n):
@@ -167,6 +184,41 @@ def test_cz_negates_both_ones():
     np.testing.assert_allclose(s.amplitudes, [0.5, 0.5, 0.5, -0.5])
     with pytest.raises(ValueError):
         apply_cz(s, 1, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), shared=st.booleans())
+def test_apply_product_matches_per_qubit_loop(n, seed, shared):
+    gates = random_gates(1 if shared else n, seed)
+    start = random_state(n, seed)
+    out = apply_product(start.copy(), gates[0] if shared else gates)
+    expected = apply_per_qubit(start.copy(), np.broadcast_to(gates, (n, 2, 2)))
+    np.testing.assert_allclose(out.amplitudes, expected.amplitudes, rtol=0, atol=1e-13)
+
+
+def test_apply_product_rejects_wrong_gate_count():
+    with pytest.raises(ValueError, match="2x2"):
+        apply_product(uniform_superposition(3), random_gates(2, 0))
+
+
+def test_sixteen_qubit_layers_match_per_qubit_loop():
+    n = 16
+    start = random_state(n, 3)
+    beta = 0.83
+    tf = qsim.apply_mixer(start.copy(), MixerSpec.transverse_field(), beta)
+    u = np.array([[math.cos(beta), 1j * math.sin(beta)],
+                  [1j * math.sin(beta), math.cos(beta)]])
+    expected = apply_per_qubit(start.copy(), [u] * n)
+    np.testing.assert_allclose(tf.amplitudes, expected.amplitudes, rtol=0, atol=1e-12)
+
+    thetas = np.random.default_rng(4).uniform(-math.pi, math.pi, n)
+    c, s = np.cos(thetas / 2), np.sin(thetas / 2)
+    ry = apply_product(start.copy(), np.stack([np.stack([c, -s], -1),
+                                               np.stack([s, c], -1)], -2))
+    expected = start.copy()
+    for q, theta in enumerate(thetas):
+        apply_ry(expected, q, float(theta))
+    np.testing.assert_allclose(ry.amplitudes, expected.amplitudes, rtol=0, atol=1e-12)
 
 
 def test_x_flips_and_z_signs_basis_states():
@@ -309,6 +361,14 @@ def test_hamiltonian_rejects_nonfinite_costs():
         DiagonalCostHamiltonian(2, [0.0, 1.0, np.inf, 2.0])
     with pytest.raises(ValueError):
         DiagonalCostHamiltonian(2, [0.0, 1.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(angle=st.floats(-50.0, 50.0), seed=st.integers(0, 2**32 - 1))
+def test_cost_phase_matches_complex_exponential(angle, seed):
+    costs = np.random.default_rng(seed).uniform(-10.0, 10.0, 256)
+    np.testing.assert_allclose(cost_phase(costs, angle), np.exp(-1j * angle * costs),
+                               rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -539,3 +599,29 @@ def test_norm_preserved_by_random_operation_sequences():
             else:
                 apply_diffusion(s)
             assert s.norm_error() < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    ops=st.lists(st.tuples(st.integers(0, 6), st.floats(-4.0, 4.0),
+                           st.integers(0, 2**32 - 1)), min_size=1, max_size=30),
+)
+def test_norm_preserved_by_drawn_gate_sequences(n, ops):
+    s = uniform_superposition(n)
+    for op, angle, draw in ops:
+        if op == 0:
+            apply_ry(s, draw % n, angle)
+        elif op == 1:
+            apply_h(s, draw % n)
+        elif op == 2:
+            qsim.apply_mixer(s, MixerSpec.transverse_field(), angle)
+        elif op == 3:
+            apply_product(s, random_gates(n, draw))
+        elif op == 4:
+            s.amplitudes *= _ring_cz_signs(n)
+        elif op == 5:
+            apply_phase_oracle(s, np.random.default_rng(draw).random(1 << n) < 0.5)
+        else:
+            apply_diffusion(s)
+        assert s.norm_error() < 1e-9

@@ -7,6 +7,9 @@ from qns import anneal
 from qns.qsim import (
     DiagonalCostHamiltonian,
     MixerSpec,
+    StateVector,
+    apply_cz,
+    apply_ry,
     evolve,
     mixer_dense,
     ring_graph,
@@ -14,6 +17,8 @@ from qns.qsim import (
 )
 from qns.variational import (
     Entangler,
+    _ring_cz_signs,
+    _ring_edges,
     QaoaParams,
     VqeAnsatz,
     ansatz_state,
@@ -166,6 +171,30 @@ def test_ansatz_state_is_normalized_and_entangler_optional():
         ansatz = make_ansatz(3, 2, seed=1, entangler=entangler)
         state = ansatz_state(ansatz)
         assert state.norm_error() < 1e-9
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_ring_cz_signs_equal_apply_cz_loop(n):
+    state = uniform_superposition(n)
+    for a, b in _ring_edges(n):
+        apply_cz(state, a, b)
+    assert len(_ring_edges(n)) == {1: 0, 2: 1}.get(n, n)
+    assert np.array_equal(state.amplitudes * np.sqrt(1 << n), _ring_cz_signs(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+@pytest.mark.parametrize("entangler", list(Entangler))
+def test_ansatz_state_matches_gate_loop(n, entangler):
+    ansatz = make_ansatz(n, 3, seed=n, entangler=entangler, init_scale=3.0)
+    expected = StateVector(n)
+    for layer in ansatz.thetas:
+        for q, theta in enumerate(layer):
+            apply_ry(expected, q, float(theta))
+        if entangler is Entangler.RING_CZ:
+            for a, b in _ring_edges(n):
+                apply_cz(expected, a, b)
+    np.testing.assert_allclose(ansatz_state(ansatz).amplitudes, expected.amplitudes,
+                               rtol=0, atol=1e-13)
 
 
 def test_vqe_on_constant_hamiltonian():
