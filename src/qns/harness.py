@@ -181,6 +181,14 @@ class _RunTask:
         h.costs.flags.writeable = False  # shared by every seed
         return h
 
+    @cached_property
+    def threshold_oracle(self) -> oracle.SubnetworkOracle:
+        """One oracle for the call's seeds, so Grover enumerates its costs once.
+
+        A seed sets its own epsilon and restarts the call counter.
+        """
+        return oracle.SubnetworkOracle(*self.selection, epsilon=0.0)
+
 
 # ---------------------------------------------------------------------------
 # Per-method runners. Each takes (config, seed, the call's _RunTask) and
@@ -220,7 +228,8 @@ def _run_exhaustive(cfg, seed, task):
 def _run_grover(cfg, seed, task):
     net, data = task.selection
     eps = _resolve_epsilon(cfg, net, data, seed)
-    o = oracle.SubnetworkOracle(net, data, eps)
+    o = task.threshold_oracle
+    o.epsilon, o.call_counter = eps, 0
     params = cfg.method_params
     if params.get("unknown_k", False):
         result = search_unknown_k(o, o.n_bits, seed=seed)

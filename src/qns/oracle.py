@@ -29,14 +29,22 @@ class CostOracle:
     """
 
     def __init__(self, costs_of, n_bits: int, epsilon: float):
-        # epsilon 0 is allowed as a degenerate probe: no mask has loss < 0.
-        if not epsilon >= 0:
-            raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
         self._costs_of = costs_of
         self.n_bits = n_bits
-        self.epsilon = float(epsilon)
+        self.epsilon = epsilon
         self.call_counter = 0
         self._enumerated: np.ndarray | None = None
+
+    @property
+    def epsilon(self) -> float:
+        return self._epsilon
+
+    @epsilon.setter
+    def epsilon(self, value: float) -> None:
+        # epsilon 0 is allowed as a degenerate probe: no mask has loss < 0.
+        if not value >= 0:
+            raise ValueError(f"epsilon must be nonnegative, got {value}")
+        self._epsilon = float(value)
 
     def cost(self, bits) -> float:
         bits = np.asarray(bits)

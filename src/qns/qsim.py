@@ -6,8 +6,9 @@ of single-qubit gates over the whole register, diagonal phase oracles,
 mean-inversion diffusion, diagonal cost Hamiltonians and their phases,
 mixer operators and their exponential (the one kernel shared by annealing
 and QAOA: the transverse field as one tensor product, the bit-flip mixer as
-a Chebyshev expansion over a sparse matrix), Trotterized annealing
-evolution, expectation values, and non-destructive Born-rule sampling.
+a Chebyshev expansion over a sparse matrix on its exact spectral interval),
+Trotterized annealing evolution, expectation values, and non-destructive
+Born-rule sampling.
 
 A tensor product of gates (:func:`apply_product`) takes one matrix product
 per block of up to four qubits, with the block's 2^k x 2^k Kronecker matrix,
@@ -29,6 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.blas import zaxpy
+from scipy.sparse.linalg import eigsh
 from scipy.special import jv
 
 DEFAULT_MAX_QUBITS = 16
@@ -44,6 +47,11 @@ _KRON_BLOCK = 4
 # Bessel coefficients below this size end the Chebyshev expansion; each
 # dropped term moves a unit-norm state by at most twice its coefficient.
 _BESSEL_CUTOFF = 1e-17
+
+# Relative padding of the bit-flip mixer's largest eigenvalue, the half-width
+# of the Chebyshev interval. ARPACK returns lambda_max to ~1e-15 relative;
+# the padding keeps the spectrum inside the interval and costs no term.
+_SPECTRAL_MARGIN = 1e-6
 
 
 def max_qubits() -> int:
@@ -178,9 +186,8 @@ def ring_graph(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(((v - 1) % n, (v + 1) % n) for v in range(n))
 
 
-@lru_cache(maxsize=4)  # one 16-qubit ring entry holds about 3 MB
 def _mixer_sparse(mixer: MixerSpec, n_qubits: int) -> sparse.csr_matrix:
-    """CSR matrix of a bit-flip mixer, built once per (mixer, size)."""
+    """CSR matrix B of a bit-flip mixer, 1.0 wherever a flip is allowed."""
     if mixer.graph is None or len(mixer.graph) != n_qubits:
         raise ValueError(f"bit-flip mixer graph must have exactly {n_qubits} vertices")
     dim = 1 << n_qubits
@@ -197,6 +204,29 @@ def _mixer_sparse(mixer: MixerSpec, n_qubits: int) -> sparse.csr_matrix:
         flips.append((src ^ (1 << v), src))
     rows, cols = (np.concatenate(part) for part in zip(*flips))
     return sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(dim, dim))
+
+
+@lru_cache(maxsize=4)  # one 16-qubit ring entry holds about 5.5 MB
+def _chebyshev_operator(mixer: MixerSpec, n_qubits: int) -> tuple[sparse.csr_matrix, float]:
+    """(2B/r as a complex CSR matrix, r) for a bit-flip mixer B, built once per (mixer, size).
+
+    B is symmetric and nonnegative, so its largest eigenvalue is its spectral
+    radius; every flip changes the parity of the Hamming weight, so the
+    spectrum is symmetric and lies in [-r, r] with r = lambda_max padded by
+    _SPECTRAL_MARGIN. ARPACK starts from the all-ones vector: a fixed start
+    gives the same r on every run, and it overlaps a nonnegative eigenvector
+    of lambda_max, so the iteration cannot miss it.
+    The matrix is stored complex so that a matvec with a complex state does
+    not convert its data on every call (the products are the same).
+    """
+    b = _mixer_sparse(mixer, n_qubits)
+    lam = eigsh(b, k=1, which="LA", v0=np.ones(b.shape[0]), return_eigenvectors=False)[0]
+    r = float(lam) * (1.0 + _SPECTRAL_MARGIN)
+    scaled = b.astype(np.complex128)
+    scaled.data *= 2.0 / r
+    for part in (scaled.data, scaled.indices, scaled.indptr):
+        part.flags.writeable = False  # shared by every later call
+    return scaled, r
 
 
 def mixer_dense(mixer: MixerSpec, n_qubits: int) -> np.ndarray:
@@ -374,18 +404,19 @@ def expectation(state: StateVector, h: DiagonalCostHamiltonian) -> float:
     return float(np.dot(state.probabilities(), h.costs))
 
 
-def _chebyshev_propagate(h: sparse.csr_matrix, v: np.ndarray, beta: float) -> np.ndarray:
-    """exp(-i*beta*h) @ v for a real symmetric 0/1 matrix ``h``.
+def _chebyshev_propagate(m: sparse.csr_matrix, r: float, v: np.ndarray,
+                         beta: float) -> np.ndarray:
+    """exp(-i*beta*h) @ v, given m = 2h/r for a real symmetric h with spectrum in [-r, r].
 
-    The spectrum of ``h`` lies in [-r, r], r its largest row count, so
     exp(-i*x*t) = sum_k (2 - delta_k0) (-i)^k J_k(x) T_k(t) with x = beta*r
     and t = h/r (Tal-Ezer & Kosloff 1984). The T_k(h/r) v follow the
-    three-term recurrence, one sparse matvec per term. Past k = |x|, J_k(x)
-    falls faster than geometrically after a zone of width ~|x|^(1/3); the
-    sum stops at the last k with |J_k(x)| >= _BESSEL_CUTOFF, which lies
-    well inside the |x| + 16|x|^(1/3) + 25 coefficients computed.
+    three-term recurrence T_1 = (m/2) v, T_k = m T_(k-1) - T_(k-2): one
+    sparse matvec and one subtraction per term, and the term is added to
+    the sum in place. Past k = |x|, J_k(x) falls faster than geometrically
+    after a zone of width ~|x|^(1/3); the sum stops at the last k with
+    |J_k(x)| >= _BESSEL_CUTOFF, which lies well inside the
+    |x| + 16|x|^(1/3) + 25 coefficients computed.
     """
-    r = float(np.diff(h.indptr).max())
     x = beta * r
     j = jv(np.arange(int(abs(x) + 16.0 * abs(x) ** (1.0 / 3.0)) + 25), x)
     degree = int(np.flatnonzero(np.abs(j) >= _BESSEL_CUTOFF)[-1])
@@ -394,13 +425,12 @@ def _chebyshev_propagate(h: sparse.csr_matrix, v: np.ndarray, beta: float) -> np
     out = j[0] * v
     prev, cur = v, v
     for k in range(1, degree + 1):
-        nxt = h @ cur
+        nxt = m @ cur
         if k == 1:
-            nxt /= r
+            nxt *= 0.5
         else:
-            nxt *= 2.0 / r
             nxt -= prev
-        out += coef[k] * nxt
+        out = zaxpy(nxt, out, a=coef[k])
         prev, cur = cur, nxt
     return out
 
@@ -411,9 +441,11 @@ def apply_mixer(state: StateVector, mixer: MixerSpec, beta: float) -> StateVecto
     The transverse field factorizes into one rotation per qubit, applied as
     one tensor product by :func:`apply_product`: n/4 matrix products with a
     single 16 x 16 block matrix. A bit-flip mixer is built once per (mixer,
-    size) as a sparse matrix and applied by a Chebyshev expansion with
-    Bessel coefficients, whose degree grows with |beta| times the matrix's
-    largest row count and stops once the coefficients fall below 1e-17 (see
+    size) as a sparse matrix together with its largest eigenvalue
+    lambda_max, and applied by a Chebyshev expansion with Bessel
+    coefficients on the exact spectral interval [-lambda_max, lambda_max]:
+    the degree grows with |beta| * lambda_max (about 0.6n on a ring) and
+    stops once the coefficients fall below 1e-17 (see
     :func:`_chebyshev_propagate`).
     Neither forms a dense 2^n x 2^n matrix, so both run up to
     :func:`max_qubits`.
@@ -424,7 +456,8 @@ def apply_mixer(state: StateVector, mixer: MixerSpec, beta: float) -> StateVecto
         cos_b = math.cos(beta)
         isin_b = 1j * math.sin(beta)
         return apply_product(state, np.array([[cos_b, isin_b], [isin_b, cos_b]]))
-    state.amplitudes = _chebyshev_propagate(_mixer_sparse(mixer, n), state.amplitudes, beta)
+    state.amplitudes = _chebyshev_propagate(*_chebyshev_operator(mixer, n),
+                                            state.amplitudes, beta)
     return state
 
 

@@ -218,6 +218,26 @@ def test_run_builds_the_task_once_per_call(tmp_path, monkeypatch, method):
     assert calls == {"task": 2, "table": 2 * tables}
 
 
+@pytest.mark.parametrize("params", [{}, {"unknown_k": True}])
+def test_grover_seeds_share_one_cost_table(tmp_path, monkeypatch, params):
+    # epsilon left to each seed, so the shared oracle's threshold changes per seed
+    doc = config_doc(out=str(tmp_path), method_params=params, epsilon=None)
+    alone = [run(ExperimentConfig.from_dict({**doc, "seeds": [seed]}))["per_seed"][0]
+             for seed in doc["seeds"]]
+    enumerate_costs = harness.oracle.CostOracle.enumerate_costs
+    enumerations = []
+
+    def spy(self):
+        if self._enumerated is None:
+            enumerations.append(self)
+        return enumerate_costs(self)
+    monkeypatch.setattr(harness.oracle.CostOracle, "enumerate_costs", spy)
+    shared = run(ExperimentConfig.from_dict(doc))["per_seed"]
+    assert len(enumerations) == 1
+    assert shared[0]["metrics"]["epsilon"] != shared[1]["metrics"]["epsilon"]
+    assert [e["metrics"] for e in shared] == [e["metrics"] for e in alone]
+
+
 def test_cli_maps_method_exceptions_to_exit_codes(tmp_path, capsys):
     """An exception raised inside a method is a method failure."""
     csv_path = tmp_path / "huge.csv"

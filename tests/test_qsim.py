@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from qns import qsim
 from qns.bitstrings import all_patterns, bits_to_index, bits_to_string, index_to_bits
@@ -565,11 +566,55 @@ def test_bit_flip_mixer_matches_dense_exponential_at_large_beta(beta):
     target_bit=st.integers(0, 1),
 )
 def test_bit_flip_row_count_bounds_spectral_radius(n, edge_draws, target_bit):
-    # the Chebyshev expansion needs the spectrum inside [-R, R]
+    # Gershgorin: the largest row count R bounds the spectrum (a looser
+    # interval than the [-r, r] the Chebyshev expansion runs on)
     mixer = MixerSpec.bit_flip(graph_from_draws(n, edge_draws), target_bit)
     r = np.diff(qsim._mixer_sparse(mixer, n).indptr).max()
     radius = np.abs(np.linalg.eigvalsh(mixer_dense(mixer, n))).max()
     assert r >= radius - 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    edge_draws=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=16),
+    target_bit=st.integers(0, 1),
+)
+def test_bit_flip_chebyshev_interval_is_the_spectral_radius(n, edge_draws, target_bit):
+    mixer = MixerSpec.bit_flip(graph_from_draws(n, edge_draws), target_bit)
+    m, r = qsim._chebyshev_operator(mixer, n)
+    eig = np.linalg.eigvalsh(mixer_dense(mixer, n))
+    radius = np.abs(eig).max()
+    assert radius <= r <= (1.0 + 2.0 * qsim._SPECTRAL_MARGIN) * radius
+    # every flip changes the Hamming-weight parity: the spectrum is symmetric
+    np.testing.assert_allclose(eig, -eig[::-1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(m.toarray(), 2.0 / r * mixer_dense(mixer, n),
+                               rtol=1e-15, atol=0)
+
+
+def test_bit_flip_operator_rebuilds_identically():
+    # eigsh starts from a fixed vector, so a rebuilt cache gives the same r
+    # and so the same amplitudes
+    n = 10
+    mixer = MixerSpec.bit_flip(ring_graph(n))
+    start = random_state(n, 29)
+    _, r = qsim._chebyshev_operator(mixer, n)
+    first = qsim.apply_mixer(start.copy(), mixer, 3.0).amplitudes
+    qsim._chebyshev_operator.cache_clear()
+    assert qsim._chebyshev_operator(mixer, n)[1] == r
+    np.testing.assert_array_equal(qsim.apply_mixer(start.copy(), mixer, 3.0).amplitudes,
+                                  first)
+
+
+@pytest.mark.slow
+def test_bit_flip_mixer_matches_expm_multiply_at_18_qubits(monkeypatch):
+    monkeypatch.setenv("QNS_MAX_QUBITS", "18")
+    n, beta = 18, 3.0
+    mixer = MixerSpec.bit_flip(ring_graph(n))
+    start = random_state(n, 31)
+    expected = expm_multiply(-1j * beta * qsim._mixer_sparse(mixer, n), start.amplitudes)
+    s = qsim.apply_mixer(start.copy(), mixer, beta)
+    np.testing.assert_allclose(s.amplitudes, expected, rtol=0, atol=1e-10)
 
 
 def test_bit_flip_evolve_preserves_norm_at_14_qubits():
