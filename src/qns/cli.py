@@ -2,8 +2,11 @@
 
 Subcommands: ``run <config.json>``, ``compare <record...>``, and
 ``sweep <config.json> --param <name> --values <list>``. Exit codes:
-0 success, 2 configuration error, 3 method-reported failure. The
-QNS_MAX_QUBITS environment variable overrides the qubit ceiling.
+0 success; 2 configuration error only (a ``harness.ConfigError``, whose
+message names the field); 3 any failure inside a method, whether the
+method reports it or raises ``ValueError``, ``RuntimeError`` or
+``FloatingPointError``. The QNS_MAX_QUBITS environment variable overrides
+the qubit ceiling.
 """
 from __future__ import annotations
 
@@ -55,23 +58,27 @@ def _set_dotted(doc: dict, dotted: str, value) -> None:
     target[keys[-1]] = value
 
 
+def _run(cfg: harness.ExperimentConfig, where: str = ""):
+    """(record, None), or (None, exit code) with the error on stderr."""
+    try:
+        return harness.run(cfg), None
+    except harness.ConfigError as err:
+        print(f"config error{where}: {err}", file=sys.stderr)
+        return None, EXIT_CONFIG
+    except (ValueError, RuntimeError, FloatingPointError) as err:
+        print(f"method failure{where}: {err}", file=sys.stderr)
+        return None, EXIT_METHOD
+
+
 def _cmd_run(args) -> int:
     try:
         cfg = harness.load_config(args.config)
     except harness.ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        record = harness.run(cfg)
-    except harness.ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (RuntimeError, FloatingPointError) as err:
-        print(f"method failure: {err}", file=sys.stderr)
-        return EXIT_METHOD
+    record, code = _run(cfg)
+    if record is None:
+        return code
     print(f"record written: {record['path']}")
     for entry in record["per_seed"]:
         metrics = entry["metrics"]
@@ -120,23 +127,23 @@ def _cmd_sweep(args) -> int:
         print(f"config error: --values must be JSON scalars: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    rows = []
-    failed = False
-    for value in values:
+    configs = []
+    for value in values:  # every value is checked before any runs
         doc = copy.deepcopy(base.to_dict())
         _set_dotted(doc, args.param, value)
         try:
-            cfg = harness.ExperimentConfig.from_dict(doc)
+            configs.append((value, harness.ExperimentConfig.from_dict(doc)))
         except harness.ConfigError as err:
             print(f"config error at {args.param}={value!r}: {err}", file=sys.stderr)
             return EXIT_CONFIG
-        try:
-            record = harness.run(cfg)
-        except ValueError as err:
-            print(f"config error at {args.param}={value!r}: {err}", file=sys.stderr)
-            return EXIT_CONFIG
-        except (RuntimeError, FloatingPointError) as err:
-            print(f"method failure at {args.param}={value!r}: {err}", file=sys.stderr)
+
+    rows = []
+    failed = False
+    for value, cfg in configs:
+        record, code = _run(cfg, f" at {args.param}={value!r}")
+        if code == EXIT_CONFIG:
+            return code
+        if record is None:
             failed = True
             continue
         failed = failed or harness.method_failed(record)

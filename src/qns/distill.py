@@ -23,6 +23,13 @@ from .masknet import Activation, Dataset, LayerSpec, MaskedNetwork
 from .oracle import CostOracle
 from .qsim import DiagonalCostHamiltonian, max_qubits
 
+# search settings of the non-exhaustive backends
+QAOA_BLOCKS = 2
+QAOA_BUDGET = 300
+ANNEAL_TIME = 40.0
+ANNEAL_STEPS = 400
+GROVER_MAX_RESTARTS = 8
+
 
 class CompressMode(str, Enum):
     AVERAGE_POOL = "average_pool"
@@ -182,10 +189,7 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
                    per_block_bit_budget: int = 12,
                    mode: CompressMode = CompressMode.AVERAGE_POOL,
                    chaining: Chaining = Chaining.STUDENT,
-                   epsilons=None, seed: int = 0,
-                   qaoa_blocks: int = 2, optimizer_budget: int = 300,
-                   anneal_time: float = 40.0, anneal_steps: int = 400,
-                   max_restarts: int = 8) -> DistillResult:
+                   epsilons=None, seed: int = 0) -> DistillResult:
     """Select one mask per student block, feeding blocks forward in order.
 
     Every backend enumerates the block's cost table, so each block's maskable
@@ -228,12 +232,12 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
             report.bits = index_to_bits(best, n_bits).astype(np.uint8)
         elif backend is Backend.GROVER:
             result = grover_search(oracle, GroverConfig(
-                n_qubits=n_bits, max_restarts=max_restarts,
+                n_qubits=n_bits, max_restarts=GROVER_MAX_RESTARTS,
                 seed=int(rng.integers(2 ** 31))))
             if not result.measured_good:
                 raise RuntimeError(
                     f"block {i}: no mask below epsilon {eps} within "
-                    f"{max_restarts} restarts"
+                    f"{GROVER_MAX_RESTARTS} restarts"
                 )
             report.bits = result.bits
             report.oracle_calls = result.oracle_calls
@@ -242,11 +246,11 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
             h = DiagonalCostHamiltonian(n_bits, costs)
             if backend is Backend.QAOA:
                 qres = variational.qaoa_optimize(
-                    h, qaoa_blocks, optimizer_budget, int(rng.integers(2 ** 31)))
+                    h, QAOA_BLOCKS, QAOA_BUDGET, int(rng.integers(2 ** 31)))
                 state = variational.qaoa_state(h, qres.best_params)
             else:
                 ares = anneal_mod.anneal(
-                    h, anneal_mod.AnnealSchedule(anneal_time, anneal_steps))
+                    h, anneal_mod.AnnealSchedule(ANNEAL_TIME, ANNEAL_STEPS))
                 state = ares.final_state
             best = int(np.argmax(state.probabilities()))
             report.bits = index_to_bits(best, n_bits).astype(np.uint8)

@@ -1,19 +1,26 @@
 """Experiment runner: config loading, seeding, method dispatch, persistence.
 
-A JSON config names a method, a task, method parameters, and a seed list;
-``run`` executes every seed, collects deterministic metrics, and appends an
-immutable record file. ``compare`` summarizes records that share a task.
-(config, seed) determines every metric byte-for-byte; wall-clock timings
-are stored beside the metrics, never inside them.
+A JSON config names a method, a task, method parameters, and a seed list.
+``METHOD_PARAMS`` and ``TASK_FIELDS`` declare every key a method or task
+kind accepts, with its type, default and allowed values;
+``ExperimentConfig.from_dict`` checks a config against them, so that every
+configuration problem is a ``ConfigError`` naming its field before anything
+runs. ``run`` executes every seed, collects deterministic metrics, and
+appends an immutable record file. ``compare`` summarizes records that share
+a task. (config, seed) determines every metric byte-for-byte; wall-clock
+timings are stored beside the metrics, never inside them.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
+import math
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
@@ -24,47 +31,296 @@ from . import distill as distill_mod
 from . import edgepopup, masknet, nkesn, oracle, variational
 from .bitstrings import bits_to_index
 from .grover import GroverConfig, grover_search, search_unknown_k
-from .qsim import MixerSpec, measure, ring_graph
-
-METHODS = ("grover", "anneal", "qaoa", "vqe", "edge_popup", "distill",
-           "nk_esn", "exhaustive")
+from .qsim import DEFAULT_TROTTER_STEPS, MixerSpec, max_qubits, measure, ring_graph
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the failing field."""
 
 
+# ---------------------------------------------------------------------------
+# The config schema: every key a method or a task kind accepts.
+
+_REQUIRED = object()  # the default of a field the config must give
+
+
+class Mixer(str, Enum):
+    TRANSVERSE_FIELD = "transverse_field"
+    BIT_FLIP_RING = "bit_flip_ring"
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite int or float, never a bool."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+@dataclass(frozen=True)
+class Param:
+    """One config key: its JSON type, its default and the values it allows.
+
+    ``kind`` is bool, int, float, str, list or dict, or an Enum whose values are
+    the allowed strings. An int is a float too; a bool is never a number.
+    A default of None also allows null. ``check`` raises ValueError for a
+    value out of range.
+    """
+
+    kind: type
+    default: object = _REQUIRED
+    check: Callable[[object], object] | None = None
+
+    def resolve(self, name: str, value):
+        """``value`` checked, with an Enum's string turned into its member."""
+        if value is None and self.default is None:
+            return None
+        if issubclass(self.kind, Enum):
+            try:
+                return self.kind(value)
+            except ValueError:
+                raise ConfigError(
+                    f"field '{name}': expected one of "
+                    f"{[m.value for m in self.kind]}, got {value!r}") from None
+        ok = (_is_number(value) if self.kind is float
+              else _is_int(value) if self.kind is int
+              else isinstance(value, self.kind))
+        if not ok:
+            raise ConfigError(
+                f"field '{name}': expected {self.kind.__name__}, got {value!r}")
+        if self.check is not None:
+            try:
+                self.check(value)
+            except ValueError as err:
+                raise ConfigError(f"field '{name}': {err}") from None
+        return value
+
+
+def _rule(text: str, ok: Callable[[object], bool]) -> Callable[[object], None]:
+    def check(value):
+        if not ok(value):
+            raise ValueError(f"must be {text}, got {value!r}")
+    return check
+
+
+_POSITIVE = _rule(">= 1", lambda v: v >= 1)
+_NONNEGATIVE = _rule(">= 0", lambda v: v >= 0)
+
+
+def _check_layers(layers) -> None:
+    """Raise ValueError unless ``layers`` chain into a masknet network."""
+    if not layers:
+        raise ValueError("needs at least one layer")
+    specs = []
+    for i, layer in enumerate(layers):
+        if not (isinstance(layer, list) and len(layer) in (2, 3)
+                and all(_is_int(v) for v in layer[:2])
+                and all(isinstance(v, str) for v in layer[2:])):
+            raise ValueError(f"layer {i} must be [fan_in, fan_out, activation], "
+                             f"got {layer!r}")
+        specs.append(masknet.LayerSpec(*layer))  # checks the sizes and activation
+    for i, (a, b) in enumerate(zip(specs, specs[1:])):
+        if a.fan_out != b.fan_in:
+            raise ValueError(f"layer {i} fan_out {a.fan_out} does not feed "
+                             f"layer {i + 1} fan_in {b.fan_in}")
+    if specs[-1].activation is not masknet.Activation.IDENTITY:
+        raise ValueError("the final layer must use the identity activation")
+
+
+_MIXER_PARAMS = {
+    "mixer": Param(Mixer, Mixer.TRANSVERSE_FIELD),
+    "target_bit": Param(int, 0, lambda v: MixerSpec.bit_flip((), v)),
+}
+
+# Where a library constructor bounds a value, ``check`` builds it.
+METHOD_PARAMS: dict[str, dict[str, Param]] = {
+    "grover": {
+        "unknown_k": Param(bool, False),
+        "iterations": Param(int, None, lambda v: GroverConfig(1, iterations=v)),
+        "known_k": Param(int, None, _POSITIVE),
+        "max_restarts": Param(int, GroverConfig.max_restarts,
+                              lambda v: GroverConfig(1, max_restarts=v)),
+    },
+    "anneal": {
+        "total_time": Param(float, 50.0,
+                            lambda v: anneal_mod.AnnealSchedule(total_time=v)),
+        "steps": Param(int, DEFAULT_TROTTER_STEPS,
+                       lambda v: anneal_mod.AnnealSchedule(1.0, steps=v)),
+        **_MIXER_PARAMS,
+    },
+    "qaoa": {
+        "p": Param(int, 2, _POSITIVE),
+        "budget": Param(int, 300, _POSITIVE),
+        **_MIXER_PARAMS,
+    },
+    "vqe": {
+        "layers": Param(int, 2, _POSITIVE),
+        "budget": Param(int, 300, _POSITIVE),
+    },
+    "edge_popup": {
+        "alpha": Param(float, edgepopup.PopupTrainConfig.alpha,
+                       lambda v: edgepopup.PopupTrainConfig(alpha=v)),
+        "epochs": Param(int, edgepopup.PopupTrainConfig.epochs,
+                        lambda v: edgepopup.PopupTrainConfig(epochs=v)),
+        "resample": Param(edgepopup.ResampleRule, edgepopup.PopupTrainConfig.resample),
+        "topk_fraction": Param(float, None, _rule("in (0, 1]", lambda v: 0 < v <= 1)),
+    },
+    "distill": {
+        "width_factor": Param(int, 4, _POSITIVE),
+        "backend": Param(distill_mod.Backend, distill_mod.Backend.EXHAUSTIVE),
+        "bit_budget": Param(int, 12, _POSITIVE),
+        "compress": Param(distill_mod.CompressMode, distill_mod.CompressMode.AVERAGE_POOL),
+        "chaining": Param(distill_mod.Chaining, distill_mod.Chaining.STUDENT),
+    },
+    "nk_esn": {
+        "n_outputs": Param(int, 8, _POSITIVE),
+        "k": Param(int, 2, _POSITIVE),
+        "reservoir_size": Param(int, 40, _POSITIVE),
+        "topology": Param(nkesn.Topology, nkesn.Topology.ADJACENT),
+        "spectral_radius": Param(float, 0.9, _rule("in (0, 1)", lambda v: 0 < v < 1)),
+        "connectivity": Param(float, 0.1, _rule("> 0", lambda v: v > 0)),
+        "activation": Param(str, "tanh", _rule("'tanh' or 'identity'",
+                                               lambda v: v in ("tanh", "identity"))),
+        "washout": Param(int, nkesn.DEFAULT_WASHOUT, _NONNEGATIVE),
+    },
+    "exhaustive": {},
+}
+
+_SEED = Param(int, _REQUIRED, _NONNEGATIVE)
+_LAYERS = Param(list, _REQUIRED, _check_layers)
+
+TASK_FIELDS: dict[str, dict[str, Param]] = {
+    "planted": {"layers": _LAYERS, "n_samples": Param(int, _REQUIRED, _POSITIVE),
+                "seed": _SEED},
+    "csv": {"path": Param(str), "n_inputs": Param(int, _REQUIRED, _POSITIVE),
+            "layers": _LAYERS, "net_seed": _SEED},
+    "distill": {"teacher_path": Param(str), "n_samples": Param(int, 32, _POSITIVE),
+                "seed": Param(int, 0, _NONNEGATIVE)},
+    "sequence": {"length": Param(int, 200, _POSITIVE),
+                 "seed": Param(int, 0, _NONNEGATIVE)},
+}
+
+_SELECTION = ("planted", "csv")
+METHOD_TASKS = {**{m: _SELECTION for m in METHOD_PARAMS},
+                "distill": ("distill",), "nk_esn": ("sequence",)}
+# methods that enumerate the 2^bits cost table of a selection task
+_ENUMERATING = ("grover", "anneal", "qaoa", "vqe", "exhaustive")
+
+CONFIG_FIELDS = {
+    "method": Param(str),
+    "task": Param(dict),
+    "method_params": Param(dict, {}),
+    "seeds": Param(list, _REQUIRED, _rule("a nonempty list of integers >= 0", lambda v:
+                                          v and all(_is_int(s) and s >= 0 for s in v))),
+    "output_dir": Param(str, "runs"),
+    "epsilon": Param(float, None, _NONNEGATIVE),
+}
+
+
+def _resolve(prefix: str, table: dict[str, Param], written: dict) -> dict:
+    """Every key of ``table``: its checked written value or its default."""
+    for key in written:
+        if key not in table:
+            raise ConfigError(f"field '{prefix}{key}': unknown key, "
+                              f"expected one of {list(table)}")
+    resolved = {}
+    for key, param in table.items():
+        if key in written:
+            resolved[key] = param.resolve(prefix + key, written[key])
+        elif param.default is _REQUIRED:
+            raise ConfigError(f"field '{prefix}{key}' is required")
+        else:
+            resolved[key] = param.default
+    return resolved
+
+
+def _check_combinations(cfg: "ExperimentConfig") -> None:
+    """The rules that tie one field to another or to the qubit ceiling."""
+    method, params, written = cfg.method, cfg.params, cfg.method_params
+    task = cfg.task_params
+
+    def fail(name, why):
+        raise ConfigError(f"field '{name}': {why}")
+
+    if cfg.task["kind"] in _SELECTION:
+        bits = sum(layer[0] * layer[1] for layer in task["layers"])
+        if cfg.task["kind"] == "csv" and task["n_inputs"] != task["layers"][0][0]:
+            fail("task.n_inputs", f"{task['n_inputs']} inputs, but the first layer "
+                                  f"takes {task['layers'][0][0]}")
+        if method in _ENUMERATING and bits > max_qubits():
+            fail("task.layers", f"{bits} maskable weights, the qubit ceiling is "
+                                f"{max_qubits()}")
+    if method == "grover":
+        if params["unknown_k"]:
+            for key in ("iterations", "known_k", "max_restarts"):
+                if key in written:
+                    fail(f"method_params.{key}", "not used with unknown_k")
+        elif params["known_k"] is not None and params["known_k"] > 1 << bits:
+            fail("method_params.known_k",
+                 f"{params['known_k']} solutions among 2^{bits} masks")
+    if "target_bit" in written and params["mixer"] is not Mixer.BIT_FLIP_RING:
+        fail("method_params.target_bit", "applies only to the bit_flip_ring mixer")
+    if method == "nk_esn":
+        n, k = params["n_outputs"], params["k"]
+        if k > n:
+            fail("method_params.k" if "k" in written else "method_params.n_outputs",
+                 f"K={k} exceeds n_outputs={n}")
+        if k > max_qubits():
+            fail("method_params.k", f"K={k} exceeds the qubit ceiling {max_qubits()}")
+        if params["topology"] is nkesn.Topology.ADJACENT and (
+                k > nkesn.DP_MAX_K or n > nkesn.DP_MAX_N):
+            fail("method_params.k" if k > nkesn.DP_MAX_K else "method_params.n_outputs",
+                 f"N={n}, K={k} beyond the adjacent topology's bounds "
+                 f"({nkesn.DP_MAX_N}, {nkesn.DP_MAX_K})")
+        if params["washout"] >= task["length"]:
+            fail("method_params.washout" if "washout" in written else "task.length",
+                 f"washout {params['washout']} leaves nothing of a length-"
+                 f"{task['length']} sequence")
+
+
 @dataclass
 class ExperimentConfig:
+    """A checked config. ``params`` and ``task_params`` hold every key of the
+    method's and the task kind's table, defaults filled in; ``to_dict``
+    gives the config as written."""
+
     method: str
     task: dict
     method_params: dict
     seeds: list[int]
     output_dir: str
     epsilon: float | None = None
+    params: dict = field(init=False, repr=False, compare=False)
+    task_params: dict = field(init=False, repr=False, compare=False)
 
     @staticmethod
     def from_dict(doc: dict, base_dir: Path | None = None) -> "ExperimentConfig":
-        if "method" not in doc:
-            raise ConfigError("missing field 'method'")
-        method = str(doc["method"]).lower()
-        if method not in METHODS:
-            raise ConfigError(f"field 'method': unknown method {doc['method']!r}, "
-                              f"expected one of {METHODS}")
-        task = doc.get("task")
-        if not isinstance(task, dict) or "kind" not in task:
-            raise ConfigError("field 'task': must be an object with a 'kind'")
-        seeds = doc.get("seeds")
-        if not seeds or not all(isinstance(s, int) for s in seeds):
-            raise ConfigError("field 'seeds': must be a nonempty list of integers")
-        cfg = ExperimentConfig(
-            method=method,
-            task=dict(task),
-            method_params=dict(doc.get("method_params", {})),
-            seeds=list(seeds),
-            output_dir=str(doc.get("output_dir", "runs")),
-            epsilon=doc.get("epsilon"),
-        )
+        if not isinstance(doc, dict):
+            raise ConfigError("the config must be a JSON object")
+        top = _resolve("", CONFIG_FIELDS, doc)
+        method = top["method"].lower()
+        if method not in METHOD_PARAMS:
+            raise ConfigError(f"field 'method': unknown method {top['method']!r}, "
+                              f"expected one of {tuple(METHOD_PARAMS)}")
+        task = top["task"]
+        if "kind" not in task:
+            raise ConfigError("field 'task.kind' is required")
+        if task["kind"] not in METHOD_TASKS[method]:
+            raise ConfigError(f"field 'task.kind': {method} runs need kind "
+                              f"{' or '.join(METHOD_TASKS[method])}, "
+                              f"got {task['kind']!r}")
+        params = top["method_params"]
+        cfg = ExperimentConfig(method, dict(task), dict(params), list(top["seeds"]),
+                               top["output_dir"], top["epsilon"])
+        cfg.task_params = _resolve(
+            "task.", TASK_FIELDS[task["kind"]],
+            {k: v for k, v in task.items() if k != "kind"})
+        cfg.params = _resolve("method_params.", METHOD_PARAMS[method], params)
+        _check_combinations(cfg)
         cfg._check_paths(base_dir or Path("."))
         return cfg
 
@@ -76,7 +332,7 @@ class ExperimentConfig:
                     path = base_dir / path
                 if not path.exists():
                     raise ConfigError(f"field 'task.{key}': no such file {path}")
-                self.task[key] = str(path)
+                self.task[key] = self.task_params[key] = str(path)
 
     def to_dict(self) -> dict:
         return {
@@ -114,12 +370,8 @@ def make_sequence_task(length: int, seed: int) -> masknet.Dataset:
 
 
 def build_selection_task(task: dict) -> tuple[masknet.MaskedNetwork, masknet.Dataset]:
-    """Network + dataset for the mask-search methods."""
-    kind = task.get("kind")
-    if kind == "planted":
-        for key in ("layers", "n_samples", "seed"):
-            if key not in task:
-                raise ConfigError(f"field 'task.{key}' is required for planted tasks")
+    """Network + dataset of a planted or csv task that ``from_dict`` accepted."""
+    if task["kind"] == "planted":
         net_seed, mask_seed, data_seed = np.random.SeedSequence(
             task["seed"]).generate_state(3)
         net = masknet.init_network(
@@ -130,28 +382,23 @@ def build_selection_task(task: dict) -> tuple[masknet.MaskedNetwork, masknet.Dat
         data = masknet.make_planted_dataset(net, hidden, task["n_samples"],
                                             int(data_seed))
         return net, data
-    if kind == "csv":
-        for key in ("path", "n_inputs", "layers", "net_seed"):
-            if key not in task:
-                raise ConfigError(f"field 'task.{key}' is required for csv tasks")
-        try:
-            data = masknet.load_dataset_csv(task["path"], task["n_inputs"])
-        except ValueError as err:
-            raise ConfigError(f"field 'task.path': {task['path']}: {err}") from err
-        net = masknet.init_network(
-            [tuple(layer) for layer in task["layers"]], task["net_seed"])
-        return net, data
-    raise ConfigError(f"field 'task.kind': {kind!r} is not a selection task")
+    try:
+        data = masknet.load_dataset_csv(task["path"], task["n_inputs"])
+    except ValueError as err:
+        raise ConfigError(f"field 'task.path': {task['path']}: {err}") from err
+    net = masknet.init_network(
+        [tuple(layer) for layer in task["layers"]], task["net_seed"])
+    if data.targets.shape[1] != net.output_dim:
+        raise ConfigError(
+            f"field 'task.path': {task['path']}: {data.targets.shape[1]} target "
+            f"columns, the network has {net.output_dim} outputs")
+    return net, data
 
 
-def _mixer_from_params(params: dict, n_bits: int) -> MixerSpec:
-    spec = params.get("mixer", "transverse_field")
-    if spec == "transverse_field":
-        return MixerSpec.transverse_field()
-    if spec == "bit_flip_ring":
-        return MixerSpec.bit_flip(ring_graph(n_bits),
-                                  params.get("target_bit", 0))
-    raise ConfigError(f"field 'method_params.mixer': unknown mixer {spec!r}")
+def _mixer(params: dict, n_bits: int) -> MixerSpec:
+    if params["mixer"] is Mixer.BIT_FLIP_RING:
+        return MixerSpec.bit_flip(ring_graph(n_bits), params["target_bit"])
+    return MixerSpec.transverse_field()
 
 
 def _resolve_epsilon(cfg: ExperimentConfig, net, data, seed: int) -> float:
@@ -192,7 +439,8 @@ class _RunTask:
 
 # ---------------------------------------------------------------------------
 # Per-method runners. Each takes (config, seed, the call's _RunTask) and
-# returns a JSON-safe metrics dict.
+# returns a JSON-safe metrics dict. They read ``cfg.params`` and
+# ``cfg.task_params``, which ``from_dict`` checked and filled in.
 
 def _hamiltonian_task(cfg, seed, task):
     """(cost Hamiltonian, epsilon) of a selection task."""
@@ -230,17 +478,11 @@ def _run_grover(cfg, seed, task):
     eps = _resolve_epsilon(cfg, net, data, seed)
     o = task.threshold_oracle
     o.epsilon, o.call_counter = eps, 0
-    params = cfg.method_params
-    if params.get("unknown_k", False):
+    params = dict(cfg.params)
+    if params.pop("unknown_k"):
         result = search_unknown_k(o, o.n_bits, seed=seed)
     else:
-        result = grover_search(o, GroverConfig(
-            n_qubits=o.n_bits,
-            iterations=params.get("iterations"),
-            known_k=params.get("known_k"),
-            max_restarts=params.get("max_restarts", 3),
-            seed=seed,
-        ))
+        result = grover_search(o, GroverConfig(n_qubits=o.n_bits, seed=seed, **params))
     loss = o.cost(result.bits)
     return {
         "loss": float(loss),
@@ -253,12 +495,10 @@ def _run_grover(cfg, seed, task):
 
 def _run_anneal(cfg, seed, task):
     h, eps = _hamiltonian_task(cfg, seed, task)
-    params = cfg.method_params
-    sched = anneal_mod.AnnealSchedule(
-        total_time=params.get("total_time", 50.0),
-        steps=params.get("steps", 400),
-        mixer=_mixer_from_params(params, h.n_qubits),
-    )
+    params = cfg.params
+    sched = anneal_mod.AnnealSchedule(total_time=params["total_time"],
+                                      steps=params["steps"],
+                                      mixer=_mixer(params, h.n_qubits))
     result = anneal_mod.anneal(h, sched)
     return _score_measured(h, eps, result.final_state, seed,
                            p_ground=result.p_ground,
@@ -267,10 +507,9 @@ def _run_anneal(cfg, seed, task):
 
 def _run_qaoa(cfg, seed, task):
     h, eps = _hamiltonian_task(cfg, seed, task)
-    params = cfg.method_params
-    mixer = _mixer_from_params(params, h.n_qubits)
-    result = variational.qaoa_optimize(h, params.get("p", 2),
-                                       params.get("budget", 300), seed, mixer)
+    params = cfg.params
+    mixer = _mixer(params, h.n_qubits)
+    result = variational.qaoa_optimize(h, params["p"], params["budget"], seed, mixer)
     state = variational.qaoa_state(h, result.best_params, mixer)
     return _score_measured(h, eps, state, seed,
                            best_expectation=result.best_value,
@@ -279,9 +518,9 @@ def _run_qaoa(cfg, seed, task):
 
 def _run_vqe(cfg, seed, task):
     h, eps = _hamiltonian_task(cfg, seed, task)
-    params = cfg.method_params
-    ansatz = variational.make_ansatz(h.n_qubits, params.get("layers", 2), seed)
-    result = variational.vqe_run(h, ansatz, params.get("budget", 300), seed)
+    params = cfg.params
+    ansatz = variational.make_ansatz(h.n_qubits, params["layers"], seed)
+    result = variational.vqe_run(h, ansatz, params["budget"], seed)
     final = variational.VqeAnsatz(ansatz.layers, result.best_params,
                                   ansatz.entangler)
     return _score_measured(h, eps, variational.ansatz_state(final), seed,
@@ -292,14 +531,7 @@ def _run_vqe(cfg, seed, task):
 def _run_edge_popup(cfg, seed, task):
     net, data = task.selection
     eps = _resolve_epsilon(cfg, net, data, seed)
-    params = cfg.method_params
-    train_cfg = edgepopup.PopupTrainConfig(
-        alpha=params.get("alpha", 0.05),
-        epochs=params.get("epochs", 20),
-        seed=seed,
-        resample=edgepopup.ResampleRule(params.get("resample", "per_sample")),
-        topk_fraction=params.get("topk_fraction"),
-    )
+    train_cfg = edgepopup.PopupTrainConfig(seed=seed, **cfg.params)
     result = edgepopup.popup_train(net, data, train_cfg)
     loss = result.loss_curve[-1] if result.loss_curve else masknet.dataset_loss(net, data)
     return {
@@ -312,29 +544,33 @@ def _run_edge_popup(cfg, seed, task):
 
 
 def _run_distill(cfg, seed, _task):
-    task = cfg.task
-    if task.get("kind") != "distill":
-        raise ConfigError("field 'task.kind': distill runs need kind 'distill'")
-    if "teacher_path" not in task:
-        raise ConfigError("field 'task.teacher_path' is required for distill tasks")
+    task, params = cfg.task_params, cfg.params
+    path = task["teacher_path"]
     try:
-        teacher = masknet.load_network(task["teacher_path"])
+        teacher = masknet.load_network(path)
     except (ValueError, KeyError, TypeError) as err:
         detail = f"missing field {err}" if isinstance(err, KeyError) else err
-        raise ConfigError(
-            f"field 'task.teacher_path': {task['teacher_path']}: {detail}") from err
-    data_seed = int(np.random.SeedSequence(task.get("seed", 0)).generate_state(1)[0])
+        raise ConfigError(f"field 'task.teacher_path': {path}: {detail}") from err
+    data_seed = int(np.random.SeedSequence(task["seed"]).generate_state(1)[0])
     rng = np.random.default_rng(data_seed)
-    xs = rng.uniform(-1, 1, size=(task.get("n_samples", 32), teacher.input_dim))
+    xs = rng.uniform(-1, 1, size=(task["n_samples"], teacher.input_dim))
     data = masknet.Dataset(xs, masknet.forward_batch(teacher, xs), name="teacher-io")
-    params = cfg.method_params
-    pair = distill_mod.make_student(teacher, params.get("width_factor", 4), seed)
+    pair = distill_mod.make_student(teacher, params["width_factor"], seed)
+    widest = max(block.total_maskable() for block in pair.blocks)
+    if widest > params["bit_budget"]:
+        raise ConfigError(f"field 'method_params.bit_budget': a student block of "
+                          f"{path} has {widest} maskable weights, the budget is "
+                          f"{params['bit_budget']}")
+    if widest > max_qubits():
+        raise ConfigError(f"field 'method_params.width_factor': a student block of "
+                          f"{path} has {widest} maskable weights, the qubit ceiling "
+                          f"is {max_qubits()}")
     result = distill_mod.distill_select(
         pair, data,
-        backend=distill_mod.Backend(params.get("backend", "exhaustive")),
-        per_block_bit_budget=params.get("bit_budget", 12),
-        mode=distill_mod.CompressMode(params.get("compress", "average_pool")),
-        chaining=distill_mod.Chaining(params.get("chaining", "student")),
+        backend=params["backend"],
+        per_block_bit_budget=params["bit_budget"],
+        mode=params["compress"],
+        chaining=params["chaining"],
         seed=seed,
     )
     metrics = {
@@ -350,23 +586,10 @@ def _run_distill(cfg, seed, _task):
 
 
 def _run_nk_esn(cfg, seed, _task):
-    task = cfg.task
-    if task.get("kind") != "sequence":
-        raise ConfigError("field 'task.kind': nk_esn runs need kind 'sequence'")
-    data = make_sequence_task(task.get("length", 200), task.get("seed", 0))
-    params = cfg.method_params
-    model = nkesn.make_nkesn(
-        n_outputs=params.get("n_outputs", 8),
-        k=params.get("k", 2),
-        reservoir_size=params.get("reservoir_size", 40),
-        input_dim=1,
-        topology=nkesn.Topology(params.get("topology", "adjacent")),
-        spectral_radius=params.get("spectral_radius", 0.9),
-        connectivity=params.get("connectivity", 0.1),
-        activation=params.get("activation", "tanh"),
-        seed=seed,
-    )
-    washout = params.get("washout", 20)
+    data = make_sequence_task(cfg.task_params["length"], cfg.task_params["seed"])
+    params = dict(cfg.params)
+    washout = params.pop("washout")
+    model = nkesn.make_nkesn(input_dim=1, seed=seed, **params)
     table = nkesn.build_table(model, data, washout=washout)
     patterns, results = nkesn.select_per_output(table, model.landscape, seed=seed)
     combined = nkesn.combine_per_output(patterns, model.landscape, table)

@@ -26,6 +26,7 @@ DP_MAX_K = 12
 EXHAUSTIVE_MAX_N = 20
 TABLE_BLOCK = 512
 DP_PREFIX_BLOCK = 256
+GROVER_MAX_RESTARTS = 8  # per-output K-qubit search
 
 
 # ---------------------------------------------------------------------------
@@ -443,29 +444,25 @@ def dp_optimize(land: NKLandscape, table: np.ndarray) -> tuple[np.ndarray, float
 # ---------------------------------------------------------------------------
 # Per-output amplitude amplification over K-bit patterns.
 
-def grover_table_select(column: np.ndarray, epsilon: float, seed: int = 0,
-                        max_restarts: int = 8) -> GroverResult:
+def grover_table_select(column: np.ndarray, epsilon: float, seed: int = 0) -> GroverResult:
     """Search one output's 2^K column for a pattern with loss below epsilon."""
     column = np.asarray(column, dtype=np.float64)
     k = int(column.size).bit_length() - 1
     if 1 << k != column.size:
         raise ValueError(f"column length {column.size} is not a power of two")
     oracle = CostOracle(lambda rows: column[rows @ (1 << np.arange(k))], k, epsilon)
-    return grover_search(oracle, GroverConfig(n_qubits=k, max_restarts=max_restarts,
-                                              seed=seed))
+    return grover_search(oracle, GroverConfig(
+        n_qubits=k, max_restarts=GROVER_MAX_RESTARTS, seed=seed))
 
 
-def select_per_output(table: np.ndarray, land: NKLandscape, epsilons=None,
-                      seed: int = 0,
-                      max_restarts: int = 8) -> tuple[list[np.ndarray], list[GroverResult]]:
-    """Run the K-qubit search independently for every output column."""
+def select_per_output(table: np.ndarray, land: NKLandscape,
+                      seed: int = 0) -> tuple[list[np.ndarray], list[GroverResult]]:
+    """Run the K-qubit search for every output column, 1e-12 above its minimum."""
     run_seeds = np.random.SeedSequence(seed).generate_state(land.n)
     patterns, results = [], []
     for i in range(land.n):
-        eps = (epsilons[i] if epsilons is not None
-               else float(table[:, i].min()) + 1e-12)
-        result = grover_table_select(table[:, i], eps, seed=int(run_seeds[i]),
-                                     max_restarts=max_restarts)
+        eps = float(table[:, i].min()) + 1e-12
+        result = grover_table_select(table[:, i], eps, seed=int(run_seeds[i]))
         patterns.append(result.bits)
         results.append(result)
     return patterns, results
