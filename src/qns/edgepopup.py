@@ -5,6 +5,21 @@ masking with probability (1 + sin theta)/2. Sampled masks drive the forward
 pass; a straight-through backward pass (masks treated as all-ones) updates
 the rotation angles, which stay clamped to [-pi/2, pi/2]. The circuits are
 product states, so sampling is done per qubit analytically.
+
+The angles of all layers live in one flat vector; each layer's circuit
+holds a reshaped view of it, so a step is one subtraction and one clip.
+
+With per-epoch resampling the masks are fixed for the whole epoch and the
+backward pass uses the full weights, so no sample's step depends on the
+angles the earlier samples moved. ``popup_train`` therefore computes the
+epoch's steps with one forward and one backward pass over the shuffled
+samples, and only the clamped subtraction stays sequential. The stack is fed
+as (samples, 1, fan_in), so NumPy runs one vector-matrix product per sample,
+the same one a single sample runs, and each loss is the 2-norm of one 1-D
+row: the batched epoch is bit-identical to the per-sample loop. (A
+(samples, fan_in) matrix product rounds differently.) With per-sample
+resampling every mask depends on the previous step, so that loop stays
+sequential, one ``popup_update`` per sample.
 """
 from __future__ import annotations
 
@@ -51,6 +66,25 @@ class PopupTrainConfig:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        try:
+            self.resample = ResampleRule(self.resample)
+        except ValueError:
+            raise ValueError(f"resample must be one of {[r.value for r in ResampleRule]}, "
+                             f"got {self.resample!r}") from None
+        if self.topk_fraction is not None and not 0 < self.topk_fraction <= 1:
+            raise ValueError(f"topk_fraction must be in (0, 1], got {self.topk_fraction}")
+
+
+class NonFiniteLoss(FloatingPointError):
+    """A sample's loss is not finite; ``row`` is its position in the stack."""
+
+    def __init__(self, row: int):
+        super().__init__("non-finite loss in popup update")
+        self.row = row
+
+
+def _keep_prob(theta):
+    return (1.0 + np.sin(theta)) / 2.0
 
 
 def prob_one(theta):
@@ -58,18 +92,48 @@ def prob_one(theta):
     theta = np.asarray(theta, dtype=np.float64)
     if np.any(np.abs(theta) > THETA_CLAMP + 1e-12):
         raise ValueError("theta outside the clamp range [-pi/2, pi/2]")
-    value = (1.0 + np.sin(theta)) / 2.0
+    value = _keep_prob(theta)
     return float(value) if value.ndim == 0 else value
 
 
 def init_circuits(net: MaskedNetwork) -> list[PopupLayerCircuit]:
-    """All angles zero: every weight starts with keep-probability 1/2."""
-    return [PopupLayerCircuit(np.zeros((s.fan_in, s.fan_out))) for s in net.specs]
+    """All angles zero: every weight starts with keep-probability 1/2.
+
+    The circuits' angles are reshaped views of one flat vector, layer by
+    layer, row-major; ``popup_update`` moves and clamps them through it.
+    """
+    flat = np.zeros(sum(s.fan_in * s.fan_out for s in net.specs))
+    return [PopupLayerCircuit(t) for t in _layer_views(flat, net)]
+
+
+def _layer_views(flat: np.ndarray, net: MaskedNetwork) -> list[np.ndarray]:
+    """Per-layer (fan_in, fan_out) views of the 1-D ``flat``, in layer order."""
+    views, start = [], 0
+    for spec in net.specs:
+        stop = start + spec.fan_in * spec.fan_out
+        views.append(flat[start:stop].reshape(spec.fan_in, spec.fan_out))
+        start = stop
+    return views
+
+
+def _flat_thetas(circs) -> np.ndarray:
+    """The flat vector whose views are the circuits' angles (``init_circuits``)."""
+    flat = circs[0].thetas.base
+    if (flat is None or flat.ndim != 1 or flat.size != sum(c.thetas.size for c in circs)
+            or any(c.thetas.base is not flat for c in circs)):
+        raise ValueError("circuits must share one angle vector, as init_circuits makes")
+    return flat
+
+
+def _sample_masks(net: MaskedNetwork, thetas: np.ndarray,
+                  draws: np.ndarray) -> list[np.ndarray]:
+    """Per-layer masks keeping angle j iff ``draws[j] < prob_one(thetas[j])``."""
+    return _layer_views((draws < _keep_prob(thetas)).astype(np.float64), net)
 
 
 def sample_mask(circ: PopupLayerCircuit, rng: np.random.Generator) -> np.ndarray:
     """Independent Bernoulli draw per entry with probability prob_one(theta)."""
-    return (rng.random(circ.thetas.shape) < prob_one(circ.thetas)).astype(np.float64)
+    return (rng.random(circ.thetas.shape) < _keep_prob(circ.thetas)).astype(np.float64)
 
 
 def threshold_mask(circ: PopupLayerCircuit) -> np.ndarray:
@@ -103,15 +167,24 @@ def straight_through_grads(net: MaskedNetwork, masks, x: np.ndarray,
     dL/dI[i][v] is the loss gradient with respect to the pre-activation of
     neuron v in layer i; activations[i][u] is the masked-forward output
     feeding layer i.
+
+    ``x`` is one input (fan_in,) with target (fan_out,), or a stack
+    (S, 1, fan_in) with targets (S, 1, fan_out): then the loss and every
+    other array carry the leading (S, 1) axes, and each row equals its own
+    single-input call bit for bit. A non-finite loss raises
+    :class:`NonFiniteLoss` naming the first such row.
     """
     x = np.asarray(x, dtype=np.float64)
     layers = masknet.masked_layers(net, x, masks)
 
     diff = layers[-1][1] - np.asarray(y, dtype=np.float64)
-    loss = float(np.linalg.norm(diff))
-    if not math.isfinite(loss):
-        raise FloatingPointError("non-finite loss in popup update")
-    grad_out = diff / loss if loss > 0 else np.zeros_like(diff)
+    # the 2-norm of each 1-D row, as a single input takes it
+    norms = [np.linalg.norm(row) for row in diff.reshape(-1, diff.shape[-1])]
+    for row, value in enumerate(norms):
+        if not math.isfinite(value):
+            raise NonFiniteLoss(row)
+    loss = np.array(norms).reshape(diff.shape[:-1] + (1,))
+    grad_out = np.divide(diff, loss, out=np.zeros(diff.shape), where=loss > 0)
 
     grads = [None] * net.depth
     g = grad_out
@@ -119,26 +192,56 @@ def straight_through_grads(net: MaskedNetwork, masks, x: np.ndarray,
         if net.specs[i].activation is Activation.RELU:
             g = g * (layers[i][0] > 0)
         grads[i] = g
-        g = g @ net.weights[i].T  # full weights: the straight-through pass
-    return loss, grads, [x] + [z for _, z in layers[:-1]]
+        if i:
+            g = g @ net.weights[i].T  # full weights: the straight-through pass
+    acts = [x] + [z for _, z in layers[:-1]]
+    loss = loss[..., 0]
+    return (float(loss) if loss.ndim == 0 else loss), grads, acts
+
+
+def _steps(net: MaskedNetwork, acts, grads) -> list[np.ndarray]:
+    """Each layer's step outer(activation, gradient) * W, per leading index."""
+    return [a[..., :, None] * g[..., None, :] * w
+            for a, g, w in zip(acts, grads, net.weights)]
 
 
 def popup_update(net: MaskedNetwork, circs, x, y, cfg: PopupTrainConfig,
                  masks=None, rng: np.random.Generator | None = None) -> float:
-    """One sample step: sample masks, forward, straight-through update, clamp."""
+    """One sample step: sample masks, forward, straight-through update, clamp.
+
+    ``circs`` come from :func:`init_circuits`; their angles move in place.
+    Without ``masks`` they are drawn from ``rng``, which is then required.
+    """
+    thetas = _flat_thetas(circs)
     if masks is None:
         if rng is None:
-            rng = np.random.default_rng(cfg.seed)
+            raise ValueError("popup_update needs masks or an rng to draw them from")
         masks = [sample_mask(c, rng) for c in circs]
     try:
         loss, grads, acts = straight_through_grads(net, masks, x, y)
     except FloatingPointError as err:
         raise FloatingPointError(f"{err} (input {np.asarray(x)!r})") from err
-    for i, circ in enumerate(circs):
-        step = np.outer(acts[i], grads[i]) * net.weights[i]
-        circ.thetas = np.clip(circ.thetas - cfg.alpha * step,
-                              -THETA_CLAMP, THETA_CLAMP)
+    for circ, step in zip(circs, _steps(net, acts, grads)):
+        circ.thetas -= cfg.alpha * step
+    np.clip(thetas, -THETA_CLAMP, THETA_CLAMP, out=thetas)
     return loss
+
+
+def _epoch_steps(net: MaskedNetwork, masks, data: Dataset, order,
+                 alpha: float) -> np.ndarray:
+    """alpha times every sample's step under fixed masks, in ``order``:
+    (samples, n_angles), row k equal to ``popup_update``'s step for order[k]."""
+    try:
+        _, grads, acts = straight_through_grads(
+            net, masks, data.inputs[order][:, None, :], data.targets[order][:, None, :])
+    except NonFiniteLoss as err:
+        idx = order[err.row]
+        raise FloatingPointError(
+            f"sample {idx}: {err} (input {data.inputs[idx]!r})") from err
+    steps = np.concatenate([step.reshape(len(order), w.size) for step, w
+                            in zip(_steps(net, acts, grads), net.weights)], axis=1)
+    steps *= alpha
+    return steps
 
 
 @dataclass
@@ -158,19 +261,24 @@ def popup_train(net: MaskedNetwork, data: Dataset,
     """
     rng = np.random.default_rng(cfg.seed)
     circs = init_circuits(net)
+    thetas = _flat_thetas(circs)
     loss_curve = []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(data))
-        epoch_masks = None
         if cfg.resample is ResampleRule.PER_EPOCH:
-            epoch_masks = [sample_mask(c, rng) for c in circs]
-        for idx in order:
-            masks = epoch_masks or [sample_mask(c, rng) for c in circs]
-            try:
-                popup_update(net, circs, data.inputs[idx], data.targets[idx],
-                             cfg, masks=masks)
-            except FloatingPointError as err:
-                raise FloatingPointError(f"sample {idx}: {err}") from err
+            masks = _sample_masks(net, thetas, rng.random(thetas.size))
+            for step in _epoch_steps(net, masks, data, order, cfg.alpha):
+                thetas -= step
+                np.clip(thetas, -THETA_CLAMP, THETA_CLAMP, out=thetas)
+        else:
+            # the same stream as one draw per layer per sample
+            draws = rng.random((len(order), thetas.size))
+            for idx, draw in zip(order, draws):
+                try:
+                    popup_update(net, circs, data.inputs[idx], data.targets[idx],
+                                 cfg, masks=_sample_masks(net, thetas, draw))
+                except FloatingPointError as err:
+                    raise FloatingPointError(f"sample {idx}: {err}") from err
         eval_masks = _deterministic_masks(circs, cfg)
         loss_curve.append(masked_loss(net, eval_masks, data))
     return PopupTrainResult(circs, loss_curve, _deterministic_masks(circs, cfg))

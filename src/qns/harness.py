@@ -167,7 +167,8 @@ METHOD_PARAMS: dict[str, dict[str, Param]] = {
         "epochs": Param(int, edgepopup.PopupTrainConfig.epochs,
                         lambda v: edgepopup.PopupTrainConfig(epochs=v)),
         "resample": Param(edgepopup.ResampleRule, edgepopup.PopupTrainConfig.resample),
-        "topk_fraction": Param(float, None, _rule("in (0, 1]", lambda v: 0 < v <= 1)),
+        "topk_fraction": Param(float, None,
+                               lambda v: edgepopup.PopupTrainConfig(topk_fraction=v)),
     },
     "distill": {
         "width_factor": Param(int, 4, _POSITIVE),
@@ -203,6 +204,9 @@ TASK_FIELDS: dict[str, dict[str, Param]] = {
     "sequence": {"length": Param(int, 200, _POSITIVE),
                  "seed": Param(int, 0, _NONNEGATIVE)},
 }
+
+# task fields naming an input file
+_PATH_FIELDS = ("path", "teacher_path")
 
 _SELECTION = ("planted", "csv")
 METHOD_TASKS = {**{m: _SELECTION for m in METHOD_PARAMS},
@@ -325,7 +329,7 @@ class ExperimentConfig:
         return cfg
 
     def _check_paths(self, base_dir: Path) -> None:
-        for key in ("path", "teacher_path"):
+        for key in _PATH_FIELDS:
             if key in self.task:
                 path = Path(self.task[key])
                 if not path.is_absolute():
@@ -642,6 +646,18 @@ def _sha256(doc) -> str:
         json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+def _config_hash(cfg: ExperimentConfig) -> str:
+    """The config as written, without ``output_dir`` and with each input
+    file's path replaced by the sha256 of its bytes: one experiment hashes
+    the same in any output directory or checkout."""
+    doc = cfg.to_dict()
+    del doc["output_dir"]
+    doc["task"] = {key: (hashlib.sha256(Path(value).read_bytes()).hexdigest()
+                         if key in _PATH_FIELDS else value)
+                   for key, value in doc["task"].items()}
+    return _sha256(doc)
+
+
 def run(cfg: ExperimentConfig) -> dict:
     """Execute every seed, write an immutable record, return it.
 
@@ -663,7 +679,7 @@ def run(cfg: ExperimentConfig) -> dict:
         "config": cfg.to_dict(),
         "per_seed": per_seed,
         "hashes": {
-            "config": _sha256(cfg.to_dict()),
+            "config": _config_hash(cfg),
             "metrics": _sha256([entry["metrics"] for entry in per_seed]),
         },
     }

@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+import reference
 from conftest import make_planted_task
 from qns import masknet, qsim
 from qns.edgepopup import (
     THETA_CLAMP,
     PopupLayerCircuit,
     PopupTrainConfig,
+    ResampleRule,
     init_circuits,
     masked_loss,
     popup_train,
@@ -87,9 +91,37 @@ def test_zero_alpha_is_a_no_op():
     net = masknet.init_network(POPUP_LAYERS, seed=1)
     circs = init_circuits(net)
     cfg = PopupTrainConfig(alpha=0.0, epochs=1, seed=0)
-    popup_update(net, circs, np.array([0.5, -0.5]), np.array([0.1]), cfg)
+    popup_update(net, circs, np.array([0.5, -0.5]), np.array([0.1]), cfg,
+                 rng=np.random.default_rng(0))
     for circ in circs:
         np.testing.assert_array_equal(circ.thetas, 0.0)
+
+
+def test_update_without_masks_needs_an_rng():
+    """A fixed default generator would draw the same masks on every call."""
+    net = masknet.init_network(POPUP_LAYERS, seed=1)
+    cfg = PopupTrainConfig(alpha=0.1, epochs=1, seed=0)
+    with pytest.raises(ValueError, match="rng"):
+        popup_update(net, init_circuits(net), np.array([0.5, -0.5]),
+                     np.array([0.1]), cfg)
+
+
+def test_update_rejects_circuits_that_do_not_share_one_vector():
+    net = masknet.init_network(POPUP_LAYERS, seed=1)
+    circs = [PopupLayerCircuit(np.zeros((s.fan_in, s.fan_out))) for s in net.specs]
+    with pytest.raises(ValueError, match="init_circuits"):
+        popup_update(net, circs, np.array([0.5, -0.5]), np.array([0.1]),
+                     PopupTrainConfig(), masks=[np.ones_like(w) for w in net.weights])
+
+
+def test_config_checks_resample_and_topk_at_construction():
+    assert PopupTrainConfig(resample="per_epoch").resample is ResampleRule.PER_EPOCH
+    with pytest.raises(ValueError, match="resample"):
+        PopupTrainConfig(resample="bogus")
+    for bad in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match="topk_fraction"):
+            PopupTrainConfig(topk_fraction=bad)
+    assert PopupTrainConfig(topk_fraction=1.0).topk_fraction == 1.0
 
 
 def test_straight_through_matches_finite_differences():
@@ -182,8 +214,106 @@ def test_final_mask_uses_threshold_rule():
     assert loss == result.loss_curve[-1]
 
 
+def _assert_same_training(a, b):
+    assert a.loss_curve == b.loss_curve
+    for x, y in zip(a.circuits, b.circuits, strict=True):
+        assert np.array_equal(x.thetas, y.thetas)
+    for x, y in zip(a.final_masks, b.final_masks, strict=True):
+        assert np.array_equal(x, y)
+
+
 def test_per_epoch_resampling_is_available():
     net, data, _ = make_planted_task(POPUP_LAYERS, seed=6, n_samples=8)
     cfg = PopupTrainConfig(alpha=0.1, epochs=3, seed=2, resample="per_epoch")
     result = popup_train(net, data, cfg)
     assert len(result.loss_curve) == 3
+    _assert_same_training(result, reference.popup_train(net, data, cfg))
+    per_sample = reference.popup_train(
+        net, data, PopupTrainConfig(alpha=0.1, epochs=3, seed=2, resample="per_sample"))
+    assert not all(np.array_equal(x.thetas, y.thetas)
+                   for x, y in zip(result.circuits, per_sample.circuits))
+
+
+@st.composite
+def _popup_cases(draw):
+    depth = draw(st.integers(1, 3))
+    widths = [draw(st.integers(1, 4)) for _ in range(depth + 1)]
+    layers = [(widths[i], widths[i + 1],
+               "identity" if i == depth - 1 else draw(st.sampled_from(["relu", "identity"])))
+              for i in range(depth)]
+    cfg = PopupTrainConfig(
+        alpha=draw(st.sampled_from([0.0, 0.05, 0.5, 100.0])),
+        epochs=draw(st.integers(0, 4)),
+        seed=draw(st.integers(0, 2**16)),
+        resample=draw(st.sampled_from(list(ResampleRule))),
+        topk_fraction=draw(st.sampled_from([None, 0.5])))
+    return layers, draw(st.integers(0, 2**16)), draw(st.integers(1, 9)), cfg
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_popup_cases())
+@example(([(2, 3, "relu"), (3, 1, "identity")], 1, 8,
+          PopupTrainConfig(alpha=100.0, epochs=3, seed=1, resample="per_epoch")))
+@example(([(2, 3, "relu"), (3, 1, "identity")], 1, 8,
+          PopupTrainConfig(alpha=100.0, epochs=3, seed=1, resample="per_sample")))
+def test_popup_train_matches_the_per_sample_loop(case):
+    """Angles, loss curve and final masks equal the plain loop's bit for bit."""
+    layers, task_seed, n_samples, cfg = case
+    net, data, _ = make_planted_task(layers, task_seed, n_samples=n_samples)
+    _assert_same_training(popup_train(net, data, cfg),
+                          reference.popup_train(net, data, cfg))
+
+
+@pytest.mark.parametrize("resample", list(ResampleRule))
+def test_clamped_training_matches_the_per_sample_loop(resample):
+    net, data, _ = make_planted_task(POPUP_LAYERS, seed=5, n_samples=12)
+    cfg = PopupTrainConfig(alpha=100.0, epochs=4, seed=3, resample=resample,
+                           topk_fraction=0.5)
+    result = popup_train(net, data, cfg)
+    assert any(np.any(np.abs(c.thetas) == THETA_CLAMP) for c in result.circuits)
+    _assert_same_training(result, reference.popup_train(net, data, cfg))
+
+
+@pytest.mark.parametrize("resample", list(ResampleRule))
+def test_non_finite_loss_names_the_first_sample_in_shuffled_order(resample):
+    net, data, _ = make_planted_task(POPUP_LAYERS, seed=4, n_samples=10)
+    bad = {2, 7}
+    data.targets[sorted(bad)] = np.inf
+    cfg = PopupTrainConfig(alpha=0.1, epochs=2, seed=6, resample=resample)
+    order = np.random.default_rng(cfg.seed).permutation(len(data))
+    first = next(idx for idx in order if idx in bad)
+    with pytest.raises(FloatingPointError) as ours:
+        popup_train(net, data, cfg)
+    with pytest.raises(FloatingPointError) as loop:
+        reference.popup_train(net, data, cfg)
+    assert str(ours.value).startswith(f"sample {first}: non-finite loss")
+    assert str(ours.value) == str(loop.value)
+
+
+@pytest.mark.parametrize("resample", list(ResampleRule))
+def test_empty_dataset_fails_as_the_per_sample_loop_does(resample):
+    net = masknet.init_network(POPUP_LAYERS, seed=1)
+    empty = masknet.Dataset(np.empty((0, 2)), np.empty((0, 1)))
+    cfg = PopupTrainConfig(epochs=1, resample=resample)
+    with pytest.raises(ValueError, match="dataset is empty"):
+        reference.popup_train(net, empty, cfg)
+    with pytest.raises(ValueError, match="dataset is empty"):
+        popup_train(net, empty, cfg)
+
+
+def test_stacked_straight_through_rows_equal_single_calls():
+    net = masknet.init_network([(3, 5, "relu"), (5, 4, "relu"), (4, 2, "identity")],
+                               seed=8)
+    rng = np.random.default_rng(0)
+    xs, ys = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
+    masks = [(rng.random(w.shape) < 0.5).astype(float) for w in net.weights]
+    ys[4] = masknet.masked_layers(net, xs[4], masks)[-1][1]  # a zero loss
+    losses, grads, acts = straight_through_grads(net, masks, xs[:, None, :],
+                                                 ys[:, None, :])
+    assert losses.shape == (6, 1) and losses[4, 0] == 0.0
+    for k in range(6):
+        loss, g1, a1 = straight_through_grads(net, masks, xs[k], ys[k])
+        assert losses[k, 0] == loss
+        for stacked, single in zip(grads + acts, g1 + a1, strict=True):
+            assert np.array_equal(stacked[k, 0], single)

@@ -90,6 +90,35 @@ def test_record_file_content_matches_returned_record(tmp_path):
     assert on_disk["hashes"] == record["hashes"]
 
 
+def test_config_hash_ignores_output_dir_and_input_location(tmp_path):
+    """One experiment gets one hashes.config, whatever its output directory
+    and wherever its teacher file lies; other teacher bytes change it. The
+    record's config payload still holds the paths as resolved."""
+    def record_for(name, teacher_seed):
+        (tmp_path / name).mkdir()
+        teacher_path = tmp_path / name / "teacher.json"
+        masknet.save_network(
+            masknet.init_network([(2, 2, "relu"), (2, 1, "identity")], seed=teacher_seed),
+            teacher_path)
+        doc = {
+            "method": "distill",
+            "task": {"kind": "distill", "teacher_path": str(teacher_path),
+                     "n_samples": 8, "seed": 1},
+            "method_params": {"width_factor": 1},
+            "seeds": [2],
+            "output_dir": str(tmp_path / name / "runs"),
+        }
+        record = run(ExperimentConfig.from_dict(doc))
+        assert record["config"]["task"]["teacher_path"] == str(teacher_path)
+        assert record["config"]["output_dir"] == doc["output_dir"]
+        return record["hashes"]
+
+    a, b = record_for("a", 4), record_for("b", 4)
+    assert a == b
+    other = record_for("c", 5)
+    assert other["config"] != a["config"]
+
+
 def test_exhaustive_record_contains_true_optimum(tmp_path):
     cfg = ExperimentConfig.from_dict(config_doc(method="exhaustive",
                                                 out=str(tmp_path)))
