@@ -136,7 +136,8 @@ def compress(vector: np.ndarray, target_dim: int,
             raise ValueError(
                 f"average pooling needs {target_dim} to divide {dim}"
             )
-        return vector.reshape(*vector.shape[:-1], target_dim, -1).mean(-1)
+        groups = vector.reshape(*vector.shape[:-1], target_dim, -1)
+        return masknet.sum_last(groups) / groups.shape[-1]
     order = np.argsort(-np.abs(vector), axis=-1, kind="stable")[..., :target_dim]
     return np.take_along_axis(vector, np.sort(order, axis=-1), axis=-1)
 
@@ -149,9 +150,22 @@ def block_loss(teacher_acts: np.ndarray, block: MaskedNetwork, bits,
     M losses for an (M, n) matrix of masks in ``mask_layout`` order."""
     bits = np.asarray(bits)
     out = masknet.batch_forward(block, np.atleast_2d(bits), block_inputs)
-    compressed = compress(out, teacher_acts.shape[1], mode)
-    losses = np.mean(np.linalg.norm(compressed - teacher_acts, axis=-1), axis=-1)
+    losses = _compressed_losses(out, teacher_acts, mode)
     return float(losses[0]) if bits.ndim == 1 else losses
+
+
+def block_table(teacher_acts: np.ndarray, block: MaskedNetwork,
+                block_inputs: np.ndarray,
+                mode: CompressMode = CompressMode.AVERAGE_POOL) -> np.ndarray:
+    """:func:`block_loss` of every mask 0..2^n-1 of ``block``, bit for bit,
+    from one run of the enumeration kernel."""
+    return masknet.enumerate_table(block, block_inputs, functools.partial(
+        _compressed_losses, teacher_acts=teacher_acts, mode=mode))
+
+
+def _compressed_losses(out: np.ndarray, teacher_acts: np.ndarray,
+                       mode: CompressMode) -> np.ndarray:
+    return masknet.mean_l2(compress(out, teacher_acts.shape[1], mode), teacher_acts)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +235,8 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
         if backend is Backend.GROVER:
             eps = (epsilons[i] if epsilons is not None
                    else _block_epsilon(costs_of, n_bits, rng))
-        oracle = CostOracle(costs_of, n_bits, eps)
+        oracle = CostOracle(costs_of, n_bits, eps, functools.partial(
+            block_table, teacher_acts, block, block_inputs, mode))
         costs = oracle.enumerate_costs()
         exhaustive_min = float(costs.min())
         report = BlockReport(i, np.zeros(n_bits, np.uint8), 0.0,
@@ -270,15 +285,3 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
             block_inputs = teacher_acts
     return DistillResult(masks, reports)
 
-
-# ---------------------------------------------------------------------------
-# Reference teacher for tests and demos: a least-squares fit wrapped as a
-# single identity layer.
-
-def fit_identity_teacher(data: Dataset) -> MaskedNetwork:
-    x = np.hstack([data.inputs, np.ones((len(data), 1))])
-    coef, *_ = np.linalg.lstsq(x, data.targets, rcond=None)
-    weights = coef[:-1]
-    bias = coef[-1]
-    spec = LayerSpec(weights.shape[0], weights.shape[1], Activation.IDENTITY)
-    return masknet.network_from_weights([spec], [weights], [bias])

@@ -3,11 +3,25 @@
 The weights of a :class:`MaskedNetwork` are drawn once and never tuned;
 training means choosing which weights stay active, via per-layer binary
 masks or a :class:`FlatMask` bitstring that other modules search over.
+
+:func:`enumerate_table` reduces the outputs of every one of the 2^n masks
+to a cost table. Layer l's output depends only on the bits of layers <= l,
+so the kernel computes each layer once per pattern of the bits before it:
+the layer's own patterns become a new leading axis, ``z[None] @ (m *
+W)[:, None] + b``. Its tables equal the mask-by-mask ones bit for bit,
+because
+
+- every product is NumPy's per-slice matmul on the same (samples, fan_in)
+  @ (fan_in, fan_out) shapes as :func:`masked_layers` (one concatenated
+  gemm over all patterns sums in another order);
+- :func:`sum_last` adds a short last axis in NumPy's own order: in turn
+  from 0.0 below ``PAIRWISE_MIN`` entries, pairwise from there on.
 """
 from __future__ import annotations
 
 import copy
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -16,9 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitstrings import index_to_bits
-
 BIAS_ROW = -1
+ENUMERATION_CHUNK = 1024  # mask patterns per kernel step: bounds its largest temporary
+PAIRWISE_MIN = 8  # NumPy sums a last axis this long or longer pairwise
 
 
 class Activation(str, Enum):
@@ -172,17 +186,25 @@ def masked_layers(net: MaskedNetwork, z: np.ndarray, masks=None,
         masks = net.masks
         bias_masks = net.bias_masks if net.mask_biases else None
     layers = []
-    for i, spec in enumerate(net.specs):
-        b = net.biases[i] if bias_masks is None else net.biases[i] * bias_masks[i]
-        a = z @ (masks[i] * net.weights[i]) + b
-        z = np.maximum(a, 0.0) if spec.activation is Activation.RELU else a
+    for i in range(net.depth):
+        a, z = _masked_layer(net, i, z, masks[i],
+                             None if bias_masks is None else bias_masks[i])
         layers.append((a, z))
     return layers
 
 
+def _masked_layer(net: MaskedNetwork, i: int, z: np.ndarray, mask,
+                  bias_mask=None) -> tuple[np.ndarray, np.ndarray]:
+    """(pre-activation, output) of layer i, ``z @ (mask * W) + b``; without
+    ``bias_mask`` the bias enters unmasked."""
+    b = net.biases[i] if bias_mask is None else net.biases[i] * bias_mask
+    a = z @ (mask * net.weights[i]) + b
+    return a, (np.maximum(a, 0.0) if net.specs[i].activation is Activation.RELU else a)
+
+
 def dataset_loss(net: MaskedNetwork, data: Dataset) -> float:
     """Mean L2 distance between predictions and targets."""
-    return float(_mean_l2(forward_batch(net, data.inputs), data))
+    return float(mean_l2(forward_batch(net, data.inputs), data.targets))
 
 
 def batch_losses(net: MaskedNetwork, data: Dataset, rows) -> np.ndarray:
@@ -191,7 +213,7 @@ def batch_losses(net: MaskedNetwork, data: Dataset, rows) -> np.ndarray:
     Bit j of a row masks parameter ``mask_layout(net)[j]``; returns M losses,
     each equal to ``dataset_loss(apply_flat_mask(net, flat_mask(net, row)), data)``.
     """
-    return _mean_l2(batch_forward(net, rows, data.inputs), data)
+    return mean_l2(batch_forward(net, rows, data.inputs), data.targets)
 
 
 def batch_forward(net: MaskedNetwork, rows, xs: np.ndarray) -> np.ndarray:
@@ -201,10 +223,76 @@ def batch_forward(net: MaskedNetwork, rows, xs: np.ndarray) -> np.ndarray:
     return masked_layers(net, xs, masks, bias_masks if net.mask_biases else None)[-1][1]
 
 
-def _mean_l2(preds: np.ndarray, data: Dataset) -> np.ndarray:
-    if len(data) == 0:
+def enumerate_losses(net: MaskedNetwork, data: Dataset) -> np.ndarray:
+    """Dataset loss of every mask 0..2^n-1: ``batch_losses`` of all rows at once."""
+    return enumerate_table(net, data.inputs,
+                           functools.partial(mean_l2, targets=data.targets))
+
+
+def enumerate_table(net: MaskedNetwork, xs: np.ndarray, reduce) -> np.ndarray:
+    """``reduce`` of the outputs of ``net`` under every mask 0..2^n-1.
+
+    ``reduce`` maps the outputs (M, samples, fan_out) of M masks to M costs,
+    row by row; entry x of the table is ``reduce(batch_forward(net, [bits of
+    x], xs))[0]`` bit for bit. The kernel walks the layers depth first and
+    computes each layer once per pattern of the bits before it, in blocks
+    that keep at most ``ENUMERATION_CHUNK`` patterns in flight.
+    """
+    # A layer's bits are its weights, then its biases when they are masked.
+    # The table has one axis per layer, layer 0 innermost, so that without
+    # masked biases its flat index is the mask_layout index.
+    sizes = [(s.fan_in * s.fan_out, s.fan_out if net.mask_biases else 0)
+             for s in net.specs]
+    table = np.empty([1 << (n_w + n_b) for n_w, n_b in reversed(sizes)])
+
+    def descend(i, z, index):
+        if i == net.depth:
+            table[index] = reduce(z).reshape(table[index].shape)
+            return
+        (n_w, n_b), spec = sizes[i], net.specs[i]
+        n_patterns = 1 << (n_w + n_b)
+        step = max(1, ENUMERATION_CHUNK // len(z))
+        for lo in range(0, n_patterns, step):
+            patterns = np.arange(lo, min(lo + step, n_patterns))
+            bits = (patterns[:, None] >> np.arange(n_w + n_b)) & 1
+            mask = bits[:, :n_w].reshape(-1, 1, spec.fan_in, spec.fan_out)
+            bias_mask = bits[:, None, None, n_w:] if n_b else None
+            # (this layer's patterns, earlier patterns, samples, fan_out)
+            out = _masked_layer(net, i, z[None], mask, bias_mask)[1]
+            descend(i + 1, out.reshape(-1, *out.shape[2:]),
+                    (slice(lo, lo + len(patterns)), *index))
+
+    descend(0, xs[None], ())
+    # mask_layout puts every bias bit after every weight bit: split each layer
+    # axis into (bias, weight) and move the bias axes outermost
+    depth = net.depth
+    split = table.reshape([1 << n for pair in reversed(sizes) for n in reversed(pair)])
+    return split.transpose([*range(0, 2 * depth, 2), *range(1, 2 * depth, 2)]).reshape(-1)
+
+
+def sum_last(x: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(x, axis=-1)`` bit for bit.
+
+    Below ``PAIRWISE_MIN`` entries NumPy adds them in turn, starting from
+    0.0, but its reduce along a short axis is slow; this adds whole columns
+    in the same order instead.
+    """
+    if x.shape[-1] >= PAIRWISE_MIN:
+        return np.add.reduce(x, axis=-1)
+    total = x[..., 0] + 0.0
+    for k in range(1, x.shape[-1]):
+        total += x[..., k]
+    return total
+
+
+def mean_l2(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Mean over samples of the L2 distance from each prediction row to its
+    target row: ``np.mean(np.linalg.norm(preds - targets, axis=-1), axis=-1)``."""
+    if targets.shape[-2] == 0:
         raise ValueError("dataset is empty")
-    return np.mean(np.linalg.norm(preds - data.targets, axis=-1), axis=-1)
+    d = preds - targets
+    d *= d
+    return np.mean(np.sqrt(sum_last(d)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +341,6 @@ def mask_layout(net: MaskedNetwork) -> tuple[tuple[int, int, int], ...]:
 
 def flat_mask(net: MaskedNetwork, bits) -> FlatMask:
     return FlatMask(np.asarray(bits, dtype=np.uint8), mask_layout(net))
-
-
-def flat_mask_from_index(net: MaskedNetwork, index: int) -> FlatMask:
-    return flat_mask(net, index_to_bits(index, net.total_maskable()))
 
 
 def apply_flat_mask(net: MaskedNetwork, m: FlatMask) -> MaskedNetwork:

@@ -5,6 +5,12 @@ The bridge between subnetwork quality and the quantum modules: a
 (the verification predicate), and full enumeration of a bitstring space
 yields the diagonal cost Hamiltonian that annealing and the variational
 loops act on.
+
+An oracle prices single patterns with one function and takes its full cost
+table from another. A subnetwork's table comes from
+:func:`qns.masknet.enumerate_losses`, the layer-prefix kernel, which computes
+each layer once per pattern of the bits before it and equals the
+pattern-by-pattern losses bit for bit.
 """
 from __future__ import annotations
 
@@ -15,21 +21,22 @@ import numpy as np
 from . import masknet
 from .qsim import DiagonalCostHamiltonian, max_qubits
 
-ENUMERATION_CHUNK = 1024  # rows per batched call: bounds the memory of a step
-
 
 class CostOracle:
     """Predicate `cost(bits) < epsilon` over n-bit patterns, with call accounting.
 
     ``costs_of`` maps an (M, n) 0/1 row matrix to M costs; :meth:`cost` is
-    its one-row case. ``call_counter`` counts predicate-level queries only:
-    one per :meth:`is_good` call and one per oracle application charged by a
-    search (see :mod:`qns.grover`). ``cost`` itself is free so that searches
-    can compile the phase oracle without distorting the accounting.
+    its one-row case. ``table`` takes no arguments and returns the cost of
+    every pattern 0..2^n-1, bit j of the index being bit j of the pattern.
+    ``call_counter`` counts predicate-level queries only: one per
+    :meth:`is_good` call and one per oracle application charged by a search
+    (see :mod:`qns.grover`). ``cost`` itself is free so that searches can
+    compile the phase oracle without distorting the accounting.
     """
 
-    def __init__(self, costs_of, n_bits: int, epsilon: float):
+    def __init__(self, costs_of, n_bits: int, epsilon: float, table):
         self._costs_of = costs_of
+        self._table = table
         self.n_bits = n_bits
         self.epsilon = epsilon
         self.call_counter = 0
@@ -66,11 +73,10 @@ class CostOracle:
                     f"{self.n_bits} bits is too large to enumerate "
                     f"(limit {max_qubits()})"
                 )
-            dim = 1 << self.n_bits
-            costs = np.empty(dim)
-            for start in range(0, dim, ENUMERATION_CHUNK):
-                index = np.arange(start, min(start + ENUMERATION_CHUNK, dim))
-                costs[index] = self._costs_of((index[:, None] >> np.arange(self.n_bits)) & 1)
+            costs = np.asarray(self._table(), dtype=np.float64)
+            if costs.shape != (1 << self.n_bits,):
+                raise ValueError(f"cost table has shape {costs.shape}, "
+                                 f"{self.n_bits} bits need {1 << self.n_bits} entries")
             self._enumerated = costs
         return self._enumerated
 
@@ -84,7 +90,8 @@ class SubnetworkOracle(CostOracle):
     def __init__(self, net: masknet.MaskedNetwork, data: masknet.Dataset,
                  epsilon: float):
         super().__init__(functools.partial(masknet.batch_losses, net, data),
-                         net.total_maskable(), epsilon)
+                         net.total_maskable(), epsilon,
+                         functools.partial(masknet.enumerate_losses, net, data))
 
 
 def build_cost_hamiltonian(net: masknet.MaskedNetwork,

@@ -206,7 +206,9 @@ def _mixer_sparse(mixer: MixerSpec, n_qubits: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(dim, dim))
 
 
-@lru_cache(maxsize=4)  # one 16-qubit ring entry holds about 5.5 MB
+# one ring entry holds about 5.5 MB at 16 qubits and 109 MB at 20, so two
+# entries pin at most 218 MB
+@lru_cache(maxsize=2)
 def _chebyshev_operator(mixer: MixerSpec, n_qubits: int) -> tuple[sparse.csr_matrix, float]:
     """(2B/r as a complex CSR matrix, r) for a bit-flip mixer B, built once per (mixer, size).
 

@@ -5,12 +5,16 @@ sample draws its masks layer by layer (or reuses the epoch's), runs one
 forward and straight-through backward on its own, and moves and clamps each
 layer's angles separately. ``qns.edgepopup.popup_train`` must give the same
 angles, loss curve and final masks bit for bit.
+
+``flat_mask_from_index`` decodes one table index into a mask, and
+``fit_identity_teacher`` fits a least-squares teacher layer.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from qns import masknet
+from qns.bitstrings import index_to_bits
 from qns.edgepopup import (
     THETA_CLAMP,
     PopupTrainResult,
@@ -20,7 +24,7 @@ from qns.edgepopup import (
     threshold_mask,
     topk_mask,
 )
-from qns.masknet import Activation
+from qns.masknet import Activation, LayerSpec
 
 
 def _sample_mask(thetas, rng):
@@ -72,3 +76,16 @@ def popup_train(net, data, cfg) -> PopupTrainResult:
         loss_curve.append(masked_loss(net, _final_masks(thetas, cfg.topk_fraction), data))
     circs = [PopupLayerCircuit(t) for t in thetas]
     return PopupTrainResult(circs, loss_curve, _final_masks(thetas, cfg.topk_fraction))
+
+
+def flat_mask_from_index(net, index):
+    return masknet.flat_mask(net, index_to_bits(index, net.total_maskable()))
+
+
+def fit_identity_teacher(data):
+    """A single identity layer fit to ``data`` by least squares, with a bias."""
+    x = np.hstack([data.inputs, np.ones((len(data), 1))])
+    coef, *_ = np.linalg.lstsq(x, data.targets, rcond=None)
+    weights, bias = coef[:-1], coef[-1]
+    spec = LayerSpec(weights.shape[0], weights.shape[1], Activation.IDENTITY)
+    return masknet.network_from_weights([spec], [weights], [bias])

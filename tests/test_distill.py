@@ -1,9 +1,13 @@
 """Layerwise teacher-student selection: traces, compression, block search."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from reference import fit_identity_teacher
 from qns import distill, masknet
-from qns.bitstrings import index_to_bits
+from qns.bitstrings import all_patterns, index_to_bits
 from qns.distill import (
     Backend,
     Chaining,
@@ -12,7 +16,6 @@ from qns.distill import (
     block_loss,
     compress,
     distill_select,
-    fit_identity_teacher,
     make_student,
     record_activations,
 )
@@ -71,6 +74,18 @@ def test_average_pool_group_means():
     np.testing.assert_array_equal(
         compress(np.array([1.0, 3.0, 2.0, 4.0]), 2, CompressMode.AVERAGE_POOL),
         [2.0, 3.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 4),
+                                      st.integers(1, 10)),
+                elements=st.floats(-1e3, 1e3) | st.just(-0.0)))
+def test_average_pool_equals_numpy_group_mean(x):
+    expected = x.mean(-1)
+    pooled = compress(x.reshape(*x.shape[:-2], -1), x.shape[-2],
+                      CompressMode.AVERAGE_POOL)
+    assert np.array_equal(pooled, expected)
+    assert np.array_equal(np.signbit(pooled), np.signbit(expected))
 
 
 def test_magnitude_topk_keeps_order():
@@ -137,6 +152,24 @@ def test_block_loss_sample_order_invariant():
     assert a == pytest.approx(b, abs=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(CompressMode), group=st.integers(1, 3),
+       fan_in=st.integers(1, 4), fan_out=st.integers(1, 2),
+       n_samples=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_block_table_equals_block_loss_of_every_mask(mode, group, fan_in, fan_out,
+                                                    n_samples, seed):
+    wide = group * fan_out
+    assume(fan_in * wide + wide * wide <= 12)
+    teacher = init_network([(fan_in, fan_out, "identity")], seed)
+    block = make_student(teacher, group, seed).blocks[0]
+    rng = np.random.default_rng(seed)
+    inputs = rng.normal(size=(n_samples, fan_in))
+    acts = rng.normal(size=(n_samples, fan_out))
+    rows = all_patterns(block.total_maskable())
+    assert np.array_equal(distill.block_table(acts, block, inputs, mode),
+                          block_loss(acts, block, rows, inputs, mode))
+
+
 # ---------------------------------------------------------------------------
 # Student construction.
 
@@ -200,15 +233,13 @@ def test_grover_backend_enumerates_each_block_once(monkeypatch):
     data = teacher_io_data(teacher)
     pair = make_student(teacher, width_factor=1, seed=1)
     tables = []
+    block_table = distill.block_table
 
-    def counting_block_loss(teacher_acts, block, bits, **kwargs):
-        bits = np.asarray(bits)
-        n_states = 1 << block.total_maskable()
-        if len(bits) == n_states and len(np.unique(bits, axis=0)) == n_states:
-            tables.append(block)  # one call costs the whole table
-        return block_loss(teacher_acts, block, bits, **kwargs)
+    def counting_block_table(teacher_acts, block, *args):
+        tables.append(block)
+        return block_table(teacher_acts, block, *args)
 
-    monkeypatch.setattr(distill, "block_loss", counting_block_loss)
+    monkeypatch.setattr(distill, "block_table", counting_block_table)
     result = distill_select(pair, data, backend=Backend.GROVER,
                             per_block_bit_budget=12, seed=5)
     assert len(result.reports) == len(pair.blocks)

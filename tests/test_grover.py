@@ -20,7 +20,8 @@ from qns.oracle import CostOracle
 def column_oracle(costs, epsilon):
     costs = np.asarray(costs, dtype=np.float64)
     n = int(costs.size).bit_length() - 1
-    return CostOracle(lambda rows: costs[rows @ (1 << np.arange(n))], n, epsilon)
+    return CostOracle(lambda rows: costs[rows @ (1 << np.arange(n))], n, epsilon,
+                      lambda: costs)
 
 
 def test_optimal_iterations_formula():

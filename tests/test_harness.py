@@ -253,14 +253,13 @@ def test_grover_seeds_share_one_cost_table(tmp_path, monkeypatch, params):
     doc = config_doc(out=str(tmp_path), method_params=params, epsilon=None)
     alone = [run(ExperimentConfig.from_dict({**doc, "seeds": [seed]}))["per_seed"][0]
              for seed in doc["seeds"]]
-    enumerate_costs = harness.oracle.CostOracle.enumerate_costs
+    enumerate_losses = harness.oracle.masknet.enumerate_losses
     enumerations = []
 
-    def spy(self):
-        if self._enumerated is None:
-            enumerations.append(self)
-        return enumerate_costs(self)
-    monkeypatch.setattr(harness.oracle.CostOracle, "enumerate_costs", spy)
+    def spy(net, data):
+        enumerations.append(net)
+        return enumerate_losses(net, data)
+    monkeypatch.setattr(harness.oracle.masknet, "enumerate_losses", spy)
     shared = run(ExperimentConfig.from_dict(doc))["per_seed"]
     assert len(enumerations) == 1
     assert shared[0]["metrics"]["epsilon"] != shared[1]["metrics"]["epsilon"]

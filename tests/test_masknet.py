@@ -1,11 +1,16 @@
 """Masked networks: construction, evaluation, flat masks, network JSON and dataset CSV."""
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from reference import flat_mask_from_index
 from qns import masknet
+from qns.bitstrings import all_patterns
 from qns.masknet import (
     Activation,
     Dataset,
@@ -14,7 +19,6 @@ from qns.masknet import (
     apply_flat_mask,
     dataset_loss,
     flat_mask,
-    flat_mask_from_index,
     forward,
     forward_batch,
     init_network,
@@ -367,6 +371,71 @@ def test_batch_losses_equal_per_mask_losses(drawn, n_samples):
     expected = [dataset_loss(apply_flat_mask(net, flat_mask(net, row)), data)
                 for row in rows]
     assert np.array_equal(masknet.batch_losses(net, data, rows), expected)
+
+
+# ---------------------------------------------------------------------------
+# The enumeration kernel against the batched evaluator.
+
+@st.composite
+def enumerable_networks(draw):
+    """1-3 layers with hidden widths 1-3 and output width 1-9, random biases
+    masked or not; at most 12 maskable bits."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    widths.append(draw(st.integers(1, 9)))
+    hidden = draw(st.lists(st.sampled_from(["relu", "identity"]),
+                           min_size=len(widths) - 2, max_size=len(widths) - 2))
+    specs = [(a, b, act) for a, b, act in
+             zip(widths[:-1], widths[1:], [*hidden, "identity"])]
+    seed = draw(st.integers(0, 2**32 - 1))
+    net = init_network(specs, seed, mask_biases=draw(st.booleans()))
+    assume(net.total_maskable() <= 12)
+    rng = np.random.default_rng(seed)
+    net.biases = [rng.normal(size=b.shape) for b in net.biases]
+    return net, rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn=enumerable_networks(), n_samples=st.integers(1, 12),
+       chunk=st.sampled_from([1, 3, 64, masknet.ENUMERATION_CHUNK]))
+def test_enumerate_losses_equal_batch_losses(drawn, n_samples, chunk):
+    net, rng = drawn
+    data = Dataset(rng.normal(size=(n_samples, net.input_dim)),
+                   rng.normal(size=(n_samples, net.output_dim)))
+    expected = masknet.batch_losses(net, data, all_patterns(net.total_maskable()))
+    with mock.patch.object(masknet, "ENUMERATION_CHUNK", chunk):
+        assert np.array_equal(masknet.enumerate_losses(net, data), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 12),
+                                      st.integers(1, 12)),
+                elements=st.floats(-1e3, 1e3) | st.just(-0.0)),
+       y=st.floats(-1e3, 1e3))
+def test_short_axis_reductions_match_numpy(x, y):
+    total = masknet.sum_last(x)
+    assert np.array_equal(total, np.add.reduce(x, axis=-1))
+    assert np.array_equal(np.signbit(total), np.signbit(np.add.reduce(x, axis=-1)))
+    targets = np.full(x.shape[1:], y)
+    assert np.array_equal(masknet.mean_l2(x, targets),
+                          np.mean(np.linalg.norm(x - targets, axis=-1), axis=-1))
+
+
+def test_enumeration_peak_memory_is_a_few_chunks():
+    """A 16-bit table allocates at most 6 chunks at its peak, a chunk being
+    ENUMERATION_CHUNK rows of (samples, widest layer) floats; computing the
+    whole table in one block takes about 70."""
+    net = init_network([(3, 4, "relu"), (4, 1, "identity")], seed=0)
+    rng = np.random.default_rng(0)
+    data = Dataset(rng.normal(size=(16, 3)), rng.normal(size=(16, 1)))
+    chunk_bytes = masknet.ENUMERATION_CHUNK * 16 * 4 * 8
+    tracemalloc.start()
+    try:
+        table = masknet.enumerate_losses(net, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (1 << 16,)
+    assert peak <= 6 * chunk_bytes
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from conftest import LAYERS_6BIT, make_planted_task, planted_oracle
+from reference import flat_mask_from_index
 from qns import masknet, oracle
 from qns.bitstrings import index_to_bits
 from qns.oracle import (
@@ -73,7 +74,7 @@ def test_build_cost_hamiltonian_single_bit_network():
     h = build_cost_hamiltonian(net, data)
     assert h.costs.shape == (2,)
     for x in range(2):
-        view = masknet.apply_flat_mask(net, masknet.flat_mask_from_index(net, x))
+        view = masknet.apply_flat_mask(net, flat_mask_from_index(net, x))
         assert h.costs[x] == masknet.dataset_loss(view, data)
 
 
@@ -89,7 +90,7 @@ def test_hamiltonian_argmin_matches_exhaustive_loop():
     h = build_cost_hamiltonian(net, data)
     best_loop, best_cost = None, np.inf
     for x in range(h.dim):
-        view = masknet.apply_flat_mask(net, masknet.flat_mask_from_index(net, x))
+        view = masknet.apply_flat_mask(net, flat_mask_from_index(net, x))
         c = masknet.dataset_loss(view, data)
         if c < best_cost:
             best_loop, best_cost = x, c
@@ -136,7 +137,8 @@ def test_default_epsilon_recipe_is_half_random_median():
 
 def test_function_oracle_wraps_arbitrary_costs():
     column = np.array([0.5, 0.1, 0.9, 0.3])
-    o = CostOracle(lambda rows: column[rows[:, 0] + 2 * rows[:, 1]], 2, 0.2)
+    o = CostOracle(lambda rows: column[rows[:, 0] + 2 * rows[:, 1]], 2, 0.2,
+                   lambda: column)
     assert o.is_good(np.array([1, 0]))
     assert not o.is_good(np.array([0, 0]))
     np.testing.assert_array_equal(o.enumerate_costs(), column)
