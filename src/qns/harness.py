@@ -412,15 +412,24 @@ def _resolve_epsilon(cfg: ExperimentConfig, net, data, seed: int) -> float:
 
 
 class _RunTask:
-    """The selection task of one :func:`run` call, built on first use.
+    """The seed-independent work of one :func:`run` call, each part built on first use.
 
-    Neither the task nor its cost table depends on the run seed, so the
-    call's seeds share them. The object lives only as long as the call: the
-    next call reads a CSV task's file again.
+    Computed once and shared by the call's seeds: a selection task, its cost
+    table and Grover oracle; an anneal's evolved state; every QAOA objective
+    value (seeds whose simplex paths coincide look theirs up, a path that
+    leaves the others computes its new points); the sequence task; the
+    teacher and its I/O data. Computed per seed: epsilon, the measurement,
+    and the seeded methods (VQE, edge-popup, distillation's student, the
+    NK model). The shared cost table and anneal state are read-only. The
+    object lives only as long as the call: the next call reads a CSV task's
+    or teacher's file again.
     """
 
     def __init__(self, spec: dict):
-        self.spec = spec
+        self.spec = spec  # the task kind and its checked fields
+        self.anneal_results: dict[tuple, anneal_mod.AnnealResult] = {}
+        self.qaoa_memos: dict[MixerSpec, dict[bytes, float]] = {}
+        self.qaoa_objective_calls = 0
 
     @cached_property
     def selection(self) -> tuple[masknet.MaskedNetwork, masknet.Dataset]:
@@ -439,6 +448,44 @@ class _RunTask:
         A seed sets its own epsilon and restarts the call counter.
         """
         return oracle.SubnetworkOracle(*self.selection, epsilon=0.0)
+
+    def anneal_result(self, total_time: float, steps: int,
+                      mixer: MixerSpec) -> anneal_mod.AnnealResult:
+        key = (total_time, steps, mixer)
+        if key not in self.anneal_results:
+            result = anneal_mod.anneal(self.hamiltonian, anneal_mod.AnnealSchedule(
+                total_time=total_time, steps=steps, mixer=mixer))
+            result.final_state.amplitudes.flags.writeable = False  # shared by every seed
+            self.anneal_results[key] = result
+        return self.anneal_results[key]
+
+    @cached_property
+    def sequence(self) -> masknet.Dataset:
+        return make_sequence_task(self.spec["length"], self.spec["seed"])
+
+    @cached_property
+    def teacher_io(self) -> tuple[masknet.MaskedNetwork, masknet.Dataset]:
+        """The teacher network and the data it labels: uniform inputs in [-1, 1]."""
+        path = self.spec["teacher_path"]
+        try:
+            teacher = masknet.load_network(path)
+        except (ValueError, KeyError, TypeError) as err:
+            detail = f"missing field {err}" if isinstance(err, KeyError) else err
+            raise ConfigError(f"field 'task.teacher_path': {path}: {detail}") from err
+        data_seed = int(np.random.SeedSequence(self.spec["seed"]).generate_state(1)[0])
+        rng = np.random.default_rng(data_seed)
+        xs = rng.uniform(-1, 1, size=(self.spec["n_samples"], teacher.input_dim))
+        return teacher, masknet.Dataset(xs, masknet.forward_batch(teacher, xs),
+                                        name="teacher-io")
+
+    def work(self) -> dict:
+        """What the call computed, and what its seeds looked up instead."""
+        evaluations = sum(len(memo) for memo in self.qaoa_memos.values())
+        return {
+            "anneal_evolutions": len(self.anneal_results),
+            "qaoa_objective_evaluations": evaluations,
+            "qaoa_objective_lookups": self.qaoa_objective_calls - evaluations,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +547,8 @@ def _run_grover(cfg, seed, task):
 def _run_anneal(cfg, seed, task):
     h, eps = _hamiltonian_task(cfg, seed, task)
     params = cfg.params
-    sched = anneal_mod.AnnealSchedule(total_time=params["total_time"],
-                                      steps=params["steps"],
-                                      mixer=_mixer(params, h.n_qubits))
-    result = anneal_mod.anneal(h, sched)
+    result = task.anneal_result(params["total_time"], params["steps"],
+                                _mixer(params, h.n_qubits))
     return _score_measured(h, eps, result.final_state, seed,
                            p_ground=result.p_ground,
                            final_expectation=result.final_expectation)
@@ -513,7 +558,9 @@ def _run_qaoa(cfg, seed, task):
     h, eps = _hamiltonian_task(cfg, seed, task)
     params = cfg.params
     mixer = _mixer(params, h.n_qubits)
-    result = variational.qaoa_optimize(h, params["p"], params["budget"], seed, mixer)
+    result = variational.qaoa_optimize(h, params["p"], params["budget"], seed, mixer,
+                                       memo=task.qaoa_memos.setdefault(mixer, {}))
+    task.qaoa_objective_calls += len(result.trace)
     state = variational.qaoa_state(h, result.best_params, mixer)
     return _score_measured(h, eps, state, seed,
                            best_expectation=result.best_value,
@@ -547,18 +594,9 @@ def _run_edge_popup(cfg, seed, task):
     }
 
 
-def _run_distill(cfg, seed, _task):
-    task, params = cfg.task_params, cfg.params
-    path = task["teacher_path"]
-    try:
-        teacher = masknet.load_network(path)
-    except (ValueError, KeyError, TypeError) as err:
-        detail = f"missing field {err}" if isinstance(err, KeyError) else err
-        raise ConfigError(f"field 'task.teacher_path': {path}: {detail}") from err
-    data_seed = int(np.random.SeedSequence(task["seed"]).generate_state(1)[0])
-    rng = np.random.default_rng(data_seed)
-    xs = rng.uniform(-1, 1, size=(task["n_samples"], teacher.input_dim))
-    data = masknet.Dataset(xs, masknet.forward_batch(teacher, xs), name="teacher-io")
+def _run_distill(cfg, seed, task):
+    params, path = cfg.params, cfg.task_params["teacher_path"]
+    teacher, data = task.teacher_io
     pair = distill_mod.make_student(teacher, params["width_factor"], seed)
     widest = max(block.total_maskable() for block in pair.blocks)
     if widest > params["bit_budget"]:
@@ -589,8 +627,8 @@ def _run_distill(cfg, seed, _task):
     return metrics
 
 
-def _run_nk_esn(cfg, seed, _task):
-    data = make_sequence_task(cfg.task_params["length"], cfg.task_params["seed"])
+def _run_nk_esn(cfg, seed, task):
+    data = task.sequence
     params = dict(cfg.params)
     washout = params.pop("washout")
     model = nkesn.make_nkesn(input_dim=1, seed=seed, **params)
@@ -662,10 +700,11 @@ def run(cfg: ExperimentConfig) -> dict:
     """Execute every seed, write an immutable record, return it.
 
     The record path is timestamped so re-running never overwrites earlier
-    records. The metrics hash covers only the deterministic payload.
+    records. The metrics hash covers only the deterministic per-seed
+    payload; the call's ``work`` counts and the timings sit outside it.
     """
     runner = _RUNNERS[cfg.method]
-    task = _RunTask(cfg.task)
+    task = _RunTask({"kind": cfg.task["kind"], **cfg.task_params})
     per_seed = []
     for seed in cfg.seeds:
         started = time.perf_counter()
@@ -678,6 +717,7 @@ def run(cfg: ExperimentConfig) -> dict:
     record = {
         "config": cfg.to_dict(),
         "per_seed": per_seed,
+        "work": task.work(),
         "hashes": {
             "config": _config_hash(cfg),
             "metrics": _sha256([entry["metrics"] for entry in per_seed]),

@@ -242,25 +242,6 @@ def _phi(values: np.ndarray, activation: str) -> np.ndarray:
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def nkesn_output(z: np.ndarray, pf: ProbeFilter, land: NKLandscape,
-                 w_out: np.ndarray, bits, activation: str = "tanh") -> np.ndarray:
-    """All N outputs for one reservoir state under the given probe mask.
-
-    Output i sums only its K neighborhood terms: the probe signal, gated by
-    the mask bit, weighted by w_out[probe, i], then the activation.
-    """
-    bits = np.asarray(bits, dtype=np.float64)
-    if bits.shape != (land.n,):
-        raise ValueError(f"mask has shape {bits.shape}, expected ({land.n},)")
-    signals = pf.w_pf @ np.asarray(z, dtype=np.float64)
-    gated = signals * bits
-    sums = np.array([
-        np.dot(w_out[land.neighborhoods[i], i], gated[land.neighborhoods[i]])
-        for i in range(land.n)
-    ])
-    return _phi(sums, activation)
-
-
 def probe_signal_series(model: NkEsn, data: Dataset,
                         washout: int = DEFAULT_WASHOUT) -> tuple[np.ndarray, np.ndarray]:
     """Raw (unmasked) probe outputs and targets after the washout prefix."""
@@ -270,21 +251,6 @@ def probe_signal_series(model: NkEsn, data: Dataset,
     if washout >= len(signals):
         raise ValueError(f"washout {washout} consumes the whole series of {len(signals)}")
     return signals[washout:], targets[washout:]
-
-
-def per_output_losses(model: NkEsn, data: Dataset, bits,
-                      washout: int = DEFAULT_WASHOUT) -> np.ndarray:
-    """Mean squared error of each output's series under a full probe mask."""
-    signals, targets = probe_signal_series(model, data, washout)
-    bits = np.asarray(bits, dtype=np.float64)
-    land = model.landscape
-    losses = np.empty(land.n)
-    for i in range(land.n):
-        nb = land.neighborhoods[i]
-        series = _phi((signals[:, nb] * bits[nb]) @ model.w_out[nb, i],
-                      model.activation)
-        losses[i] = np.mean((series - targets) ** 2)
-    return losses
 
 
 def build_table(model: NkEsn, data: Dataset,

@@ -1,8 +1,7 @@
 """Dense statevector simulation for small qubit registers.
 
-Everything a register-level search needs: uniform superposition, the handful
-of gates used elsewhere in this package (H, X, Z, Ry, CZ), tensor products
-of single-qubit gates over the whole register, diagonal phase oracles,
+Everything a register-level search needs: uniform superposition, tensor
+products of single-qubit gates over the whole register, diagonal phase oracles,
 mean-inversion diffusion, diagonal cost Hamiltonians and their phases,
 mixer operators and their exponential (the one kernel shared by annealing
 and QAOA: the transverse field as one tensor product, the bit-flip mixer as
@@ -243,19 +242,6 @@ def mixer_dense(mixer: MixerSpec, n_qubits: int) -> np.ndarray:
     return _mixer_sparse(mixer, n_qubits).toarray()
 
 
-def _apply_single_qubit(state: StateVector, qubit: int, u00, u01, u10, u11) -> StateVector:
-    if not 0 <= qubit < state.n_qubits:
-        raise ValueError(f"qubit index {qubit} out of range for {state.n_qubits} qubits")
-    a = state.amplitudes.reshape(-1, 2, 1 << qubit)
-    lo = a[:, 0, :]
-    hi = a[:, 1, :]
-    new_lo = u00 * lo + u01 * hi
-    new_hi = u10 * lo + u11 * hi
-    a[:, 0, :] = new_lo
-    a[:, 1, :] = new_hi
-    return state
-
-
 def _kron(gates) -> np.ndarray:
     """Kronecker matrix of 2x2 ``gates``, ``gates[0]`` acting on the lowest bit."""
     block = gates[0]
@@ -269,7 +255,7 @@ def apply_product(state: StateVector, gates) -> StateVector:
     """Apply a tensor product of single-qubit gates, ``gates[q]`` on qubit q.
 
     ``gates`` is an (n, 2, 2) stack, or one 2x2 matrix for every qubit; row
-    index = output bit, as in :func:`_apply_single_qubit`. The qubits go in
+    index = output bit, column index = input bit. The qubits go in
     blocks of up to _KRON_BLOCK. With a block's k qubits as the fastest axis
     of a (2^(n-k), 2^k) view, one matrix product applies the block's
     Kronecker matrix and leaves them as the slowest axis, so the next
@@ -301,42 +287,6 @@ def uniform_superposition(n_qubits: int) -> StateVector:
     """|s>: every basis amplitude equal to 1/sqrt(2^n)."""
     state = StateVector(n_qubits)
     state.amplitudes[:] = 1.0 / math.sqrt(state.dim)
-    return state
-
-
-def apply_ry(state: StateVector, qubit: int, theta: float) -> StateVector:
-    """Single-qubit Y rotation by ``theta`` radians."""
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    return _apply_single_qubit(state, qubit, c, -s, s, c)
-
-
-def apply_h(state: StateVector, qubit: int) -> StateVector:
-    r = 1.0 / math.sqrt(2.0)
-    return _apply_single_qubit(state, qubit, r, r, r, -r)
-
-
-def apply_x(state: StateVector, qubit: int) -> StateVector:
-    return _apply_single_qubit(state, qubit, 0.0, 1.0, 1.0, 0.0)
-
-
-def apply_z(state: StateVector, qubit: int) -> StateVector:
-    return _apply_single_qubit(state, qubit, 1.0, 0.0, 0.0, -1.0)
-
-
-def apply_cz(state: StateVector, qubit_a: int, qubit_b: int) -> StateVector:
-    """Controlled-Z: negate amplitudes where both qubits are 1."""
-    n = state.n_qubits
-    if qubit_a == qubit_b:
-        raise ValueError("controlled-Z needs two distinct qubits")
-    for q in (qubit_a, qubit_b):
-        if not 0 <= q < n:
-            raise ValueError(f"qubit index {q} out of range for {n} qubits")
-    idx = np.arange(state.dim)
-    both = (((idx >> qubit_a) & 1) & ((idx >> qubit_b) & 1)).astype(bool)
-    state.amplitudes[both] *= -1.0
     return state
 
 

@@ -207,12 +207,23 @@ class QaoaResult:
 
 
 def qaoa_optimize(h_c: DiagonalCostHamiltonian, p: int, budget: int, seed,
-                  mixer: MixerSpec | None = None) -> QaoaResult:
-    """Optimize the 2p block angles against the cost expectation."""
+                  mixer: MixerSpec | None = None,
+                  memo: dict[bytes, float] | None = None) -> QaoaResult:
+    """Optimize the 2p block angles against the cost expectation.
+
+    ``memo`` maps the bytes of an angle vector to its objective value. Calls
+    on the same Hamiltonian, mixer and p may share one: a point met before
+    is looked up, not simulated again. A looked-up value is the one a fresh
+    evaluation gives, so the result does not depend on the memo.
+    """
     mixer = mixer or MixerSpec.transverse_field()
+    memo = {} if memo is None else memo
 
     def objective(vec):
-        return qaoa_expectation(h_c, QaoaParams.from_vector(vec), mixer)
+        key = vec.tobytes()
+        if key not in memo:
+            memo[key] = qaoa_expectation(h_c, QaoaParams.from_vector(vec), mixer)
+        return memo[key]
 
     result = optimize_variational(objective, np.zeros(2 * p), budget, seed)
     return QaoaResult(QaoaParams.from_vector(result.best_params),

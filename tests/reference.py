@@ -8,12 +8,22 @@ angles, loss curve and final masks bit for bit.
 
 ``flat_mask_from_index`` decodes one table index into a mask, and
 ``fit_identity_teacher`` fits a least-squares teacher layer.
+
+The single-qubit gates (``apply_ry``, ``apply_h``, ``apply_x``, ``apply_z``)
+take one pass over the state per gate, and ``apply_cz`` one pass per edge;
+``qns.qsim.apply_product`` and the cached CZ-ring diagonal must agree with
+them. ``nkesn_output`` and ``per_output_losses`` evaluate the NK echo-state
+network's outputs one neighbourhood sum at a time, the definition that
+``qns.nkesn.build_table`` tabulates.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from qns import masknet
+from qns.nkesn import DEFAULT_WASHOUT, _phi, probe_signal_series
 from qns.bitstrings import index_to_bits
 from qns.edgepopup import (
     THETA_CLAMP,
@@ -89,3 +99,90 @@ def fit_identity_teacher(data):
     weights, bias = coef[:-1], coef[-1]
     spec = LayerSpec(weights.shape[0], weights.shape[1], Activation.IDENTITY)
     return masknet.network_from_weights([spec], [weights], [bias])
+
+
+# ---------------------------------------------------------------------------
+# Gates, one pass over the state each.
+
+def apply_single_qubit(state, qubit: int, u00, u01, u10, u11):
+    if not 0 <= qubit < state.n_qubits:
+        raise ValueError(f"qubit index {qubit} out of range for {state.n_qubits} qubits")
+    a = state.amplitudes.reshape(-1, 2, 1 << qubit)
+    lo = a[:, 0, :]
+    hi = a[:, 1, :]
+    new_lo = u00 * lo + u01 * hi
+    new_hi = u10 * lo + u11 * hi
+    a[:, 0, :] = new_lo
+    a[:, 1, :] = new_hi
+    return state
+
+
+def apply_ry(state, qubit: int, theta: float):
+    """Single-qubit Y rotation by ``theta`` radians."""
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
+    c = math.cos(theta / 2.0)
+    s = math.sin(theta / 2.0)
+    return apply_single_qubit(state, qubit, c, -s, s, c)
+
+
+def apply_h(state, qubit: int):
+    r = 1.0 / math.sqrt(2.0)
+    return apply_single_qubit(state, qubit, r, r, r, -r)
+
+
+def apply_x(state, qubit: int):
+    return apply_single_qubit(state, qubit, 0.0, 1.0, 1.0, 0.0)
+
+
+def apply_z(state, qubit: int):
+    return apply_single_qubit(state, qubit, 1.0, 0.0, 0.0, -1.0)
+
+
+def apply_cz(state, qubit_a: int, qubit_b: int):
+    """Controlled-Z: negate amplitudes where both qubits are 1."""
+    n = state.n_qubits
+    if qubit_a == qubit_b:
+        raise ValueError("controlled-Z needs two distinct qubits")
+    for q in (qubit_a, qubit_b):
+        if not 0 <= q < n:
+            raise ValueError(f"qubit index {q} out of range for {n} qubits")
+    idx = np.arange(state.dim)
+    both = (((idx >> qubit_a) & 1) & ((idx >> qubit_b) & 1)).astype(bool)
+    state.amplitudes[both] *= -1.0
+    return state
+
+
+# ---------------------------------------------------------------------------
+# NK echo-state network outputs, one neighbourhood sum at a time.
+
+def nkesn_output(z, pf, land, w_out, bits, activation: str = "tanh"):
+    """All N outputs for one reservoir state under the given probe mask.
+
+    Output i sums only its K neighborhood terms: the probe signal, gated by
+    the mask bit, weighted by w_out[probe, i], then the activation.
+    """
+    bits = np.asarray(bits, dtype=np.float64)
+    if bits.shape != (land.n,):
+        raise ValueError(f"mask has shape {bits.shape}, expected ({land.n},)")
+    signals = pf.w_pf @ np.asarray(z, dtype=np.float64)
+    gated = signals * bits
+    sums = np.array([
+        np.dot(w_out[land.neighborhoods[i], i], gated[land.neighborhoods[i]])
+        for i in range(land.n)
+    ])
+    return _phi(sums, activation)
+
+
+def per_output_losses(model, data, bits, washout: int = DEFAULT_WASHOUT):
+    """Mean squared error of each output's series under a full probe mask."""
+    signals, targets = probe_signal_series(model, data, washout)
+    bits = np.asarray(bits, dtype=np.float64)
+    land = model.landscape
+    losses = np.empty(land.n)
+    for i in range(land.n):
+        nb = land.neighborhoods[i]
+        series = _phi((signals[:, nb] * bits[nb]) @ model.w_out[nb, i],
+                      model.activation)
+        losses[i] = np.mean((series - targets) ** 2)
+    return losses

@@ -41,8 +41,8 @@ def test_prob_one_matches_single_qubit_circuit():
     """The analytic (1+sin)/2 equals the simulated H then Ry measurement."""
     for theta in np.linspace(-math.pi / 2, math.pi / 2, 9):
         state = qsim.StateVector(1)
-        qsim.apply_h(state, 0)
-        qsim.apply_ry(state, 0, float(theta))
+        reference.apply_h(state, 0)
+        reference.apply_ry(state, 0, float(theta))
         assert abs(state.probabilities()[1] - prob_one(float(theta))) < 1e-12
 
 

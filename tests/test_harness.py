@@ -1,12 +1,16 @@
 """Experiment runner: configs, records, comparison, CLI contract."""
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from qns import cli, harness, masknet
+from qns import cli, harness, masknet, variational
 from qns.harness import ConfigError, ExperimentConfig, compare, format_compare_table, run
+from qns.qsim import MixerSpec, measure
 
 PLANTED_TASK = {
     "kind": "planted",
@@ -264,6 +268,203 @@ def test_grover_seeds_share_one_cost_table(tmp_path, monkeypatch, params):
     assert len(enumerations) == 1
     assert shared[0]["metrics"]["epsilon"] != shared[1]["metrics"]["epsilon"]
     assert [e["metrics"] for e in shared] == [e["metrics"] for e in alone]
+
+
+# ---------------------------------------------------------------------------
+# Seed-independent work, computed once per call.
+
+MIXERS = ("transverse_field", "bit_flip_ring")
+TWO_BIT_LAYERS = [[2, 1, "identity"]]
+
+
+def _alone(doc):
+    """The per-seed entries of one one-seed run per seed of ``doc``."""
+    return [run(ExperimentConfig.from_dict({**doc, "seeds": [seed]}))["per_seed"][0]
+            for seed in doc["seeds"]]
+
+
+def _with_qaoa_traces(doc, runner):
+    """``runner(doc)`` and every QAOA optimizer trace it made, as (bytes, value)."""
+    traces = []
+    optimize = variational.qaoa_optimize
+
+    def spy(*args, **kwargs):
+        result = optimize(*args, **kwargs)
+        traces.append([(x.tobytes(), v) for x, v in result.trace])
+        return result
+    with mock.patch.object(variational, "qaoa_optimize", spy):
+        return runner(doc), traces
+
+
+def _shared_equals_alone(doc):
+    """Assert that a run over ``doc``'s seeds gives each seed the metrics and
+    the QAOA trace of a run over that seed alone; return the shared record."""
+    record, shared_traces = _with_qaoa_traces(
+        doc, lambda d: run(ExperimentConfig.from_dict(d)))
+    alone, alone_traces = _with_qaoa_traces(doc, _alone)
+    assert [e["metrics"] for e in record["per_seed"]] == [e["metrics"] for e in alone]
+    assert shared_traces == alone_traces
+    return record
+
+
+def _teacher_file(directory, seed):
+    path = directory / f"teacher_{seed}.json"
+    masknet.save_network(
+        masknet.init_network([(2, 2, "relu"), (2, 1, "identity")], seed=seed), path)
+    return str(path)
+
+
+@st.composite
+def sharing_docs(draw, method, directory):
+    """A tiny config of ``method`` over three distinct seeds, epsilon left to each."""
+    task_seed = draw(st.integers(0, 50))
+    task = {"kind": "planted", "n_samples": 8, "seed": task_seed,
+            "layers": draw(st.sampled_from([TWO_BIT_LAYERS, PLANTED_TASK["layers"]]))}
+    if method == "anneal":
+        params = {"total_time": draw(st.sampled_from([1.0, 5.0])),
+                  "steps": draw(st.integers(1, 12)), "mixer": draw(st.sampled_from(MIXERS))}
+    elif method == "qaoa":
+        # budgets in the hundreds let a simplex converge and restart from a seeded draw
+        params = {"p": draw(st.integers(1, 2)), "budget": draw(st.integers(1, 400)),
+                  "mixer": draw(st.sampled_from(MIXERS))}
+    elif method == "vqe":
+        params = {"layers": draw(st.integers(1, 2)), "budget": draw(st.integers(1, 30))}
+    elif method == "nk_esn":
+        task = {"kind": "sequence", "length": draw(st.integers(30, 80)), "seed": task_seed}
+        params = {"n_outputs": 4, "k": 2, "reservoir_size": 10, "connectivity": 0.5,
+                  "washout": 10}
+    else:
+        task = {"kind": "distill", "teacher_path": _teacher_file(directory, task_seed),
+                "n_samples": 8, "seed": task_seed}
+        params = {"backend": "exhaustive", "width_factor": 1}
+    seeds = draw(st.lists(st.integers(0, 2 ** 31 - 1), min_size=3, max_size=3,
+                          unique=True))
+    return {"method": method, "task": task, "method_params": params, "seeds": seeds,
+            "output_dir": str(directory / "runs")}
+
+
+@pytest.mark.parametrize("method", ["anneal", "qaoa", "vqe", "nk_esn", "distill"])
+def test_seeds_of_one_run_equal_one_run_per_seed(tmp_path, method):
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(sharing_docs(method, tmp_path))
+    def check(doc):
+        _shared_equals_alone(doc)
+
+    check()
+
+
+def test_anneal_seeds_share_one_evolution(tmp_path, monkeypatch):
+    doc = config_doc("anneal", out=str(tmp_path), method_params={"steps": 20},
+                     epsilon=None, seeds=[1, 2, 3])
+    alone = _alone(doc)
+    anneal = harness.anneal_mod.anneal
+    schedules = []
+
+    def spy(h, sched):
+        schedules.append(sched)
+        return anneal(h, sched)
+    monkeypatch.setattr(harness.anneal_mod, "anneal", spy)
+    record = run(ExperimentConfig.from_dict(doc))
+    assert len(schedules) == 1
+    shared = [e["metrics"] for e in record["per_seed"]]
+    assert len({m["epsilon"] for m in shared}) > 1
+    assert shared == [e["metrics"] for e in alone]
+    assert record["work"] == {"anneal_evolutions": 1, "qaoa_objective_evaluations": 0,
+                              "qaoa_objective_lookups": 0}
+
+
+@pytest.mark.parametrize("mixer", MIXERS)
+def test_qaoa_seeds_share_objective_values(tmp_path, monkeypatch, mixer):
+    budget = 40
+    doc = config_doc("qaoa", out=str(tmp_path), epsilon=None, seeds=[1, 2, 3],
+                     method_params={"p": 2, "budget": budget, "mixer": mixer})
+    alone = _alone(doc)
+    qaoa_state = variational.qaoa_state
+    states = []
+
+    def spy(*args):
+        states.append(args)
+        return qaoa_state(*args)
+    monkeypatch.setattr(variational, "qaoa_state", spy)
+    record = run(ExperimentConfig.from_dict(doc))
+    # the simplex paths coincide: one state per point, then one final state per seed
+    assert len(states) <= budget + 3
+    assert [e["metrics"] for e in record["per_seed"]] == [e["metrics"] for e in alone]
+    assert record["work"] == {"anneal_evolutions": 0,
+                              "qaoa_objective_evaluations": budget,
+                              "qaoa_objective_lookups": 2 * budget}
+
+
+@pytest.mark.parametrize("mixer", MIXERS)
+def test_qaoa_paths_that_diverge_compute_their_own_points(tmp_path, mixer):
+    """A 2-bit simplex converges inside a budget of 250 and restarts from a
+    seeded draw, so each seed's path leaves the others' after the restart."""
+    budget = 250
+    doc = config_doc("qaoa", out=str(tmp_path), epsilon=None, seeds=[1, 2, 3],
+                     task={**PLANTED_TASK, "layers": TWO_BIT_LAYERS},
+                     method_params={"p": 1, "budget": budget, "mixer": mixer})
+    work = _shared_equals_alone(doc)["work"]
+    assert work["qaoa_objective_evaluations"] > budget  # new points after the restarts
+    assert work["qaoa_objective_lookups"] > 0  # the shared prefix
+    assert work["qaoa_objective_evaluations"] + work["qaoa_objective_lookups"] == 3 * budget
+
+
+def test_shared_anneal_state_is_read_only():
+    task = harness._RunTask(dict(PLANTED_TASK))
+    mixer = MixerSpec.transverse_field()
+    result = task.anneal_result(5.0, 10, mixer)
+    assert task.anneal_result(5.0, 10, mixer) is result
+    amplitudes = result.final_state.amplitudes
+    before = amplitudes.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        amplitudes[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        amplitudes *= 2.0
+    measure(result.final_state, np.random.default_rng(0))  # reading is fine
+    np.testing.assert_array_equal(amplitudes, before)
+
+
+def test_sequence_and_teacher_are_built_once_per_call(tmp_path, monkeypatch):
+    calls = {"sequence": 0, "teacher": 0}
+
+    def counted(module, name, key):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(harness, "make_sequence_task", "sequence")
+    counted(harness.masknet, "load_network", "teacher")
+    run(ExperimentConfig.from_dict({
+        "method": "nk_esn", "task": {"kind": "sequence", "length": 60, "seed": 2},
+        "method_params": {"n_outputs": 4, "k": 2, "reservoir_size": 10,
+                          "connectivity": 0.5, "washout": 10},
+        "seeds": [1, 2, 3], "output_dir": str(tmp_path)}))
+    run(ExperimentConfig.from_dict({
+        "method": "distill",
+        "task": {"kind": "distill", "teacher_path": _teacher_file(tmp_path, 4),
+                 "n_samples": 8, "seed": 1},
+        "method_params": {"backend": "exhaustive", "width_factor": 1},
+        "seeds": [1, 2, 3], "output_dir": str(tmp_path)}))
+    assert calls == {"sequence": 1, "teacher": 1}
+
+
+def test_work_counts_sit_outside_the_metrics_hash(tmp_path, capsys):
+    doc = config_doc("qaoa", out=str(tmp_path / "runs"),
+                     method_params={"p": 1, "budget": 10})
+    record = run(ExperimentConfig.from_dict(doc))
+    assert record["work"] == {"anneal_evolutions": 0, "qaoa_objective_evaluations": 10,
+                              "qaoa_objective_lookups": 10}
+    assert record["hashes"]["metrics"] == harness._sha256(
+        [e["metrics"] for e in record["per_seed"]])
+    without = {k: v for k, v in record.items() if k != "work"}
+    assert compare([record]) == compare([without])
+    assert json.loads(open(record["path"]).read())["work"] == record["work"]
+    assert cli.main(["compare", record["path"]]) == 0
+    assert "qaoa" in capsys.readouterr().out
 
 
 def test_cli_maps_method_exceptions_to_exit_codes(tmp_path, capsys):

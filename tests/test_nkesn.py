@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import nkesn_output, per_output_losses
 from qns import harness, nkesn
 from qns.bitstrings import all_patterns, bits_to_index, index_to_bits
 from qns.nkesn import (
@@ -21,8 +22,6 @@ from qns.nkesn import (
     make_nkesn,
     make_reservoir,
     mean_loss_from_table,
-    nkesn_output,
-    per_output_losses,
     reservoir_step,
     run_reservoir,
     scale_to_spectral_radius,

@@ -3,13 +3,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from reference import apply_cz, apply_ry
 from qns import anneal
 from qns.qsim import (
     DiagonalCostHamiltonian,
     MixerSpec,
     StateVector,
-    apply_cz,
-    apply_ry,
     evolve,
     mixer_dense,
     ring_graph,
