@@ -10,6 +10,8 @@ amplitude-amplification search.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -24,7 +26,8 @@ DEFAULT_WASHOUT = 20
 DP_MAX_N = 64
 DP_MAX_K = 12
 EXHAUSTIVE_MAX_N = 20
-TABLE_BLOCK = 512
+TABLE_BLOCK_ENTRIES = 1 << 17  # entries of one thread's table block: 1 MiB
+TABLE_MAX_THREADS = 4  # bounds the per-thread buffers of build_table on many-CPU hosts
 DP_PREFIX_BLOCK = 256
 GROVER_MAX_RESTARTS = 8  # per-output K-qubit search
 
@@ -233,6 +236,14 @@ def make_nkesn(n_outputs: int, k: int, reservoir_size: int, input_dim: int = 1,
     return NkEsn(reservoir, probe, landscape, w_out, activation, seed)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _phi(values: np.ndarray, activation: str) -> np.ndarray:
     """Apply the output activation to ``values`` in place and return them."""
     if activation == "tanh":
@@ -258,10 +269,16 @@ def build_table(model: NkEsn, data: Dataset,
     """(2^K, N) table: entry [p, i] is output i's loss when its neighborhood
     bits are set to pattern p (bit j of p gates neighborhood member j).
 
-    Each output walks the series in near-equal blocks of at most
-    ``TABLE_BLOCK`` time steps through one (block + 1, 2^K) buffer, so the
-    working memory is about 4 KiB x 2^K, whatever the series length. Row 0
-    of the buffer carries the running sum of squared errors, so the sum over
+    The N columns are split over one thread per CPU the process may run on
+    (its affinity mask, which ``taskset`` restricts), at most
+    ``TABLE_MAX_THREADS``. A column is computed by one thread with the same
+    operations in the same order, so the table does not depend on the
+    thread count. Each output walks the series in near-equal blocks of at
+    most ``TABLE_BLOCK_ENTRIES >> K`` time steps, and at least 2, through
+    its thread's (block + 1, 2^K) buffer: about 1 MiB per thread up to
+    K = 16, whatever the series length, beside the thread's (2^K, K)
+    patterns weighted by ``w_out`` and its (T, K) probe signals. Row 0 of
+    the buffer carries the running sum of squared errors, so the sum over
     time is taken in sequential order, the order of a mean over the whole
     (T, 2^K) error array, and the table equals it bit for bit.
     """
@@ -270,25 +287,37 @@ def build_table(model: NkEsn, data: Dataset,
         raise ValueError(f"K={land.k} is beyond the practical 2^K table bound")
     signals, targets = probe_signal_series(model, data, washout)
     n_steps = len(targets)
-    n_blocks = -(-n_steps // TABLE_BLOCK)
+    n_blocks = -(-n_steps // max(2, TABLE_BLOCK_ENTRIES >> land.k))
     # near-equal blocks: a one-row block would take numpy's matrix-vector path
     bounds = [n_steps * b // n_blocks for b in range(n_blocks + 1)]
-    buf = np.empty((-(-n_steps // n_blocks) + 1, 1 << land.k))
-    patterns = all_patterns(land.k).astype(np.float64)
+    patterns = all_patterns(land.k)
     table = np.empty((1 << land.k, land.n))
-    for i in range(land.n):
-        nb = land.neighborhoods[i]
-        weighted_t = (patterns * model.w_out[nb, i]).T
-        probes = signals[:, nb]
-        buf[0] = 0.0
-        for lo, hi in zip(bounds, bounds[1:]):
-            rows = buf[1:hi - lo + 1]
-            np.matmul(probes[lo:hi], weighted_t, out=rows)
-            _phi(rows, model.activation)
-            np.subtract(rows, targets[lo:hi, None], out=rows)
-            np.square(rows, out=rows)
-            buf[0] = buf[:hi - lo + 1].sum(axis=0)
-        table[:, i] = buf[0] / n_steps
+    n_workers = min(_usable_cpus(), land.n, TABLE_MAX_THREADS)
+    # every buffer is allocated here: each worker owns one slice of each
+    bufs = np.empty((n_workers, -(-n_steps // n_blocks) + 1, 1 << land.k))
+    weighted = np.empty((n_workers,) + patterns.shape)  # patterns x w_out
+    probes = np.empty((n_workers, n_steps, land.k))
+
+    def columns(w: int) -> None:
+        # NumPy and _phi only: the columns of worker w, i = w, w + n_workers, ...
+        buf = bufs[w]
+        for i in range(w, land.n, n_workers):
+            nb = land.neighborhoods[i]
+            np.multiply(patterns, model.w_out[nb, i], out=weighted[w])
+            # in range (NKLandscape checks it), so no clipping, and no buffer
+            np.take(signals, nb, axis=1, out=probes[w], mode="clip")
+            buf[0] = 0.0
+            for lo, hi in zip(bounds, bounds[1:]):
+                rows = buf[1:hi - lo + 1]
+                np.matmul(probes[w, lo:hi], weighted[w].T, out=rows)
+                _phi(rows, model.activation)
+                np.subtract(rows, targets[lo:hi, None], out=rows)
+                np.square(rows, out=rows)
+                buf[0] = buf[:hi - lo + 1].sum(axis=0)
+            np.divide(buf[0], n_steps, out=table[:, i])
+
+    with ThreadPoolExecutor(n_workers) as pool:
+        list(pool.map(columns, range(n_workers)))  # re-raises a worker's exception
     model.landscape.table = table
     return table
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import make_planted_task
-from qns import masknet, qsim
+from qns import edgepopup, masknet, qsim
 from qns.edgepopup import (
     THETA_CLAMP,
     PopupLayerCircuit,
@@ -112,6 +112,48 @@ def test_update_rejects_circuits_that_do_not_share_one_vector():
     with pytest.raises(ValueError, match="init_circuits"):
         popup_update(net, circs, np.array([0.5, -0.5]), np.array([0.1]),
                      PopupTrainConfig(), masks=[np.ones_like(w) for w in net.weights])
+
+
+def test_update_equals_the_reference_step():
+    """Drawn single steps, zero-loss samples and angles at the clamp included."""
+    rng = np.random.default_rng(5)
+    layer_sets = ([(2, 3, "relu"), (3, 1, "identity")],
+                  [(3, 4, "relu"), (4, 4, "identity"), (4, 2, "identity")],
+                  [(4, 1, "identity")])
+    for case in range(60):
+        layers = layer_sets[case % len(layer_sets)]
+        net = masknet.init_network(layers, seed=case)
+        circs = init_circuits(net)
+        for circ in circs:
+            circ.thetas[...] = rng.choice([-THETA_CLAMP, 0.3, THETA_CLAMP, -1.0],
+                                          size=circ.thetas.shape)
+        before = [c.thetas.copy() for c in circs]
+        masks = [(rng.random(w.shape) < 0.6).astype(float) for w in net.weights]
+        x = rng.normal(size=layers[0][0])
+        y = rng.normal(size=layers[-1][1])
+        if case % 4 == 0:
+            y = masknet.masked_layers(net, x, masks)[-1][1]  # a zero loss
+        alpha = float(rng.choice([0.0, 0.05, 0.5, 100.0]))
+        loss = popup_update(net, circs, x, y, PopupTrainConfig(alpha=alpha), masks=masks)
+        assert loss == float(np.linalg.norm(masknet.masked_layers(net, x, masks)[-1][1] - y))
+        assert (loss == 0.0) == (case % 4 == 0)
+        expected = reference._update(net, before, masks, x, y, alpha)
+        for circ, theirs in zip(circs, expected, strict=True):
+            assert np.array_equal(circ.thetas, theirs)
+
+
+def test_per_sample_training_takes_one_popup_update_per_sample(monkeypatch):
+    """The per-sample rule steps through popup_update, once per sample per epoch."""
+    calls = []
+
+    def counting_update(*args, **kwargs):
+        calls.append(1)
+        return popup_update(*args, **kwargs)
+
+    monkeypatch.setattr(edgepopup, "popup_update", counting_update)
+    net, data, _ = make_planted_task(POPUP_LAYERS, seed=2, n_samples=9)
+    popup_train(net, data, PopupTrainConfig(alpha=0.2, epochs=4, seed=1))
+    assert len(calls) == 4 * 9
 
 
 def test_config_checks_resample_and_topk_at_construction():

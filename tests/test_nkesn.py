@@ -1,4 +1,8 @@
 """Reservoirs, probe filters, NK tables, and their optimizers."""
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +14,7 @@ from qns.bitstrings import all_patterns, bits_to_index, index_to_bits
 from qns.nkesn import (
     NKLandscape,
     Reservoir,
-    TABLE_BLOCK,
+    TABLE_BLOCK_ENTRIES,
     Topology,
     build_table,
     combine_per_output,
@@ -287,8 +291,11 @@ def unblocked_table(model, data, washout=nkesn.DEFAULT_WASHOUT):
     return table
 
 
-@pytest.mark.parametrize("steps", [7, TABLE_BLOCK, 2 * TABLE_BLOCK, 2 * TABLE_BLOCK + 1,
-                                   3 * TABLE_BLOCK - 5])
+BLOCK_AT_K8 = TABLE_BLOCK_ENTRIES >> 8  # time steps per block at K = 8
+
+
+@pytest.mark.parametrize("steps", [7, BLOCK_AT_K8, 2 * BLOCK_AT_K8, 2 * BLOCK_AT_K8 + 1,
+                                   3 * BLOCK_AT_K8 - 5])
 @pytest.mark.parametrize("activation", ["tanh", "identity"])
 def test_blocked_table_equals_unblocked_reference(steps, activation):
     data = harness.make_sequence_task(steps + nkesn.DEFAULT_WASHOUT, seed=steps)
@@ -298,12 +305,105 @@ def test_blocked_table_equals_unblocked_reference(steps, activation):
                                activation=activation, seed=k)
             np.testing.assert_array_equal(build_table(model, data),
                                           unblocked_table(model, data))
+    # blocks of 128 and 32 time steps, on a series short enough for the reference
+    short = harness.make_sequence_task(min(steps, 300) + nkesn.DEFAULT_WASHOUT, seed=steps)
+    for k in (10, 12):
+        model = make_nkesn(n_outputs=k + 1, k=k, reservoir_size=16, topology=Topology.RANDOM,
+                           activation=activation, seed=k)
+        np.testing.assert_array_equal(build_table(model, short),
+                                      unblocked_table(model, short))
 
 
-def test_table_rejects_unknown_activation():
-    model = make_nkesn(n_outputs=4, k=2, reservoir_size=16, activation="relu", seed=1)
-    with pytest.raises(ValueError, match="unknown activation"):
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+def test_table_block_size_does_not_change_the_bits(monkeypatch, rows):
+    """A one-row request still takes blocks of 2 rows, off the matrix-vector path."""
+    data = harness.make_sequence_task(40 + nkesn.DEFAULT_WASHOUT, seed=rows)
+    for k in (1, 4, 6):
+        monkeypatch.setattr(nkesn, "TABLE_BLOCK_ENTRIES", rows << k)
+        model = make_nkesn(n_outputs=7, k=k, reservoir_size=16, topology=Topology.RANDOM,
+                           seed=k)
+        np.testing.assert_array_equal(build_table(model, data),
+                                      unblocked_table(model, data))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 16])
+@pytest.mark.parametrize("topology", list(Topology))
+def test_table_is_the_same_on_any_number_of_cpus(monkeypatch, cpus, topology):
+    """Columns are split over min(cpus, N, TABLE_MAX_THREADS) threads; N = 7
+    divides by none of them."""
+    monkeypatch.setattr(nkesn, "_usable_cpus", lambda: cpus)
+    data = harness.make_sequence_task(3 * BLOCK_AT_K8 + nkesn.DEFAULT_WASHOUT, seed=2)
+    for k in (1, 3, 7):
+        model = make_nkesn(n_outputs=7, k=k, reservoir_size=16, topology=topology,
+                           activation="tanh", seed=k)
+        np.testing.assert_array_equal(build_table(model, data),
+                                      unblocked_table(model, data))
+
+
+def test_table_threads_are_capped(monkeypatch):
+    sizes = []
+
+    class RecordingPool(nkesn.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(nkesn, "ThreadPoolExecutor", RecordingPool)
+    for cpus, n_outputs in ((64, 12), (64, 2), (3, 12)):
+        monkeypatch.setattr(nkesn, "_usable_cpus", lambda: cpus)
+        model = make_nkesn(n_outputs=n_outputs, k=2, reservoir_size=16, seed=1)
         build_table(model, sequence_data())
+    assert sizes == [nkesn.TABLE_MAX_THREADS, 2, 3]
+
+
+def test_usable_cpus_is_the_affinity_mask_or_the_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert nkesn._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert nkesn._usable_cpus() == (os.cpu_count() or 1)
+
+
+def test_table_working_memory_is_bounded_at_large_k(monkeypatch):
+    """K = 14 on two threads: about 1 MiB of block buffer each, where blocks of
+    512 time steps took 61 MiB."""
+    monkeypatch.setattr(nkesn, "_usable_cpus", lambda: 2)
+    model = make_nkesn(n_outputs=14, k=14, reservoir_size=16, topology=Topology.RANDOM,
+                       seed=3)
+    data = harness.make_sequence_task(450, seed=3)
+    tracemalloc.start()
+    try:
+        table = build_table(model, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (1 << 14, 14)
+    # the table, the 2^K x K patterns and each thread's patterns x w_out take
+    # 1.75 MiB each, the two block buffers 2.25 MiB
+    assert peak < 12 * 2**20, peak / 2**20
+
+
+def test_worker_exception_reaches_the_caller_unchanged(monkeypatch):
+    error = ArithmeticError("raised in a worker thread")
+    phi = nkesn._phi
+
+    def phi_failing_off_the_calling_thread(values, activation):
+        if threading.current_thread() is not threading.main_thread():
+            raise error
+        return phi(values, activation)
+
+    monkeypatch.setattr(nkesn, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(nkesn, "_phi", phi_failing_off_the_calling_thread)
+    with pytest.raises(ArithmeticError) as raised:
+        build_table(demo_model(), sequence_data())
+    assert raised.value is error
+
+
+def test_table_rejects_unknown_activation(monkeypatch):
+    model = make_nkesn(n_outputs=4, k=2, reservoir_size=16, activation="relu", seed=1)
+    for cpus in (1, 2, 3):  # raised in one worker thread or in several
+        monkeypatch.setattr(nkesn, "_usable_cpus", lambda: cpus)
+        with pytest.raises(ValueError, match="unknown activation"):
+            build_table(model, sequence_data())
 
 
 def test_constant_zero_input_gives_constant_table_columns():
