@@ -27,12 +27,12 @@ k = oracle.count_solutions(h, o.epsilon)
 print(f"solutions below epsilon: k = {k}")
 print(f"optimal iterations for N=64, k={k}: {optimal_iterations(64, k)}")
 
-result = grover_search(o, GroverConfig(n_qubits=6, seed=3))
+result = grover_search(o, GroverConfig(seed=3))
 print(f"\nknown-k search: found {result.bits} verified={result.measured_good} "
       f"oracle_calls={result.oracle_calls}")
 
 o.call_counter = 0
-result = search_unknown_k(o, 6, seed=3)
+result = search_unknown_k(o, seed=3)
 print(f"unknown-k schedule: found {result.bits} after {result.restarts} rounds, "
       f"oracle_calls={result.oracle_calls}")
 print(f"exhaustive scan would cost {h.dim} evaluations")
@@ -41,8 +41,7 @@ print(f"exhaustive scan would cost {h.dim} evaluations")
 from qns.grover import success_probability
 
 hits = sum(grover_search(oracle.SubnetworkOracle(net, data, 1e-9),
-                         GroverConfig(n_qubits=6, max_restarts=1, seed=s)
-                         ).measured_good
+                         GroverConfig(max_restarts=1, seed=s)).measured_good
            for s in range(200))
 t = optimal_iterations(64, k)
 print(f"\nsingle-shot success over 200 seeds: {hits / 200:.3f} "

@@ -235,8 +235,8 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
         if backend is Backend.GROVER:
             eps = (epsilons[i] if epsilons is not None
                    else _block_epsilon(costs_of, n_bits, rng))
-        oracle = CostOracle(costs_of, n_bits, eps, functools.partial(
-            block_table, teacher_acts, block, block_inputs, mode))
+        oracle = CostOracle(functools.partial(
+            block_table, teacher_acts, block, block_inputs, mode), n_bits, eps)
         costs = oracle.enumerate_costs()
         exhaustive_min = float(costs.min())
         report = BlockReport(i, np.zeros(n_bits, np.uint8), 0.0,
@@ -247,8 +247,7 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
             report.bits = index_to_bits(best, n_bits).astype(np.uint8)
         elif backend is Backend.GROVER:
             result = grover_search(oracle, GroverConfig(
-                n_qubits=n_bits, max_restarts=GROVER_MAX_RESTARTS,
-                seed=int(rng.integers(2 ** 31))))
+                max_restarts=GROVER_MAX_RESTARTS, seed=int(rng.integers(2 ** 31))))
             if not result.measured_good:
                 raise RuntimeError(
                     f"block {i}: no mask below epsilon {eps} within "

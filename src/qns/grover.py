@@ -15,14 +15,13 @@ import numpy as np
 
 from .bitstrings import bits_to_index, bits_to_string, index_to_bits
 from .oracle import CostOracle
-from .qsim import StateVector, apply_diffusion, apply_phase_oracle, max_qubits, measure, uniform_superposition
+from .qsim import StateVector, apply_diffusion, apply_phase_oracle, measure, uniform_superposition
 
 UNKNOWN_K_GROWTH = 6.0 / 5.0
 
 
 @dataclass
 class GroverConfig:
-    n_qubits: int
     iterations: int | None = None  # None = derive from known_k or the marked count
     known_k: int | None = None
     max_restarts: int = 3
@@ -79,10 +78,9 @@ def amplified_state(marked: np.ndarray, n_qubits: int, iterations: int) -> State
     return state
 
 
-def _resolve_iterations(cfg: GroverConfig, k_marked: int) -> int:
+def _resolve_iterations(cfg: GroverConfig, n_states: int, k_marked: int) -> int:
     if cfg.iterations is not None:
         return cfg.iterations
-    n_states = 1 << cfg.n_qubits
     k = cfg.known_k if cfg.known_k is not None else k_marked
     if k < 1:
         return 1  # nothing to amplify; a single round keeps the run cheap
@@ -93,13 +91,6 @@ def _resolve_iterations(cfg: GroverConfig, k_marked: int) -> int:
     if success_probability(n_states, k, t) < k / n_states:
         return 0
     return t
-
-
-def _check_register(o: CostOracle, n_qubits: int) -> None:
-    if n_qubits > max_qubits():
-        raise ValueError(f"{n_qubits} qubits exceeds the ceiling {max_qubits()}")
-    if n_qubits != o.n_bits:
-        raise ValueError(f"{n_qubits} qubits requested, oracle expects {o.n_bits} bits")
 
 
 def _amplify_and_verify(o: CostOracle, marked: np.ndarray, t: int,
@@ -121,11 +112,11 @@ def grover_search(o: CostOracle, cfg: GroverConfig) -> GroverResult:
     Each restart prepares a fresh uniform state, runs the configured number
     of oracle+diffusion iterations, measures, and verifies the candidate
     classically. The reported ``oracle_calls`` is exactly
-    iterations * restarts_used + restarts_used.
+    iterations * restarts_used + restarts_used. The register has the
+    oracle's ``n_bits`` qubits, so it is bounded by the ceiling its table is.
     """
-    _check_register(o, cfg.n_qubits)
     marked = o.marked_table()
-    t = _resolve_iterations(cfg, int(marked.sum()))
+    t = _resolve_iterations(cfg, marked.size, int(marked.sum()))
     rng = np.random.default_rng(cfg.seed)
 
     calls = 0
@@ -137,7 +128,7 @@ def grover_search(o: CostOracle, cfg: GroverConfig) -> GroverResult:
     return GroverResult(bits, False, calls, t, cfg.max_restarts, seed=cfg.seed)
 
 
-def search_unknown_k(o: CostOracle, n_qubits: int, seed: int = 0) -> GroverResult:
+def search_unknown_k(o: CostOracle, seed: int = 0) -> GroverResult:
     """Exponentially-growing random-iteration schedule for an unknown solution count.
 
     Round r draws t uniformly from [0, min(ceil(m), ceil(pi/4 sqrt(N)))] with
@@ -145,18 +136,17 @@ def search_unknown_k(o: CostOracle, n_qubits: int, seed: int = 0) -> GroverResul
     measurement. Stops on success or when the call budget
     3 * sqrt(N) * log2(N) is exhausted.
     """
-    _check_register(o, n_qubits)
-    n_states = 1 << n_qubits
+    marked = o.marked_table()
+    n_states = marked.size
     budget = int(3 * math.sqrt(n_states) * math.log2(n_states))
     t_cap = math.ceil(math.pi / 4.0 * math.sqrt(n_states))
-    marked = o.marked_table()
     rng = np.random.default_rng(seed)
 
     m = 1.0
     calls = 0
     rounds = 0
     t = 0
-    bits = np.zeros(n_qubits, dtype=np.uint8)
+    bits = np.zeros(o.n_bits, dtype=np.uint8)
     while calls < budget:
         rounds += 1
         t = int(rng.integers(0, min(math.ceil(m), t_cap) + 1))

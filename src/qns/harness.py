@@ -21,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -140,10 +140,10 @@ _MIXER_PARAMS = {
 METHOD_PARAMS: dict[str, dict[str, Param]] = {
     "grover": {
         "unknown_k": Param(bool, False),
-        "iterations": Param(int, None, lambda v: GroverConfig(1, iterations=v)),
+        "iterations": Param(int, None, lambda v: GroverConfig(iterations=v)),
         "known_k": Param(int, None, _POSITIVE),
         "max_restarts": Param(int, GroverConfig.max_restarts,
-                              lambda v: GroverConfig(1, max_restarts=v)),
+                              lambda v: GroverConfig(max_restarts=v)),
     },
     "anneal": {
         "total_time": Param(float, 50.0,
@@ -405,10 +405,17 @@ def _mixer(params: dict, n_bits: int) -> MixerSpec:
     return MixerSpec.transverse_field()
 
 
-def _resolve_epsilon(cfg: ExperimentConfig, net, data, seed: int) -> float:
+def _resolve_epsilon(cfg: ExperimentConfig, seed: int, losses_of, n_bits: int) -> float:
+    """The config's epsilon, else the default recipe with probes priced by ``losses_of``."""
     if cfg.epsilon is not None:
         return float(cfg.epsilon)
-    return oracle.default_epsilon(net, data, seed)
+    return oracle.default_epsilon(losses_of, n_bits, seed)
+
+
+def _table_epsilon(cfg: ExperimentConfig, seed: int, costs: np.ndarray) -> float:
+    """Epsilon of a table method: its probes are table reads, bit for bit forward passes."""
+    n = costs.size.bit_length() - 1
+    return _resolve_epsilon(cfg, seed, lambda rows: costs[rows @ (1 << np.arange(n))], n)
 
 
 class _RunTask:
@@ -443,10 +450,8 @@ class _RunTask:
 
     @cached_property
     def threshold_oracle(self) -> oracle.SubnetworkOracle:
-        """One oracle for the call's seeds, so Grover enumerates its costs once.
-
-        A seed sets its own epsilon and restarts the call counter.
-        """
+        """One oracle for the call's seeds, so Grover enumerates its costs once;
+        a seed sets its own epsilon and restarts the call counter."""
         return oracle.SubnetworkOracle(*self.selection, epsilon=0.0)
 
     def anneal_result(self, total_time: float, steps: int,
@@ -495,53 +500,46 @@ class _RunTask:
 
 def _hamiltonian_task(cfg, seed, task):
     """(cost Hamiltonian, epsilon) of a selection task."""
-    eps = _resolve_epsilon(cfg, *task.selection, seed)
-    return task.hamiltonian, eps
+    return task.hamiltonian, _table_epsilon(cfg, seed, task.hamiltonian.costs)
 
 
-def _score(h, eps, index: int, **extra) -> dict:
-    """Metrics of the basis state ``index``; every table entry counts as a call."""
-    loss = float(h.costs[index])
+def _score(costs, eps, index: int, oracle_calls: int, **extra) -> dict:
+    """Metrics of pattern ``index``: its loss is the table entry, its success loss < eps."""
+    loss = float(costs[index])
     return {
         "loss": loss,
         "success": bool(loss < eps),
-        "oracle_calls": int(h.dim),
+        "oracle_calls": int(oracle_calls),
         "epsilon": eps,
         **extra,
     }
 
 
 def _score_measured(h, eps, state, seed, **extra) -> dict:
-    """Measure ``state`` once with a ``seed``-seeded generator and score it."""
+    """Measure ``state`` once with a seeded generator; every table entry is a call."""
     measured = measure(state, np.random.default_rng(seed))
-    return _score(h, eps, measured, bits_hex=format(measured, "x"), **extra)
+    return _score(h.costs, eps, measured, h.dim, bits_hex=format(measured, "x"), **extra)
 
 
 def _run_exhaustive(cfg, seed, task):
     h, eps = _hamiltonian_task(cfg, seed, task)
     best = int(np.argmin(h.costs))
-    return _score(h, eps, best, best_bits_hex=format(best, "x"),
+    return _score(h.costs, eps, best, h.dim, best_bits_hex=format(best, "x"),
                   k_solutions=oracle.count_solutions(h, eps))
 
 
 def _run_grover(cfg, seed, task):
-    net, data = task.selection
-    eps = _resolve_epsilon(cfg, net, data, seed)
     o = task.threshold_oracle
-    o.epsilon, o.call_counter = eps, 0
+    costs = o.enumerate_costs()
+    o.epsilon, o.call_counter = _table_epsilon(cfg, seed, costs), 0
     params = dict(cfg.params)
     if params.pop("unknown_k"):
-        result = search_unknown_k(o, o.n_bits, seed=seed)
+        result = search_unknown_k(o, seed=seed)
     else:
-        result = grover_search(o, GroverConfig(n_qubits=o.n_bits, seed=seed, **params))
-    loss = o.cost(result.bits)
-    return {
-        "loss": float(loss),
-        "success": bool(result.measured_good),
-        "oracle_calls": result.oracle_calls,
-        "epsilon": eps,
-        **{k: v for k, v in result.to_record().items() if k != "success"},
-    }
+        result = grover_search(o, GroverConfig(seed=seed, **params))
+    # the scored success, loss < eps, is the verified measured_good
+    record = {k: v for k, v in result.to_record().items() if k != "success"}
+    return _score(costs, o.epsilon, bits_to_index(result.bits), **record)
 
 
 def _run_anneal(cfg, seed, task):
@@ -581,7 +579,8 @@ def _run_vqe(cfg, seed, task):
 
 def _run_edge_popup(cfg, seed, task):
     net, data = task.selection
-    eps = _resolve_epsilon(cfg, net, data, seed)
+    eps = _resolve_epsilon(cfg, seed, partial(masknet.batch_losses, net, data),
+                           net.total_maskable())
     train_cfg = edgepopup.PopupTrainConfig(seed=seed, **cfg.params)
     result = edgepopup.popup_train(net, data, train_cfg)
     loss = result.loss_curve[-1] if result.loss_curve else masknet.dataset_loss(net, data)
@@ -744,6 +743,10 @@ def method_failed(record: dict) -> bool:
 # ---------------------------------------------------------------------------
 # Comparison.
 
+_COMPARE_HEADERS = ("method", "runs", "mean_loss", "min_loss", "mean_oracle_calls",
+                    "success_rate")
+
+
 def compare(records: list[dict]) -> list[dict]:
     """Per-method mean/min loss, mean oracle calls, and success rate."""
     if not records:
@@ -772,12 +775,10 @@ def compare(records: list[dict]) -> list[dict]:
 
 
 def format_compare_table(rows: list[dict]) -> str:
-    headers = ["method", "runs", "mean_loss", "min_loss", "mean_oracle_calls",
-               "success_rate"]
-    rendered = [[_format_cell(row[h]) for h in headers] for row in rows]
+    rendered = [[_format_cell(row[h]) for h in _COMPARE_HEADERS] for row in rows]
     widths = [max(len(h), *(len(r[i]) for r in rendered)) if rendered else len(h)
-              for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
+              for i, h in enumerate(_COMPARE_HEADERS)]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(_COMPARE_HEADERS, widths))]
     lines.append("  ".join("-" * w for w in widths))
     for row in rendered:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
@@ -793,10 +794,8 @@ def _format_cell(value) -> str:
 
 
 def write_compare_csv(rows: list[dict], path) -> None:
-    headers = ["method", "runs", "mean_loss", "min_loss", "mean_oracle_calls",
-               "success_rate"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(headers)
+        writer.writerow(_COMPARE_HEADERS)
         for row in rows:
-            writer.writerow([row[h] if row[h] is not None else "" for h in headers])
+            writer.writerow([row[h] if row[h] is not None else "" for h in _COMPARE_HEADERS])

@@ -445,10 +445,8 @@ def grover_table_select(column: np.ndarray, epsilon: float, seed: int = 0) -> Gr
     k = int(column.size).bit_length() - 1
     if 1 << k != column.size:
         raise ValueError(f"column length {column.size} is not a power of two")
-    oracle = CostOracle(lambda rows: column[rows @ (1 << np.arange(k))], k, epsilon,
-                        lambda: column)
-    return grover_search(oracle, GroverConfig(
-        n_qubits=k, max_restarts=GROVER_MAX_RESTARTS, seed=seed))
+    oracle = CostOracle(lambda: column, k, epsilon)
+    return grover_search(oracle, GroverConfig(max_restarts=GROVER_MAX_RESTARTS, seed=seed))
 
 
 def select_per_output(table: np.ndarray, land: NKLandscape,

@@ -6,11 +6,11 @@ The bridge between subnetwork quality and the quantum modules: a
 yields the diagonal cost Hamiltonian that annealing and the variational
 loops act on.
 
-An oracle prices single patterns with one function and takes its full cost
-table from another. A subnetwork's table comes from
-:func:`qns.masknet.enumerate_losses`, the layer-prefix kernel, which computes
-each layer once per pattern of the bits before it and equals the
-pattern-by-pattern losses bit for bit.
+An oracle is its cost table: every price it gives is an entry of the table,
+enumerated once on first use, so an oracle is bounded by the qubit ceiling.
+A subnetwork's table comes from :func:`qns.masknet.enumerate_losses`, the
+layer-prefix kernel, which computes each layer once per pattern of the bits
+before it and equals the pattern-by-pattern losses bit for bit.
 """
 from __future__ import annotations
 
@@ -19,23 +19,22 @@ import functools
 import numpy as np
 
 from . import masknet
+from .bitstrings import bits_to_index
 from .qsim import DiagonalCostHamiltonian, max_qubits
 
 
 class CostOracle:
     """Predicate `cost(bits) < epsilon` over n-bit patterns, with call accounting.
 
-    ``costs_of`` maps an (M, n) 0/1 row matrix to M costs; :meth:`cost` is
-    its one-row case. ``table`` takes no arguments and returns the cost of
-    every pattern 0..2^n-1, bit j of the index being bit j of the pattern.
-    ``call_counter`` counts predicate-level queries only: one per
-    :meth:`is_good` call and one per oracle application charged by a search
-    (see :mod:`qns.grover`). ``cost`` itself is free so that searches can
-    compile the phase oracle without distorting the accounting.
+    ``table`` takes no arguments and returns the cost of every pattern
+    0..2^n-1, bit j of the index being bit j of the pattern; :meth:`cost`
+    reads that table. ``call_counter`` counts predicate-level queries only:
+    one per :meth:`is_good` call and one per oracle application charged by a
+    search (see :mod:`qns.grover`). ``cost`` itself is free so that searches
+    can compile the phase oracle without distorting the accounting.
     """
 
-    def __init__(self, costs_of, n_bits: int, epsilon: float, table):
-        self._costs_of = costs_of
+    def __init__(self, table, n_bits: int, epsilon: float):
         self._table = table
         self.n_bits = n_bits
         self.epsilon = epsilon
@@ -59,7 +58,7 @@ class CostOracle:
             raise ValueError(f"pattern has {bits.size} bits, oracle expects {self.n_bits}")
         if not np.all((bits == 0) | (bits == 1)):
             raise ValueError("pattern bits must be 0 or 1")
-        return float(self._costs_of(bits.reshape(1, -1).astype(np.uint8))[0])
+        return float(self.enumerate_costs()[bits_to_index(bits.ravel())])
 
     def is_good(self, bits) -> bool:
         self.call_counter += 1
@@ -89,9 +88,8 @@ class SubnetworkOracle(CostOracle):
 
     def __init__(self, net: masknet.MaskedNetwork, data: masknet.Dataset,
                  epsilon: float):
-        super().__init__(functools.partial(masknet.batch_losses, net, data),
-                         net.total_maskable(), epsilon,
-                         functools.partial(masknet.enumerate_losses, net, data))
+        super().__init__(functools.partial(masknet.enumerate_losses, net, data),
+                         net.total_maskable(), epsilon)
 
 
 def build_cost_hamiltonian(net: masknet.MaskedNetwork,
@@ -107,9 +105,14 @@ def count_solutions(h: DiagonalCostHamiltonian, epsilon: float) -> int:
     return int(np.count_nonzero(h.costs < epsilon))
 
 
-def default_epsilon(net: masknet.MaskedNetwork, data: masknet.Dataset, seed,
-                    n_probe: int = 64, scale: float = 0.5) -> float:
-    """Half the median loss of ``n_probe`` random masks: a task-adaptive threshold."""
+def default_epsilon(losses_of, n_bits: int, seed, n_probe: int = 64,
+                    scale: float = 0.5) -> float:
+    """Half the median loss of ``n_probe`` random masks: a task-adaptive threshold.
+
+    ``losses_of`` maps an (n_probe, n_bits) 0/1 row matrix to one loss per
+    row: a lookup in the run's cost table when it has one, else forward
+    passes. The two agree bit for bit, so either gives the same epsilon.
+    """
     rng = np.random.default_rng(seed)
-    rows = rng.integers(0, 2, size=(n_probe, net.total_maskable())).astype(np.uint8)
-    return float(np.median(masknet.batch_losses(net, data, rows)) * scale)
+    rows = rng.integers(0, 2, size=(n_probe, n_bits)).astype(np.uint8)
+    return float(np.median(losses_of(rows)) * scale)

@@ -230,18 +230,6 @@ def _chebyshev_operator(mixer: MixerSpec, n_qubits: int) -> tuple[sparse.csr_mat
     return scaled, r
 
 
-def mixer_dense(mixer: MixerSpec, n_qubits: int) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of the mixer Hamiltonian."""
-    if mixer.kind is MixerKind.TRANSVERSE_FIELD:
-        dim = 1 << n_qubits
-        idx = np.arange(dim)
-        h = np.zeros((dim, dim), dtype=np.float64)
-        for v in range(n_qubits):
-            h[idx ^ (1 << v), idx] += -1.0
-        return h
-    return _mixer_sparse(mixer, n_qubits).toarray()
-
-
 def _kron(gates) -> np.ndarray:
     """Kronecker matrix of 2x2 ``gates``, ``gates[0]`` acting on the lowest bit."""
     block = gates[0]

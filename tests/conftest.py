@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qns import masknet, oracle
 
@@ -33,6 +35,16 @@ def planted_oracle_with_k(layers, k_target, epsilon, base_seed=0, n_samples=16):
         seed += 1
         if seed - base_seed > 500:
             raise RuntimeError(f"no task with k={k_target} near seed {base_seed}")
+
+
+@st.composite
+def cost_tables(draw, max_bits=6):
+    """(n_bits, a table of 2^n_bits costs, epsilon); epsilon is often a table
+    entry, so that ``cost < epsilon`` is tested at equality."""
+    n_bits = draw(st.integers(1, max_bits))
+    costs = draw(arrays(np.float64, 1 << n_bits, elements=st.floats(0.0, 10.0)))
+    epsilon = draw(st.floats(0.0, 10.0) | st.sampled_from(costs.tolist()))
+    return n_bits, costs, epsilon
 
 
 LAYERS_6BIT = ((2, 2, "relu"), (2, 1, "identity"))

@@ -12,7 +12,9 @@ angles, loss curve and final masks bit for bit.
 The single-qubit gates (``apply_ry``, ``apply_h``, ``apply_x``, ``apply_z``)
 take one pass over the state per gate, and ``apply_cz`` one pass per edge;
 ``qns.qsim.apply_product`` and the cached CZ-ring diagonal must agree with
-them. ``nkesn_output`` and ``per_output_losses`` evaluate the NK echo-state
+them. ``mixer_dense`` writes a mixer Hamiltonian entry by entry from its
+definition, for the exponentials that ``qns.qsim.apply_mixer`` must match.
+``nkesn_output`` and ``per_output_losses`` evaluate the NK echo-state
 network's outputs one neighbourhood sum at a time, the definition that
 ``qns.nkesn.build_table`` tabulates.
 """
@@ -35,6 +37,7 @@ from qns.edgepopup import (
     topk_mask,
 )
 from qns.masknet import Activation, LayerSpec
+from qns.qsim import MixerKind
 
 
 def _sample_mask(thetas, rng):
@@ -151,6 +154,32 @@ def apply_cz(state, qubit_a: int, qubit_b: int):
     both = (((idx >> qubit_a) & 1) & ((idx >> qubit_b) & 1)).astype(bool)
     state.amplitudes[both] *= -1.0
     return state
+
+
+# ---------------------------------------------------------------------------
+# Mixer Hamiltonians, one matrix entry at a time.
+
+def mixer_dense(mixer, n_qubits: int) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of the mixer Hamiltonian.
+
+    The transverse field -sum_v X_v has -1 between every two patterns one bit
+    flip apart. The bit-flip mixer has 1 from x to x with bit v flipped
+    exactly when every graph neighbour of v holds the target bit in x.
+    """
+    dim = 1 << n_qubits
+    h = np.zeros((dim, dim))
+    if mixer.kind is MixerKind.TRANSVERSE_FIELD:
+        for x in range(dim):
+            for v in range(n_qubits):
+                h[x ^ (1 << v), x] = -1.0
+        return h
+    if len(mixer.graph) != n_qubits:
+        raise ValueError(f"bit-flip mixer graph must have exactly {n_qubits} vertices")
+    for x in range(dim):
+        for v, neighbours in enumerate(mixer.graph):
+            if all((x >> w) & 1 == mixer.target_bit for w in neighbours):
+                h[x ^ (1 << v), x] = 1.0
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every tolerance and runtime bound is asserted, nothing is deferred.
 """
+import functools
 import json
 import time
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from conftest import LAYERS_6BIT, LAYERS_8BIT, make_planted_task, planted_oracle_with_k
 from qns import anneal, edgepopup, harness, masknet, nkesn, oracle, variational
-from qns.bitstrings import bits_to_index, index_to_bits
+from qns.bitstrings import all_patterns, bits_to_index, index_to_bits
 from qns.grover import (
     GroverConfig,
     amplified_state,
@@ -69,11 +70,14 @@ def test_c03_oracle_consistency():
     started = time.perf_counter()
     for task_seed in range(100):
         net, data, _ = make_planted_task(LAYERS_8BIT, seed=task_seed)
-        eps = oracle.default_epsilon(net, data, seed=task_seed)
+        per_row = functools.partial(masknet.batch_losses, net, data)
+        eps = oracle.default_epsilon(per_row, 8, seed=task_seed)
         o = oracle.SubnetworkOracle(net, data, eps)
         h = oracle.build_cost_hamiltonian(net, data)
+        losses = per_row(all_patterns(8))
         for x in range(256):
             assert o.is_good(index_to_bits(x, 8)) == bool(h.costs[x] < eps)
+            assert o.cost(index_to_bits(x, 8)) == losses[x]
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     _report(3, f"100 planted 8-bit tasks: is_good(x) <=> cost(x) < eps on all "
@@ -89,8 +93,7 @@ def test_c04_quadratic_advantage_accounting():
 
     known = []
     for seed in range(200):
-        result = grover_search(o, GroverConfig(n_qubits=6, known_k=1,
-                                               max_restarts=10, seed=seed))
+        result = grover_search(o, GroverConfig(known_k=1, max_restarts=10, seed=seed))
         assert result.measured_good
         known.append(result.oracle_calls)
     mean_known = float(np.mean(known))
@@ -98,7 +101,7 @@ def test_c04_quadratic_advantage_accounting():
 
     unknown = []
     for seed in range(200):
-        result = search_unknown_k(o, 6, seed=seed)
+        result = search_unknown_k(o, seed=seed)
         assert result.measured_good
         unknown.append(result.oracle_calls)
     mean_unknown = float(np.mean(unknown))
@@ -359,11 +362,11 @@ def test_c11_reproducibility(tmp_path):
     # grover search + unknown-k schedule
     o1, _ = planted_oracle_with_k(LAYERS_6BIT, k_target=1, epsilon=1e-9)
     o2, _ = planted_oracle_with_k(LAYERS_6BIT, k_target=1, epsilon=1e-9)
-    r1 = grover_search(o1, GroverConfig(n_qubits=6, known_k=1, seed=7))
-    r2 = grover_search(o2, GroverConfig(n_qubits=6, known_k=1, seed=7))
+    r1 = grover_search(o1, GroverConfig(known_k=1, seed=7))
+    r2 = grover_search(o2, GroverConfig(known_k=1, seed=7))
     assert canon(r1.to_record()) == canon(r2.to_record())
-    u1 = search_unknown_k(o1, 6, seed=13)
-    u2 = search_unknown_k(o2, 6, seed=13)
+    u1 = search_unknown_k(o1, seed=13)
+    u2 = search_unknown_k(o2, seed=13)
     assert canon(u1.to_record()) == canon(u2.to_record())
 
     # annealing statevector bytes

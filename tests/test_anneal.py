@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from reference import mixer_dense
 from qns.anneal import (
     AnnealSchedule,
     anneal,
@@ -9,7 +10,7 @@ from qns.anneal import (
     sweep_total_time,
     write_sweep_csv,
 )
-from qns.qsim import DiagonalCostHamiltonian, MixerSpec, mixer_dense, ring_graph
+from qns.qsim import DiagonalCostHamiltonian, MixerSpec, ring_graph
 
 
 def gapped_instance(seed, n=3, floor=0.3):

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import LAYERS_6BIT, planted_oracle_with_k
+from conftest import LAYERS_6BIT, cost_tables, planted_oracle_with_k
 from qns.bitstrings import bits_to_index
 from qns.grover import (
     GroverConfig,
@@ -20,8 +22,7 @@ from qns.oracle import CostOracle
 def column_oracle(costs, epsilon):
     costs = np.asarray(costs, dtype=np.float64)
     n = int(costs.size).bit_length() - 1
-    return CostOracle(lambda rows: costs[rows @ (1 << np.arange(n))], n, epsilon,
-                      lambda: costs)
+    return CostOracle(lambda: costs, n, epsilon)
 
 
 def test_optimal_iterations_formula():
@@ -64,7 +65,7 @@ def test_search_finds_unique_solution_with_certainty():
     costs = np.array([1.0, 1.0, 0.0, 1.0])
     for seed in range(10):
         o = column_oracle(costs, 0.5)
-        result = grover_search(o, GroverConfig(n_qubits=2, seed=seed))
+        result = grover_search(o, GroverConfig(seed=seed))
         assert result.measured_good
         assert result.iterations == 1
         assert result.restarts == 1
@@ -79,8 +80,7 @@ def test_single_shot_frequency_matches_analytic_probability():
     hits = 0
     for seed in range(1000):
         o = column_oracle(costs, 0.5)
-        result = grover_search(o, GroverConfig(n_qubits=6, iterations=6,
-                                               max_restarts=1, seed=seed))
+        result = grover_search(o, GroverConfig(iterations=6, max_restarts=1, seed=seed))
         hits += result.measured_good
     sigma = math.sqrt(p * (1 - p) / 1000)
     assert abs(hits / 1000 - p) <= 3 * sigma
@@ -91,7 +91,7 @@ def test_oracle_call_accounting_is_exact():
     costs = np.linspace(0, 1, 8)  # single solution below 0.1 at index 0
     for seed in range(30):
         o = column_oracle(costs, 0.1)
-        cfg = GroverConfig(n_qubits=3, iterations=1, max_restarts=6, seed=seed)
+        cfg = GroverConfig(iterations=1, max_restarts=6, seed=seed)
         before = o.call_counter
         result = grover_search(o, cfg)
         assert result.oracle_calls == result.iterations * result.restarts + result.restarts
@@ -101,7 +101,7 @@ def test_oracle_call_accounting_is_exact():
 def test_search_reports_failure_when_nothing_is_marked():
     costs = np.ones(8)
     o = column_oracle(costs, 0.5)
-    result = grover_search(o, GroverConfig(n_qubits=3, max_restarts=4, seed=0))
+    result = grover_search(o, GroverConfig(max_restarts=4, seed=0))
     assert not result.measured_good
     assert result.restarts == 4
 
@@ -113,8 +113,7 @@ def test_auto_mode_falls_back_to_sampling_when_amplification_overshoots():
     wins = 0
     for seed in range(50):
         o = column_oracle(costs, 0.5)
-        result = grover_search(o, GroverConfig(n_qubits=6, max_restarts=5,
-                                               seed=seed))
+        result = grover_search(o, GroverConfig(max_restarts=5, seed=seed))
         assert result.iterations == 0
         assert result.oracle_calls == result.restarts  # verification only
         wins += result.measured_good
@@ -125,17 +124,17 @@ def test_auto_iterations_uses_known_k_then_marked_count():
     costs = np.zeros(16)
     costs[5:] = 1.0  # k = 5 marked below 0.5
     o = column_oracle(costs, 0.5)
-    r = grover_search(o, GroverConfig(n_qubits=4, seed=1))
+    r = grover_search(o, GroverConfig(seed=1))
     assert r.iterations == optimal_iterations(16, 5)
     o2 = column_oracle(costs, 0.5)
-    r2 = grover_search(o2, GroverConfig(n_qubits=4, known_k=1, seed=1))
+    r2 = grover_search(o2, GroverConfig(known_k=1, seed=1))
     assert r2.iterations == optimal_iterations(16, 1)
 
 
 def test_result_record_serialization():
     costs = np.array([1.0, 0.0, 1.0, 1.0])
     o = column_oracle(costs, 0.5)
-    result = grover_search(o, GroverConfig(n_qubits=2, seed=3))
+    result = grover_search(o, GroverConfig(seed=3))
     rec = result.to_record()
     assert rec["success"] is True
     assert rec["bits_hex"] == "1"
@@ -150,7 +149,7 @@ def test_unknown_k_succeeds_fast_with_half_space_marked():
     within_two = 0
     for seed in range(100):
         o = column_oracle(costs, 0.5)
-        result = search_unknown_k(o, 4, seed=seed)
+        result = search_unknown_k(o, seed=seed)
         assert result.measured_good
         within_two += result.restarts <= 2
     assert within_two >= 60  # expected ~75, 3 sigma ~ 62
@@ -161,7 +160,7 @@ def test_unknown_k_beats_exhaustive_scan_for_single_solution():
     calls = []
     for s in range(50):
         o.call_counter = 0
-        result = search_unknown_k(o, 6, seed=s)
+        result = search_unknown_k(o, seed=s)
         assert result.measured_good
         calls.append(result.oracle_calls)
     assert np.mean(calls) < 64
@@ -170,19 +169,47 @@ def test_unknown_k_beats_exhaustive_scan_for_single_solution():
 def test_unknown_k_exhausts_budget_when_no_solution_exists():
     costs = np.ones(16)
     o = column_oracle(costs, 0.5)
-    result = search_unknown_k(o, 4, seed=2)
+    result = search_unknown_k(o, seed=2)
     assert not result.measured_good
     budget = int(3 * math.sqrt(16) * math.log2(16))
     assert result.oracle_calls >= budget
 
 
-def test_search_validates_sizes():
-    o = column_oracle(np.ones(4), 0.5)
+def test_search_validates_sizes(monkeypatch):
+    """The register is the oracle's: beyond the qubit ceiling its table refuses."""
+    monkeypatch.setenv("QNS_MAX_QUBITS", "2")
+    o = column_oracle(np.ones(8), 0.5)
+    with pytest.raises(ValueError, match="too large"):
+        grover_search(o, GroverConfig(seed=0))
+    with pytest.raises(ValueError, match="too large"):
+        search_unknown_k(o, seed=0)
     with pytest.raises(ValueError):
-        grover_search(o, GroverConfig(n_qubits=3, seed=0))
+        GroverConfig(iterations=-1)
     with pytest.raises(ValueError):
-        search_unknown_k(o, 3, seed=0)
-    with pytest.raises(ValueError):
-        GroverConfig(n_qubits=2, iterations=-1)
-    with pytest.raises(ValueError):
-        GroverConfig(n_qubits=2, max_restarts=0)
+        GroverConfig(max_restarts=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=cost_tables(), iterations=st.none() | st.integers(0, 4),
+       max_restarts=st.integers(1, 4), seed=st.integers(0, 2 ** 31 - 1))
+def test_search_accounting_and_verification_on_any_table(drawn, iterations,
+                                                         max_restarts, seed):
+    n, costs, eps = drawn
+    o = column_oracle(costs, eps)
+    result = grover_search(o, GroverConfig(iterations=iterations,
+                                           max_restarts=max_restarts, seed=seed))
+    assert result.oracle_calls == result.iterations * result.restarts + result.restarts
+    assert o.call_counter == result.oracle_calls
+    assert result.bits.size == n
+    assert result.measured_good == (costs[bits_to_index(result.bits)] < eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=cost_tables(), seed=st.integers(0, 2 ** 31 - 1))
+def test_unknown_k_verification_on_any_table(drawn, seed):
+    n, costs, eps = drawn
+    o = column_oracle(costs, eps)
+    result = search_unknown_k(o, seed=seed)
+    assert o.call_counter == result.oracle_calls
+    assert result.bits.size == n
+    assert result.measured_good == (costs[bits_to_index(result.bits)] < eps)

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qns import cli, harness, masknet, variational
+from qns.bitstrings import all_patterns
 from qns.harness import ConfigError, ExperimentConfig, compare, format_compare_table, run
 from qns.qsim import MixerSpec, measure
 
@@ -275,6 +276,54 @@ def test_grover_seeds_share_one_cost_table(tmp_path, monkeypatch, params):
 
 MIXERS = ("transverse_field", "bit_flip_ring")
 TWO_BIT_LAYERS = [[2, 1, "identity"]]
+
+
+_TABLE_METHOD_PARAMS = {
+    "exhaustive": st.just({}),
+    "grover": st.fixed_dictionaries({"unknown_k": st.booleans()}),
+    "anneal": st.fixed_dictionaries({"steps": st.integers(1, 12),
+                                     "mixer": st.sampled_from(MIXERS)}),
+    "qaoa": st.fixed_dictionaries({"p": st.integers(1, 2), "budget": st.integers(1, 20),
+                                   "mixer": st.sampled_from(MIXERS)}),
+    "vqe": st.fixed_dictionaries({"layers": st.integers(1, 2), "budget": st.integers(1, 20)}),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_TABLE_METHOD_PARAMS))
+def test_table_methods_score_with_the_per_row_losses(tmp_path, method):
+    """With epsilon omitted, a table method's epsilon is the recipe priced by
+    forward passes, and its loss and success are those of the reported mask's
+    own forward pass: the table it reads equals the per-row losses bit for bit."""
+    tasks = st.fixed_dictionaries({
+        "kind": st.just("planted"),
+        "layers": st.sampled_from([TWO_BIT_LAYERS, PLANTED_TASK["layers"],
+                                   [[3, 2, "relu"], [2, 1, "identity"]]]),
+        "n_samples": st.integers(1, 8),
+        "seed": st.integers(0, 1000),
+    })
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(task=tasks, params=_TABLE_METHOD_PARAMS[method],
+           seeds=st.lists(st.integers(0, 2 ** 31 - 1), min_size=1, max_size=2, unique=True))
+    def check(task, params, seeds):
+        record = run(ExperimentConfig.from_dict({
+            "method": method, "task": task, "method_params": params, "seeds": seeds,
+            "output_dir": str(tmp_path / "runs")}))
+        net, data = harness.build_selection_task(task)
+        n = net.total_maskable()
+        per_row = masknet.batch_losses(net, data, all_patterns(n))
+        for entry in record["per_seed"]:
+            metrics = entry["metrics"]
+            probes = np.random.default_rng(entry["seed"]).integers(
+                0, 2, size=(64, n)).astype(np.uint8)
+            assert metrics["epsilon"] == np.median(
+                masknet.batch_losses(net, data, probes)) * 0.5
+            index = int(metrics.get("bits_hex") or metrics["best_bits_hex"], 16)
+            assert metrics["loss"] == per_row[index]
+            assert metrics["success"] == (metrics["loss"] < metrics["epsilon"])
+
+    check()
 
 
 def _alone(doc):

@@ -1,8 +1,12 @@
 """Threshold oracle and cost Hamiltonians."""
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import LAYERS_6BIT, make_planted_task, planted_oracle
+from conftest import LAYERS_6BIT, cost_tables, make_planted_task, planted_oracle
 from reference import flat_mask_from_index
 from qns import masknet, oracle
 from qns.bitstrings import index_to_bits
@@ -123,7 +127,8 @@ def test_is_good_iff_enumerated_cost_below_epsilon():
 
 def test_default_epsilon_recipe_is_half_random_median():
     net, data, _ = make_planted_task(LAYERS_6BIT, seed=4)
-    eps = default_epsilon(net, data, seed=0)
+    eps = default_epsilon(functools.partial(masknet.batch_losses, net, data),
+                          net.total_maskable(), seed=0)
     rng = np.random.default_rng(0)
     losses = []
     layout = masknet.mask_layout(net)
@@ -133,12 +138,58 @@ def test_default_epsilon_recipe_is_half_random_median():
         losses.append(masknet.dataset_loss(view, data))
     assert eps == np.median(losses) * 0.5
     assert eps > 0
+    costs = build_cost_hamiltonian(net, data).costs
+    from_table = default_epsilon(lambda rows: costs[rows @ (1 << np.arange(6))], 6, seed=0)
+    assert from_table == eps
 
 
 def test_function_oracle_wraps_arbitrary_costs():
     column = np.array([0.5, 0.1, 0.9, 0.3])
-    o = CostOracle(lambda rows: column[rows[:, 0] + 2 * rows[:, 1]], 2, 0.2,
-                   lambda: column)
+    o = CostOracle(lambda: column, 2, 0.2)
     assert o.is_good(np.array([1, 0]))
     assert not o.is_good(np.array([0, 0]))
     np.testing.assert_array_equal(o.enumerate_costs(), column)
+
+
+def _counted(costs):
+    """A table function that records each call."""
+    calls = []
+
+    def table():
+        calls.append(1)
+        return costs
+    return table, calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=cost_tables(), data=st.data())
+def test_oracle_prices_and_judges_by_its_table(drawn, data):
+    n, costs, eps = drawn
+    table, calls = _counted(costs)
+    o = CostOracle(table, n, eps)
+    index = data.draw(st.integers(0, (1 << n) - 1))
+    bits = index_to_bits(index, n)
+    assert o.cost(bits) == costs[index]
+    assert o.call_counter == 0
+    assert o.is_good(bits) == (costs[index] < eps)
+    assert o.call_counter == 1
+    np.testing.assert_array_equal(o.marked_table(), costs < eps)
+    assert o.enumerate_costs() is o.enumerate_costs()
+    assert o.call_counter == 1
+    assert len(calls) == 1  # enumerated once, on first use
+
+
+@settings(max_examples=50, deadline=None)
+@given(drawn=cost_tables(), data=st.data())
+def test_malformed_pattern_raises_before_the_table_is_built(drawn, data):
+    n, costs, eps = drawn
+    table, calls = _counted(costs)
+    o = CostOracle(table, n, eps)
+    length = data.draw(st.integers(0, n + 2).filter(lambda m: m != n))
+    with pytest.raises(ValueError, match="bits"):
+        o.cost(np.zeros(length, dtype=np.uint8))
+    bad = np.zeros(n, dtype=np.int64)
+    bad[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from([-1, 2, 3]))
+    with pytest.raises(ValueError, match="0 or 1"):
+        o.is_good(bad)
+    assert calls == []

@@ -3,14 +3,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from reference import apply_cz, apply_ry
+from reference import apply_cz, apply_ry, mixer_dense
 from qns import anneal
 from qns.qsim import (
     DiagonalCostHamiltonian,
     MixerSpec,
     StateVector,
     evolve,
-    mixer_dense,
     ring_graph,
     uniform_superposition,
 )
