@@ -190,8 +190,8 @@ def straight_through_grads(net: MaskedNetwork, masks, x: np.ndarray,
     layers = masknet.masked_layers(net, x, masks)
 
     diff = layers[-1][1] - np.asarray(y, dtype=np.float64)
-    # the 2-norm of each 1-D row, as a single input takes it
-    norms = [np.linalg.norm(row) for row in diff.reshape(-1, diff.shape[-1])]
+    # the 2-norm of each 1-D row, what np.linalg.norm takes of a real row
+    norms = [math.sqrt(row.dot(row)) for row in diff.reshape(-1, diff.shape[-1])]
     for row, value in enumerate(norms):
         if not math.isfinite(value):
             raise NonFiniteLoss(row)

