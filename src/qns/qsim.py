@@ -17,6 +17,12 @@ subtraction and one BLAS axpy, into three work vectors allocated once per
 apply: about 6 us at n = 10 (one BLAS thread, 2-core x86), where scipy's
 sparse ``@`` alone took 7.1 us.
 
+Grover, the anneal and QAOA run on complex128 amplitudes; the VQE ansatz
+(``qns.variational``) runs on float64, since Ry gates and CZ signs are
+real. Its amplitudes are bit for bit the real part of the complex128 run
+(see :func:`_apply_block`), and a 2-layer ansatz and its expectation take
+72 us at n = 12 where complex128 took 190 us (one BLAS thread, 2-core x86).
+
 Convention: qubit ``j`` is bit ``j`` of a basis-state index, so the index
 ``6 = 0b110`` has qubit 0 clear and qubits 1 and 2 set. Gate functions
 mutate the state in place and return it so calls can be chained. A state
@@ -75,7 +81,14 @@ def max_qubits() -> int:
 
 
 class StateVector:
-    """Amplitudes of an ``n_qubits`` register, stored as 2**n complex128."""
+    """Amplitudes of an ``n_qubits`` register: 2**n float64 or complex128.
+
+    Real amplitudes given to the constructor stay float64, as the VQE
+    ansatz's do; the default |0...0> is complex128. Real operations keep a
+    real state real, and the first complex factor converts it in place
+    (:func:`_complex`), so every result is what the state stored complex
+    from the start would give.
+    """
 
     __slots__ = ("n_qubits", "amplitudes")
 
@@ -89,7 +102,8 @@ class StateVector:
             amp = np.zeros(dim, dtype=np.complex128)
             amp[0] = 1.0
         else:
-            amp = np.array(amplitudes, dtype=np.complex128)
+            dtype = np.complex128 if np.iscomplexobj(amplitudes) else np.float64
+            amp = np.array(amplitudes, dtype=dtype)
             if amp.shape != (dim,):
                 raise ValueError(f"expected {dim} amplitudes, got shape {amp.shape}")
             total = float(np.vdot(amp, amp).real)
@@ -122,6 +136,18 @@ class StateVector:
         state.amplitudes[0] = 0.0
         state.amplitudes[index] = 1.0
         return state
+
+
+def _complex(state: StateVector) -> np.ndarray:
+    """``state``'s amplitudes as complex128, converting a real state in place.
+
+    The one place a real state becomes complex: every operation with a
+    complex factor calls it first. a + 0j holds the same values as a, so the
+    operation gives what it gives on the state stored complex from the start.
+    """
+    if state.amplitudes.dtype != np.complex128:
+        state.amplitudes = state.amplitudes.astype(np.complex128)
+    return state.amplitudes
 
 
 @dataclass(frozen=True)
@@ -236,42 +262,86 @@ def _chebyshev_operator(mixer: MixerSpec, n_qubits: int) -> tuple[sparse.csr_mat
 
 
 def _kron(gates) -> np.ndarray:
-    """Kronecker matrix of 2x2 ``gates``, ``gates[0]`` acting on the lowest bit."""
+    """Kronecker matrix of 2x2 ``gates``, ``gates[0]`` acting on the lowest bit.
+
+    Each ``gates[j]`` may carry the same leading axes, (..., 2, 2), giving
+    one (..., 2^k, 2^k) matrix per leading index; every entry is the
+    product g_(k-1) * (... * (g_1 * g_0)) whatever the leading axes.
+    """
     block = gates[0]
     for gate in gates[1:]:
-        d = block.shape[0]
-        block = (gate[:, None, :, None] * block[None, :, None, :]).reshape(2 * d, 2 * d)
+        d = block.shape[-1]
+        prod = gate[..., :, None, :, None] * block[..., None, :, None, :]
+        block = prod.reshape(prod.shape[:-4] + (2 * d, 2 * d))
     return block
+
+
+def _product_blocks(gates: np.ndarray) -> list[np.ndarray]:
+    """Kronecker matrices of :func:`apply_product`'s blocks, in its order.
+
+    ``gates`` is (n, ..., 2, 2): ``gates[q]`` acts on qubit q, and the axes
+    in between (a layer axis, say) carry through, each block coming back as
+    (..., 2^k, 2^k). All full blocks of _KRON_BLOCK qubits are built in one
+    broadcast, a last partial block in a second.
+    """
+    n = len(gates)
+    full = n - n % _KRON_BLOCK
+    grouped = gates[:full].reshape((full // _KRON_BLOCK, _KRON_BLOCK) + gates.shape[1:])
+    blocks = list(_kron(grouped.swapaxes(0, 1)))
+    if full < n:
+        blocks.append(_kron(gates[full:]))
+    return blocks
+
+
+def _shared_blocks(gate: np.ndarray, n: int) -> list[np.ndarray]:
+    """:func:`_product_blocks` of one 2x2 ``gate`` on each of n qubits,
+    every full block one matrix built once (a broadcast would repeat it)."""
+    full, rest = divmod(n, _KRON_BLOCK)
+    blocks = [_kron([gate] * _KRON_BLOCK)] * full
+    if rest:
+        blocks.append(_kron([gate] * rest))
+    return blocks
+
+
+def _apply_block(amp: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """One matrix product applying ``block`` to the lowest qubits of ``amp``.
+
+    With the block's k qubits as the fastest axis of a (2^(n-k), 2^k) view,
+    the product leaves them as the slowest axis, so the next block's qubits
+    are the fastest; after the last block of :func:`_product_blocks` the
+    qubit order is back where it started. A real block on a real state gives
+    the real part of the complex product bit for bit, except on a single
+    column, where BLAS's real and complex matrix-vector kernels sum in
+    different orders: that case goes through complex128. An exact zero can
+    still differ in sign, since the complex real part subtracts +-0
+    imaginary terms; its square, and so every probability, is the same.
+    """
+    cols = amp.reshape(-1, block.shape[-1]).T
+    if cols.shape[1] == 1 and amp.dtype == np.float64:
+        return (block @ cols.astype(np.complex128)).real.reshape(-1)
+    return (block @ cols).reshape(-1)
 
 
 def apply_product(state: StateVector, gates) -> StateVector:
     """Apply a tensor product of single-qubit gates, ``gates[q]`` on qubit q.
 
     ``gates`` is an (n, 2, 2) stack, or one 2x2 matrix for every qubit; row
-    index = output bit, column index = input bit. The qubits go in
-    blocks of up to _KRON_BLOCK. With a block's k qubits as the fastest axis
-    of a (2^(n-k), 2^k) view, one matrix product applies the block's
-    Kronecker matrix and leaves them as the slowest axis, so the next
-    block's qubits are the fastest; after the last block the qubit order is
-    back where it started. A shared gate has its block matrix built once per
-    block size. The result replaces ``state.amplitudes`` (a new array).
+    index = output bit, column index = input bit. The qubits go in blocks
+    of up to _KRON_BLOCK, one matrix product each (:func:`_apply_block`).
+    Real gates keep a real state real; complex gates make it complex. The
+    result replaces ``state.amplitudes`` (a new array).
     """
     n = state.n_qubits
     gates = np.asarray(gates)
-    shared = gates.shape == (2, 2)
-    if not shared and gates.shape != (n, 2, 2):
+    if gates.shape == (2, 2):
+        blocks = _shared_blocks(gates, n)
+    elif gates.shape == (n, 2, 2):
+        blocks = _product_blocks(gates)
+    else:
         raise ValueError(f"expected one 2x2 gate or {n} of them, got shape {gates.shape}")
-    shared_blocks = {}
-    amp = state.amplitudes
-    for lo in range(0, n, _KRON_BLOCK):
-        k = min(_KRON_BLOCK, n - lo)
-        if not shared:
-            block = _kron(gates[lo:lo + k])
-        elif k in shared_blocks:
-            block = shared_blocks[k]
-        else:
-            block = shared_blocks[k] = _kron([gates] * k)
-        amp = (block @ amp.reshape(-1, 1 << k).T).reshape(-1)
+    amp = _complex(state) if gates.dtype.kind == "c" else state.amplitudes
+    for block in blocks:
+        amp = _apply_block(amp, block)
     state.amplitudes = amp
     return state
 
@@ -284,19 +354,14 @@ def uniform_superposition(n_qubits: int) -> StateVector:
 
 
 def apply_phase_oracle(state: StateVector, marked) -> StateVector:
-    """Negate the amplitude of every marked basis state.
+    """Negate the amplitude of every basis state flagged in ``marked``.
 
-    ``marked`` is either a predicate over basis indices 0..2^n-1 or a boolean
-    array of length 2^n. Unmarked amplitudes are untouched, so the norm is
-    preserved exactly.
+    ``marked`` is a boolean array of length 2^n. Unmarked amplitudes are
+    untouched, so the norm is preserved exactly.
     """
-    dim = state.dim
-    if callable(marked):
-        flips = np.fromiter((bool(marked(i)) for i in range(dim)), dtype=bool, count=dim)
-    else:
-        flips = np.asarray(marked, dtype=bool)
-        if flips.shape != (dim,):
-            raise ValueError(f"expected {dim} mark flags, got shape {flips.shape}")
+    flips = np.asarray(marked, dtype=bool)
+    if flips.shape != (state.dim,):
+        raise ValueError(f"expected {state.dim} mark flags, got shape {flips.shape}")
     state.amplitudes[flips] *= -1.0
     return state
 
@@ -413,7 +478,7 @@ def apply_mixer(state: StateVector, mixer: MixerSpec, beta: float) -> StateVecto
         isin_b = 1j * math.sin(beta)
         return apply_product(state, np.array([[cos_b, isin_b], [isin_b, cos_b]]))
     state.amplitudes = _chebyshev_propagate(*_chebyshev_operator(mixer, n),
-                                            state.amplitudes, beta)
+                                            _complex(state), beta)
     return state
 
 
@@ -440,6 +505,7 @@ def evolve(
     if not total_time > 0:
         raise ValueError(f"total_time must be positive, got {total_time}")
 
+    _complex(state)  # the cost phases are complex
     dt = total_time / steps
     for step in range(steps):
         s = (step + 0.5) / steps

@@ -1,10 +1,11 @@
 """Hybrid quantum-classical loops: QAOA blocks and a hardware-efficient VQE.
 
 QAOA alternates exact diagonal cost phases exp(-i*gamma*H_C) with mixer
-exponentials exp(-i*beta*H_0); the VQE ansatz stacks per-qubit Ry layers
-with a ring of controlled-Z entanglers, each Ry layer applied as one tensor
-product and the CZ ring as one cached +-1 diagonal. Both are driven by a
-seeded, derivative-free simplex optimizer with random restarts.
+exponentials exp(-i*beta*H_0), on complex128 amplitudes; the VQE ansatz
+stacks per-qubit Ry layers with a ring of controlled-Z entanglers, each Ry
+layer applied as one tensor product and the CZ ring as one cached +-1
+diagonal, on float64 amplitudes (see :func:`ansatz_state`). Both are driven
+by a seeded, derivative-free simplex optimizer with random restarts.
 """
 from __future__ import annotations
 
@@ -20,8 +21,9 @@ from .qsim import (
     DiagonalCostHamiltonian,
     MixerSpec,
     StateVector,
+    _apply_block,
+    _product_blocks,
     apply_mixer,
-    apply_product,
     cost_phase,
     expectation,
     uniform_superposition,
@@ -114,16 +116,31 @@ def _ring_cz_signs(n: int) -> np.ndarray:
 
 
 def ansatz_state(ansatz: VqeAnsatz) -> StateVector:
-    state = StateVector(ansatz.n_qubits)  # |0...0>
-    half = ansatz.thetas / 2.0
-    cos, sin = np.cos(half), np.sin(half)
-    # Ry(theta) = [[cos, -sin], [sin, cos]] of theta/2, one per (layer, qubit)
-    gates = np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
-    ring = ansatz.entangler is Entangler.RING_CZ
-    for layer in gates:
-        apply_product(state, layer)
-        if ring:
-            state.amplitudes *= _ring_cz_signs(ansatz.n_qubits)
+    """The ansatz applied to |0...0>, in float64.
+
+    Ry gates and CZ signs are real. The block matrices of all layers come
+    from one broadcast, and the state is bit for bit the real part of the
+    complex128 simulation, whose imaginary part is exactly zero, but for
+    the sign of an exact zero (see ``qsim._apply_block``).
+    """
+    state = StateVector(ansatz.n_qubits)  # checks n before any 2^n array
+    n = state.n_qubits
+    half = ansatz.thetas.T / 2.0
+    # Ry(theta) = [[cos, -sin], [sin, cos]] of theta/2, one per (qubit, layer)
+    gates = np.empty(half.shape + (2, 2))
+    gates[..., 0, 0] = gates[..., 1, 1] = np.cos(half)
+    gates[..., 1, 0] = np.sin(half)
+    gates[..., 0, 1] = -gates[..., 1, 0]
+    blocks = _product_blocks(gates)
+    signs = _ring_cz_signs(n) if ansatz.entangler is Entangler.RING_CZ else None
+    amp = np.zeros(1 << n)
+    amp[0] = 1.0
+    for layer in range(ansatz.layers):
+        for block in blocks:
+            amp = _apply_block(amp, block[layer])
+        if signs is not None:
+            amp *= signs
+    state.amplitudes = amp
     return state
 
 

@@ -17,6 +17,9 @@ definition, for the exponentials that ``qns.qsim.apply_mixer`` must match.
 ``chebyshev_propagate`` is the Chebyshev loop on scipy's public sparse
 ``m @ v``, one new vector per term, that ``qns.qsim._chebyshev_propagate``
 must equal bit for bit.
+``ansatz_state`` is the VQE ansatz on complex128 amplitudes, one
+``apply_product`` per layer; ``qns.variational.ansatz_state`` must give its
+real part bit for bit, in float64.
 ``nkesn_output`` and ``per_output_losses`` evaluate the NK echo-state
 network's outputs one neighbourhood sum at a time, the definition that
 ``qns.nkesn.build_table`` tabulates.
@@ -42,7 +45,8 @@ from qns.edgepopup import (
     topk_mask,
 )
 from qns.masknet import Activation, LayerSpec
-from qns.qsim import _BESSEL_CUTOFF, MixerKind
+from qns.qsim import _BESSEL_CUTOFF, MixerKind, StateVector, apply_product
+from qns.variational import Entangler, _ring_cz_signs
 
 
 def _sample_mask(thetas, rng):
@@ -207,6 +211,22 @@ def chebyshev_propagate(m, r: float, v: np.ndarray, beta: float) -> np.ndarray:
         out = zaxpy(nxt, out, a=coef[k])
         prev, cur = cur, nxt
     return out
+
+
+def ansatz_state(ansatz):
+    """The Ry+CZ ansatz on complex128 amplitudes from |0...0>: one
+    ``apply_product`` per layer, then the CZ-ring signs."""
+    state = StateVector(ansatz.n_qubits)  # |0...0>, complex128
+    half = ansatz.thetas / 2.0
+    cos, sin = np.cos(half), np.sin(half)
+    # Ry(theta) = [[cos, -sin], [sin, cos]] of theta/2, one per (layer, qubit)
+    gates = np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
+    ring = ansatz.entangler is Entangler.RING_CZ
+    for layer in gates:
+        apply_product(state, layer)
+        if ring:
+            state.amplitudes *= _ring_cz_signs(ansatz.n_qubits)
+    return state
 
 
 # ---------------------------------------------------------------------------

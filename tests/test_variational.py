@@ -1,8 +1,14 @@
 """QAOA blocks, the VQE ansatz, and the simplex optimizer."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
+import reference
 from reference import apply_cz, apply_ry, mixer_dense
 from qns import anneal
 from qns.qsim import (
@@ -10,6 +16,8 @@ from qns.qsim import (
     MixerSpec,
     StateVector,
     evolve,
+    expectation,
+    measure,
     ring_graph,
     uniform_superposition,
 )
@@ -193,6 +201,31 @@ def test_ansatz_state_matches_gate_loop(n, entangler):
                 apply_cz(expected, a, b)
     np.testing.assert_allclose(ansatz_state(ansatz).amplitudes, expected.amplitudes,
                                rtol=0, atol=1e-13)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 10), layers=st.integers(1, 3),
+       entangler=st.sampled_from(list(Entangler)), seed=st.integers(0, 2**32 - 1))
+def test_ansatz_state_is_the_real_part_of_the_complex_path(data, n, layers,
+                                                           entangler, seed):
+    thetas = data.draw(arrays(np.float64, (layers, n),
+                              elements=st.floats(-2 * math.pi, 2 * math.pi)))
+    ansatz = VqeAnsatz(layers, thetas, entangler)
+    state = ansatz_state(ansatz)
+    stored_complex = reference.ansatz_state(ansatz)
+    assert state.amplitudes.dtype == np.float64
+    # bit for bit but for the sign of an exact zero: the complex product's
+    # real part subtracts +-0 imaginary terms, which can flip it (seen when
+    # products underflow, thetas ~1e-70); + 0.0 maps -0.0 to 0.0 and leaves
+    # every other value as it is, and no probability tells the two apart
+    assert ((state.amplitudes + 0.0).tobytes()
+            == (stored_complex.amplitudes.real + 0.0).tobytes())
+    assert state.probabilities().tobytes() == stored_complex.probabilities().tobytes()
+    assert np.all(stored_complex.amplitudes.imag == 0)
+    h = random_instance(n, seed)
+    assert expectation(state, h) == expectation(stored_complex, h)
+    assert (measure(state, np.random.default_rng(seed))
+            == measure(stored_complex, np.random.default_rng(seed)))
 
 
 def test_vqe_on_constant_hamiltonian():
