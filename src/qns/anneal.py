@@ -54,7 +54,8 @@ def anneal(h_c: DiagonalCostHamiltonian, sched: AnnealSchedule) -> AnnealResult:
     state = uniform_superposition(h_c.n_qubits)
     evolve(state, h_c, sched.mixer, sched.total_time, sched.steps)
     ground = ground_states(h_c)
-    p_ground = float(state.probabilities()[ground].sum())
+    # rounding can carry a normalized state's probabilities past 1 in sum
+    p_ground = min(float(state.probabilities()[ground].sum()), 1.0)
     return AnnealResult(state, p_ground, ground, expectation(state, h_c))
 
 

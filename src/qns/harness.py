@@ -444,9 +444,7 @@ class _RunTask:
 
     @cached_property
     def hamiltonian(self):
-        h = oracle.build_cost_hamiltonian(*self.selection)
-        h.costs.flags.writeable = False  # shared by every seed
-        return h
+        return oracle.build_cost_hamiltonian(*self.selection)
 
     @cached_property
     def threshold_oracle(self) -> oracle.SubnetworkOracle:

@@ -17,6 +17,18 @@ subtraction and one BLAS axpy, into three work vectors allocated once per
 apply: about 6 us at n = 10 (one BLAS thread, 2-core x86), where scipy's
 sparse ``@`` alone took 7.1 us.
 
+The anneal and QAOA share one loop, :func:`apply_layers`: a cost phase
+exp(-i*gamma*H_C), then the mixer. The cost phase takes cos and sin once
+per distinct cost (:attr:`DiagonalCostHamiltonian.levels`) and gathers
+them to the 2^n states. A masked network's loss table repeats itself: the
+12-bit tables of the transverse-field benchmark hold 512 distinct costs
+in 4,096 entries, the 10-bit bit-flip ones 484 in 1,024. On those 12-bit
+tables a step's phase takes 15 us where cos and sin over the full table
+took 42 us; on an all-distinct table, the worst case, it takes 50 against
+51 us at n = 12 and 0.86 against 0.95 ms at n = 16 (one BLAS thread,
+2-core x86). Each state's phase is the cos and sin of the same
+-gamma*cost, so the amplitudes are the full-table ones bit for bit.
+
 Grover, the anneal and QAOA run on complex128 amplitudes; the VQE ansatz
 (``qns.variational``) runs on float64, since Ry gates and CZ signs are
 real. Its amplitudes are bit for bit the real part of the complex128 run
@@ -35,7 +47,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -152,20 +164,43 @@ def _complex(state: StateVector) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiagonalCostHamiltonian:
-    """Diagonal operator whose eigenvalue on basis state x is the cost of x."""
+    """Diagonal operator whose eigenvalue on basis state x is the cost of x.
+
+    Its phases take cos and sin once per distinct cost, :attr:`levels`,
+    built on the first phase (:func:`apply_layers`). ``costs`` is a
+    read-only copy of the table given, so a caller that changes its own
+    array changes neither the costs nor the levels.
+    """
 
     n_qubits: int
     costs: np.ndarray
 
     def __post_init__(self):
-        costs = np.asarray(self.costs, dtype=np.float64)
+        costs = np.array(self.costs, dtype=np.float64)
         if costs.shape != (1 << self.n_qubits,):
             raise ValueError(
                 f"expected {1 << self.n_qubits} costs, got shape {costs.shape}"
             )
         if not np.all(np.isfinite(costs)):
             raise ValueError("costs must all be finite")
+        costs.flags.writeable = False
         object.__setattr__(self, "costs", costs)
+
+    @cached_property
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(distinct costs, each basis state's index into them), built on first use.
+
+        Distinct by bit pattern, so -0.0 and 0.0 are two levels and
+        ``levels[index]`` is ``costs`` bit for bit. A masked network's table
+        repeats itself (a masked outgoing weight makes its neuron's incoming
+        bits irrelevant): the transverse-variational benchmark tables hold
+        512 levels in 4,096 entries, the bit-flip ones 484 in 1,024.
+        """
+        distinct, index = np.unique(self.costs.view(np.uint64), return_inverse=True)
+        distinct = distinct.view(np.float64)
+        for part in (distinct, index):
+            part.flags.writeable = False  # shared by every phase
+        return distinct, index
 
     @property
     def dim(self) -> int:
@@ -482,6 +517,30 @@ def apply_mixer(state: StateVector, mixer: MixerSpec, beta: float) -> StateVecto
     return state
 
 
+def apply_layers(state: StateVector, h_c: DiagonalCostHamiltonian,
+                 mixer: MixerSpec, gammas, betas) -> StateVector:
+    """Apply exp(-i*gamma_k*H_C) then exp(-i*beta_k*H_mixer) for each k, in place.
+
+    The one loop of the anneal and QAOA. A cost phase takes cos and sin of
+    :func:`cost_phase` once per distinct cost (:attr:`DiagonalCostHamiltonian.levels`)
+    and gathers the results to the 2^n states into one buffer, allocated
+    once per call. Each state's phase is the cos and sin of the same
+    -gamma*cost as over the whole table, so the amplitudes are the same bit
+    for bit. ``np.take`` with ``mode="clip"`` writes straight into the
+    buffer (the indices come from ``np.unique``, so none is clipped), where
+    ``mode="raise"`` fills a copy first: a gather of 2^16 took 53 us
+    against 151 us (one BLAS thread, 2-core x86).
+    """
+    distinct, index = h_c.levels
+    phase = np.empty(h_c.dim, dtype=np.complex128)
+    _complex(state)  # the cost phases are complex
+    for gamma, beta in zip(gammas, betas):
+        state.amplitudes *= np.take(cost_phase(distinct, gamma), index,
+                                    out=phase, mode="clip")
+        apply_mixer(state, mixer, beta)
+    return state
+
+
 def evolve(
     state: StateVector,
     h_c: DiagonalCostHamiltonian,
@@ -493,7 +552,11 @@ def evolve(
 
     Each step applies the cost phase then :func:`apply_mixer`, both sampled
     at the midpoint of the step's time interval, so the result equals a
-    QAOA state with the linear-ramp angles of ``steps`` blocks.
+    QAOA state with the linear-ramp angles of ``steps`` blocks. The cost
+    phase takes cos and sin once per distinct cost (:func:`apply_layers`):
+    a 400-step transverse anneal at n = 12 on a 512-level table takes 31 ms,
+    42 ms with the phase over all 4,096 costs, and a step's phase on an
+    all-distinct table 50 against 51 us (one BLAS thread, 2-core x86).
     """
     n = state.n_qubits
     if h_c.n_qubits != n:
@@ -505,10 +568,7 @@ def evolve(
     if not total_time > 0:
         raise ValueError(f"total_time must be positive, got {total_time}")
 
-    _complex(state)  # the cost phases are complex
     dt = total_time / steps
-    for step in range(steps):
-        s = (step + 0.5) / steps
-        state.amplitudes *= cost_phase(h_c.costs, dt * s)
-        apply_mixer(state, mixer, dt * (1.0 - s))
-    return state
+    midpoints = [(step + 0.5) / steps for step in range(steps)]
+    return apply_layers(state, h_c, mixer, [dt * s for s in midpoints],
+                        [dt * (1.0 - s) for s in midpoints])

@@ -23,8 +23,7 @@ from .qsim import (
     StateVector,
     _apply_block,
     _product_blocks,
-    apply_mixer,
-    cost_phase,
+    apply_layers,
     expectation,
     uniform_superposition,
 )
@@ -148,11 +147,8 @@ def qaoa_state(h_c: DiagonalCostHamiltonian, params: QaoaParams,
                mixer: MixerSpec | None = None) -> StateVector:
     """Apply p blocks of U(gamma_j) then U(beta_j) to the uniform state."""
     mixer = mixer or MixerSpec.transverse_field()
-    state = uniform_superposition(h_c.n_qubits)
-    for gamma, beta in zip(params.gammas, params.betas):
-        state.amplitudes *= cost_phase(h_c.costs, gamma)
-        apply_mixer(state, mixer, beta)
-    return state
+    return apply_layers(uniform_superposition(h_c.n_qubits), h_c, mixer,
+                        params.gammas, params.betas)
 
 
 def qaoa_expectation(h_c: DiagonalCostHamiltonian, params: QaoaParams,

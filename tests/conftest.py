@@ -47,5 +47,29 @@ def cost_tables(draw, max_bits=6):
     return n_bits, costs, epsilon
 
 
+# costs whose phases stress the per-level cos and sin: signed and unsigned
+# zeros, subnormals and other tiny values, and large values
+PHASE_COSTS = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
+               | st.floats(-1e-300, 1e-300)
+               | st.floats(-1e12, 1e12)
+               | st.floats(-10.0, 10.0))
+
+
+@st.composite
+def phase_tables(draw, max_bits=8):
+    """(n_bits, a table of 2^n_bits costs): a few levels repeated over the
+    table, a few levels among both 0.0 and -0.0, or every entry distinct."""
+    n_bits = draw(st.integers(1, max_bits))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["few", "signed_zeros", "distinct"]))
+    if kind == "distinct":
+        scale = draw(st.sampled_from([1e-300, 1.0, 1e12]))
+        return n_bits, rng.uniform(-scale, scale, 1 << n_bits)
+    levels = draw(st.lists(PHASE_COSTS, min_size=1, max_size=6))
+    if kind == "signed_zeros":
+        levels += [0.0, -0.0]
+    return n_bits, np.array(levels)[rng.integers(len(levels), size=1 << n_bits)]
+
+
 LAYERS_6BIT = ((2, 2, "relu"), (2, 1, "identity"))
 LAYERS_8BIT = ((2, 2, "relu"), (2, 2, "identity"))

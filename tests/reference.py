@@ -17,6 +17,10 @@ definition, for the exponentials that ``qns.qsim.apply_mixer`` must match.
 ``chebyshev_propagate`` is the Chebyshev loop on scipy's public sparse
 ``m @ v``, one new vector per term, that ``qns.qsim._chebyshev_propagate``
 must equal bit for bit.
+``evolve`` and ``qaoa_state`` are the anneal and QAOA loops with the cos
+and sin of ``cost_phase`` over the whole cost table at every step, which
+``qns.qsim.evolve`` and ``qns.variational.qaoa_state``, taking them once per
+distinct cost, must equal bit for bit.
 ``ansatz_state`` is the VQE ansatz on complex128 amplitudes, one
 ``apply_product`` per layer; ``qns.variational.ansatz_state`` must give its
 real part bit for bit, in float64.
@@ -45,7 +49,17 @@ from qns.edgepopup import (
     topk_mask,
 )
 from qns.masknet import Activation, LayerSpec
-from qns.qsim import _BESSEL_CUTOFF, MixerKind, StateVector, apply_product
+from qns.qsim import (
+    _BESSEL_CUTOFF,
+    MixerKind,
+    MixerSpec,
+    StateVector,
+    _complex,
+    apply_mixer,
+    apply_product,
+    cost_phase,
+    uniform_superposition,
+)
 from qns.variational import Entangler, _ring_cz_signs
 
 
@@ -211,6 +225,27 @@ def chebyshev_propagate(m, r: float, v: np.ndarray, beta: float) -> np.ndarray:
         out = zaxpy(nxt, out, a=coef[k])
         prev, cur = cur, nxt
     return out
+
+
+def evolve(state, h_c, mixer, total_time: float, steps: int):
+    """Trotterized anneal, each step's phase over the full cost table."""
+    _complex(state)
+    dt = total_time / steps
+    for step in range(steps):
+        s = (step + 0.5) / steps
+        state.amplitudes *= cost_phase(h_c.costs, dt * s)
+        apply_mixer(state, mixer, dt * (1.0 - s))
+    return state
+
+
+def qaoa_state(h_c, params, mixer=None):
+    """p QAOA blocks from the uniform state, each phase over the full cost table."""
+    mixer = mixer or MixerSpec.transverse_field()
+    state = uniform_superposition(h_c.n_qubits)
+    for gamma, beta in zip(params.gammas, params.betas):
+        state.amplitudes *= cost_phase(h_c.costs, gamma)
+        apply_mixer(state, mixer, beta)
+    return state
 
 
 def ansatz_state(ansatz):

@@ -1,9 +1,13 @@
 """Annealing schedules and ground-state diagnostics."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import cost_tables
 from reference import mixer_dense
 from qns.anneal import (
+    GROUND_ATOL,
     AnnealSchedule,
     anneal,
     ground_states,
@@ -88,6 +92,28 @@ def test_trotter_evolution_matches_ode_integration():
     err_fine = np.linalg.norm(state_fine.amplitudes - reference)
     err_coarse = np.linalg.norm(state.amplitudes - reference)
     assert err_fine < err_coarse / 2  # first-order convergence toward the truth
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    table=cost_tables(max_bits=5),
+    transverse=st.booleans(),
+    total_time=st.floats(0.01, 20.0),
+    steps=st.integers(1, 40),
+)
+def test_anneal_result_is_a_distribution_over_the_table(table, transverse,
+                                                        total_time, steps):
+    n, costs, _ = table
+    h = DiagonalCostHamiltonian(n, costs)
+    mixer = MixerSpec.transverse_field() if transverse else MixerSpec.bit_flip(ring_graph(n))
+    result = anneal(h, AnnealSchedule(total_time, steps, mixer))
+    assert result.final_state.norm_error() <= 1e-12
+    probs = result.final_state.probabilities()
+    ground = [x for x in range(1 << n) if costs[x] <= costs.min() + GROUND_ATOL]
+    assert result.ground.tolist() == ground
+    assert 0.0 <= result.p_ground <= 1.0
+    assert result.p_ground == pytest.approx(sum(probs[x] for x in ground), abs=1e-12)
+    assert result.final_expectation >= costs.min() - 1e-12
 
 
 def test_bit_flip_mixer_anneal_preserves_norm():

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
+import reference
+from conftest import phase_tables
 from reference import (
     apply_single_qubit, apply_cz, apply_h, apply_ry, apply_x, apply_z,
     chebyshev_propagate, mixer_dense,
@@ -517,6 +519,67 @@ def test_evolve_validates_arguments():
         evolve(s, h, MixerSpec.transverse_field(), total_time=1.0, steps=0)
     with pytest.raises(ValueError):
         evolve(s, DiagonalCostHamiltonian(3, np.zeros(8)), MixerSpec.transverse_field(), 1.0)
+
+
+def test_hamiltonian_holds_a_read_only_copy_of_its_costs():
+    costs = np.linspace(-1.0, 1.0, 8)
+    h = DiagonalCostHamiltonian(3, costs)
+    mixer = MixerSpec.transverse_field()
+    with pytest.raises(ValueError):
+        h.costs[0] = 5.0
+    first = evolve(uniform_superposition(3), h, mixer, 1.0, steps=4).amplitudes
+    costs[:] = 7.0  # after the first phase has built the levels
+    np.testing.assert_array_equal(h.costs, np.linspace(-1.0, 1.0, 8))
+    again = evolve(uniform_superposition(3), h, mixer, 1.0, steps=4).amplitudes
+    assert again.tobytes() == first.tobytes()
+
+
+def signed_zero_state(n, seed):
+    """A random state whose real and imaginary parts are each +0.0 or -0.0
+    at about half the entries: a zero's sign follows a phase's."""
+    rng = np.random.default_rng(seed)
+    parts = rng.normal(size=(2, 1 << n))
+    zeros = rng.random(parts.shape) < 0.5
+    parts[zeros] = np.where(rng.random(parts.shape) < 0.5, 0.0, -0.0)[zeros]
+    if not parts.any():
+        parts[0, 0] = 1.0
+    parts /= np.linalg.norm(parts)
+    amp = np.empty(1 << n, dtype=np.complex128)  # a + 1j * b loses a's -0.0
+    amp.real, amp.imag = parts
+    return StateVector(n, amp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=phase_tables())
+def test_levels_hold_the_full_table_bit_for_bit(table):
+    n, costs = table
+    distinct, index = DiagonalCostHamiltonian(n, costs).levels
+    assert distinct[index].tobytes() == costs.tobytes()
+    assert distinct.size == len({c.tobytes() for c in costs})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    table=phase_tables(),
+    transverse=st.booleans(),
+    # often so short that the bit-flip expansion is one term, 1.0 * v,
+    # which keeps most zero amplitudes' signs, and so the phase's zero signs
+    total_time=st.just(1e-20) | st.floats(1e-20, 5.0),
+    steps=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a state whose zero signs show a phase's on either level order of +-0.0
+@example(table=(2, np.array([-0.0, 0.0, 0.0, -0.0])), transverse=False,
+         total_time=1e-20, steps=1, seed=2)
+def test_evolve_equals_the_full_table_phase_loop_bit_for_bit(
+        table, transverse, total_time, steps, seed):
+    n, costs = table
+    h = DiagonalCostHamiltonian(n, costs)
+    mixer = MixerSpec.transverse_field() if transverse else MixerSpec.bit_flip(ring_graph(n))
+    start = signed_zero_state(n, seed)
+    got = evolve(start.copy(), h, mixer, total_time, steps)
+    want = reference.evolve(start.copy(), h, mixer, total_time, steps)
+    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
 
 
 def test_bit_flip_evolve_has_no_dense_limit(monkeypatch):

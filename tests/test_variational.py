@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 import reference
+from conftest import phase_tables
 from reference import apply_cz, apply_ry, mixer_dense
 from qns import anneal
 from qns.qsim import (
@@ -118,6 +119,24 @@ def test_annealing_is_linear_ramp_qaoa_bit_for_bit(mixer_name):
     annealed = evolve(uniform_superposition(4), h, mixer, total_time, steps)
     ramped = qaoa_state(h, linear_ramp_params(steps, total_time), mixer)
     assert np.array_equal(annealed.amplitudes, ramped.amplitudes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    table=phase_tables(),
+    transverse=st.booleans(),
+    angles=st.lists(st.tuples(st.just(0.0) | st.floats(-4.0, 4.0),
+                              st.just(0.0) | st.floats(-4.0, 4.0)),
+                    min_size=1, max_size=3),
+)
+def test_qaoa_state_equals_the_full_table_phase_loop_bit_for_bit(
+        table, transverse, angles):
+    n, costs = table
+    h = DiagonalCostHamiltonian(n, costs)
+    mixer = MixerSpec.transverse_field() if transverse else MixerSpec.bit_flip(ring_graph(n))
+    params = QaoaParams(*zip(*angles))
+    got = qaoa_state(h, params, mixer)
+    assert got.amplitudes.tobytes() == reference.qaoa_state(h, params, mixer).amplitudes.tobytes()
 
 
 # ---------------------------------------------------------------------------
