@@ -3,9 +3,10 @@
 A trained teacher of depth l guides a random student of depth 2l: for each
 teacher layer, the matching two-layer student block is mask-optimized to
 reproduce the teacher's recorded activations, then its (masked, compressed)
-output feeds the next block. Backends range from exhaustive enumeration
-(the ground truth) to threshold-oracle search and Hamiltonian methods,
-which always report their gap to the exhaustive optimum.
+output feeds the next block. Each block's search is one
+:func:`qns.search.select` on the block's cost table, with any of its
+methods but VQE as the backend; every backend reports its gap to the
+exhaustive optimum.
 """
 from __future__ import annotations
 
@@ -15,20 +16,9 @@ from enum import Enum
 
 import numpy as np
 
-from . import anneal as anneal_mod
-from . import masknet, variational
-from .bitstrings import index_to_bits
-from .grover import GroverConfig, grover_search
+from . import masknet, search
 from .masknet import Activation, Dataset, LayerSpec, MaskedNetwork
-from .oracle import CostOracle
 from .qsim import DiagonalCostHamiltonian, max_qubits
-
-# search settings of the non-exhaustive backends
-QAOA_BLOCKS = 2
-QAOA_BUDGET = 300
-ANNEAL_TIME = 40.0
-ANNEAL_STEPS = 400
-GROVER_MAX_RESTARTS = 8
 
 
 class CompressMode(str, Enum):
@@ -207,8 +197,9 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
     """Select one mask per student block, feeding blocks forward in order.
 
     Every backend enumerates the block's cost table, so each block's maskable
-    parameter count must fit the qubit ceiling. QAOA and annealing optimize
-    that table as a Hamiltonian and report their gap to its optimum.
+    parameter count must fit the qubit ceiling. QAOA and annealing take the
+    ``qns run`` defaults and measure their final state once, with the
+    block's seed, which is drawn after the block's epsilon probes.
     """
     backend = Backend(backend)
     teacher_trace = record_activations(pair.teacher, data)
@@ -231,46 +222,24 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
         teacher_acts = teacher_trace.layers[i]
         costs_of = functools.partial(block_loss, teacher_acts, block,
                                      block_inputs=block_inputs, mode=mode)
-        eps = 0.0
+        eps, params = 0.0, {}
         if backend is Backend.GROVER:
             eps = (epsilons[i] if epsilons is not None
                    else _block_epsilon(costs_of, n_bits, rng))
-        oracle = CostOracle(functools.partial(
-            block_table, teacher_acts, block, block_inputs, mode), n_bits, eps)
-        costs = oracle.enumerate_costs()
-        exhaustive_min = float(costs.min())
-        report = BlockReport(i, np.zeros(n_bits, np.uint8), 0.0,
-                             exhaustive_min=exhaustive_min)
-
-        if backend is Backend.EXHAUSTIVE:
-            best = int(np.argmin(costs))
-            report.bits = index_to_bits(best, n_bits).astype(np.uint8)
-        elif backend is Backend.GROVER:
-            result = grover_search(oracle, GroverConfig(
-                max_restarts=GROVER_MAX_RESTARTS, seed=int(rng.integers(2 ** 31))))
-            if not result.measured_good:
-                raise RuntimeError(
-                    f"block {i}: no mask below epsilon {eps} within "
-                    f"{GROVER_MAX_RESTARTS} restarts"
-                )
-            report.bits = result.bits
-            report.oracle_calls = result.oracle_calls
+            params = {"max_restarts": search.LOCAL_MAX_RESTARTS}
+        h = DiagonalCostHamiltonian(n_bits, block_table(teacher_acts, block,
+                                                        block_inputs, mode))
+        chosen = search.select(backend.value, h, eps, params, int(rng.integers(2 ** 31)))
+        if backend is Backend.GROVER and not chosen.success:
+            raise RuntimeError(
+                f"block {i}: no mask below epsilon {eps} within "
+                f"{search.LOCAL_MAX_RESTARTS} restarts"
+            )
+        report = BlockReport(i, chosen.bits, costs_of(chosen.bits), float(h.costs.min()))
+        report.gap = report.loss - report.exhaustive_min
+        if backend is Backend.GROVER:  # a threshold search reports its threshold and queries
+            report.oracle_calls = chosen.oracle_calls
             report.epsilon = eps
-        else:
-            h = DiagonalCostHamiltonian(n_bits, costs)
-            if backend is Backend.QAOA:
-                qres = variational.qaoa_optimize(
-                    h, QAOA_BLOCKS, QAOA_BUDGET, int(rng.integers(2 ** 31)))
-                state = variational.qaoa_state(h, qres.best_params)
-            else:
-                ares = anneal_mod.anneal(
-                    h, anneal_mod.AnnealSchedule(ANNEAL_TIME, ANNEAL_STEPS))
-                state = ares.final_state
-            best = int(np.argmax(state.probabilities()))
-            report.bits = index_to_bits(best, n_bits).astype(np.uint8)
-
-        report.loss = costs_of(report.bits)
-        report.gap = report.loss - exhaustive_min
         masks.append(masknet.flat_mask(block, report.bits))
         reports.append(report)
 

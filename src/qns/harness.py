@@ -28,10 +28,11 @@ import numpy as np
 
 from . import anneal as anneal_mod
 from . import distill as distill_mod
-from . import edgepopup, masknet, nkesn, oracle, variational
+from . import edgepopup, masknet, nkesn, oracle, search
 from .bitstrings import bits_to_index
-from .grover import GroverConfig, grover_search, search_unknown_k
-from .qsim import DEFAULT_TROTTER_STEPS, MixerSpec, max_qubits, measure, ring_graph
+from .grover import GroverConfig
+from .qsim import MixerSpec, max_qubits
+from .search import Mixer
 
 
 class ConfigError(ValueError):
@@ -42,11 +43,6 @@ class ConfigError(ValueError):
 # The config schema: every key a method or a task kind accepts.
 
 _REQUIRED = object()  # the default of a field the config must give
-
-
-class Mixer(str, Enum):
-    TRANSVERSE_FIELD = "transverse_field"
-    BIT_FLIP_RING = "bit_flip_ring"
 
 
 def _is_int(value) -> bool:
@@ -136,6 +132,9 @@ _MIXER_PARAMS = {
     "target_bit": Param(int, 0, lambda v: MixerSpec.bit_flip((), v)),
 }
 
+# the methods that search a selection task's 2^bits cost table, and their defaults
+_TABLE_METHODS = search.DEFAULTS
+
 # Where a library constructor bounds a value, ``check`` builds it.
 METHOD_PARAMS: dict[str, dict[str, Param]] = {
     "grover": {
@@ -146,20 +145,20 @@ METHOD_PARAMS: dict[str, dict[str, Param]] = {
                               lambda v: GroverConfig(max_restarts=v)),
     },
     "anneal": {
-        "total_time": Param(float, 50.0,
+        "total_time": Param(float, _TABLE_METHODS["anneal"]["total_time"],
                             lambda v: anneal_mod.AnnealSchedule(total_time=v)),
-        "steps": Param(int, DEFAULT_TROTTER_STEPS,
+        "steps": Param(int, _TABLE_METHODS["anneal"]["steps"],
                        lambda v: anneal_mod.AnnealSchedule(1.0, steps=v)),
         **_MIXER_PARAMS,
     },
     "qaoa": {
-        "p": Param(int, 2, _POSITIVE),
-        "budget": Param(int, 300, _POSITIVE),
+        "p": Param(int, _TABLE_METHODS["qaoa"]["p"], _POSITIVE),
+        "budget": Param(int, _TABLE_METHODS["qaoa"]["budget"], _POSITIVE),
         **_MIXER_PARAMS,
     },
     "vqe": {
-        "layers": Param(int, 2, _POSITIVE),
-        "budget": Param(int, 300, _POSITIVE),
+        "layers": Param(int, _TABLE_METHODS["vqe"]["layers"], _POSITIVE),
+        "budget": Param(int, _TABLE_METHODS["vqe"]["budget"], _POSITIVE),
     },
     "edge_popup": {
         "alpha": Param(float, edgepopup.PopupTrainConfig.alpha,
@@ -211,8 +210,6 @@ _PATH_FIELDS = ("path", "teacher_path")
 _SELECTION = ("planted", "csv")
 METHOD_TASKS = {**{m: _SELECTION for m in METHOD_PARAMS},
                 "distill": ("distill",), "nk_esn": ("sequence",)}
-# methods that enumerate the 2^bits cost table of a selection task
-_ENUMERATING = ("grover", "anneal", "qaoa", "vqe", "exhaustive")
 
 CONFIG_FIELDS = {
     "method": Param(str),
@@ -255,7 +252,7 @@ def _check_combinations(cfg: "ExperimentConfig") -> None:
         if cfg.task["kind"] == "csv" and task["n_inputs"] != task["layers"][0][0]:
             fail("task.n_inputs", f"{task['n_inputs']} inputs, but the first layer "
                                   f"takes {task['layers'][0][0]}")
-        if method in _ENUMERATING and bits > max_qubits():
+        if method in _TABLE_METHODS and bits > max_qubits():
             fail("task.layers", f"{bits} maskable weights, the qubit ceiling is "
                                 f"{max_qubits()}")
     if method == "grover":
@@ -399,12 +396,6 @@ def build_selection_task(task: dict) -> tuple[masknet.MaskedNetwork, masknet.Dat
     return net, data
 
 
-def _mixer(params: dict, n_bits: int) -> MixerSpec:
-    if params["mixer"] is Mixer.BIT_FLIP_RING:
-        return MixerSpec.bit_flip(ring_graph(n_bits), params["target_bit"])
-    return MixerSpec.transverse_field()
-
-
 def _resolve_epsilon(cfg: ExperimentConfig, seed: int, losses_of, n_bits: int) -> float:
     """The config's epsilon, else the default recipe with probes priced by ``losses_of``."""
     if cfg.epsilon is not None:
@@ -421,22 +412,21 @@ def _table_epsilon(cfg: ExperimentConfig, seed: int, costs: np.ndarray) -> float
 class _RunTask:
     """The seed-independent work of one :func:`run` call, each part built on first use.
 
-    Computed once and shared by the call's seeds: a selection task, its cost
-    table and Grover oracle; an anneal's evolved state; every QAOA objective
-    value (seeds whose simplex paths coincide look theirs up, a path that
-    leaves the others computes its new points); the sequence task; the
-    teacher and its I/O data. Computed per seed: epsilon, the measurement,
-    and the seeded methods (VQE, edge-popup, distillation's student, the
-    NK model). The shared cost table and anneal state are read-only. The
-    object lives only as long as the call: the next call reads a CSV task's
-    or teacher's file again.
+    Computed once and shared by the call's seeds: a selection task and its
+    cost table, which Grover and the Hamiltonian methods all search; the
+    searches' ``shared`` work (an anneal's evolved state, every QAOA
+    objective value: seeds whose simplex paths coincide look theirs up, a
+    path that leaves the others computes its new points); the sequence
+    task; the teacher and its I/O data. Computed per seed: epsilon, the
+    measurement, and the seeded methods (VQE, edge-popup, distillation's
+    student, the NK model). The shared cost table and anneal state are
+    read-only. The object lives only as long as the call: the next call
+    reads a CSV task's or teacher's file again.
     """
 
     def __init__(self, spec: dict):
         self.spec = spec  # the task kind and its checked fields
-        self.anneal_results: dict[tuple, anneal_mod.AnnealResult] = {}
-        self.qaoa_memos: dict[MixerSpec, dict[bytes, float]] = {}
-        self.qaoa_objective_calls = 0
+        self.shared: dict = {}  # search.select's seed-independent work
 
     @cached_property
     def selection(self) -> tuple[masknet.MaskedNetwork, masknet.Dataset]:
@@ -445,22 +435,6 @@ class _RunTask:
     @cached_property
     def hamiltonian(self):
         return oracle.build_cost_hamiltonian(*self.selection)
-
-    @cached_property
-    def threshold_oracle(self) -> oracle.SubnetworkOracle:
-        """One oracle for the call's seeds, so Grover enumerates its costs once;
-        a seed sets its own epsilon and restarts the call counter."""
-        return oracle.SubnetworkOracle(*self.selection, epsilon=0.0)
-
-    def anneal_result(self, total_time: float, steps: int,
-                      mixer: MixerSpec) -> anneal_mod.AnnealResult:
-        key = (total_time, steps, mixer)
-        if key not in self.anneal_results:
-            result = anneal_mod.anneal(self.hamiltonian, anneal_mod.AnnealSchedule(
-                total_time=total_time, steps=steps, mixer=mixer))
-            result.final_state.amplitudes.flags.writeable = False  # shared by every seed
-            self.anneal_results[key] = result
-        return self.anneal_results[key]
 
     @cached_property
     def sequence(self) -> masknet.Dataset:
@@ -483,12 +457,7 @@ class _RunTask:
 
     def work(self) -> dict:
         """What the call computed, and what its seeds looked up instead."""
-        evaluations = sum(len(memo) for memo in self.qaoa_memos.values())
-        return {
-            "anneal_evolutions": len(self.anneal_results),
-            "qaoa_objective_evaluations": evaluations,
-            "qaoa_objective_lookups": self.qaoa_objective_calls - evaluations,
-        }
+        return search.shared_work(self.shared)
 
 
 # ---------------------------------------------------------------------------
@@ -496,83 +465,11 @@ class _RunTask:
 # returns a JSON-safe metrics dict. They read ``cfg.params`` and
 # ``cfg.task_params``, which ``from_dict`` checked and filled in.
 
-def _hamiltonian_task(cfg, seed, task):
-    """(cost Hamiltonian, epsilon) of a selection task."""
-    return task.hamiltonian, _table_epsilon(cfg, seed, task.hamiltonian.costs)
-
-
-def _score(costs, eps, index: int, oracle_calls: int, **extra) -> dict:
-    """Metrics of pattern ``index``: its loss is the table entry, its success loss < eps."""
-    loss = float(costs[index])
-    return {
-        "loss": loss,
-        "success": bool(loss < eps),
-        "oracle_calls": int(oracle_calls),
-        "epsilon": eps,
-        **extra,
-    }
-
-
-def _score_measured(h, eps, state, seed, **extra) -> dict:
-    """Measure ``state`` once with a seeded generator; every table entry is a call."""
-    measured = measure(state, np.random.default_rng(seed))
-    return _score(h.costs, eps, measured, h.dim, bits_hex=format(measured, "x"), **extra)
-
-
-def _run_exhaustive(cfg, seed, task):
-    h, eps = _hamiltonian_task(cfg, seed, task)
-    best = int(np.argmin(h.costs))
-    return _score(h.costs, eps, best, h.dim, best_bits_hex=format(best, "x"),
-                  k_solutions=oracle.count_solutions(h, eps))
-
-
-def _run_grover(cfg, seed, task):
-    o = task.threshold_oracle
-    costs = o.enumerate_costs()
-    o.epsilon, o.call_counter = _table_epsilon(cfg, seed, costs), 0
-    params = dict(cfg.params)
-    if params.pop("unknown_k"):
-        result = search_unknown_k(o, seed=seed)
-    else:
-        result = grover_search(o, GroverConfig(seed=seed, **params))
-    # the scored success, loss < eps, is the verified measured_good
-    record = {k: v for k, v in result.to_record().items() if k != "success"}
-    return _score(costs, o.epsilon, bits_to_index(result.bits), **record)
-
-
-def _run_anneal(cfg, seed, task):
-    h, eps = _hamiltonian_task(cfg, seed, task)
-    params = cfg.params
-    result = task.anneal_result(params["total_time"], params["steps"],
-                                _mixer(params, h.n_qubits))
-    return _score_measured(h, eps, result.final_state, seed,
-                           p_ground=result.p_ground,
-                           final_expectation=result.final_expectation)
-
-
-def _run_qaoa(cfg, seed, task):
-    h, eps = _hamiltonian_task(cfg, seed, task)
-    params = cfg.params
-    mixer = _mixer(params, h.n_qubits)
-    result = variational.qaoa_optimize(h, params["p"], params["budget"], seed, mixer,
-                                       memo=task.qaoa_memos.setdefault(mixer, {}))
-    task.qaoa_objective_calls += len(result.trace)
-    state = variational.qaoa_state(h, result.best_params, mixer)
-    return _score_measured(h, eps, state, seed,
-                           best_expectation=result.best_value,
-                           evaluations=len(result.trace))
-
-
-def _run_vqe(cfg, seed, task):
-    h, eps = _hamiltonian_task(cfg, seed, task)
-    params = cfg.params
-    ansatz = variational.make_ansatz(h.n_qubits, params["layers"], seed)
-    result = variational.vqe_run(h, ansatz, params["budget"], seed)
-    final = variational.VqeAnsatz(ansatz.layers, result.best_params,
-                                  ansatz.entangler)
-    return _score_measured(h, eps, variational.ansatz_state(final), seed,
-                           best_expectation=result.best_value,
-                           evaluations=len(result.trace))
+def _run_table(cfg, seed, task):
+    """A table method: the seed's epsilon, one search of the task's table, its score."""
+    h = task.hamiltonian
+    eps = _table_epsilon(cfg, seed, h.costs)
+    return search.select(cfg.method, h, eps, cfg.params, seed, task.shared).metrics()
 
 
 def _run_edge_popup(cfg, seed, task):
@@ -630,12 +527,12 @@ def _run_nk_esn(cfg, seed, task):
     washout = params.pop("washout")
     model = nkesn.make_nkesn(input_dim=1, seed=seed, **params)
     table = nkesn.build_table(model, data, washout=washout)
-    patterns, results = nkesn.select_per_output(table, model.landscape, seed=seed)
+    patterns, selections = nkesn.select_per_output(table, model.landscape, seed=seed)
     combined = nkesn.combine_per_output(patterns, model.landscape, table)
     metrics = {
         "loss": combined.mean_loss,
-        "success": all(r.measured_good for r in results),
-        "oracle_calls": int(sum(r.oracle_calls for r in results)),
+        "success": all(s.success for s in selections),
+        "oracle_calls": sum(s.oracle_calls for s in selections),
         "conflicts": len(combined.conflicts),
         "combined_bits_hex": format(bits_to_index(combined.bits), "x"),
     }
@@ -646,11 +543,7 @@ def _run_nk_esn(cfg, seed, task):
 
 
 _RUNNERS = {
-    "exhaustive": _run_exhaustive,
-    "grover": _run_grover,
-    "anneal": _run_anneal,
-    "qaoa": _run_qaoa,
-    "vqe": _run_vqe,
+    **{method: _run_table for method in _TABLE_METHODS},
     "edge_popup": _run_edge_popup,
     "distill": _run_distill,
     "nk_esn": _run_nk_esn,

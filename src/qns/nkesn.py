@@ -17,10 +17,10 @@ from enum import Enum
 
 import numpy as np
 
+from . import search
 from .bitstrings import all_patterns, index_to_bits
-from .grover import GroverConfig, GroverResult, grover_search
 from .masknet import Dataset
-from .oracle import CostOracle
+from .qsim import DiagonalCostHamiltonian
 
 DEFAULT_WASHOUT = 20
 DP_MAX_N = 64
@@ -29,7 +29,6 @@ EXHAUSTIVE_MAX_N = 20
 TABLE_BLOCK_ENTRIES = 1 << 17  # entries of one thread's table block: 1 MiB
 TABLE_MAX_THREADS = 4  # bounds the per-thread buffers of build_table on many-CPU hosts
 DP_PREFIX_BLOCK = 256
-GROVER_MAX_RESTARTS = 8  # per-output K-qubit search
 
 
 # ---------------------------------------------------------------------------
@@ -439,27 +438,16 @@ def dp_optimize(land: NKLandscape, table: np.ndarray) -> tuple[np.ndarray, float
 # ---------------------------------------------------------------------------
 # Per-output amplitude amplification over K-bit patterns.
 
-def grover_table_select(column: np.ndarray, epsilon: float, seed: int = 0) -> GroverResult:
-    """Search one output's 2^K column for a pattern with loss below epsilon."""
-    column = np.asarray(column, dtype=np.float64)
-    k = int(column.size).bit_length() - 1
-    if 1 << k != column.size:
-        raise ValueError(f"column length {column.size} is not a power of two")
-    oracle = CostOracle(lambda: column, k, epsilon)
-    return grover_search(oracle, GroverConfig(max_restarts=GROVER_MAX_RESTARTS, seed=seed))
-
-
 def select_per_output(table: np.ndarray, land: NKLandscape,
-                      seed: int = 0) -> tuple[list[np.ndarray], list[GroverResult]]:
-    """Run the K-qubit search for every output column, 1e-12 above its minimum."""
+                      seed: int = 0) -> tuple[list[np.ndarray], list[search.Selection]]:
+    """Run the K-qubit Grover search on every output column, 1e-12 above its minimum."""
     run_seeds = np.random.SeedSequence(seed).generate_state(land.n)
-    patterns, results = [], []
-    for i in range(land.n):
-        eps = float(table[:, i].min()) + 1e-12
-        result = grover_table_select(table[:, i], eps, seed=int(run_seeds[i]))
-        patterns.append(result.bits)
-        results.append(result)
-    return patterns, results
+    selections = [
+        search.select("grover", DiagonalCostHamiltonian(land.k, table[:, i]),
+                      float(table[:, i].min()) + 1e-12,
+                      {"max_restarts": search.LOCAL_MAX_RESTARTS}, int(run_seeds[i]))
+        for i in range(land.n)]
+    return [s.bits for s in selections], selections
 
 
 @dataclass

@@ -162,14 +162,15 @@ def _complex(state: StateVector) -> np.ndarray:
     return state.amplitudes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalCostHamiltonian:
     """Diagonal operator whose eigenvalue on basis state x is the cost of x.
 
     Its phases take cos and sin once per distinct cost, :attr:`levels`,
     built on the first phase (:func:`apply_layers`). ``costs`` is a
     read-only copy of the table given, so a caller that changes its own
-    array changes neither the costs nor the levels.
+    array changes neither the costs nor the levels. Equality is identity,
+    so a Hamiltonian can key a dict.
     """
 
     n_qubits: int

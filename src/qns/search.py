@@ -1,0 +1,158 @@
+"""One register search over a cost table, for every table method.
+
+The global search of a run (:mod:`qns.harness`), each distillation block
+(:mod:`qns.distill`) and each NK output column (:mod:`qns.nkesn`) all call
+:func:`select`; they differ only in the table and the parameters they pass.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from enum import Enum
+
+import numpy as np
+
+from . import anneal as anneal_mod
+from . import variational
+from .bitstrings import bits_to_index, index_to_bits
+from .grover import GroverConfig, grover_search, search_unknown_k
+from .oracle import CostOracle, count_solutions
+from .qsim import (
+    DEFAULT_TROTTER_STEPS,
+    DiagonalCostHamiltonian,
+    MixerSpec,
+    measure,
+    ring_graph,
+)
+
+LOCAL_MAX_RESTARTS = 8  # Grover restarts of a distillation block or an NK output
+
+
+class Mixer(str, Enum):
+    TRANSVERSE_FIELD = "transverse_field"
+    BIT_FLIP_RING = "bit_flip_ring"
+
+
+_MIXER = {"mixer": Mixer.TRANSVERSE_FIELD, "target_bit": 0}
+
+# The parameters of each table method with their defaults: `qns run`'s
+# (``harness.METHOD_PARAMS`` reads them) and, unless they pass their own,
+# the local searches'.
+DEFAULTS: dict[str, dict] = {
+    "exhaustive": {},
+    "grover": {"unknown_k": False},  # and GroverConfig's fields, with its defaults
+    "anneal": {"total_time": 50.0, "steps": DEFAULT_TROTTER_STEPS, **_MIXER},
+    "qaoa": {"p": 2, "budget": 300, **_MIXER},
+    "vqe": {"layers": 2, "budget": 300},
+}
+
+
+@dataclass(frozen=True)
+class Selection:
+    """The pattern a search chose on an n-bit table, scored there.
+
+    ``loss`` is the table entry of ``index``; ``success``, that it lies below
+    ``epsilon``, is Grover's verified ``measured_good``. ``oracle_calls`` is
+    Grover's queries plus verifications, else 2^n: every entry was read.
+    ``fields`` holds the method's own record fields.
+    """
+
+    index: int
+    n_bits: int
+    loss: float
+    epsilon: float
+    oracle_calls: int
+    fields: dict
+
+    @property
+    def bits(self) -> np.ndarray:
+        return index_to_bits(self.index, self.n_bits).astype(np.uint8)
+
+    @property
+    def success(self) -> bool:
+        return bool(self.loss < self.epsilon)
+
+    def metrics(self) -> dict:
+        """The run record's metrics: loss, success, oracle calls, epsilon, fields."""
+        return {"loss": self.loss, "success": self.success,
+                "oracle_calls": self.oracle_calls, "epsilon": self.epsilon,
+                **self.fields}
+
+
+def _mixer(params: dict, n_bits: int) -> MixerSpec:
+    if Mixer(params["mixer"]) is Mixer.BIT_FLIP_RING:
+        return MixerSpec.bit_flip(ring_graph(n_bits), params["target_bit"])
+    return MixerSpec.transverse_field()
+
+
+def select(method: str, h: DiagonalCostHamiltonian, epsilon: float, params: dict,
+           seed: int, shared: dict | None = None) -> Selection:
+    """Run ``method`` (``exhaustive``, ``grover``, ``anneal``, ``qaoa`` or
+    ``vqe``) on the table ``h.costs`` and score its choice against ``epsilon``.
+
+    ``params`` overrides :data:`DEFAULTS` of the method. ``seed`` drives the
+    search, and a Hamiltonian method picks its index by one measurement of
+    its final state, drawn from the seed. ``shared`` keeps work that no
+    seed changes, for callers that search one ``h`` with many seeds: anneal
+    results by (total time, steps, mixer), with their amplitudes read-only,
+    and QAOA objective memos by mixer (see :func:`shared_work`).
+    """
+    params = {**DEFAULTS[method], **params}
+    shared = {} if shared is None else shared
+
+    def scored(index: int, oracle_calls: int, **fields) -> Selection:
+        return Selection(int(index), h.n_qubits, float(h.costs[index]), float(epsilon),
+                         int(oracle_calls), fields)
+
+    if method == "exhaustive":
+        best = int(np.argmin(h.costs))
+        return scored(best, h.dim, best_bits_hex=format(best, "x"),
+                      k_solutions=count_solutions(h, epsilon))
+    if method == "grover":
+        o = CostOracle(lambda: h.costs, h.n_qubits, epsilon)
+        if params.pop("unknown_k"):
+            result = search_unknown_k(o, seed=seed)
+        else:
+            result = grover_search(o, GroverConfig(seed=seed, **params))
+        # the scored success, loss < epsilon, is the verified measured_good
+        fields = {k: v for k, v in result.to_record().items()
+                  if k not in ("success", "oracle_calls")}
+        return scored(bits_to_index(result.bits), result.oracle_calls, **fields)
+
+    if method == "anneal":
+        mixer = _mixer(params, h.n_qubits)
+        key = (params["total_time"], params["steps"], mixer)
+        runs = shared.setdefault("anneal", {})
+        if key not in runs:
+            runs[key] = anneal_mod.anneal(h, anneal_mod.AnnealSchedule(*key))
+            runs[key].final_state.amplitudes.flags.writeable = False  # shared by every seed
+        result = runs[key]
+        state = result.final_state
+        fields = {"p_ground": result.p_ground,
+                  "final_expectation": result.final_expectation}
+    elif method == "qaoa":
+        mixer = _mixer(params, h.n_qubits)
+        memo = shared.setdefault("qaoa", {}).setdefault(mixer, {})
+        result = variational.qaoa_optimize(h, params["p"], params["budget"], seed,
+                                           mixer, memo=memo)
+        shared["qaoa_calls"] = shared.get("qaoa_calls", 0) + len(result.trace)
+        state = variational.qaoa_state(h, result.best_params, mixer)
+    else:
+        ansatz = variational.make_ansatz(h.n_qubits, params["layers"], seed)
+        result = variational.vqe_run(h, ansatz, params["budget"], seed)
+        state = variational.ansatz_state(variational.VqeAnsatz(
+            ansatz.layers, result.best_params, ansatz.entangler))
+    if method != "anneal":
+        fields = {"best_expectation": result.best_value,
+                  "evaluations": len(result.trace)}
+    measured = measure(state, np.random.default_rng(seed))
+    return scored(measured, h.dim, bits_hex=format(measured, "x"), **fields)
+
+
+def shared_work(shared: dict) -> dict:
+    """What the searches that shared ``shared`` computed, and what they looked up."""
+    evaluations = sum(len(memo) for memo in shared.get("qaoa", {}).values())
+    return {
+        "anneal_evolutions": len(shared.get("anneal", {})),
+        "qaoa_objective_evaluations": evaluations,
+        "qaoa_objective_lookups": shared.get("qaoa_calls", 0) - evaluations,
+    }

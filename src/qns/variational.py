@@ -161,7 +161,10 @@ def qaoa_expectation(h_c: DiagonalCostHamiltonian, params: QaoaParams,
 
 @dataclass
 class OptimizeResult:
-    best_params: np.ndarray
+    """The best point found, its value, and every (point, value) evaluated.
+    QAOA gives ``best_params`` as :class:`QaoaParams`, VQE as a thetas matrix."""
+
+    best_params: np.ndarray | QaoaParams
     best_value: float
     trace: list[tuple[np.ndarray, float]]
 
@@ -212,16 +215,9 @@ def optimize_variational(objective, init, budget: int, seed) -> OptimizeResult:
 # ---------------------------------------------------------------------------
 # Method entry points.
 
-@dataclass
-class QaoaResult:
-    best_params: QaoaParams
-    best_value: float
-    trace: list[tuple[np.ndarray, float]]
-
-
 def qaoa_optimize(h_c: DiagonalCostHamiltonian, p: int, budget: int, seed,
                   mixer: MixerSpec | None = None,
-                  memo: dict[bytes, float] | None = None) -> QaoaResult:
+                  memo: dict[bytes, float] | None = None) -> OptimizeResult:
     """Optimize the 2p block angles against the cost expectation.
 
     ``memo`` maps the bytes of an angle vector to its objective value. Calls
@@ -239,20 +235,14 @@ def qaoa_optimize(h_c: DiagonalCostHamiltonian, p: int, budget: int, seed,
         return memo[key]
 
     result = optimize_variational(objective, np.zeros(2 * p), budget, seed)
-    return QaoaResult(QaoaParams.from_vector(result.best_params),
-                      result.best_value, result.trace)
-
-
-@dataclass
-class VqeResult:
-    best_params: np.ndarray
-    best_value: float
-    trace: list[tuple[np.ndarray, float]]
+    result.best_params = QaoaParams.from_vector(result.best_params)
+    return result
 
 
 def vqe_run(h_c: DiagonalCostHamiltonian, ansatz: VqeAnsatz, budget: int,
-            seed) -> VqeResult:
-    """Minimize the ansatz expectation of the cost Hamiltonian over thetas."""
+            seed) -> OptimizeResult:
+    """Minimize the ansatz expectation of the cost Hamiltonian over thetas;
+    ``best_params`` has the shape of ``ansatz.thetas``."""
     if ansatz.n_qubits != h_c.n_qubits:
         raise ValueError(
             f"ansatz acts on {ansatz.n_qubits} qubits, hamiltonian on {h_c.n_qubits}"
@@ -264,8 +254,8 @@ def vqe_run(h_c: DiagonalCostHamiltonian, ansatz: VqeAnsatz, budget: int,
         return expectation(ansatz_state(trial), h_c)
 
     result = optimize_variational(objective, ansatz.thetas.ravel(), budget, seed)
-    return VqeResult(result.best_params.reshape(shape), result.best_value,
-                     result.trace)
+    result.best_params = result.best_params.reshape(shape)
+    return result
 
 
 def linear_ramp_params(p: int, total_time: float) -> QaoaParams:

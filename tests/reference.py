@@ -26,7 +26,10 @@ distinct cost, must equal bit for bit.
 real part bit for bit, in float64.
 ``nkesn_output`` and ``per_output_losses`` evaluate the NK echo-state
 network's outputs one neighbourhood sum at a time, the definition that
-``qns.nkesn.build_table`` tabulates.
+``qns.nkesn.build_table`` tabulates. ``grover_table_select`` is one NK
+output's K-qubit search written directly on ``grover_search`` with 8
+restarts, which ``qns.nkesn.select_per_output`` must reproduce through
+``qns.search.select``.
 """
 from __future__ import annotations
 
@@ -39,6 +42,8 @@ from scipy.special import jv
 from qns import masknet
 from qns.nkesn import DEFAULT_WASHOUT, _phi, probe_signal_series
 from qns.bitstrings import index_to_bits
+from qns.grover import GroverConfig, GroverResult, grover_search
+from qns.oracle import CostOracle
 from qns.edgepopup import (
     THETA_CLAMP,
     PopupTrainResult,
@@ -297,3 +302,13 @@ def per_output_losses(model, data, bits, washout: int = DEFAULT_WASHOUT):
                       model.activation)
         losses[i] = np.mean((series - targets) ** 2)
     return losses
+
+
+def grover_table_select(column: np.ndarray, epsilon: float, seed: int = 0) -> GroverResult:
+    """Search one output's 2^K column for a pattern with loss below epsilon."""
+    column = np.asarray(column, dtype=np.float64)
+    k = int(column.size).bit_length() - 1
+    if 1 << k != column.size:
+        raise ValueError(f"column length {column.size} is not a power of two")
+    oracle = CostOracle(lambda: column, k, epsilon)
+    return grover_search(oracle, GroverConfig(max_restarts=8, seed=seed))

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qns import cli, harness, masknet, variational
+from qns import cli, harness, masknet, search, variational
 from qns.bitstrings import all_patterns
 from qns.harness import ConfigError, ExperimentConfig, compare, format_compare_table, run
-from qns.qsim import MixerSpec, measure
+from qns.qsim import measure
 
 PLANTED_TASK = {
     "kind": "planted",
@@ -245,7 +245,7 @@ def test_run_builds_the_task_once_per_call(tmp_path, monkeypatch, method):
               "edge_popup": {"epochs": 1}}.get(method, {})
     cfg = ExperimentConfig.from_dict(config_doc(
         method=method, out=str(tmp_path), method_params=params, seeds=[1, 2, 3]))
-    tables = int(method in {"exhaustive", "anneal", "qaoa", "vqe"})
+    tables = int(method != "edge_popup")
     run(cfg)
     assert calls == {"task": 1, "table": tables}
     run(cfg)  # the next call builds its own task
@@ -460,10 +460,14 @@ def test_qaoa_paths_that_diverge_compute_their_own_points(tmp_path, mixer):
 
 
 def test_shared_anneal_state_is_read_only():
-    task = harness._RunTask(dict(PLANTED_TASK))
-    mixer = MixerSpec.transverse_field()
-    result = task.anneal_result(5.0, 10, mixer)
-    assert task.anneal_result(5.0, 10, mixer) is result
+    h = harness._RunTask(dict(PLANTED_TASK)).hamiltonian
+    shared = {}
+    params = {"total_time": 5.0, "steps": 10}
+    search.select("anneal", h, 0.0, params, 1, shared)
+    (result,) = shared["anneal"].values()
+    search.select("anneal", h, 0.0, params, 2, shared)
+    (again,) = shared["anneal"].values()
+    assert again is result
     amplitudes = result.final_state.amplitudes
     before = amplitudes.copy()
     with pytest.raises(ValueError, match="read-only"):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import nkesn_output, per_output_losses
-from qns import harness, nkesn
+from reference import grover_table_select, nkesn_output, per_output_losses
+from qns import harness, nkesn, search
 from qns.bitstrings import all_patterns, bits_to_index, index_to_bits
 from qns.nkesn import (
     NKLandscape,
@@ -21,7 +21,6 @@ from qns.nkesn import (
     dp_optimize,
     estimate_spectral_radius,
     exhaustive_optimize,
-    grover_table_select,
     make_landscape,
     make_nkesn,
     make_reservoir,
@@ -31,6 +30,7 @@ from qns.nkesn import (
     scale_to_spectral_radius,
     select_per_output,
 )
+from qns.qsim import DiagonalCostHamiltonian
 
 
 def sequence_data(length=120, seed=3):
@@ -556,18 +556,25 @@ def test_exhaustive_handles_random_topology():
 # ---------------------------------------------------------------------------
 # Per-output search and stitching.
 
-def test_grover_table_select_returns_argmin():
+def column_select(column, epsilon, seed):
+    """One output column's search as ``select_per_output`` runs it."""
+    return search.select("grover", DiagonalCostHamiltonian(len(column).bit_length() - 1,
+                                                           column),
+                         epsilon, {"max_restarts": search.LOCAL_MAX_RESTARTS}, seed)
+
+
+def test_grover_select_on_a_column_returns_argmin():
     rng = np.random.default_rng(7)
     column = rng.uniform(0, 1, 4)
-    result = grover_table_select(column, float(column.min()) + 1e-12, seed=0)
-    assert result.measured_good
+    result = column_select(column, float(column.min()) + 1e-12, seed=0)
+    assert result.success
     assert bits_to_index(result.bits) == int(np.argmin(column))
 
 
-def test_grover_table_select_fails_below_minimum():
+def test_grover_select_on_a_column_fails_below_minimum():
     column = np.array([0.4, 0.5, 0.6, 0.7])
-    result = grover_table_select(column, 0.1, seed=0)
-    assert not result.measured_good
+    result = column_select(column, 0.1, seed=0)
+    assert not result.success
 
 
 def test_select_per_output_verifies_every_column():
@@ -576,9 +583,33 @@ def test_select_per_output_verifies_every_column():
     patterns, results = select_per_output(table, model.landscape, seed=9)
     cap = int(np.ceil(np.pi / 4 * np.sqrt(table.shape[0])))
     for i, (pattern, result) in enumerate(zip(patterns, results)):
-        assert result.measured_good
+        assert result.success
         assert table[bits_to_index(pattern), i] < table[:, i].min() + 1e-12
-        assert result.oracle_calls <= (cap + 1) * result.restarts
+        assert result.oracle_calls <= (cap + 1) * result.fields["restarts"]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_select_per_output_equals_the_direct_grover_search(k):
+    """Each column's search through ``search.select`` is the direct
+    ``grover_search`` of the reference: same pattern, calls, restarts, hit."""
+    rng = np.random.default_rng(100 + k)
+    n = k + 3
+    land = make_landscape(n, k)
+    for seed in range(5):
+        table = rng.uniform(0, 1, (1 << k, n))
+        # some columns with tied minima, some with most entries under epsilon
+        table[:, 0] = np.round(table[:, 0], 1)
+        table[: (1 << k) - 1, 1] = table[:, 1].min()
+        patterns, selections = select_per_output(table, land, seed=seed)
+        run_seeds = np.random.SeedSequence(seed).generate_state(n)
+        for i in range(n):
+            ref = grover_table_select(table[:, i], float(table[:, i].min()) + 1e-12,
+                                      seed=int(run_seeds[i]))
+            np.testing.assert_array_equal(patterns[i], ref.bits)
+            assert patterns[i].dtype == ref.bits.dtype
+            sel = selections[i]
+            assert (sel.oracle_calls, sel.fields["restarts"], sel.success) == (
+                ref.oracle_calls, ref.restarts, ref.measured_good)
 
 
 def test_combine_agreeing_patterns_has_no_conflicts():

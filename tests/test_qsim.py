@@ -534,6 +534,13 @@ def test_hamiltonian_holds_a_read_only_copy_of_its_costs():
     assert again.tobytes() == first.tobytes()
 
 
+def test_hamiltonian_equality_is_identity():
+    h = DiagonalCostHamiltonian(2, np.array([0.5, 0.25, 1.0, 0.0]))
+    assert h == h
+    assert h != DiagonalCostHamiltonian(h.n_qubits, h.costs)
+    assert {h: "memo"}[h] == "memo"
+
+
 def signed_zero_state(n, seed):
     """A random state whose real and imaginary parts are each +0.0 or -0.0
     at about half the entries: a zero's sign follows a phase's."""

@@ -1,0 +1,80 @@
+"""One register search: every table method on random tiny tables."""
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qns import search
+from qns.qsim import DiagonalCostHamiltonian
+
+MIXERS = st.sampled_from(list(search.Mixer))
+
+# small settings per method, so that one example stays in the milliseconds
+_PARAMS = {
+    "exhaustive": st.just({}),
+    "grover": st.one_of(
+        st.fixed_dictionaries({"max_restarts": st.integers(1, 8)}),
+        st.fixed_dictionaries({"known_k": st.integers(1, 2), "iterations": st.none()}),
+        st.just({"unknown_k": True})),
+    "anneal": st.fixed_dictionaries({"total_time": st.sampled_from([1.0, 5.0]),
+                                     "steps": st.integers(1, 8), "mixer": MIXERS}),
+    "qaoa": st.fixed_dictionaries({"p": st.integers(1, 2), "budget": st.integers(1, 12),
+                                   "mixer": MIXERS}),
+    "vqe": st.fixed_dictionaries({"layers": st.integers(1, 2),
+                                  "budget": st.integers(1, 12)}),
+}
+
+
+@st.composite
+def tiny_tables(draw):
+    """(n, costs) with n <= 4: uniform costs, or a few repeated levels."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        return n, rng.uniform(0.0, 1.0, 1 << n)
+    return n, rng.choice(rng.uniform(0.0, 1.0, 3), size=1 << n)
+
+
+@pytest.mark.parametrize("method", sorted(search.DEFAULTS))
+def test_select_scores_its_index_on_the_table(method):
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(table=tiny_tables(), params=_PARAMS[method], seed=st.integers(0, 2 ** 31 - 1),
+           quantile=st.floats(0.0, 1.0))
+    def check(table, params, seed, quantile):
+        n, costs = table
+        h = DiagonalCostHamiltonian(n, costs)
+        eps = float(np.quantile(costs, quantile))
+        if params.get("known_k", 0) > np.count_nonzero(costs < eps):
+            params = {}
+        chosen = search.select(method, h, eps, params, seed)
+        assert 0 <= chosen.index < 1 << n
+        metrics = chosen.metrics()
+        assert metrics["loss"] == costs[chosen.index]
+        assert metrics["success"] == (metrics["loss"] < eps)
+        assert metrics["epsilon"] == eps
+        assert int(chosen.bits @ (1 << np.arange(n))) == chosen.index
+        if method == "exhaustive":
+            assert chosen.index == int(np.argmin(costs))
+            assert chosen.oracle_calls == 1 << n
+        elif method == "grover" and not params.get("unknown_k"):
+            t, restarts = chosen.fields["t"], chosen.fields["restarts"]
+            assert chosen.oracle_calls == t * restarts + restarts
+        elif method == "grover":
+            assert chosen.oracle_calls >= chosen.fields["restarts"]
+        else:
+            assert chosen.oracle_calls == 1 << n
+
+    check()
+
+
+def test_shared_work_counts_evolutions_and_lookups():
+    h = DiagonalCostHamiltonian(2, np.array([0.4, 0.1, 0.3, 0.2]))
+    shared = {}
+    for seed in (1, 2):
+        search.select("anneal", h, 0.2, {"steps": 3}, seed, shared)
+        search.select("qaoa", h, 0.2, {"p": 1, "budget": 5}, seed, shared)
+    assert search.shared_work(shared) == {"anneal_evolutions": 1,
+                                          "qaoa_objective_evaluations": 5,
+                                          "qaoa_objective_lookups": 5}
+
