@@ -15,10 +15,10 @@ from qns.grover import GroverConfig, grover_search, optimal_iterations, search_u
 net_seed, mask_seed, data_seed = np.random.SeedSequence(30).generate_state(3)
 net = masknet.init_network([(2, 2, "relu"), (2, 1, "identity")], int(net_seed))
 rng = np.random.default_rng(int(mask_seed))
-hidden = masknet.flat_mask(net, rng.integers(0, 2, net.total_maskable()))
+hidden = rng.integers(0, 2, net.total_maskable())
 data = masknet.make_planted_dataset(net, hidden, n_samples=16, seed=int(data_seed))
 print(f"search space: 2^{net.total_maskable()} = {2 ** net.total_maskable()} masks")
-print(f"hidden mask: {hidden.bits} (loss 0 by construction)")
+print(f"hidden mask: {hidden} (loss 0 by construction)")
 
 # The oracle accepts any mask whose dataset loss beats the threshold.
 o = oracle.SubnetworkOracle(net, data, epsilon=1e-9)

@@ -13,7 +13,7 @@ from qns.qsim import DiagonalCostHamiltonian
 net_seed, mask_seed, data_seed = np.random.SeedSequence(38).generate_state(3)
 net = masknet.init_network([(2, 2, "relu"), (2, 1, "identity")], int(net_seed))
 rng = np.random.default_rng(int(mask_seed))
-hidden = masknet.flat_mask(net, rng.integers(0, 2, net.total_maskable()))
+hidden = rng.integers(0, 2, net.total_maskable())
 data = masknet.make_planted_dataset(net, hidden, n_samples=16, seed=int(data_seed))
 
 h_raw = oracle.build_cost_hamiltonian(net, data)

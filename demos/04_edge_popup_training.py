@@ -14,8 +14,7 @@ ss = np.random.SeedSequence(7).generate_state(3)
 net = masknet.init_network([(2, 8, "relu"), (8, 1, "identity")], int(ss[0]))
 rng = np.random.default_rng(int(ss[1]))
 bits = (rng.random(net.total_maskable()) < 0.25).astype(np.uint8)
-hidden = masknet.flat_mask(net, bits)
-data = masknet.make_planted_dataset(net, hidden, 24, int(ss[2]), input_range=1.5)
+data = masknet.make_planted_dataset(net, bits, 24, int(ss[2]), input_range=1.5)
 
 print(f"network: 2 -> 8 -> 1, {net.total_maskable()} maskable weights")
 print(f"hidden mask density: {bits.mean():.2f}")
@@ -31,7 +30,7 @@ for epoch in (1, 5, 10, 20, 40):
 kept = sum(int(m.sum()) for m in result.final_masks)
 total = net.total_maskable()
 print(f"\nfinal mask keeps {kept}/{total} weights")
-probs = [edgepopup.prob_one(c.thetas) for c in result.circuits]
+probs = [edgepopup.prob_one(t) for t in result.thetas]
 print(f"keep-probabilities span [{min(p.min() for p in probs):.3f}, "
       f"{max(p.max() for p in probs):.3f}]")
 

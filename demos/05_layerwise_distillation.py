@@ -40,4 +40,4 @@ for backend in (distill.Backend.EXHAUSTIVE, distill.Backend.GROVER,
 result = distill.distill_select(pair, data, backend=distill.Backend.EXHAUSTIVE,
                                 per_block_bit_budget=12)
 print(f"\nselected masks: "
-      f"{[''.join(map(str, m.bits)) for m in result.masks]}")
+      f"{[''.join(map(str, r.bits)) for r in result.reports]}")

@@ -11,6 +11,7 @@ from . import (
     nkesn,
     oracle,
     qsim,
+    search,
     variational,
 )
 
@@ -25,6 +26,7 @@ __all__ = [
     "nkesn",
     "oracle",
     "qsim",
+    "search",
     "variational",
 ]
 

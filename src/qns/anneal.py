@@ -19,6 +19,7 @@ from .qsim import (
     evolve,
     expectation,
     uniform_superposition,
+    within_table,
 )
 
 GROUND_ATOL = 1e-12
@@ -56,7 +57,8 @@ def anneal(h_c: DiagonalCostHamiltonian, sched: AnnealSchedule) -> AnnealResult:
     ground = ground_states(h_c)
     # rounding can carry a normalized state's probabilities past 1 in sum
     p_ground = min(float(state.probabilities()[ground].sum()), 1.0)
-    return AnnealResult(state, p_ground, ground, expectation(state, h_c))
+    return AnnealResult(state, p_ground, ground,
+                        within_table(expectation(state, h_c), h_c))
 
 
 def sweep_total_time(h_c: DiagonalCostHamiltonian, total_times, steps: int,

@@ -137,7 +137,7 @@ def block_loss(teacher_acts: np.ndarray, block: MaskedNetwork, bits,
                mode: CompressMode = CompressMode.AVERAGE_POOL):
     """Mean L2 distance between teacher activations and the compressed
     masked block output, over the given block inputs: a float for one mask,
-    M losses for an (M, n) matrix of masks in ``mask_layout`` order."""
+    M losses for an (M, n) matrix of masks in ``masknet.layer_views`` order."""
     bits = np.asarray(bits)
     out = masknet.batch_forward(block, np.atleast_2d(bits), block_inputs)
     losses = _compressed_losses(out, teacher_acts, mode)
@@ -174,7 +174,6 @@ class BlockReport:
 
 @dataclass
 class DistillResult:
-    masks: list[masknet.FlatMask]
     reports: list[BlockReport]
 
     @property
@@ -205,7 +204,6 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
     teacher_trace = record_activations(pair.teacher, data)
     rng = np.random.default_rng(seed)
 
-    masks: list[masknet.FlatMask] = []
     reports: list[BlockReport] = []
     block_inputs = data.inputs
     for i, block in enumerate(pair.blocks):
@@ -240,16 +238,15 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
         if backend is Backend.GROVER:  # a threshold search reports its threshold and queries
             report.oracle_calls = chosen.oracle_calls
             report.epsilon = eps
-        masks.append(masknet.flat_mask(block, report.bits))
         reports.append(report)
 
         # Chain: next block sees this block's compressed masked output (or
         # the teacher's own activations in the comparison variant).
         if chaining is Chaining.STUDENT:
-            view = masknet.apply_flat_mask(block, masks[-1])
+            view = masknet.apply_flat_mask(block, report.bits)
             out = masknet.forward_batch(view, block_inputs)
             block_inputs = compress(out, teacher_acts.shape[1], mode)
         else:
             block_inputs = teacher_acts
-    return DistillResult(masks, reports)
+    return DistillResult(reports)
 

@@ -6,9 +6,10 @@ pass; a straight-through backward pass (masks treated as all-ones) updates
 the rotation angles, which stay clamped to [-pi/2, pi/2]. The circuits are
 product states, so sampling is done per qubit analytically.
 
-The angles of all layers live in one flat vector; each layer's circuit
-holds a reshaped view of it. A step is laid out as that vector, so it is
-scaled once, subtracted once and clamped once, with the bare ufuncs
+The angles of all layers live in one flat vector, in the weight order of
+:func:`qns.masknet.layer_views`: angle j rotates the qubit of the weight
+that mask bit j gates. A step is laid out as that vector, so it is scaled
+once, subtracted once and clamped once, with the bare ufuncs
 ``np.maximum`` and ``np.minimum`` (what ``np.clip`` computes, without its
 wrapper).
 
@@ -44,18 +45,6 @@ THETA_CLAMP = math.pi / 2.0
 class ResampleRule(str, Enum):
     PER_SAMPLE = "per_sample"
     PER_EPOCH = "per_epoch"
-
-
-@dataclass
-class PopupLayerCircuit:
-    """One rotation angle per weight of a layer; |theta| <= pi/2 always."""
-
-    thetas: np.ndarray
-
-    def __post_init__(self):
-        self.thetas = np.asarray(self.thetas, dtype=np.float64)
-        if np.any(np.abs(self.thetas) > THETA_CLAMP):
-            raise ValueError("thetas outside the clamp range [-pi/2, pi/2]")
 
 
 @dataclass
@@ -102,73 +91,33 @@ def prob_one(theta):
     return float(value) if value.ndim == 0 else value
 
 
-def init_circuits(net: MaskedNetwork) -> list[PopupLayerCircuit]:
-    """All angles zero: every weight starts with keep-probability 1/2.
-
-    The circuits' angles are reshaped views of one flat vector, layer by
-    layer, row-major; ``popup_update`` moves and clamps them through it.
-    """
-    flat = np.zeros(sum(s.fan_in * s.fan_out for s in net.specs))
-    return [PopupLayerCircuit(t) for t in _layer_views(flat, net)]
-
-
-def _layer_views(flat: np.ndarray, net: MaskedNetwork) -> list[np.ndarray]:
-    """Per-layer (..., fan_in, fan_out) views of ``flat``'s last axis, in layer order."""
-    views, start = [], 0
-    for spec in net.specs:
-        stop = start + spec.fan_in * spec.fan_out
-        views.append(flat[..., start:stop].reshape(flat.shape[:-1]
-                                                   + (spec.fan_in, spec.fan_out)))
-        start = stop
-    return views
-
-
-def _flat_thetas(circs) -> np.ndarray:
-    """The flat vector whose views are the circuits' angles (``init_circuits``)."""
-    flat = circs[0].thetas.base
-    size = 0
-    for circ in circs:  # a plain loop: this check runs on every step
-        if circ.thetas.base is not flat:
-            break
-        size += circ.thetas.size
-    else:
-        if flat is not None and flat.ndim == 1 and flat.size == size:
-            return flat
-    raise ValueError("circuits must share one angle vector, as init_circuits makes")
-
-
 def _clamp(thetas: np.ndarray) -> None:
     """Clamp to [-pi/2, pi/2] in place, as ``np.clip`` does, without its wrapper."""
     np.maximum(thetas, -THETA_CLAMP, out=thetas)
     np.minimum(thetas, THETA_CLAMP, out=thetas)
 
 
-def sample_mask(circ: PopupLayerCircuit, rng: np.random.Generator) -> np.ndarray:
-    """Independent Bernoulli draw per entry with probability prob_one(theta)."""
-    return (rng.random(circ.thetas.shape) < _keep_prob(circ.thetas)).astype(np.float64)
-
-
-def threshold_mask(circ: PopupLayerCircuit) -> np.ndarray:
+def threshold_mask(thetas: np.ndarray) -> np.ndarray:
     """Deterministic rule: keep an edge iff prob_one(theta) >= 1/2 (theta >= 0)."""
-    return (circ.thetas >= 0.0).astype(np.float64)
+    return (thetas >= 0.0).astype(np.float64)
 
 
-def topk_mask(circ: PopupLayerCircuit, fraction: float) -> np.ndarray:
-    """Keep the top fraction of this layer's edges ranked by keep-probability."""
+def topk_mask(thetas: np.ndarray, fraction: float) -> np.ndarray:
+    """Keep the top fraction of one layer's edges ranked by keep-probability."""
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    flat = circ.thetas.ravel()
+    flat = thetas.ravel()
     k = max(1, int(round(fraction * flat.size)))
     order = np.argsort(-flat, kind="stable")[:k]
     mask = np.zeros(flat.size)
     mask[order] = 1.0
-    return mask.reshape(circ.thetas.shape)
+    return mask.reshape(thetas.shape)
 
 
-def _deterministic_masks(circs, cfg: PopupTrainConfig) -> list[np.ndarray]:
+def _deterministic_masks(layer_thetas, cfg: PopupTrainConfig) -> list[np.ndarray]:
     if cfg.topk_fraction is not None:
-        return [topk_mask(c, cfg.topk_fraction) for c in circs]
-    return [threshold_mask(c) for c in circs]
+        return [topk_mask(t, cfg.topk_fraction) for t in layer_thetas]
+    return [threshold_mask(t) for t in layer_thetas]
 
 
 def straight_through_grads(net: MaskedNetwork, masks, x: np.ndarray,
@@ -218,29 +167,23 @@ def _steps(net: MaskedNetwork, acts, grads, alpha: float, n_angles: int) -> np.n
     """alpha times each layer's step outer(activation, gradient) * W, laid out
     as the flat angle vector, per leading index: (..., n_angles)."""
     steps = np.empty(acts[0].shape[:-1] + (n_angles,))
-    for view, a, g, w in zip(_layer_views(steps, net), acts, grads, net.weights):
+    for view, a, g, w in zip(masknet.layer_views(steps, net), acts, grads, net.weights):
         np.multiply(a[..., :, None], g[..., None, :], out=view)
         view *= w
     steps *= alpha
     return steps
 
 
-def popup_update(net: MaskedNetwork, circs, x, y, cfg: PopupTrainConfig,
-                 masks=None, rng: np.random.Generator | None = None) -> float:
-    """One sample step: sample masks, forward, straight-through update, clamp.
+def popup_update(net: MaskedNetwork, thetas: np.ndarray, masks, x, y,
+                 alpha: float) -> float:
+    """One sample step under per-layer ``masks``: forward, straight-through
+    update, clamp.
 
-    ``circs`` come from :func:`init_circuits`; their angles move in place,
-    through the flat vector they view, by one step laid out as that vector.
-    Without ``masks`` they are drawn from ``rng``, which is then required.
-    Loss and gradients are :func:`straight_through_grads`'s for the one
-    sample, without its handling of stacked rows: calling it here made
-    per-sample training about 8% slower.
+    ``thetas`` is the flat angle vector; it moves in place by one step laid
+    out as that vector. Loss and gradients are :func:`straight_through_grads`'s
+    for the one sample, without its handling of stacked rows: calling it
+    here made per-sample training about 8% slower.
     """
-    thetas = _flat_thetas(circs)
-    if masks is None:
-        if rng is None:
-            raise ValueError("popup_update needs masks or an rng to draw them from")
-        masks = [sample_mask(c, rng) for c in circs]
     x64 = np.asarray(x, dtype=np.float64)
     layers = masknet.masked_layers(net, x64, masks)
     diff = layers[-1][1] - np.asarray(y, dtype=np.float64)
@@ -249,7 +192,7 @@ def popup_update(net: MaskedNetwork, circs, x, y, cfg: PopupTrainConfig,
         raise FloatingPointError(f"non-finite loss in popup update (input {np.asarray(x)!r})")
     grads = _backward(net, layers, diff / loss if loss > 0 else np.zeros(diff.shape))
     acts = [x64] + [z for _, z in layers[:-1]]
-    thetas -= _steps(net, acts, grads, cfg.alpha, thetas.size)
+    thetas -= _steps(net, acts, grads, alpha, thetas.size)
     _clamp(thetas)
     return loss
 
@@ -270,7 +213,7 @@ def _epoch_steps(net: MaskedNetwork, masks, data: Dataset, order,
 
 @dataclass
 class PopupTrainResult:
-    circuits: list[PopupLayerCircuit]
+    thetas: list[np.ndarray]  # per layer, (fan_in, fan_out)
     loss_curve: list[float]
     final_masks: list[np.ndarray]
 
@@ -284,16 +227,17 @@ def popup_train(net: MaskedNetwork, data: Dataset,
     (or the per-layer top-k rule when configured).
     """
     rng = np.random.default_rng(cfg.seed)
-    circs = init_circuits(net)
-    thetas = _flat_thetas(circs)
+    # all angles zero: every weight starts with keep-probability 1/2
+    thetas = np.zeros(sum(s.fan_in * s.fan_out for s in net.specs))
+    layer_thetas = masknet.layer_views(thetas, net)
     # the step's masks: entry j is 1.0 iff its draw < prob_one(thetas[j])
-    flat_mask = np.empty(thetas.size)
-    masks = _layer_views(flat_mask, net)
+    mask_bits = np.empty(thetas.size)
+    masks = masknet.layer_views(mask_bits, net)
     loss_curve = []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(data))
         if cfg.resample is ResampleRule.PER_EPOCH:
-            np.less(rng.random(thetas.size), _keep_prob(thetas), out=flat_mask)
+            np.less(rng.random(thetas.size), _keep_prob(thetas), out=mask_bits)
             for step in _epoch_steps(net, masks, data, order, cfg.alpha, thetas.size):
                 thetas -= step
                 _clamp(thetas)
@@ -301,15 +245,16 @@ def popup_train(net: MaskedNetwork, data: Dataset,
             # the same stream as one draw per layer per sample
             draws = rng.random((len(order), thetas.size))
             for idx, draw in zip(order, draws):
-                np.less(draw, _keep_prob(thetas), out=flat_mask)
+                np.less(draw, _keep_prob(thetas), out=mask_bits)
                 try:
-                    popup_update(net, circs, data.inputs[idx], data.targets[idx],
-                                 cfg, masks=masks)
+                    popup_update(net, thetas, masks, data.inputs[idx],
+                                 data.targets[idx], cfg.alpha)
                 except FloatingPointError as err:
                     raise FloatingPointError(f"sample {idx}: {err}") from err
-        eval_masks = _deterministic_masks(circs, cfg)
+        eval_masks = _deterministic_masks(layer_thetas, cfg)
         loss_curve.append(masked_loss(net, eval_masks, data))
-    return PopupTrainResult(circs, loss_curve, _deterministic_masks(circs, cfg))
+    return PopupTrainResult(layer_thetas, loss_curve,
+                            _deterministic_masks(layer_thetas, cfg))
 
 
 def masked_loss(net: MaskedNetwork, masks, data: Dataset) -> float:

@@ -378,8 +378,7 @@ def build_selection_task(task: dict) -> tuple[masknet.MaskedNetwork, masknet.Dat
         net = masknet.init_network(
             [tuple(layer) for layer in task["layers"]], int(net_seed))
         rng = np.random.default_rng(int(mask_seed))
-        hidden = masknet.flat_mask(
-            net, rng.integers(0, 2, size=net.total_maskable()))
+        hidden = rng.integers(0, 2, size=net.total_maskable())
         data = masknet.make_planted_dataset(net, hidden, task["n_samples"],
                                             int(data_seed))
         return net, data

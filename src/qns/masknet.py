@@ -2,7 +2,9 @@
 
 The weights of a :class:`MaskedNetwork` are drawn once and never tuned;
 training means choosing which weights stay active, via per-layer binary
-masks or a :class:`FlatMask` bitstring that other modules search over.
+masks or one flat 0/1 vector that other modules search over. The flat
+order is :func:`layer_views`'s: every layer's weights, row-major, layer by
+layer, then the bias bits when biases are masked.
 
 :func:`enumerate_table` reduces the outputs of every one of the 2^n masks
 to a cost table. Layer l's output depends only on the bits of layers <= l,
@@ -30,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-BIAS_ROW = -1
 ENUMERATION_CHUNK = 1024  # mask patterns per kernel step: bounds its largest temporary
 PAIRWISE_MIN = 8  # NumPy sums a last axis this long or longer pairwise
 
@@ -210,16 +211,16 @@ def dataset_loss(net: MaskedNetwork, data: Dataset) -> float:
 def batch_losses(net: MaskedNetwork, data: Dataset, rows) -> np.ndarray:
     """Dataset loss of ``net`` under each row of an (M, n) 0/1 matrix.
 
-    Bit j of a row masks parameter ``mask_layout(net)[j]``; returns M losses,
-    each equal to ``dataset_loss(apply_flat_mask(net, flat_mask(net, row)), data)``.
+    Rows are in :func:`layer_views` order; returns M losses, each equal to
+    ``dataset_loss(apply_flat_mask(net, row), data)``.
     """
     return mean_l2(batch_forward(net, rows, data.inputs), data.targets)
 
 
 def batch_forward(net: MaskedNetwork, rows, xs: np.ndarray) -> np.ndarray:
     """Outputs (M, samples, fan_out) of ``net`` under each row of an (M, n) 0/1
-    matrix in ``mask_layout`` order."""
-    masks, bias_masks = _layout_masks(net, mask_layout(net), rows)
+    matrix in :func:`layer_views` order."""
+    masks, bias_masks = _layout_masks(net, rows)
     return masked_layers(net, xs, masks, bias_masks if net.mask_biases else None)[-1][1]
 
 
@@ -240,7 +241,7 @@ def enumerate_table(net: MaskedNetwork, xs: np.ndarray, reduce) -> np.ndarray:
     """
     # A layer's bits are its weights, then its biases when they are masked.
     # The table has one axis per layer, layer 0 innermost, so that without
-    # masked biases its flat index is the mask_layout index.
+    # masked biases its flat index is the layer_views index.
     sizes = [(s.fan_in * s.fan_out, s.fan_out if net.mask_biases else 0)
              for s in net.specs]
     table = np.empty([1 << (n_w + n_b) for n_w, n_b in reversed(sizes)])
@@ -263,7 +264,7 @@ def enumerate_table(net: MaskedNetwork, xs: np.ndarray, reduce) -> np.ndarray:
                     (slice(lo, lo + len(patterns)), *index))
 
     descend(0, xs[None], ())
-    # mask_layout puts every bias bit after every weight bit: split each layer
+    # layer_views puts every bias bit after every weight bit: split each layer
     # axis into (bias, weight) and move the bias axes outermost
     depth = net.depth
     split = table.reshape([1 << n for pair in reversed(sizes) for n in reversed(pair)])
@@ -296,82 +297,47 @@ def mean_l2(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Flat masks: one bitstring covering every maskable parameter.
+# Flat masks: one 0/1 vector covering every maskable parameter.
 
-@dataclass(frozen=True)
-class FlatMask:
-    """Bitstring over all maskable parameters plus the bit -> (layer, row, col) map.
-
-    Row ``BIAS_ROW`` addresses a bias entry (only present when the owning
-    network masks biases). The layout is a bijection: bit j <-> layout[j].
+def layer_views(flat: np.ndarray, net: MaskedNetwork) -> list[np.ndarray]:
+    """Per-layer (..., fan_in, fan_out) views of the weight part of ``flat``'s
+    last axis: entry ``off_l + row * fan_out + col`` addresses weight (row,
+    col) of layer l, where ``off_l`` counts the weights of the layers before
+    it. Masked biases take the entries after every weight, layer by layer.
     """
-
-    bits: np.ndarray
-    layout: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        if bits.ndim != 1 or bits.size != len(self.layout):
-            raise ValueError(
-                f"{bits.size} bits do not match layout of size {len(self.layout)}"
-            )
-        if not np.all((bits == 0) | (bits == 1)):
-            raise ValueError("mask bits must be 0 or 1")
-        if len(set(self.layout)) != len(self.layout):
-            raise ValueError("layout entries must be distinct (bit -> parameter bijection)")
-        object.__setattr__(self, "bits", bits)
-
-    def __len__(self) -> int:
-        return self.bits.size
+    views, start = [], 0
+    for spec in net.specs:
+        stop = start + spec.fan_in * spec.fan_out
+        views.append(flat[..., start:stop].reshape(flat.shape[:-1]
+                                                   + (spec.fan_in, spec.fan_out)))
+        start = stop
+    return views
 
 
-def mask_layout(net: MaskedNetwork) -> tuple[tuple[int, int, int], ...]:
-    """Bit order: layer by layer, weights row-major, then biases if masked."""
-    entries = []
-    for layer, spec in enumerate(net.specs):
-        for row in range(spec.fan_in):
-            for col in range(spec.fan_out):
-                entries.append((layer, row, col))
-    if net.mask_biases:
-        for layer, spec in enumerate(net.specs):
-            for col in range(spec.fan_out):
-                entries.append((layer, BIAS_ROW, col))
-    return tuple(entries)
-
-
-def flat_mask(net: MaskedNetwork, bits) -> FlatMask:
-    return FlatMask(np.asarray(bits, dtype=np.uint8), mask_layout(net))
-
-
-def apply_flat_mask(net: MaskedNetwork, m: FlatMask) -> MaskedNetwork:
-    """Masked view of ``net``: shares the frozen weights, owns fresh masks."""
-    masks, bias_masks = _layout_masks(net, m.layout, m.bits[None, :])
+def apply_flat_mask(net: MaskedNetwork, bits) -> MaskedNetwork:
+    """Masked view of ``net`` under one 0/1 vector in :func:`layer_views`
+    order: shares the frozen weights, owns fresh masks."""
+    masks, bias_masks = _layout_masks(net, np.asarray(bits)[None])
     return _view(net, [w[0] for w in masks], [b[0, 0] for b in bias_masks])
 
 
-def _layout_masks(net: MaskedNetwork, layout, rows):
+def _layout_masks(net: MaskedNetwork, rows):
     """Per-layer weight masks (M, fan_in, fan_out) and bias masks (M, 1, fan_out)
-    of an (M, n) 0/1 matrix whose bit j masks parameter ``layout[j]``; parameters
-    the layout does not address stay 1."""
+    of an (M, n) 0/1 matrix in :func:`layer_views` order; without masked
+    biases the bias masks are 1."""
     n = net.total_maskable()
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != n:
-        raise ValueError(f"mask has {rows.shape[-1]} bits, network has {n} "
-                         "maskable parameters")
+        raise ValueError(f"mask of shape {rows.shape[1:]} is not one bit for each "
+                         f"of the network's {n} maskable parameters")
     if not np.all((rows == 0) | (rows == 1)):
         raise ValueError("mask bits must be 0 or 1")
-    layer, row, col = np.asarray(layout, dtype=np.intp).reshape(-1, 3).T
-    masks, bias_masks = [], []
-    for i, spec in enumerate(net.specs):
-        on_bias = (layer == i) & (row == BIAS_ROW)
-        on_weight = (layer == i) & (row != BIAS_ROW)
-        w = np.ones((len(rows), spec.fan_in, spec.fan_out))
-        w[:, row[on_weight], col[on_weight]] = rows[:, on_weight]
-        b = np.ones((len(rows), 1, spec.fan_out))
-        b[:, 0, col[on_bias]] = rows[:, on_bias]
-        masks.append(w)
-        bias_masks.append(b)
-    return masks, bias_masks
+    masks = [w.astype(np.float64, order="C") for w in layer_views(rows, net)]
+    if not net.mask_biases:
+        return masks, [np.ones((len(rows), 1, s.fan_out)) for s in net.specs]
+    widths = [s.fan_out for s in net.specs]
+    bias_bits = rows[:, None, n - sum(widths):].astype(np.float64)
+    return masks, np.split(bias_bits, np.cumsum(widths)[:-1], axis=-1)
 
 
 def _view(net: MaskedNetwork, masks, bias_masks=None) -> MaskedNetwork:
@@ -472,7 +438,7 @@ def save_dataset_csv(data: Dataset, path) -> None:
 # Synthetic benchmark: targets generated by a hidden mask, so the search
 # space always contains at least one zero-loss solution.
 
-def make_planted_dataset(net: MaskedNetwork, hidden: FlatMask, n_samples: int,
+def make_planted_dataset(net: MaskedNetwork, hidden, n_samples: int,
                          seed, input_range: float = 1.0) -> Dataset:
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-input_range, input_range, size=(n_samples, net.input_dim))

@@ -450,6 +450,12 @@ def expectation(state: StateVector, h: DiagonalCostHamiltonian) -> float:
     return float(np.dot(state.probabilities(), h.costs))
 
 
+def within_table(value: float, h: DiagonalCostHamiltonian) -> float:
+    """``value`` kept inside [min, max] of ``h``'s costs, where every
+    expectation lies: rounding can carry a reported one an ulp outside."""
+    return min(max(value, float(h.costs.min())), float(h.costs.max()))
+
+
 def _chebyshev_propagate(m: sparse.csr_matrix, r: float, v: np.ndarray,
                          beta: float) -> np.ndarray:
     """exp(-i*beta*h) @ v, given m = 2h/r for a real symmetric h with spectrum in [-r, r].
@@ -552,12 +558,13 @@ def evolve(
     """First-order Trotterized evolution under (1 - t/T)*H_mixer + (t/T)*H_C.
 
     Each step applies the cost phase then :func:`apply_mixer`, both sampled
-    at the midpoint of the step's time interval, so the result equals a
-    QAOA state with the linear-ramp angles of ``steps`` blocks. The cost
-    phase takes cos and sin once per distinct cost (:func:`apply_layers`):
-    a 400-step transverse anneal at n = 12 on a 512-level table takes 31 ms,
-    42 ms with the phase over all 4,096 costs, and a step's phase on an
-    all-distinct table 50 against 51 us (one BLAS thread, 2-core x86).
+    at the midpoint of the step's time interval (:func:`midpoint_ramp`), so
+    the result equals a QAOA state with the linear-ramp angles of ``steps``
+    blocks. The cost phase takes cos and sin once per distinct cost
+    (:func:`apply_layers`): a 400-step transverse anneal at n = 12 on a
+    512-level table takes 31 ms, 42 ms with the phase over all 4,096 costs,
+    and a step's phase on an all-distinct table 50 against 51 us (one BLAS
+    thread, 2-core x86).
     """
     n = state.n_qubits
     if h_c.n_qubits != n:
@@ -569,7 +576,12 @@ def evolve(
     if not total_time > 0:
         raise ValueError(f"total_time must be positive, got {total_time}")
 
+    return apply_layers(state, h_c, mixer, *midpoint_ramp(total_time, steps))
+
+
+def midpoint_ramp(total_time: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The linear ramp's angles at the midpoint s = (k + 1/2)/steps of each of
+    ``steps`` steps of length dt = T/steps: cost dt * s, mixer dt * (1 - s)."""
     dt = total_time / steps
-    midpoints = [(step + 0.5) / steps for step in range(steps)]
-    return apply_layers(state, h_c, mixer, [dt * s for s in midpoints],
-                        [dt * (1.0 - s) for s in midpoints])
+    s = (np.arange(steps) + 0.5) / steps
+    return dt * s, dt * (1.0 - s)

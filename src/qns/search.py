@@ -22,6 +22,7 @@ from .qsim import (
     MixerSpec,
     measure,
     ring_graph,
+    within_table,
 )
 
 LOCAL_MAX_RESTARTS = 8  # Grover restarts of a distillation block or an NK output
@@ -142,7 +143,7 @@ def select(method: str, h: DiagonalCostHamiltonian, epsilon: float, params: dict
         state = variational.ansatz_state(variational.VqeAnsatz(
             ansatz.layers, result.best_params, ansatz.entangler))
     if method != "anneal":
-        fields = {"best_expectation": result.best_value,
+        fields = {"best_expectation": within_table(result.best_value, h),
                   "evaluations": len(result.trace)}
     measured = measure(state, np.random.default_rng(seed))
     return scored(measured, h.dim, bits_hex=format(measured, "x"), **fields)

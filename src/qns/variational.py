@@ -25,6 +25,8 @@ from .qsim import (
     _product_blocks,
     apply_layers,
     expectation,
+    midpoint_ramp,
+    ring_graph,
     uniform_superposition,
 )
 
@@ -94,21 +96,15 @@ def make_ansatz(n_qubits: int, layers: int, seed,
     return VqeAnsatz(layers, thetas, entangler)
 
 
-def _ring_edges(n: int) -> list[tuple[int, int]]:
-    if n < 2:
-        return []
-    if n == 2:
-        return [(0, 1)]
-    return [(q, (q + 1) % n) for q in range(n)]
-
-
 @lru_cache(maxsize=4)  # one 16-qubit entry holds 512 kB
 def _ring_cz_signs(n: int) -> np.ndarray:
     """Diagonal of the CZ ring: -1 where an odd number of ring edges have both bits set."""
     idx = np.arange(1 << n)
     odd = np.zeros(1 << n, dtype=np.int64)
-    for a, b in _ring_edges(n):
-        odd ^= (idx >> a) & (idx >> b) & 1
+    for a, neighbours in enumerate(ring_graph(n)):
+        for b in neighbours:
+            if a < b:  # each edge once
+                odd ^= (idx >> a) & (idx >> b) & 1
     signs = 1.0 - 2.0 * odd
     signs.flags.writeable = False  # shared by every caller
     return signs
@@ -260,6 +256,4 @@ def vqe_run(h_c: DiagonalCostHamiltonian, ansatz: VqeAnsatz, budget: int,
 
 def linear_ramp_params(p: int, total_time: float) -> QaoaParams:
     """Annealing-style schedule: gamma ramps up, beta ramps down, step dt = T/p."""
-    dt = total_time / p
-    s = (np.arange(p) + 0.5) / p
-    return QaoaParams(dt * s, dt * (1.0 - s))
+    return QaoaParams(*midpoint_ramp(total_time, p))

@@ -13,8 +13,7 @@ def make_planted_task(layers, seed, n_samples=16, density=0.5, input_range=1.0):
     net_seed, mask_seed, data_seed = np.random.SeedSequence(seed).generate_state(3)
     net = masknet.init_network(layers, int(net_seed))
     rng = np.random.default_rng(int(mask_seed))
-    bits = (rng.random(net.total_maskable()) < density).astype(np.uint8)
-    hidden = masknet.flat_mask(net, bits)
+    hidden = (rng.random(net.total_maskable()) < density).astype(np.uint8)
     data = masknet.make_planted_dataset(net, hidden, n_samples, int(data_seed),
                                         input_range=input_range)
     return net, data, hidden

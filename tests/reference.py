@@ -6,7 +6,10 @@ forward and straight-through backward on its own, and moves and clamps each
 layer's angles separately. ``qns.edgepopup.popup_train`` must give the same
 angles, loss curve and final masks bit for bit.
 
-``flat_mask_from_index`` decodes one table index into a mask, and
+``mask_layout`` writes the flat bit order out as a (layer, row, col) table
+of every maskable parameter, and ``layout_masks`` scatters a 0/1 matrix
+through it; the slices of ``qns.masknet.layer_views`` must equal that
+scatter bit for bit.
 ``fit_identity_teacher`` fits a least-squares teacher layer.
 
 The single-qubit gates (``apply_ry``, ``apply_h``, ``apply_x``, ``apply_z``)
@@ -41,13 +44,11 @@ from scipy.special import jv
 
 from qns import masknet
 from qns.nkesn import DEFAULT_WASHOUT, _phi, probe_signal_series
-from qns.bitstrings import index_to_bits
 from qns.grover import GroverConfig, GroverResult, grover_search
 from qns.oracle import CostOracle
 from qns.edgepopup import (
     THETA_CLAMP,
     PopupTrainResult,
-    PopupLayerCircuit,
     ResampleRule,
     masked_loss,
     threshold_mask,
@@ -92,10 +93,9 @@ def _update(net, thetas, masks, x, y, alpha):
 
 
 def _final_masks(thetas, topk_fraction):
-    circs = [PopupLayerCircuit(t) for t in thetas]
     if topk_fraction is not None:
-        return [topk_mask(c, topk_fraction) for c in circs]
-    return [threshold_mask(c) for c in circs]
+        return [topk_mask(t, topk_fraction) for t in thetas]
+    return [threshold_mask(t) for t in thetas]
 
 
 def popup_train(net, data, cfg) -> PopupTrainResult:
@@ -115,12 +115,43 @@ def popup_train(net, data, cfg) -> PopupTrainResult:
             except FloatingPointError as err:
                 raise FloatingPointError(f"sample {idx}: {err}") from err
         loss_curve.append(masked_loss(net, _final_masks(thetas, cfg.topk_fraction), data))
-    circs = [PopupLayerCircuit(t) for t in thetas]
-    return PopupTrainResult(circs, loss_curve, _final_masks(thetas, cfg.topk_fraction))
+    return PopupTrainResult(thetas, loss_curve, _final_masks(thetas, cfg.topk_fraction))
 
 
-def flat_mask_from_index(net, index):
-    return masknet.flat_mask(net, index_to_bits(index, net.total_maskable()))
+BIAS_ROW = -1
+
+
+def mask_layout(net):
+    """(layer, row, col) of every mask bit: layer by layer, weights row-major,
+    then every layer's biases (row ``BIAS_ROW``) if they are masked."""
+    entries = []
+    for layer, spec in enumerate(net.specs):
+        for row in range(spec.fan_in):
+            for col in range(spec.fan_out):
+                entries.append((layer, row, col))
+    if net.mask_biases:
+        for layer, spec in enumerate(net.specs):
+            for col in range(spec.fan_out):
+                entries.append((layer, BIAS_ROW, col))
+    return tuple(entries)
+
+
+def layout_masks(net, rows):
+    """Per-layer weight masks (M, fan_in, fan_out) and bias masks (M, 1, fan_out)
+    of an (M, n) 0/1 matrix whose bit j masks parameter ``mask_layout(net)[j]``."""
+    rows = np.asarray(rows)
+    layer, row, col = np.asarray(mask_layout(net), dtype=np.intp).reshape(-1, 3).T
+    masks, bias_masks = [], []
+    for i, spec in enumerate(net.specs):
+        on_bias = (layer == i) & (row == BIAS_ROW)
+        on_weight = (layer == i) & (row != BIAS_ROW)
+        w = np.ones((len(rows), spec.fan_in, spec.fan_out))
+        w[:, row[on_weight], col[on_weight]] = rows[:, on_weight]
+        b = np.ones((len(rows), 1, spec.fan_out))
+        b[:, 0, col[on_bias]] = rows[:, on_bias]
+        masks.append(w)
+        bias_masks.append(b)
+    return masks, bias_masks
 
 
 def fit_identity_teacher(data):

@@ -178,8 +178,7 @@ def _popup_planted_task(seed):
     net = masknet.init_network([(2, 8, "relu"), (8, 1, "identity")], int(ss[0]))
     rng = np.random.default_rng(int(ss[1]))
     bits = (rng.random(net.total_maskable()) < 0.25).astype(np.uint8)
-    hidden = masknet.flat_mask(net, bits)
-    data = masknet.make_planted_dataset(net, hidden, 24, int(ss[2]),
+    data = masknet.make_planted_dataset(net, bits, 24, int(ss[2]),
                                         input_range=1.5)
     return net, data
 
@@ -213,8 +212,8 @@ def test_c07_edge_popup():
     net10k, data10k = _popup_planted_task(seed=0)
     cfg = edgepopup.PopupTrainConfig(alpha=0.5, epochs=420, seed=1)
     result = edgepopup.popup_train(net10k, data10k, cfg)  # 420 * 24 > 1e4 updates
-    for circ in result.circuits:
-        assert np.all(np.abs(circ.thetas) <= edgepopup.THETA_CLAMP)
+    for thetas in result.thetas:
+        assert np.all(np.abs(thetas) <= edgepopup.THETA_CLAMP)
 
     # planted halving: final threshold loss <= half the epoch-1 loss, 8/10 seeds
     halved = 0
@@ -264,7 +263,7 @@ def test_c08_distillation_ground_truth():
                                    index_to_bits(xx, n_bits), inputs)
                 for xx in range(1 << n_bits))
             assert exact.reports[i].loss == independent_min
-            view = masknet.apply_flat_mask(block, exact.masks[i])
+            view = masknet.apply_flat_mask(block, exact.reports[i].bits)
             inputs = distill.compress(masknet.forward_batch(view, inputs),
                                       trace.layers[i].shape[1])
 

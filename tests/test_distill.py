@@ -53,7 +53,7 @@ def test_trace_final_layer_equals_forward():
 def test_record_activations_respects_bias_masks():
     net = network_from_weights([LayerSpec(1, 1, Activation.IDENTITY)], [[[1.0]]], [[1.0]])
     net.mask_biases = True
-    view = masknet.apply_flat_mask(net, masknet.flat_mask(net, [1, 0]))  # bias cleared
+    view = masknet.apply_flat_mask(net, [1, 0])  # bias cleared
     trace = record_activations(view, Dataset([[0.0]], [[0.0]]))
     np.testing.assert_array_equal(trace.layers[0], [[0.0]])
     np.testing.assert_array_equal(trace.layers[0], masknet.forward_batch(view, np.zeros((1, 1))))
@@ -209,7 +209,7 @@ def test_exhaustive_selection_attains_independent_enumeration():
                    for x in range(1 << n_bits))
         assert result.reports[i].loss == best
         assert result.reports[i].gap == 0.0
-        view = masknet.apply_flat_mask(block, result.masks[i])
+        view = masknet.apply_flat_mask(block, result.reports[i].bits)
         out = masknet.forward_batch(view, inputs)
         inputs = compress(out, trace.layers[i].shape[1])
 
@@ -265,7 +265,6 @@ def test_depth_one_teacher_optimizes_exactly_one_block():
     result = distill_select(pair, data, backend=Backend.EXHAUSTIVE,
                             per_block_bit_budget=12)
     assert len(result.reports) == 1
-    assert len(result.masks) == 1
 
 
 def test_bit_budget_is_enforced():
@@ -305,7 +304,7 @@ def test_total_loss_not_worse_than_random_masks():
         for i, block in enumerate(pair.blocks):
             bits = rng.integers(0, 2, block.total_maskable()).astype(np.uint8)
             total += block_loss(trace.layers[i], block, bits, inputs)
-            view = masknet.apply_flat_mask(block, masknet.flat_mask(block, bits))
+            view = masknet.apply_flat_mask(block, bits)
             inputs = compress(masknet.forward_batch(view, inputs),
                               trace.layers[i].shape[1])
         best_random = min(best_random, total)

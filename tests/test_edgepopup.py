@@ -11,15 +11,12 @@ from conftest import make_planted_task
 from qns import edgepopup, masknet, qsim
 from qns.edgepopup import (
     THETA_CLAMP,
-    PopupLayerCircuit,
     PopupTrainConfig,
     ResampleRule,
-    init_circuits,
     masked_loss,
     popup_train,
     popup_update,
     prob_one,
-    sample_mask,
     straight_through_grads,
     threshold_mask,
     topk_mask,
@@ -52,66 +49,68 @@ def test_prob_one_is_strictly_increasing():
     assert np.all(np.diff(probs) > 0)
 
 
-def test_sample_mask_extremes_and_frequency():
-    rng = np.random.default_rng(0)
-    ones = PopupLayerCircuit(np.full((3, 3), math.pi / 2))
-    np.testing.assert_array_equal(sample_mask(ones, rng), 1.0)
-    zeros = PopupLayerCircuit(np.full((3, 3), -math.pi / 2))
-    np.testing.assert_array_equal(sample_mask(zeros, rng), 0.0)
+def _zero_thetas(net):
+    return np.zeros(sum(w.size for w in net.weights))
 
-    half = PopupLayerCircuit(np.zeros((1, 1)))
-    draws = [sample_mask(half, rng)[0, 0] for _ in range(10000)]
+
+def _recorded_draws(monkeypatch, net, data, cfg):
+    """(angles before the step, flat mask) of every per-sample step of a training."""
+    steps = []
+
+    def recording_update(net, thetas, masks, *args):
+        steps.append((thetas.copy(), np.concatenate([m.ravel() for m in masks])))
+        return popup_update(net, thetas, masks, *args)
+
+    monkeypatch.setattr(edgepopup, "popup_update", recording_update)
+    popup_train(net, data, cfg)
+    return steps
+
+
+def test_sample_mask_extremes_and_frequency(monkeypatch):
+    """Per-sample masks keep an edge with probability prob_one(theta): always
+    at pi/2, never at -pi/2, half the time at 0."""
+    net, data, _ = make_planted_task(POPUP_LAYERS, seed=2, n_samples=16)
+    steps = _recorded_draws(monkeypatch, net, data,
+                            PopupTrainConfig(alpha=100.0, epochs=4, seed=1))
+    thetas = np.stack([t for t, _ in steps])
+    masks = np.stack([m for _, m in steps])
+    assert np.any(thetas == THETA_CLAMP) and np.any(thetas == -THETA_CLAMP)
+    np.testing.assert_array_equal(masks[thetas == THETA_CLAMP], 1.0)
+    np.testing.assert_array_equal(masks[thetas == -THETA_CLAMP], 0.0)
+
+    monkeypatch.undo()
+    steps = _recorded_draws(monkeypatch, net, data,
+                            PopupTrainConfig(alpha=0.0, epochs=40, seed=1))
+    draws = np.concatenate([m for _, m in steps])  # 40 * 16 * 16 draws at theta 0
     assert abs(np.mean(draws) - 0.5) < 0.015  # binomial 3 sigma
 
 
-def test_sample_mask_is_seed_deterministic():
-    circ = PopupLayerCircuit(np.zeros((4, 2)))
-    a = sample_mask(circ, np.random.default_rng(3))
-    b = sample_mask(circ, np.random.default_rng(3))
-    np.testing.assert_array_equal(a, b)
-
-
-def test_clamp_enforced_on_construction():
-    with pytest.raises(ValueError):
-        PopupLayerCircuit(np.array([[2.0]]))
+def test_sample_mask_is_seed_deterministic(monkeypatch):
+    net, data, _ = make_planted_task(POPUP_LAYERS, seed=2, n_samples=6)
+    a, b, c = (_recorded_draws(monkeypatch, net, data,
+                               PopupTrainConfig(alpha=0.1, epochs=2, seed=seed))
+               for seed in (3, 3, 4))
+    assert all(np.array_equal(x[1], y[1]) for x, y in zip(a, b, strict=True))
+    assert not all(np.array_equal(x[1], y[1]) for x, y in zip(a, c, strict=True))
 
 
 def test_scalar_update_matches_hand_derivation():
     """1x1 identity layer, w=1, x=1, y=0, mask 1: delta theta = -alpha."""
     net = network_from_weights([LayerSpec(1, 1, Activation.IDENTITY)], [[[1.0]]])
-    circs = init_circuits(net)
-    cfg = PopupTrainConfig(alpha=0.25, epochs=1, seed=0)
-    loss = popup_update(net, circs, np.array([1.0]), np.array([0.0]), cfg,
-                        masks=[np.ones((1, 1))])
+    thetas = _zero_thetas(net)
+    loss = popup_update(net, thetas, [np.ones((1, 1))], np.array([1.0]),
+                        np.array([0.0]), 0.25)
     assert loss == 1.0
-    assert circs[0].thetas[0, 0] == -0.25
+    assert thetas[0] == -0.25
 
 
 def test_zero_alpha_is_a_no_op():
     net = masknet.init_network(POPUP_LAYERS, seed=1)
-    circs = init_circuits(net)
-    cfg = PopupTrainConfig(alpha=0.0, epochs=1, seed=0)
-    popup_update(net, circs, np.array([0.5, -0.5]), np.array([0.1]), cfg,
-                 rng=np.random.default_rng(0))
-    for circ in circs:
-        np.testing.assert_array_equal(circ.thetas, 0.0)
-
-
-def test_update_without_masks_needs_an_rng():
-    """A fixed default generator would draw the same masks on every call."""
-    net = masknet.init_network(POPUP_LAYERS, seed=1)
-    cfg = PopupTrainConfig(alpha=0.1, epochs=1, seed=0)
-    with pytest.raises(ValueError, match="rng"):
-        popup_update(net, init_circuits(net), np.array([0.5, -0.5]),
-                     np.array([0.1]), cfg)
-
-
-def test_update_rejects_circuits_that_do_not_share_one_vector():
-    net = masknet.init_network(POPUP_LAYERS, seed=1)
-    circs = [PopupLayerCircuit(np.zeros((s.fan_in, s.fan_out))) for s in net.specs]
-    with pytest.raises(ValueError, match="init_circuits"):
-        popup_update(net, circs, np.array([0.5, -0.5]), np.array([0.1]),
-                     PopupTrainConfig(), masks=[np.ones_like(w) for w in net.weights])
+    thetas = _zero_thetas(net)
+    masks = [(np.random.default_rng(0).random(w.shape) < 0.5).astype(float)
+             for w in net.weights]
+    popup_update(net, thetas, masks, np.array([0.5, -0.5]), np.array([0.1]), 0.0)
+    np.testing.assert_array_equal(thetas, 0.0)
 
 
 def test_update_equals_the_reference_step():
@@ -123,23 +122,38 @@ def test_update_equals_the_reference_step():
     for case in range(60):
         layers = layer_sets[case % len(layer_sets)]
         net = masknet.init_network(layers, seed=case)
-        circs = init_circuits(net)
-        for circ in circs:
-            circ.thetas[...] = rng.choice([-THETA_CLAMP, 0.3, THETA_CLAMP, -1.0],
-                                          size=circ.thetas.shape)
-        before = [c.thetas.copy() for c in circs]
+        thetas = rng.choice([-THETA_CLAMP, 0.3, THETA_CLAMP, -1.0],
+                            size=sum(w.size for w in net.weights))
+        before = [t.copy() for t in masknet.layer_views(thetas, net)]
         masks = [(rng.random(w.shape) < 0.6).astype(float) for w in net.weights]
         x = rng.normal(size=layers[0][0])
         y = rng.normal(size=layers[-1][1])
         if case % 4 == 0:
             y = masknet.masked_layers(net, x, masks)[-1][1]  # a zero loss
         alpha = float(rng.choice([0.0, 0.05, 0.5, 100.0]))
-        loss = popup_update(net, circs, x, y, PopupTrainConfig(alpha=alpha), masks=masks)
+        loss = popup_update(net, thetas, masks, x, y, alpha)
         assert loss == float(np.linalg.norm(masknet.masked_layers(net, x, masks)[-1][1] - y))
         assert (loss == 0.0) == (case % 4 == 0)
         expected = reference._update(net, before, masks, x, y, alpha)
-        for circ, theirs in zip(circs, expected, strict=True):
-            assert np.array_equal(circ.thetas, theirs)
+        for ours, theirs in zip(masknet.layer_views(thetas, net), expected, strict=True):
+            assert np.array_equal(ours, theirs)
+
+
+def test_angle_j_and_mask_bit_j_address_the_same_weight():
+    """The angle vector and a flat mask share one order: keeping only angle
+    j's edge keeps the weight that mask bit j alone keeps."""
+    net = masknet.init_network([(2, 3, "relu"), (3, 2, "identity")], seed=8,
+                               mask_biases=True)
+    n_angles = sum(w.size for w in net.weights)
+    for j in range(n_angles):
+        thetas = np.full(n_angles, -0.3)
+        thetas[j] = 0.3
+        bits = np.zeros(net.total_maskable(), dtype=np.uint8)
+        bits[j] = 1
+        view = masknet.apply_flat_mask(net, bits)
+        kept = [threshold_mask(t) for t in masknet.layer_views(thetas, net)]
+        for ours, theirs in zip(kept, view.masks, strict=True):
+            assert np.array_equal(ours, theirs)
 
 
 def test_per_sample_training_takes_one_popup_update_per_sample(monkeypatch):
@@ -220,8 +234,8 @@ def test_train_clamp_invariant_and_weight_immutability():
     snapshot = [w.copy() for w in net.weights]
     cfg = PopupTrainConfig(alpha=0.5, epochs=20, seed=4)
     result = popup_train(net, data, cfg)
-    for circ in result.circuits:
-        assert np.all(np.abs(circ.thetas) <= THETA_CLAMP)
+    for thetas in result.thetas:
+        assert np.all(np.abs(thetas) <= THETA_CLAMP)
     for w, snap in zip(net.weights, snapshot):
         np.testing.assert_array_equal(w, snap)
 
@@ -230,36 +244,36 @@ def test_train_contract_epochs_and_curve():
     net, data, _ = make_planted_task(POPUP_LAYERS, seed=3, n_samples=8)
     none = popup_train(net, data, PopupTrainConfig(alpha=0.1, epochs=0, seed=0))
     assert none.loss_curve == []
-    for circ in none.circuits:
-        np.testing.assert_array_equal(circ.thetas, 0.0)
+    for thetas in none.thetas:
+        np.testing.assert_array_equal(thetas, 0.0)
 
     result = popup_train(net, data, PopupTrainConfig(alpha=0.1, epochs=7, seed=0))
     assert len(result.loss_curve) == 7
 
 
 def test_threshold_and_topk_masks():
-    circ = PopupLayerCircuit(np.array([[0.5, -0.2], [0.0, 0.3]]))
-    np.testing.assert_array_equal(threshold_mask(circ),
+    thetas = np.array([[0.5, -0.2], [0.0, 0.3]])
+    np.testing.assert_array_equal(threshold_mask(thetas),
                                   [[1.0, 0.0], [1.0, 1.0]])
-    np.testing.assert_array_equal(topk_mask(circ, 0.5),
+    np.testing.assert_array_equal(topk_mask(thetas, 0.5),
                                   [[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        topk_mask(circ, 0.0)
+        topk_mask(thetas, 0.0)
 
 
 def test_final_mask_uses_threshold_rule():
     net, data, _ = make_planted_task(POPUP_LAYERS, seed=5, n_samples=8)
     result = popup_train(net, data, PopupTrainConfig(alpha=0.2, epochs=3, seed=1))
-    for mask, circ in zip(result.final_masks, result.circuits):
-        np.testing.assert_array_equal(mask, threshold_mask(circ))
+    for mask, thetas in zip(result.final_masks, result.thetas):
+        np.testing.assert_array_equal(mask, threshold_mask(thetas))
     loss = masked_loss(net, result.final_masks, data)
     assert loss == result.loss_curve[-1]
 
 
 def _assert_same_training(a, b):
     assert a.loss_curve == b.loss_curve
-    for x, y in zip(a.circuits, b.circuits, strict=True):
-        assert np.array_equal(x.thetas, y.thetas)
+    for x, y in zip(a.thetas, b.thetas, strict=True):
+        assert np.array_equal(x, y)
     for x, y in zip(a.final_masks, b.final_masks, strict=True):
         assert np.array_equal(x, y)
 
@@ -272,8 +286,8 @@ def test_per_epoch_resampling_is_available():
     _assert_same_training(result, reference.popup_train(net, data, cfg))
     per_sample = reference.popup_train(
         net, data, PopupTrainConfig(alpha=0.1, epochs=3, seed=2, resample="per_sample"))
-    assert not all(np.array_equal(x.thetas, y.thetas)
-                   for x, y in zip(result.circuits, per_sample.circuits))
+    assert not all(np.array_equal(x, y)
+                   for x, y in zip(result.thetas, per_sample.thetas))
 
 
 @st.composite
@@ -313,7 +327,7 @@ def test_clamped_training_matches_the_per_sample_loop(resample):
     cfg = PopupTrainConfig(alpha=100.0, epochs=4, seed=3, resample=resample,
                            topk_fraction=0.5)
     result = popup_train(net, data, cfg)
-    assert any(np.any(np.abs(c.thetas) == THETA_CLAMP) for c in result.circuits)
+    assert any(np.any(np.abs(t) == THETA_CLAMP) for t in result.thetas)
     _assert_same_training(result, reference.popup_train(net, data, cfg))
 
 

@@ -8,24 +8,22 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reference import flat_mask_from_index
+import reference
 from qns import masknet
-from qns.bitstrings import all_patterns
+from qns.bitstrings import all_patterns, index_to_bits
 from qns.masknet import (
     Activation,
     Dataset,
-    FlatMask,
     LayerSpec,
     apply_flat_mask,
     dataset_loss,
-    flat_mask,
     forward,
     forward_batch,
     init_network,
     load_dataset_csv,
     load_network,
+    layer_views,
     make_planted_dataset,
-    mask_layout,
     network_from_weights,
     save_dataset_csv,
     save_network,
@@ -126,82 +124,94 @@ def test_dataset_loss_is_permutation_invariant():
 # ---------------------------------------------------------------------------
 # Flat masks.
 
+def _weight_bits(net):
+    """(bit, layer, row, col) of every weight: bit ``off_l + row * fan_out + col``."""
+    entries, off = [], 0
+    for layer, spec in enumerate(net.specs):
+        for row in range(spec.fan_in):
+            for col in range(spec.fan_out):
+                entries.append((off + row * spec.fan_out + col, layer, row, col))
+        off += spec.fan_in * spec.fan_out
+    return entries
+
+
 def test_layout_is_a_bijection():
+    """The layer views of 0..n-1 hold every weight bit once, in order."""
     net = init_network(SPECS, seed=0)
-    layout = mask_layout(net)
-    assert len(layout) == net.total_maskable() == 12
-    assert len(set(layout)) == len(layout)
+    views = layer_views(np.arange(net.total_maskable()), net)
+    assert [v.shape for v in views] == [w.shape for w in net.weights]
+    assert np.array_equal(np.concatenate([v.ravel() for v in views]), np.arange(12))
+    for bit, layer, row, col in _weight_bits(net):
+        assert views[layer][row, col] == bit
 
 
 def test_apply_all_ones_bits_matches_unmasked():
     net = init_network(SPECS, seed=4)
-    view = apply_flat_mask(net, flat_mask(net, np.ones(12, dtype=np.uint8)))
+    view = apply_flat_mask(net, np.ones(12, dtype=np.uint8))
     x = np.array([0.3, 0.7])
     np.testing.assert_allclose(forward(view, x), forward(net, x))
 
 
 def test_single_bit_controls_exactly_one_weight():
     net = init_network(SPECS, seed=4)
-    layout = mask_layout(net)
     x = np.array([1.0, -0.5])
-    base = forward(apply_flat_mask(net, flat_mask(net, np.ones(12))), x)
-    for j in range(len(layout)):
+    base = forward(apply_flat_mask(net, np.ones(12)), x)
+    for j, layer, row, col in _weight_bits(net):
         bits = np.ones(12, dtype=np.uint8)
         bits[j] = 0
-        out = forward(apply_flat_mask(net, flat_mask(net, bits)), x)
-        layer, row, col = layout[j]
-        view = apply_flat_mask(net, flat_mask(net, bits))
-        assert view.masks[layer][row, col] == 0.0
-        assert view.masks[layer].sum() == net.masks[layer].size - 1
+        view = apply_flat_mask(net, bits)
+        for i, mask in enumerate(view.masks):
+            expected = np.ones_like(mask)
+            if i == layer:
+                expected[row, col] = 0.0
+            assert np.array_equal(mask, expected)
         # restoring the bit restores the output
         bits[j] = 1
-        back = forward(apply_flat_mask(net, flat_mask(net, bits)), x)
+        back = forward(apply_flat_mask(net, bits), x)
         np.testing.assert_allclose(back, base)
 
 
 def test_flat_mask_round_trips_through_index():
+    """index -> bits -> the view's masks, read back in bit order -> index."""
     net = init_network(SPECS, seed=0)
     for index in [0, 1, 2**12 - 1, 1234]:
-        m = flat_mask_from_index(net, index)
-        assert int(np.dot(m.bits, 1 << np.arange(12))) == index
-
-
-def test_flat_mask_rejects_duplicate_layout_entries():
-    with pytest.raises(ValueError):
-        FlatMask(np.array([1, 0], dtype=np.uint8), ((0, 0, 0), (0, 0, 0)))
+        view = apply_flat_mask(net, index_to_bits(index, 12))
+        bits = np.concatenate([m.ravel() for m in view.masks]).astype(np.int64)
+        assert int(np.dot(bits, 1 << np.arange(12))) == index
 
 
 def test_apply_flat_mask_rejects_wrong_length():
     net = init_network(SPECS, seed=0)
     with pytest.raises(ValueError):
-        apply_flat_mask(net, flat_mask(init_network([(1, 1, "identity")], 0),
-                                       np.ones(1)))
+        apply_flat_mask(net, np.ones(1))
 
 
 def test_mask_views_share_weights_but_own_masks():
     net = init_network(SPECS, seed=4)
-    v1 = apply_flat_mask(net, flat_mask(net, np.ones(12)))
-    v2 = apply_flat_mask(net, flat_mask(net, np.zeros(12)))
+    bits = np.ones(12)
+    v1 = apply_flat_mask(net, bits)
+    v2 = apply_flat_mask(net, np.zeros(12))
     assert v1.weights[0] is net.weights[0]
     assert v1.masks[0] is not v2.masks[0]
     assert np.all(net.masks[0] == 1.0)
+    bits[0] = 0.0  # the view copied its bits
+    assert v1.masks[0][0, 0] == 1.0
 
 
 def test_layer2_bit_only_touches_its_output_column():
     """Mask locality: cutting an output edge changes only that output."""
     net = init_network([(2, 3, "relu"), (3, 2, "identity")], seed=8)
     n = net.total_maskable()
-    layout = mask_layout(net)
     rng = np.random.default_rng(1)
     xs = rng.normal(size=(6, 2))
     ones = np.ones(n, dtype=np.uint8)
-    base = forward_batch(apply_flat_mask(net, FlatMask(ones, layout)), xs)
-    for j, (layer, row, col) in enumerate(layout):
+    base = forward_batch(apply_flat_mask(net, ones), xs)
+    for j, layer, row, col in _weight_bits(net):
         if layer != 1:
             continue
         bits = ones.copy()
         bits[j] = 0
-        out = forward_batch(apply_flat_mask(net, FlatMask(bits, layout)), xs)
+        out = forward_batch(apply_flat_mask(net, bits), xs)
         other = [c for c in range(2) if c != col]
         np.testing.assert_array_equal(out[:, other], base[:, other])
 
@@ -210,20 +220,19 @@ def test_layer1_bit_blocked_by_downstream_zero_mask():
     """No path through a severed hidden unit: upstream flips cannot matter."""
     net = init_network([(2, 3, "relu"), (3, 2, "identity")], seed=8)
     n = net.total_maskable()
-    layout = mask_layout(net)
     bits = np.ones(n, dtype=np.uint8)
     # sever hidden unit 1 from both outputs (layer 1 rows are hidden units)
-    for j, (layer, row, col) in enumerate(layout):
+    for j, layer, row, col in _weight_bits(net):
         if layer == 1 and row == 1:
             bits[j] = 0
     rng = np.random.default_rng(2)
     xs = rng.normal(size=(5, 2))
-    base = forward_batch(apply_flat_mask(net, FlatMask(bits, layout)), xs)
-    for j, (layer, row, col) in enumerate(layout):
+    base = forward_batch(apply_flat_mask(net, bits), xs)
+    for j, layer, row, col in _weight_bits(net):
         if layer == 0 and col == 1:  # edges into the severed unit
             flipped = bits.copy()
             flipped[j] = 0
-            out = forward_batch(apply_flat_mask(net, FlatMask(flipped, layout)), xs)
+            out = forward_batch(apply_flat_mask(net, flipped), xs)
             np.testing.assert_array_equal(out, base)
 
 
@@ -274,7 +283,7 @@ def test_network_json_round_trip(tmp_path, net):
 def test_network_json_round_trip_keeps_bias_masks():
     net = network_from_weights([(1, 1, "identity")], [[[1.0]]], [[1.0]])
     net.mask_biases = True
-    view = apply_flat_mask(net, flat_mask(net, [1, 0]))  # weight kept, bias cleared
+    view = apply_flat_mask(net, [1, 0])  # weight kept, bias cleared
     assert forward(view, [0.0])[0] == 0.0
     loaded = masknet.network_from_json(masknet.network_to_json(view))
     np.testing.assert_array_equal(loaded.bias_masks[0], [0.0])
@@ -316,7 +325,7 @@ def test_dataset_csv_rejects_bad_split(tmp_path):
 def test_planted_dataset_has_zero_loss_solution():
     net = init_network(SPECS, seed=9)
     rng = np.random.default_rng(4)
-    hidden = flat_mask(net, rng.integers(0, 2, net.total_maskable()))
+    hidden = rng.integers(0, 2, net.total_maskable())
     data = make_planted_dataset(net, hidden, 20, seed=5)
     assert dataset_loss(apply_flat_mask(net, hidden), data) == 0.0
 
@@ -327,7 +336,7 @@ def test_weights_unchanged_by_full_optimization_pass():
     rng = np.random.default_rng(0)
     for _ in range(50):
         bits = rng.integers(0, 2, net.total_maskable())
-        view = apply_flat_mask(net, flat_mask(net, bits))
+        view = apply_flat_mask(net, bits)
         forward(view, rng.normal(size=2))
     for w, snap in zip(net.weights, snapshot):
         np.testing.assert_array_equal(w, snap)
@@ -338,8 +347,23 @@ def test_bias_masking_is_optional_and_off_by_default():
     assert net.total_maskable() == 12
     net_b = init_network(SPECS, seed=0, mask_biases=True)
     assert net_b.total_maskable() == 12 + 5
-    layout = mask_layout(net_b)
-    assert sum(1 for (_, row, _) in layout if row == masknet.BIAS_ROW) == 5
+
+
+def test_bias_bits_come_after_every_weight():
+    """Bit 12 + off_l + col clears bias col of layer l, after all 12 weights."""
+    net = init_network(SPECS, seed=0, mask_biases=True)
+    biases = [(layer, col) for layer, spec in enumerate(net.specs)
+              for col in range(spec.fan_out)]
+    for j, (layer, col) in enumerate(biases, start=12):
+        bits = np.ones(net.total_maskable(), dtype=np.uint8)
+        bits[j] = 0
+        view = apply_flat_mask(net, bits)
+        assert all(np.all(m == 1.0) for m in view.masks)
+        for i, b in enumerate(view.bias_masks):
+            expected = np.ones_like(b)
+            if i == layer:
+                expected[col] = 0.0
+            assert np.array_equal(b, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +392,7 @@ def test_batch_losses_equal_per_mask_losses(drawn, n_samples):
     data = Dataset(rng.normal(size=(n_samples, net.input_dim)),
                    rng.normal(size=(n_samples, net.output_dim)))
     rows = rng.integers(0, 2, size=(40, net.total_maskable())).astype(np.uint8)
-    expected = [dataset_loss(apply_flat_mask(net, flat_mask(net, row)), data)
-                for row in rows]
+    expected = [dataset_loss(apply_flat_mask(net, row), data) for row in rows]
     assert np.array_equal(masknet.batch_losses(net, data, rows), expected)
 
 
@@ -439,14 +462,20 @@ def test_enumeration_peak_memory_is_a_few_chunks():
 
 
 @settings(max_examples=60, deadline=None)
-@given(drawn=random_networks())
-def test_apply_flat_mask_follows_any_bijective_layout(drawn):
+@given(drawn=random_networks(), n_samples=st.integers(1, 5))
+def test_slices_equal_the_layout_table_scatter(drawn, n_samples):
+    """batch_forward and apply_flat_mask give the bytes of a scatter of each
+    bit through a (layer, row, col) table."""
     net, rng = drawn
-    layout = [mask_layout(net)[j] for j in rng.permutation(net.total_maskable())]
-    bits = rng.integers(0, 2, size=len(layout)).astype(np.uint8)
-    view = apply_flat_mask(net, FlatMask(bits, tuple(layout)))
-    for bit, (layer, row, col) in zip(bits, layout):
-        if row == masknet.BIAS_ROW:
-            assert view.bias_masks[layer][col] == bit
-        else:
-            assert view.masks[layer][row, col] == bit
+    xs = rng.normal(size=(n_samples, net.input_dim))
+    rows = rng.integers(0, 2, size=(8, net.total_maskable())).astype(np.uint8)
+    masks, bias_masks = reference.layout_masks(net, rows)
+    expected = masknet.masked_layers(net, xs, masks,
+                                     bias_masks if net.mask_biases else None)[-1][1]
+    assert masknet.batch_forward(net, rows, xs).tobytes() == expected.tobytes()
+    for k, row in enumerate(rows):
+        view = apply_flat_mask(net, row)
+        for ours, theirs in zip(view.masks, masks, strict=True):
+            assert ours.tobytes() == theirs[k].tobytes()
+        for ours, theirs in zip(view.bias_masks, bias_masks, strict=True):
+            assert ours.tobytes() == theirs[k, 0].tobytes()

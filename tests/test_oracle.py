@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import LAYERS_6BIT, cost_tables, make_planted_task, planted_oracle
-from reference import flat_mask_from_index
 from qns import masknet, oracle
 from qns.bitstrings import index_to_bits
 from qns.oracle import (
@@ -35,8 +34,8 @@ def test_zero_epsilon_accepts_nothing():
 def test_planted_mask_is_accepted_at_tight_epsilon():
     net, data, hidden = make_planted_task(LAYERS_6BIT, seed=3)
     o = SubnetworkOracle(net, data, epsilon=1e-6)
-    assert o.is_good(hidden.bits)
-    assert o.cost(hidden.bits) == 0.0
+    assert o.is_good(hidden)
+    assert o.cost(hidden) == 0.0
 
 
 def test_call_counter_counts_predicate_queries_only():
@@ -78,7 +77,7 @@ def test_build_cost_hamiltonian_single_bit_network():
     h = build_cost_hamiltonian(net, data)
     assert h.costs.shape == (2,)
     for x in range(2):
-        view = masknet.apply_flat_mask(net, flat_mask_from_index(net, x))
+        view = masknet.apply_flat_mask(net, index_to_bits(x, net.total_maskable()))
         assert h.costs[x] == masknet.dataset_loss(view, data)
 
 
@@ -94,7 +93,7 @@ def test_hamiltonian_argmin_matches_exhaustive_loop():
     h = build_cost_hamiltonian(net, data)
     best_loop, best_cost = None, np.inf
     for x in range(h.dim):
-        view = masknet.apply_flat_mask(net, flat_mask_from_index(net, x))
+        view = masknet.apply_flat_mask(net, index_to_bits(x, h.n_qubits))
         c = masknet.dataset_loss(view, data)
         if c < best_cost:
             best_loop, best_cost = x, c
@@ -131,10 +130,9 @@ def test_default_epsilon_recipe_is_half_random_median():
                           net.total_maskable(), seed=0)
     rng = np.random.default_rng(0)
     losses = []
-    layout = masknet.mask_layout(net)
     for _ in range(64):
         bits = rng.integers(0, 2, size=net.total_maskable()).astype(np.uint8)
-        view = masknet.apply_flat_mask(net, masknet.FlatMask(bits, layout))
+        view = masknet.apply_flat_mask(net, bits)
         losses.append(masknet.dataset_loss(view, data))
     assert eps == np.median(losses) * 0.5
     assert eps > 0

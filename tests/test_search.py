@@ -27,12 +27,14 @@ _PARAMS = {
 
 @st.composite
 def tiny_tables(draw):
-    """(n, costs) with n <= 4: uniform costs, or a few repeated levels."""
+    """(n, costs) with n <= 4: uniform costs, a few repeated levels, or one
+    constant, where an expectation has no room to round."""
     n = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["uniform", "levels", "constant"]))
+    if kind == "uniform":
         return n, rng.uniform(0.0, 1.0, 1 << n)
-    return n, rng.choice(rng.uniform(0.0, 1.0, 3), size=1 << n)
+    return n, rng.choice(rng.uniform(0.0, 1.0, 3 if kind == "levels" else 1), size=1 << n)
 
 
 @pytest.mark.parametrize("method", sorted(search.DEFAULTS))
@@ -54,6 +56,9 @@ def test_select_scores_its_index_on_the_table(method):
         assert metrics["success"] == (metrics["loss"] < eps)
         assert metrics["epsilon"] == eps
         assert int(chosen.bits @ (1 << np.arange(n))) == chosen.index
+        for key in ("final_expectation", "best_expectation"):
+            if key in metrics:
+                assert costs.min() <= metrics[key] <= costs.max()
         if method == "exhaustive":
             assert chosen.index == int(np.argmin(costs))
             assert chosen.oracle_calls == 1 << n

@@ -25,7 +25,6 @@ from qns.qsim import (
 from qns.variational import (
     Entangler,
     _ring_cz_signs,
-    _ring_edges,
     QaoaParams,
     VqeAnsatz,
     ansatz_state,
@@ -198,7 +197,16 @@ def test_ansatz_state_is_normalized_and_entangler_optional():
         assert state.norm_error() < 1e-9
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+def _ring_edges(n):
+    """The CZ ring's edges, written out: (q, q + 1 mod n), one edge for n = 2."""
+    if n < 2:
+        return []
+    if n == 2:
+        return [(0, 1)]
+    return [(q, (q + 1) % n) for q in range(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
 def test_ring_cz_signs_equal_apply_cz_loop(n):
     state = uniform_superposition(n)
     for a, b in _ring_edges(n):
