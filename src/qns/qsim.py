@@ -11,11 +11,14 @@ Born-rule sampling.
 
 A tensor product of gates (:func:`apply_product`) takes one matrix product
 per block of up to four qubits, with the block's 2^k x 2^k Kronecker matrix,
-instead of one pass over the state per qubit. A Chebyshev term of the
-bit-flip mixer is one zero-fill, one call of scipy's CSR matvec kernel, one
-subtraction and one BLAS axpy, into three work vectors allocated once per
-apply: about 6 us at n = 10 (one BLAS thread, 2-core x86), where scipy's
-sparse ``@`` alone took 7.1 us.
+instead of one pass over the state per qubit. The bit-flip mixer's sparse
+operator and Chebyshev loop live in :mod:`qns.bitflip`.
+
+This module imports no scipy. The first bit-flip apply of a process
+imports :mod:`qns.bitflip`, and with it ``scipy.sparse``,
+``scipy.sparse.linalg``, ``scipy.special`` and ``scipy.linalg.blas``;
+Grover search, the transverse-field anneal and every caller that applies
+no bit-flip mixer run on numpy alone.
 
 The anneal and QAOA share one loop, :func:`apply_layers`: a cost phase
 exp(-i*gamma*H_C), then the mixer. The cost phase takes cos and sin once
@@ -47,14 +50,9 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg.blas import zaxpy
-from scipy.sparse._sparsetools import csr_matvec
-from scipy.sparse.linalg import eigsh
-from scipy.special import jv
 
 DEFAULT_MAX_QUBITS = 16
 DEFAULT_TROTTER_STEPS = 400
@@ -65,15 +63,6 @@ NORM_ATOL = 1e-9
 # 2^k multiply-adds per amplitude each. Blocks of 2, 3 and 4 ran within
 # noise of each other at n = 10..16; 4 takes the fewest passes.
 _KRON_BLOCK = 4
-
-# Bessel coefficients below this size end the Chebyshev expansion; each
-# dropped term moves a unit-norm state by at most twice its coefficient.
-_BESSEL_CUTOFF = 1e-17
-
-# Relative padding of the bit-flip mixer's largest eigenvalue, the half-width
-# of the Chebyshev interval. ARPACK returns lambda_max to ~1e-15 relative;
-# the padding keeps the spectrum inside the interval and costs no term.
-_SPECTRAL_MARGIN = 1e-6
 
 
 def max_qubits() -> int:
@@ -252,51 +241,6 @@ def ring_graph(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(((v - 1) % n, (v + 1) % n) for v in range(n))
 
 
-def _mixer_sparse(mixer: MixerSpec, n_qubits: int) -> sparse.csr_matrix:
-    """CSR matrix B of a bit-flip mixer, 1.0 wherever a flip is allowed."""
-    if mixer.graph is None or len(mixer.graph) != n_qubits:
-        raise ValueError(f"bit-flip mixer graph must have exactly {n_qubits} vertices")
-    dim = 1 << n_qubits
-    idx = np.arange(dim)
-    b = mixer.target_bit
-    flips = []
-    for v in range(n_qubits):
-        # The 1/2^d(v) prefactor cancels against the neighbor projectors,
-        # leaving matrix element 1 exactly when every neighbor equals b.
-        allowed = np.ones(dim, dtype=bool)
-        for w in mixer.graph[v]:
-            allowed &= ((idx >> w) & 1) == b
-        src = idx[allowed]
-        flips.append((src ^ (1 << v), src))
-    rows, cols = (np.concatenate(part) for part in zip(*flips))
-    return sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(dim, dim))
-
-
-# one ring entry holds about 5.5 MB at 16 qubits and 109 MB at 20, so two
-# entries pin at most 218 MB
-@lru_cache(maxsize=2)
-def _chebyshev_operator(mixer: MixerSpec, n_qubits: int) -> tuple[sparse.csr_matrix, float]:
-    """(2B/r as a complex CSR matrix, r) for a bit-flip mixer B, built once per (mixer, size).
-
-    B is symmetric and nonnegative, so its largest eigenvalue is its spectral
-    radius; every flip changes the parity of the Hamming weight, so the
-    spectrum is symmetric and lies in [-r, r] with r = lambda_max padded by
-    _SPECTRAL_MARGIN. ARPACK starts from the all-ones vector: a fixed start
-    gives the same r on every run, and it overlaps a nonnegative eigenvector
-    of lambda_max, so the iteration cannot miss it.
-    The matrix is stored complex so that a matvec with a complex state does
-    not convert its data on every call (the products are the same).
-    """
-    b = _mixer_sparse(mixer, n_qubits)
-    lam = eigsh(b, k=1, which="LA", v0=np.ones(b.shape[0]), return_eigenvectors=False)[0]
-    r = float(lam) * (1.0 + _SPECTRAL_MARGIN)
-    scaled = b.astype(np.complex128)
-    scaled.data *= 2.0 / r
-    for part in (scaled.data, scaled.indices, scaled.indptr):
-        part.flags.writeable = False  # shared by every later call
-    return scaled, r
-
-
 def _kron(gates) -> np.ndarray:
     """Kronecker matrix of 2x2 ``gates``, ``gates[0]`` acting on the lowest bit.
 
@@ -456,45 +400,15 @@ def within_table(value: float, h: DiagonalCostHamiltonian) -> float:
     return min(max(value, float(h.costs.min())), float(h.costs.max()))
 
 
-def _chebyshev_propagate(m: sparse.csr_matrix, r: float, v: np.ndarray,
-                         beta: float) -> np.ndarray:
-    """exp(-i*beta*h) @ v, given m = 2h/r for a real symmetric h with spectrum in [-r, r].
-
-    exp(-i*x*t) = sum_k (2 - delta_k0) (-i)^k J_k(x) T_k(t) with x = beta*r
-    and t = h/r (Tal-Ezer & Kosloff 1984). The T_k(h/r) v follow the
-    three-term recurrence T_1 = (m/2) v, T_k = m T_(k-1) - T_(k-2): one
-    sparse matvec and one subtraction per term, and the term is added to
-    the sum in place. The matvec calls scipy's private ``csr_matvec``
-    kernel on a zeroed work vector, which is what ``m @ cur`` runs after
-    its own ``np.zeros``: the same sums in the same order, without
-    ``@``'s dispatch (about 3 us of its 7.1 us at n = 10) or a new vector
-    per term. Past k = |x|, J_k(x) falls faster than geometrically
-    after a zone of width ~|x|^(1/3); the sum stops at the last k with
-    |J_k(x)| >= _BESSEL_CUTOFF, which lies well inside the
-    |x| + 16|x|^(1/3) + 25 coefficients computed.
-    """
-    x = beta * r
-    j = jv(np.arange(int(abs(x) + 16.0 * abs(x) ** (1.0 / 3.0)) + 25), x)
-    degree = int(np.flatnonzero(np.abs(j) >= _BESSEL_CUTOFF)[-1])
-    powers_of_minus_i = np.array([1, -1j, -1, 1j])[np.arange(degree + 1) % 4]
-    coef = (2.0 * j[: degree + 1] * powers_of_minus_i).tolist()
-    out = j[0] * v
-    dim = v.shape[0]
-    indptr, indices, data = m.indptr, m.indices, m.data
-    # T_k overwrites T_(k-3), the one buffer neither T_(k-1) nor T_(k-2) uses
-    work = [np.empty_like(v) for _ in range(min(degree, 3))]
-    prev, cur = v, v
-    for k in range(1, degree + 1):
-        nxt = work[(k - 1) % 3]
-        nxt.fill(0.0)
-        csr_matvec(dim, dim, indptr, indices, data, cur, nxt)
-        if k == 1:
-            nxt *= 0.5
-        else:
-            nxt -= prev
-        out = zaxpy(nxt, out, a=coef[k])
-        prev, cur = cur, nxt
-    return out
+# one ring entry holds about 5.5 MB at 16 qubits and 109 MB at 20, so two
+# entries pin at most 218 MB
+@lru_cache(maxsize=2)
+def _bit_flip_propagator(mixer: MixerSpec, n_qubits: int):
+    """(v, beta) -> exp(-i*beta*B) @ v for a bit-flip mixer B, built once per
+    (mixer, size). The first call of a process imports :mod:`qns.bitflip`,
+    and scipy with it; an apply then costs one cache lookup."""
+    from .bitflip import chebyshev_operator, chebyshev_propagate
+    return partial(chebyshev_propagate, *chebyshev_operator(mixer, n_qubits))
 
 
 def apply_mixer(state: StateVector, mixer: MixerSpec, beta: float) -> StateVector:
@@ -508,8 +422,8 @@ def apply_mixer(state: StateVector, mixer: MixerSpec, beta: float) -> StateVecto
     coefficients on the exact spectral interval [-lambda_max, lambda_max]:
     the degree grows with |beta| * lambda_max (about 0.6n on a ring) and
     stops once the coefficients fall below 1e-17 (see
-    :func:`_chebyshev_propagate`). Each term is one zero-fill, one CSR
-    kernel call, one subtraction and one axpy, with no allocation.
+    :func:`qns.bitflip.chebyshev_propagate`). Each term is one zero-fill,
+    one CSR kernel call, one subtraction and one axpy, with no allocation.
     Neither forms a dense 2^n x 2^n matrix, so both run up to
     :func:`max_qubits`.
     """
@@ -519,8 +433,7 @@ def apply_mixer(state: StateVector, mixer: MixerSpec, beta: float) -> StateVecto
         cos_b = math.cos(beta)
         isin_b = 1j * math.sin(beta)
         return apply_product(state, np.array([[cos_b, isin_b], [isin_b, cos_b]]))
-    state.amplitudes = _chebyshev_propagate(*_chebyshev_operator(mixer, n),
-                                            _complex(state), beta)
+    state.amplitudes = _bit_flip_propagator(mixer, n)(_complex(state), beta)
     return state
 
 

@@ -6,6 +6,10 @@ stacks per-qubit Ry layers with a ring of controlled-Z entanglers, each Ry
 layer applied as one tensor product and the CZ ring as one cached +-1
 diagonal, on float64 amplitudes (see :func:`ansatz_state`). Both are driven
 by a seeded, derivative-free simplex optimizer with random restarts.
+
+The optimizer is scipy's Nelder-Mead. :func:`optimize_variational` imports
+``scipy.optimize`` when it is called, so only a process that optimizes
+loads it; building and evaluating the states needs numpy alone.
 """
 from __future__ import annotations
 
@@ -15,7 +19,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .qsim import (
     DiagonalCostHamiltonian,
@@ -176,6 +179,8 @@ def optimize_variational(objective, init, budget: int, seed) -> OptimizeResult:
     ``objective(init)``. When a simplex run converges with budget to spare,
     the search restarts from a fresh uniform draw in [-pi, pi]^d.
     """
+    from scipy.optimize import minimize
+
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     rng = np.random.default_rng(seed)

@@ -18,7 +18,7 @@ take one pass over the state per gate, and ``apply_cz`` one pass per edge;
 them. ``mixer_dense`` writes a mixer Hamiltonian entry by entry from its
 definition, for the exponentials that ``qns.qsim.apply_mixer`` must match.
 ``chebyshev_propagate`` is the Chebyshev loop on scipy's public sparse
-``m @ v``, one new vector per term, that ``qns.qsim._chebyshev_propagate``
+``m @ v``, one new vector per term, that ``qns.bitflip.chebyshev_propagate``
 must equal bit for bit.
 ``evolve`` and ``qaoa_state`` are the anneal and QAOA loops with the cos
 and sin of ``cost_phase`` over the whole cost table at every step, which
@@ -54,9 +54,9 @@ from qns.edgepopup import (
     threshold_mask,
     topk_mask,
 )
+from qns.bitflip import _BESSEL_CUTOFF
 from qns.masknet import Activation, LayerSpec
 from qns.qsim import (
-    _BESSEL_CUTOFF,
     MixerKind,
     MixerSpec,
     StateVector,
@@ -243,7 +243,7 @@ def mixer_dense(mixer, n_qubits: int) -> np.ndarray:
 
 def chebyshev_propagate(m, r: float, v: np.ndarray, beta: float) -> np.ndarray:
     """exp(-i*beta*h) @ v for m = 2h/r: the same coefficients, recurrence and
-    operation order as ``qns.qsim._chebyshev_propagate``, each term through
+    operation order as ``qns.bitflip.chebyshev_propagate``, each term through
     the public sparse ``m @ cur``."""
     x = beta * r
     j = jv(np.arange(int(abs(x) + 16.0 * abs(x) ** (1.0 / 3.0)) + 25), x)

@@ -1,6 +1,9 @@
 """Experiment runner: configs, records, comparison, CLI contract."""
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qns
 from qns import cli, harness, masknet, search, variational
 from qns.bitstrings import all_patterns
 from qns.harness import ConfigError, ExperimentConfig, compare, format_compare_table, run
@@ -708,3 +712,57 @@ def test_sequence_task_is_seed_deterministic():
     b = harness.make_sequence_task(50, seed=1)
     np.testing.assert_array_equal(a.inputs, b.inputs)
     np.testing.assert_array_equal(a.targets, b.targets)
+
+
+# ---------------------------------------------------------------------------
+# Import cost: scipy loads only with the methods that call it.
+
+_SCIPY_CHILD = """
+import json, sys
+import qns
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+docs = json.loads(sys.argv[1])
+for doc in docs["numpy_only"]:
+    qns.harness.run(qns.harness.ExperimentConfig.from_dict(doc))
+numpy_only = scipy_modules()
+hashes = [qns.harness.run(qns.harness.ExperimentConfig.from_dict(doc))["hashes"]["metrics"]
+          for doc in docs["scipy"]]
+print(json.dumps({"numpy_only": numpy_only, "scipy": scipy_modules(), "hashes": hashes}))
+"""
+
+
+def test_only_the_bit_flip_mixer_and_the_optimizer_load_scipy(tmp_path):
+    def doc(method, params, task=None):
+        return {"method": method, "task": task or dict(PLANTED_TASK, n_samples=8),
+                "method_params": params, "seeds": [1],
+                "output_dir": str(tmp_path / method)}
+
+    distill_task = {"kind": "distill", "teacher_path": _teacher_file(tmp_path, 4),
+                    "n_samples": 8}
+    numpy_only = [
+        doc("exhaustive", {}),
+        doc("grover", {}),
+        doc("distill", {"backend": "exhaustive", "width_factor": 1}, distill_task),
+        doc("distill", {"backend": "grover", "width_factor": 1}, distill_task),
+        doc("anneal", {"steps": 4, "mixer": "transverse_field"}),
+        doc("edge_popup", {"epochs": 2}),
+        doc("nk_esn", {"n_outputs": 4, "k": 2, "reservoir_size": 30},
+            {"kind": "sequence", "length": 60, "seed": 2}),
+    ]
+    with_scipy = [doc("anneal", {"steps": 4, "mixer": "bit_flip_ring"}),
+                  doc("qaoa", {"p": 1, "budget": 20})]
+    src = Path(qns.__file__).resolve().parents[1]
+    child = subprocess.run(
+        [sys.executable, "-c", _SCIPY_CHILD,
+         json.dumps({"numpy_only": numpy_only, "scipy": with_scipy})],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout.splitlines()[-1])
+    assert report["numpy_only"] == []
+    assert {"scipy.optimize", "scipy.sparse", "scipy.special"} <= set(report["scipy"])
+    assert report["hashes"] == [run(ExperimentConfig.from_dict(d))["hashes"]["metrics"]
+                                for d in with_scipy]

@@ -15,7 +15,7 @@ from reference import (
     apply_single_qubit, apply_cz, apply_h, apply_ry, apply_x, apply_z,
     chebyshev_propagate, mixer_dense,
 )
-from qns import qsim
+from qns import bitflip, qsim
 from qns.bitstrings import all_patterns, bits_to_index, bits_to_string, index_to_bits
 from qns.qsim import (
     DiagonalCostHamiltonian,
@@ -672,7 +672,7 @@ def test_bit_flip_row_count_bounds_spectral_radius(n, edge_draws, target_bit):
     # Gershgorin: the largest row count R bounds the spectrum (a looser
     # interval than the [-r, r] the Chebyshev expansion runs on)
     mixer = MixerSpec.bit_flip(graph_from_draws(n, edge_draws), target_bit)
-    r = np.diff(qsim._mixer_sparse(mixer, n).indptr).max()
+    r = np.diff(bitflip.mixer_sparse(mixer, n).indptr).max()
     radius = np.abs(np.linalg.eigvalsh(mixer_dense(mixer, n))).max()
     assert r >= radius - 1e-12
 
@@ -685,10 +685,10 @@ def test_bit_flip_row_count_bounds_spectral_radius(n, edge_draws, target_bit):
 )
 def test_bit_flip_chebyshev_interval_is_the_spectral_radius(n, edge_draws, target_bit):
     mixer = MixerSpec.bit_flip(graph_from_draws(n, edge_draws), target_bit)
-    m, r = qsim._chebyshev_operator(mixer, n)
+    m, r = bitflip.chebyshev_operator(mixer, n)
     eig = np.linalg.eigvalsh(mixer_dense(mixer, n))
     radius = np.abs(eig).max()
-    assert radius <= r <= (1.0 + 2.0 * qsim._SPECTRAL_MARGIN) * radius
+    assert radius <= r <= (1.0 + 2.0 * bitflip._SPECTRAL_MARGIN) * radius
     # every flip changes the Hamming-weight parity: the spectrum is symmetric
     np.testing.assert_allclose(eig, -eig[::-1], rtol=0, atol=1e-12)
     np.testing.assert_allclose(m.toarray(), 2.0 / r * mixer_dense(mixer, n),
@@ -714,11 +714,11 @@ def drawn_bit_flip_mixer(n, ring, edge_draws, target_bit):
 def test_chebyshev_propagate_equals_public_matvec_loop_bit_for_bit(
         n, ring, edge_draws, target_bit, x, seed):
     # the CSR kernel into reused buffers must give the bits of ``m @ cur``
-    m, r = qsim._chebyshev_operator(drawn_bit_flip_mixer(n, ring, edge_draws, target_bit), n)
+    m, r = bitflip.chebyshev_operator(drawn_bit_flip_mixer(n, ring, edge_draws, target_bit), n)
     v = random_state(n, seed).amplitudes
     before = v.tobytes()
     beta = x / r
-    got = qsim._chebyshev_propagate(m, r, v, beta)
+    got = bitflip.chebyshev_propagate(m, r, v, beta)
     assert got.tobytes() == chebyshev_propagate(m, r, v, beta).tobytes()
     assert not np.shares_memory(got, v)
     assert v.tobytes() == before
@@ -739,7 +739,7 @@ def test_bit_flip_mixer_and_cost_phase_keep_component_mass(
     # neither the bit-flip mixer nor a diagonal phase moves probability
     # between the connected components of the mixer's flip graph
     mixer = drawn_bit_flip_mixer(n, ring, edge_draws, target_bit)
-    _, labels = connected_components(qsim._mixer_sparse(mixer, n), directed=False)
+    _, labels = connected_components(bitflip.mixer_sparse(mixer, n), directed=False)
     costs = np.random.default_rng(seed).uniform(0.0, 1.0, 1 << n)
     s = random_state(n, seed)
 
@@ -760,10 +760,10 @@ def test_bit_flip_operator_rebuilds_identically():
     n = 10
     mixer = MixerSpec.bit_flip(ring_graph(n))
     start = random_state(n, 29)
-    _, r = qsim._chebyshev_operator(mixer, n)
+    _, r = bitflip.chebyshev_operator(mixer, n)
     first = qsim.apply_mixer(start.copy(), mixer, 3.0).amplitudes
-    qsim._chebyshev_operator.cache_clear()
-    assert qsim._chebyshev_operator(mixer, n)[1] == r
+    qsim._bit_flip_propagator.cache_clear()
+    assert bitflip.chebyshev_operator(mixer, n)[1] == r
     np.testing.assert_array_equal(qsim.apply_mixer(start.copy(), mixer, 3.0).amplitudes,
                                   first)
 
@@ -774,7 +774,7 @@ def test_bit_flip_mixer_matches_expm_multiply_at_18_qubits(monkeypatch):
     n, beta = 18, 3.0
     mixer = MixerSpec.bit_flip(ring_graph(n))
     start = random_state(n, 31)
-    expected = expm_multiply(-1j * beta * qsim._mixer_sparse(mixer, n), start.amplitudes)
+    expected = expm_multiply(-1j * beta * bitflip.mixer_sparse(mixer, n), start.amplitudes)
     s = qsim.apply_mixer(start.copy(), mixer, beta)
     np.testing.assert_allclose(s.amplitudes, expected, rtol=0, atol=1e-10)
 
