@@ -7,9 +7,9 @@ layer applied as one tensor product and the CZ ring as one cached +-1
 diagonal, on float64 amplitudes (see :func:`ansatz_state`). Both are driven
 by a seeded, derivative-free simplex optimizer with random restarts.
 
-The optimizer is scipy's Nelder-Mead. :func:`optimize_variational` imports
-``scipy.optimize`` when it is called, so only a process that optimizes
-loads it; building and evaluating the states needs numpy alone.
+The optimizer is Nelder-Mead (Nelder & Mead, Comput. J. 7, 308, 1965),
+an in-repo copy of the unbounded path of scipy's, which a test holds to
+scipy's point for point; the module needs numpy alone.
 """
 from __future__ import annotations
 
@@ -157,6 +157,11 @@ def qaoa_expectation(h_c: DiagonalCostHamiltonian, params: QaoaParams,
 
 # ---------------------------------------------------------------------------
 # Classical optimizer: seeded Nelder-Mead with uniform random restarts.
+#
+# _nelder_mead is the path scipy 1.17's _minimize_neldermead takes with no
+# bounds, adaptive=False and no initial_simplex, operation for operation, so
+# every evaluated point and value equals scipy's bit for bit
+# (tests/test_variational.py compares the traces).
 
 @dataclass
 class OptimizeResult:
@@ -172,6 +177,56 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _nelder_mead(f, x0, xatol: float, fatol: float) -> None:
+    """Simplex descent from ``x0`` until the simplex spans at most ``xatol``
+    in every coordinate and its values at most ``fatol``; it stops early
+    only when ``f`` raises. ``f`` may be handed a row of the simplex
+    itself, so it must not write to its argument."""
+    x0 = np.asarray(x0, dtype=np.float64).flatten()
+    n = len(x0)
+    # the first simplex: x0, and x0 with one coordinate scaled by 1.05 (or
+    # set to 0.00025 where it is zero)
+    sim = np.tile(x0, (n + 1, 1))
+    sim[np.arange(1, n + 1), np.arange(n)] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    fsim = np.full(n + 1, np.inf)
+    for k in range(n + 1):
+        fsim[k] = f(sim[k])
+    # argsort is not stable, and scipy sorts the first simplex twice
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    while not (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+               and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]  # reflect the worst vertex through xbar
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]  # expand
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]  # outside contraction
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]  # inside contraction
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink every vertex halfway towards the best
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+
 def optimize_variational(objective, init, budget: int, seed) -> OptimizeResult:
     """Derivative-free simplex descent; every evaluation lands in the trace.
 
@@ -179,8 +234,6 @@ def optimize_variational(objective, init, budget: int, seed) -> OptimizeResult:
     ``objective(init)``. When a simplex run converges with budget to spare,
     the search restarts from a fresh uniform draw in [-pi, pi]^d.
     """
-    from scipy.optimize import minimize
-
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     rng = np.random.default_rng(seed)
@@ -193,7 +246,9 @@ def optimize_variational(objective, init, budget: int, seed) -> OptimizeResult:
         nonlocal best_x, best_v
         if len(trace) >= budget:
             raise _BudgetExhausted
-        x = np.asarray(x, dtype=np.float64)
+        # a copy, as scipy hands out: an objective that writes over its
+        # argument must not move the simplex
+        x = np.array(x, dtype=np.float64)
         v = float(objective(x))
         trace.append((x.copy(), v))
         if v < best_v:
@@ -204,9 +259,7 @@ def optimize_variational(objective, init, budget: int, seed) -> OptimizeResult:
     start = x0
     while len(trace) < budget:
         try:
-            minimize(wrapped, start, method="Nelder-Mead",
-                     options={"maxfev": budget - len(trace),
-                              "xatol": 1e-8, "fatol": 1e-12})
+            _nelder_mead(wrapped, start, xatol=1e-8, fatol=1e-12)
         except _BudgetExhausted:
             break
         start = rng.uniform(-math.pi, math.pi, size=x0.shape)

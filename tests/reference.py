@@ -27,6 +27,10 @@ distinct cost, must equal bit for bit.
 ``ansatz_state`` is the VQE ansatz on complex128 amplitudes, one
 ``apply_product`` per layer; ``qns.variational.ansatz_state`` must give its
 real part bit for bit, in float64.
+``optimize_variational`` is the seeded restart loop on scipy's own
+Nelder-Mead (``scipy.optimize.minimize`` with ``maxfev`` set to the budget
+left); ``qns.variational.optimize_variational``, on its in-repo simplex,
+must evaluate the same points in the same order and keep the same best.
 ``nkesn_output`` and ``per_output_losses`` evaluate the NK echo-state
 network's outputs one neighbourhood sum at a time, the definition that
 ``qns.nkesn.build_table`` tabulates. ``grover_table_select`` is one NK
@@ -40,6 +44,7 @@ import math
 
 import numpy as np
 from scipy.linalg.blas import zaxpy
+from scipy.optimize import minimize
 from scipy.special import jv
 
 from qns import masknet
@@ -66,7 +71,7 @@ from qns.qsim import (
     cost_phase,
     uniform_superposition,
 )
-from qns.variational import Entangler, _ring_cz_signs
+from qns.variational import Entangler, OptimizeResult, _ring_cz_signs
 
 
 def _sample_mask(thetas, rng):
@@ -298,6 +303,31 @@ def ansatz_state(ansatz):
         if ring:
             state.amplitudes *= _ring_cz_signs(ansatz.n_qubits)
     return state
+
+
+def optimize_variational(objective, init, budget: int, seed) -> OptimizeResult:
+    """Nelder-Mead runs by ``scipy.optimize.minimize`` from ``init``, then
+    from uniform draws in [-pi, pi]^d, until ``budget`` evaluations."""
+    rng = np.random.default_rng(seed)
+    x0 = np.atleast_1d(np.asarray(init, dtype=np.float64))
+    trace = []
+    best_x, best_v = x0.copy(), math.inf
+
+    def wrapped(x):
+        nonlocal best_x, best_v
+        v = float(objective(x))
+        trace.append((x.copy(), v))
+        if v < best_v:
+            best_x, best_v = x.copy(), v
+        return v
+
+    start = x0
+    while len(trace) < budget:
+        minimize(wrapped, start, method="Nelder-Mead",
+                 options={"maxfev": budget - len(trace),
+                          "xatol": 1e-8, "fatol": 1e-12})
+        start = rng.uniform(-math.pi, math.pi, size=x0.shape)
+    return OptimizeResult(best_x, best_v, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 import reference
-from conftest import phase_tables
+from conftest import make_planted_task, phase_tables
 from reference import apply_cz, apply_ry, mixer_dense
-from qns import anneal
+from qns import anneal, oracle
 from qns.qsim import (
     DiagonalCostHamiltonian,
     MixerSpec,
@@ -176,6 +176,75 @@ def test_optimizer_trace_is_seed_deterministic():
     for (xa, va), (xb, vb) in zip(a.trace, b.trace):
         np.testing.assert_array_equal(xa, xb)
         assert va == vb
+
+
+def _smooth(x):
+    return float(np.sum(np.cos(3.0 * x) + 0.1 * (x - 0.4) ** 2) + 0.3 * x[0] * x[-1])
+
+
+# smooth; rounded to 3 decimals, so that values tie in argsort and
+# contractions fail into shrinks; constant, so that every run ends in a
+# shrink to convergence and the loop restarts
+_OBJECTIVES = {
+    "smooth": _smooth,
+    "rounded": lambda x: round(_smooth(x), 3),
+    "constant": lambda x: 0.75,
+}
+
+
+def _assert_same_run(got, want):
+    assert len(got.trace) == len(want.trace)
+    for (xg, vg), (xw, vw) in zip(got.trace, want.trace):
+        assert xg.tobytes() == xw.tobytes()
+        assert vg == vw
+    assert got.best_params.tobytes() == want.best_params.tobytes()
+    assert got.best_value == want.best_value
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    dim=st.sampled_from([1, 2, 3, 4, 5, 6, 24]),  # 24: the VQE shape 2 x 12
+    budget=st.just(1) | st.integers(1, 400),
+    kind=st.sampled_from(sorted(_OBJECTIVES)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_optimizer_evaluates_the_points_of_scipys_nelder_mead(
+        data, dim, budget, kind, seed):
+    # all-zero, all-non-zero and mixed inits: zero coordinates take the
+    # first simplex's absolute step, the others its relative one
+    init = data.draw(arrays(np.float64, dim,
+                            elements=st.just(0.0) | st.floats(-4.0, 4.0)))
+    objective = _OBJECTIVES[kind]
+    got = optimize_variational(objective, init, budget, seed)
+    _assert_same_run(got, reference.optimize_variational(objective, init, budget, seed))
+
+    # an objective that writes over its argument leaves the search as it was
+    seen = []
+
+    def scribbler(x):
+        seen.append(x.copy())
+        value = objective(x)
+        x[...] = 1e6
+        return value
+
+    optimize_variational(scribbler, init, budget, seed)
+    assert [x.tobytes() for x in seen] == [x.tobytes() for x, _ in got.trace]
+
+
+@pytest.mark.parametrize("p, budget, seed", [(1, 150, 0), (2, 300, 7)])
+def test_qaoa_optimizer_evaluates_the_points_of_scipys_nelder_mead(p, budget, seed):
+    net, data, _ = make_planted_task([[2, 3, "identity"]], seed=3)
+    h = oracle.build_cost_hamiltonian(net, data)
+    assert h.n_qubits == 6
+
+    def objective(vec):
+        return qaoa_expectation(h, QaoaParams.from_vector(vec))
+
+    got = qaoa_optimize(h, p, budget, seed)
+    want = reference.optimize_variational(objective, np.zeros(2 * p), budget, seed)
+    got.best_params = got.best_params.to_vector()
+    _assert_same_run(got, want)
 
 
 # ---------------------------------------------------------------------------
