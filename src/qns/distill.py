@@ -117,7 +117,15 @@ def compress(vector: np.ndarray, target_dim: int,
     original order. Leading axes index independent vectors.
     """
     vector = np.asarray(vector, dtype=np.float64)
-    dim = vector.shape[-1]
+    return np.stack(compress_columns(masknet.unstack(vector), target_dim, mode), axis=-1)
+
+
+def compress_columns(columns, target_dim: int,
+                     mode: CompressMode = CompressMode.AVERAGE_POOL) -> list[np.ndarray]:
+    """:func:`compress` on the columns of the last axis, which may broadcast
+    (see ``masknet.enumerate_table``): an average pool adds each group's
+    columns on the axes they span."""
+    dim = len(columns)
     if dim < target_dim:
         raise ValueError(f"cannot compress {dim} values up to {target_dim}")
     mode = CompressMode(mode)
@@ -126,10 +134,18 @@ def compress(vector: np.ndarray, target_dim: int,
             raise ValueError(
                 f"average pooling needs {target_dim} to divide {dim}"
             )
-        groups = vector.reshape(*vector.shape[:-1], target_dim, -1)
-        return masknet.sum_last(groups) / groups.shape[-1]
-    order = np.argsort(-np.abs(vector), axis=-1, kind="stable")[..., :target_dim]
-    return np.take_along_axis(vector, np.sort(order, axis=-1), axis=-1)
+        group = dim // target_dim
+        pooled = []
+        for g in range(0, dim, group):
+            total = masknet.sum_columns(columns[g:g + group])
+            total /= group
+            pooled.append(total)
+        return pooled
+    vector = np.stack(np.broadcast_arrays(*columns), axis=-1)
+    rows = vector.reshape(-1, dim)  # few axes keep take_along_axis's index cheap
+    order = np.argsort(-np.abs(rows), axis=-1, kind="stable")[:, :target_dim]
+    kept = np.take_along_axis(rows, np.sort(order, axis=-1), axis=-1)
+    return masknet.unstack(kept.reshape(vector.shape[:-1] + (target_dim,)))
 
 
 def block_loss(teacher_acts: np.ndarray, block: MaskedNetwork, bits,
@@ -140,7 +156,7 @@ def block_loss(teacher_acts: np.ndarray, block: MaskedNetwork, bits,
     M losses for an (M, n) matrix of masks in ``masknet.layer_views`` order."""
     bits = np.asarray(bits)
     out = masknet.batch_forward(block, np.atleast_2d(bits), block_inputs)
-    losses = _compressed_losses(out, teacher_acts, mode)
+    losses = _compressed_losses(masknet.unstack(out), teacher_acts, mode)
     return float(losses[0]) if bits.ndim == 1 else losses
 
 
@@ -153,9 +169,10 @@ def block_table(teacher_acts: np.ndarray, block: MaskedNetwork,
         _compressed_losses, teacher_acts=teacher_acts, mode=mode))
 
 
-def _compressed_losses(out: np.ndarray, teacher_acts: np.ndarray,
+def _compressed_losses(columns, teacher_acts: np.ndarray,
                        mode: CompressMode) -> np.ndarray:
-    return masknet.mean_l2(compress(out, teacher_acts.shape[1], mode), teacher_acts)
+    return masknet.mean_l2(compress_columns(columns, teacher_acts.shape[1], mode),
+                           teacher_acts)
 
 
 # ---------------------------------------------------------------------------

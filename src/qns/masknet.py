@@ -8,16 +8,22 @@ layer, then the bias bits when biases are masked.
 
 :func:`enumerate_table` reduces the outputs of every one of the 2^n masks
 to a cost table. Layer l's output depends only on the bits of layers <= l,
-so the kernel computes each layer once per pattern of the bits before it:
-the layer's own patterns become a new leading axis, ``z[None] @ (m *
-W)[:, None] + b``. Its tables equal the mask-by-mask ones bit for bit,
-because
+so the kernel computes each hidden layer once per pattern of the bits
+before it: the layer's own patterns become a new leading axis, ``z[None] @
+(m * W)[:, None] + b``. Unit o of the last layer reads only column o of
+its mask, so the last layer is priced once per pattern of one column: under
+representative masks whose columns all take the same pattern. A cost that
+sums over units (the L2 loss, an average pool) adds the units' terms on the
+layer's bit grid by broadcasting, and any other cost reads the outputs
+assembled from the units. Its tables equal the mask-by-mask ones bit for
+bit, because
 
 - every product is NumPy's per-slice matmul on the same (samples, fan_in)
   @ (fan_in, fan_out) shapes as :func:`masked_layers` (one concatenated
-  gemm over all patterns sums in another order);
-- :func:`sum_last` adds a short last axis in NumPy's own order: in turn
-  from 0.0 below ``PAIRWISE_MIN`` entries, pairwise from there on.
+  gemm over all patterns sums in another order), and column o of a product
+  depends only on column o of the masked weights;
+- :func:`sum_columns` adds the units in NumPy's own order: in turn from 0.0
+  below ``PAIRWISE_MIN`` of them, pairwise from there on.
 """
 from __future__ import annotations
 
@@ -205,7 +211,7 @@ def _masked_layer(net: MaskedNetwork, i: int, z: np.ndarray, mask,
 
 def dataset_loss(net: MaskedNetwork, data: Dataset) -> float:
     """Mean L2 distance between predictions and targets."""
-    return float(mean_l2(forward_batch(net, data.inputs), data.targets))
+    return float(mean_l2(unstack(forward_batch(net, data.inputs)), data.targets))
 
 
 def batch_losses(net: MaskedNetwork, data: Dataset, rows) -> np.ndarray:
@@ -214,7 +220,7 @@ def batch_losses(net: MaskedNetwork, data: Dataset, rows) -> np.ndarray:
     Rows are in :func:`layer_views` order; returns M losses, each equal to
     ``dataset_loss(apply_flat_mask(net, row), data)``.
     """
-    return mean_l2(batch_forward(net, rows, data.inputs), data.targets)
+    return mean_l2(unstack(batch_forward(net, rows, data.inputs)), data.targets)
 
 
 def batch_forward(net: MaskedNetwork, rows, xs: np.ndarray) -> np.ndarray:
@@ -233,67 +239,129 @@ def enumerate_losses(net: MaskedNetwork, data: Dataset) -> np.ndarray:
 def enumerate_table(net: MaskedNetwork, xs: np.ndarray, reduce) -> np.ndarray:
     """``reduce`` of the outputs of ``net`` under every mask 0..2^n-1.
 
-    ``reduce`` maps the outputs (M, samples, fan_out) of M masks to M costs,
-    row by row; entry x of the table is ``reduce(batch_forward(net, [bits of
-    x], xs))[0]`` bit for bit. The kernel walks the layers depth first and
-    computes each layer once per pattern of the bits before it, in blocks
-    that keep at most ``ENUMERATION_CHUNK`` patterns in flight.
-    """
-    # A layer's bits are its weights, then its biases when they are masked.
-    # The table has one axis per layer, layer 0 innermost, so that without
-    # masked biases its flat index is the layer_views index.
-    sizes = [(s.fan_in * s.fan_out, s.fan_out if net.mask_biases else 0)
-             for s in net.specs]
-    table = np.empty([1 << (n_w + n_b) for n_w, n_b in reversed(sizes)])
+    ``reduce`` maps output columns to costs: fan_out arrays that broadcast
+    together to (..., samples), column o holding unit o's outputs, give the
+    costs (...). Entry x of the table is ``reduce(unstack(batch_forward(net,
+    [bits of x], xs)))[0]`` bit for bit.
 
-    def descend(i, z, index):
-        if i == net.depth:
-            table[index] = reduce(z).reshape(table[index].shape)
+    Hidden layers are computed depth first, each once per pattern of the
+    bits before it, in blocks that keep at most ``ENUMERATION_CHUNK``
+    patterns in flight. The last layer is priced once per pattern of one
+    unit's own bits (its weight column, then its bias bit), under
+    representative masks whose columns all take that pattern: unit o of
+    such a product is unit o of every mask whose column o has that pattern.
+    Each unit's column spans only the axes of its own bits on the layer's
+    bit grid, so a cost that sums over units adds their terms by
+    broadcasting. The grid's axes, and the table's, come from
+    :func:`unit_bits`.
+    """
+    units = unit_bits(net)
+    # bit k of a layer's pattern gates the layer's k-th lowest flat bit
+    sorted_bits = [np.sort(u, axis=None) for u in units]
+    ranks = [np.searchsorted(s, u) for s, u in zip(sorted_bits, units)]
+    n_hidden = sum(u.size for u in units[:-1])
+    n_last = units[-1].size
+    # last-layer bits (highest first), then the hidden layers' patterns as one
+    # prefix index, the latest layer outermost
+    table = np.empty((2,) * n_last + (1 << n_hidden,))
+
+    def descend(i, z, start):
+        # z: outputs of layer i - 1 under prefix patterns start, start + 1, ...
+        if i == net.depth - 1:
+            price_last(z, start)
             return
-        (n_w, n_b), spec = sizes[i], net.specs[i]
-        n_patterns = 1 << (n_w + n_b)
-        step = max(1, ENUMERATION_CHUNK // len(z))
+        n_patterns, n_prefix = 1 << units[i].size, 1 << sum(u.size for u in units[:i])
+        # a power of two, so that every block of prefix patterns is contiguous
+        step = 1 << (max(1, ENUMERATION_CHUNK // len(z)).bit_length() - 1)
         for lo in range(0, n_patterns, step):
             patterns = np.arange(lo, min(lo + step, n_patterns))
-            bits = (patterns[:, None] >> np.arange(n_w + n_b)) & 1
-            mask = bits[:, :n_w].reshape(-1, 1, spec.fan_in, spec.fan_out)
-            bias_mask = bits[:, None, None, n_w:] if n_b else None
             # (this layer's patterns, earlier patterns, samples, fan_out)
-            out = _masked_layer(net, i, z[None], mask, bias_mask)[1]
-            descend(i + 1, out.reshape(-1, *out.shape[2:]),
-                    (slice(lo, lo + len(patterns)), *index))
+            out = _layer_under_bits(net, i, z, (patterns[:, None, None] >> ranks[i]) & 1)
+            descend(i + 1, out.reshape(-1, *out.shape[2:]), lo * n_prefix + start)
 
-    descend(0, xs[None], ())
-    # layer_views puts every bias bit after every weight bit: split each layer
-    # axis into (bias, weight) and move the bias axes outermost
-    depth = net.depth
-    split = table.reshape([1 << n for pair in reversed(sizes) for n in reversed(pair)])
-    return split.transpose([*range(0, 2 * depth, 2), *range(1, 2 * depth, 2)]).reshape(-1)
+    # The last layer's bit grid has one axis per bit, highest first. A block
+    # fixes its n_last - m highest bits and holds at most ENUMERATION_CHUNK
+    # patterns (grid x prefix). A unit's bits rise with its row, the bias bit
+    # last, so its free bits in a block are its lowest n_free; representative
+    # mask r takes them from r's bits and the fixed ones from the block.
+    rank = ranks[-1]
+    m = min(n_last, ENUMERATION_CHUNK.bit_length() - 1)
+    rows = max(1, ENUMERATION_CHUNK >> n_last)
+    free = rank < m
+    n_free = free.sum(axis=0)
+    owner = np.empty(n_last, dtype=int)
+    owner[rank] = np.arange(rank.shape[1])
+    # unit o's outputs span the grid axes of its own free bits
+    shapes = [tuple(2 if owner[k] == o else 1 for k in range(m - 1, -1, -1))
+              for o in range(rank.shape[1])]
+    reps = np.arange(1 << n_free.max())[:, None, None]
+    shift = np.where(free, np.arange(rank.shape[0])[:, None], rank)
+
+    def price_last(z, start):
+        for lo in range(0, 1 << n_last, 1 << m):
+            bits = (np.where(free, reps, lo) >> shift) & 1
+            fixed = tuple((lo >> k) & 1 for k in range(n_last - 1, m - 1, -1))
+            for a in range(0, len(z), rows):
+                out = _layer_under_bits(net, net.depth - 1, z[a:a + rows], bits)
+                columns = [out[:1 << f, ..., o].reshape(shape + out.shape[1:3])
+                           for o, (f, shape) in enumerate(zip(n_free, shapes))]
+                table[fixed + (..., slice(start + a, start + a + out.shape[1]))] = reduce(columns)
+
+    descend(0, xs[None], 0)
+    # kernel bit k gates flat bit order[k]: move every axis to its flat place
+    order = np.concatenate(sorted_bits)
+    n = len(order)
+    return table.reshape((2,) * n).transpose(n - 1 - np.argsort(order)[::-1]).reshape(-1)
 
 
-def sum_last(x: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(x, axis=-1)`` bit for bit.
+def _layer_under_bits(net: MaskedNetwork, i: int, z: np.ndarray, bits) -> np.ndarray:
+    """Outputs (patterns, prefix, samples, fan_out) of layer i on z (prefix,
+    samples, fan_in) under each pattern of ``bits`` (patterns, fan_in [+ 1
+    bias row], fan_out)."""
+    fan_in = net.specs[i].fan_in
+    bias_mask = bits[:, None, fan_in:] if net.mask_biases else None
+    return _masked_layer(net, i, z[None], bits[:, None, :fan_in], bias_mask)[1]
 
-    Below ``PAIRWISE_MIN`` entries NumPy adds them in turn, starting from
-    0.0, but its reduce along a short axis is slow; this adds whole columns
-    in the same order instead.
+
+def unstack(x: np.ndarray) -> list[np.ndarray]:
+    """The columns ``x[..., 0], x[..., 1], ...`` of an array's last axis."""
+    return [x[..., k] for k in range(x.shape[-1])]
+
+
+def sum_columns(columns) -> np.ndarray:
+    """``np.add.reduce`` of the broadcast ``columns`` stacked on a last axis,
+    bit for bit, signed zeros included.
+
+    Below ``PAIRWISE_MIN`` columns NumPy adds them in turn, starting from
+    0.0; this adds them in that order without the stack, each partial sum
+    as wide as its columns broadcast to.
     """
-    if x.shape[-1] >= PAIRWISE_MIN:
-        return np.add.reduce(x, axis=-1)
-    total = x[..., 0] + 0.0
-    for k in range(1, x.shape[-1]):
-        total += x[..., k]
+    if len(columns) >= PAIRWISE_MIN:
+        return np.add.reduce(np.stack(np.broadcast_arrays(*columns), axis=-1), axis=-1)
+    total = columns[0] + 0.0
+    for column in columns[1:]:
+        if np.broadcast_shapes(total.shape, column.shape) == total.shape:
+            total += column
+        else:
+            total = total + column
     return total
 
 
-def mean_l2(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def mean_l2(columns, targets: np.ndarray) -> np.ndarray:
     """Mean over samples of the L2 distance from each prediction row to its
-    target row: ``np.mean(np.linalg.norm(preds - targets, axis=-1), axis=-1)``."""
+    target row, from the prediction columns (see :func:`enumerate_table`):
+    ``np.mean(np.linalg.norm(preds - targets, axis=-1), axis=-1)``."""
     if targets.shape[-2] == 0:
         raise ValueError("dataset is empty")
-    d = preds - targets
-    d *= d
-    return np.mean(np.sqrt(sum_last(d)), axis=-1)
+    squares = []
+    for column, target in zip(columns, unstack(targets), strict=True):
+        d = column - target
+        d *= d
+        squares.append(d)
+    # a square is never -0.0, so one needs no 0.0 added to match NumPy's sum
+    total = squares[0] if len(squares) == 1 else sum_columns(squares)
+    np.sqrt(total, out=total)
+    return np.add.reduce(total, axis=-1) / targets.shape[-2]  # np.mean's steps
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +371,7 @@ def layer_views(flat: np.ndarray, net: MaskedNetwork) -> list[np.ndarray]:
     """Per-layer (..., fan_in, fan_out) views of the weight part of ``flat``'s
     last axis: entry ``off_l + row * fan_out + col`` addresses weight (row,
     col) of layer l, where ``off_l`` counts the weights of the layers before
-    it. Masked biases take the entries after every weight, layer by layer.
+    it. Masked biases take the entries after every weight (:func:`bias_views`).
     """
     views, start = [], 0
     for spec in net.specs:
@@ -312,6 +380,27 @@ def layer_views(flat: np.ndarray, net: MaskedNetwork) -> list[np.ndarray]:
                                                    + (spec.fan_in, spec.fan_out)))
         start = stop
     return views
+
+
+def bias_views(flat: np.ndarray, net: MaskedNetwork) -> list[np.ndarray]:
+    """Per-layer (..., fan_out) views of the bias part of ``flat``'s last axis,
+    when biases are masked: the entries after every weight, layer by layer."""
+    views, start = [], sum(s.fan_in * s.fan_out for s in net.specs)
+    for spec in net.specs:
+        views.append(flat[..., start:start + spec.fan_out])
+        start += spec.fan_out
+    return views
+
+
+def unit_bits(net: MaskedNetwork) -> list[np.ndarray]:
+    """Per layer, the flat bit that gates each parameter of each unit, as a
+    (fan_in [+ 1], fan_out) array: column o holds unit o's weight bits by
+    row, then its bias bit when biases are masked."""
+    index = np.arange(net.total_maskable())
+    weights = layer_views(index, net)
+    if not net.mask_biases:
+        return weights
+    return [np.vstack([w, b]) for w, b in zip(weights, bias_views(index, net))]
 
 
 def apply_flat_mask(net: MaskedNetwork, bits) -> MaskedNetwork:
@@ -335,9 +424,7 @@ def _layout_masks(net: MaskedNetwork, rows):
     masks = [w.astype(np.float64, order="C") for w in layer_views(rows, net)]
     if not net.mask_biases:
         return masks, [np.ones((len(rows), 1, s.fan_out)) for s in net.specs]
-    widths = [s.fan_out for s in net.specs]
-    bias_bits = rows[:, None, n - sum(widths):].astype(np.float64)
-    return masks, np.split(bias_bits, np.cumsum(widths)[:-1], axis=-1)
+    return masks, [b[:, None].astype(np.float64) for b in bias_views(rows, net)]
 
 
 def _view(net: MaskedNetwork, masks, bias_masks=None) -> MaskedNetwork:

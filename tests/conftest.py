@@ -36,6 +36,14 @@ def planted_oracle_with_k(layers, k_target, epsilon, base_seed=0, n_samples=16):
             raise RuntimeError(f"no task with k={k_target} near seed {base_seed}")
 
 
+def with_signed_zeros(rng, x, share):
+    """A copy of ``x`` with about ``share`` of its entries set to 0.0 or -0.0."""
+    x = np.array(x, dtype=np.float64)
+    hit = rng.random(x.shape) < share
+    x[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+    return x
+
+
 @st.composite
 def cost_tables(draw, max_bits=6):
     """(n_bits, a table of 2^n_bits costs, epsilon); epsilon is often a table

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import with_signed_zeros
 from reference import fit_identity_teacher
 from qns import distill, masknet
 from qns.bitstrings import all_patterns, index_to_bits
@@ -155,16 +156,21 @@ def test_block_loss_sample_order_invariant():
 @settings(max_examples=60, deadline=None)
 @given(mode=st.sampled_from(CompressMode), group=st.integers(1, 3),
        fan_in=st.integers(1, 4), fan_out=st.integers(1, 2),
-       n_samples=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+       n_samples=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       zeros=st.sampled_from([0.0, 0.3, 1.0]))
 def test_block_table_equals_block_loss_of_every_mask(mode, group, fan_in, fan_out,
-                                                    n_samples, seed):
+                                                    n_samples, seed, zeros):
+    """Inputs, teacher activations and biases hold a share ``zeros`` of 0.0
+    and -0.0."""
     wide = group * fan_out
     assume(fan_in * wide + wide * wide <= 12)
     teacher = init_network([(fan_in, fan_out, "identity")], seed)
     block = make_student(teacher, group, seed).blocks[0]
     rng = np.random.default_rng(seed)
-    inputs = rng.normal(size=(n_samples, fan_in))
-    acts = rng.normal(size=(n_samples, fan_out))
+    block.biases = [with_signed_zeros(rng, rng.normal(size=b.shape), zeros)
+                    for b in block.biases]
+    inputs = with_signed_zeros(rng, rng.normal(size=(n_samples, fan_in)), zeros)
+    acts = with_signed_zeros(rng, rng.normal(size=(n_samples, fan_out)), zeros)
     rows = all_patterns(block.total_maskable())
     assert np.array_equal(distill.block_table(acts, block, inputs, mode),
                           block_loss(acts, block, rows, inputs, mode))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import reference
+from conftest import with_signed_zeros
 from qns import masknet
 from qns.bitstrings import all_patterns, index_to_bits
 from qns.masknet import (
@@ -419,28 +420,64 @@ def enumerable_networks(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(drawn=enumerable_networks(), n_samples=st.integers(1, 12),
-       chunk=st.sampled_from([1, 3, 64, masknet.ENUMERATION_CHUNK]))
-def test_enumerate_losses_equal_batch_losses(drawn, n_samples, chunk):
+       chunk=st.sampled_from([1, 3, 64, masknet.ENUMERATION_CHUNK]),
+       zeros=st.sampled_from([0.0, 0.3, 1.0]))
+def test_enumerate_losses_equal_batch_losses(drawn, n_samples, chunk, zeros):
+    """Inputs, targets and biases hold a share ``zeros`` of 0.0 and -0.0."""
     net, rng = drawn
-    data = Dataset(rng.normal(size=(n_samples, net.input_dim)),
-                   rng.normal(size=(n_samples, net.output_dim)))
+    net.biases = [with_signed_zeros(rng, b, zeros) for b in net.biases]
+    data = Dataset(with_signed_zeros(rng, rng.normal(size=(n_samples, net.input_dim)), zeros),
+                   with_signed_zeros(rng, rng.normal(size=(n_samples, net.output_dim)),
+                                     zeros))
     expected = masknet.batch_losses(net, data, all_patterns(net.total_maskable()))
     with mock.patch.object(masknet, "ENUMERATION_CHUNK", chunk):
         assert np.array_equal(masknet.enumerate_losses(net, data), expected)
+
+
+def test_table_prices_the_last_layer_once_per_column_pattern(monkeypatch):
+    """On [[2,2,relu],[2,4,identity]] the last layer runs under the 4 patterns
+    of one unit's 2 weight bits, once for each of the 16 hidden-layer
+    patterns, not under all 256 patterns of its 8 bits."""
+    net = init_network([(2, 2, "relu"), (2, 4, "identity")], seed=0)
+    rng = np.random.default_rng(0)
+    data = Dataset(rng.normal(size=(16, 2)), rng.normal(size=(16, 4)))
+    expected = masknet.batch_losses(net, data, all_patterns(12))
+    batches = []
+    masked_layer = masknet._masked_layer
+
+    def spy(net, i, z, mask, bias_mask=None):
+        layer = masked_layer(net, i, z, mask, bias_mask)
+        if i == net.depth - 1:
+            batches.append(layer[1].shape[:2])  # (mask patterns, prefix patterns)
+        return layer
+
+    monkeypatch.setattr(masknet, "_masked_layer", spy)
+    assert np.array_equal(masknet.enumerate_losses(net, data), expected)
+    assert {patterns for patterns, _ in batches} == {4}
+    assert sum(prefix for _, prefix in batches) == 16
 
 
 @settings(max_examples=100, deadline=None)
 @given(x=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 12),
                                       st.integers(1, 12)),
                 elements=st.floats(-1e3, 1e3) | st.just(-0.0)),
-       y=st.floats(-1e3, 1e3))
-def test_short_axis_reductions_match_numpy(x, y):
-    total = masknet.sum_last(x)
+       y=st.floats(-1e3, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_short_axis_reductions_match_numpy(x, y, seed):
+    total = masknet.sum_columns(masknet.unstack(x))
     assert np.array_equal(total, np.add.reduce(x, axis=-1))
     assert np.array_equal(np.signbit(total), np.signbit(np.add.reduce(x, axis=-1)))
-    targets = np.full(x.shape[1:], y)
-    assert np.array_equal(masknet.mean_l2(x, targets),
-                          np.mean(np.linalg.norm(x - targets, axis=-1), axis=-1))
+    # columns that broadcast: every other one spans only the first row
+    columns = [c[:1] if k % 2 else c for k, c in enumerate(masknet.unstack(x))]
+    stacked = np.add.reduce(np.stack(np.broadcast_arrays(*columns), axis=-1), axis=-1)
+    total = masknet.sum_columns(columns)
+    assert np.array_equal(total, stacked)
+    assert np.array_equal(np.signbit(total), np.signbit(stacked))
+    # noisy rows give sums that round differently when added in another order
+    rng = np.random.default_rng(seed)
+    for preds, targets in ((x, np.full(x.shape[1:], y)),
+                           (x + rng.normal(size=x.shape), rng.normal(size=x.shape[1:]))):
+        assert np.array_equal(masknet.mean_l2(masknet.unstack(preds), targets),
+                              np.mean(np.linalg.norm(preds - targets, axis=-1), axis=-1))
 
 
 def test_enumeration_peak_memory_is_a_few_chunks():
@@ -451,6 +488,23 @@ def test_enumeration_peak_memory_is_a_few_chunks():
     rng = np.random.default_rng(0)
     data = Dataset(rng.normal(size=(16, 3)), rng.normal(size=(16, 1)))
     chunk_bytes = masknet.ENUMERATION_CHUNK * 16 * 4 * 8
+    tracemalloc.start()
+    try:
+        table = masknet.enumerate_losses(net, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (1 << 16,)
+    assert peak <= 6 * chunk_bytes
+
+
+def test_wide_last_layer_table_peak_memory_is_a_few_chunks():
+    """A 16-bit table whose last layer has 12 bits is priced in blocks of its
+    bit grid, within the same 6 chunks (widest layer 6)."""
+    net = init_network([(2, 2, "relu"), (2, 6, "identity")], seed=0)
+    rng = np.random.default_rng(0)
+    data = Dataset(rng.normal(size=(16, 2)), rng.normal(size=(16, 6)))
+    chunk_bytes = masknet.ENUMERATION_CHUNK * 16 * 6 * 8
     tracemalloc.start()
     try:
         table = masknet.enumerate_losses(net, data)
