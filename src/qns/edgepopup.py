@@ -23,10 +23,17 @@ the same one a single sample runs, and each loss is the 2-norm of one 1-D
 row: the batched epoch is bit-identical to the per-sample loop. (A
 (samples, fan_in) matrix product rounds differently.) With per-sample
 resampling every mask depends on the previous step, so that loop stays
-sequential, one ``popup_update`` per sample. Its masks are drawn into one
-flat buffer, allocated once per training, whose layer views are passed as
-the masks, and its loss is sqrt(diff . diff), what ``np.linalg.norm`` takes
-of a 1-D row.
+sequential, one ``popup_update`` per sample, on work vectors that
+``popup_train`` allocates once per training. The masks are drawn into one
+flat vector whose layer views are passed as the masks, and the masked
+weights are one ``mask * W`` multiply over all layers. Each layer's
+pre-activation and gradient is written by ``ndarray.dot(..., out=)``, the
+vector-matrix product that ``@`` runs, and the outer products
+outer(activation, gradient) of every layer are gathered from the flat
+activation and gradient vectors by ``take`` into one vector, scaled by W and
+alpha once. The loss is sqrt(diff . diff), what ``np.linalg.norm`` takes of
+a 1-D row. These are the stacked path's floats in the same order, so both
+rules stay bit-identical to the plain per-sample loop.
 """
 from __future__ import annotations
 
@@ -40,6 +47,18 @@ from . import masknet
 from .masknet import Activation, Dataset, MaskedNetwork
 
 THETA_CLAMP = math.pi / 2.0
+
+
+def _constant(value: float) -> np.ndarray:
+    """A read-only 0-d float64 array: a ufunc takes one faster than it
+    converts a Python float, and computes the same result."""
+    array = np.array(value, dtype=np.float64)
+    array.flags.writeable = False
+    return array
+
+
+_ZERO, _ONE, _TWO = _constant(0.0), _constant(1.0), _constant(2.0)
+_LOW, _HIGH = _constant(-THETA_CLAMP), _constant(THETA_CLAMP)
 
 
 class ResampleRule(str, Enum):
@@ -78,8 +97,12 @@ class NonFiniteLoss(FloatingPointError):
         self.row = row
 
 
-def _keep_prob(theta):
-    return (1.0 + np.sin(theta)) / 2.0
+def _keep_prob(theta, out=None):
+    """(1 + sin theta)/2, in place in ``out`` when given."""
+    keep = np.sin(theta, out=out)
+    keep += _ONE
+    keep /= _TWO
+    return keep
 
 
 def prob_one(theta):
@@ -93,8 +116,8 @@ def prob_one(theta):
 
 def _clamp(thetas: np.ndarray) -> None:
     """Clamp to [-pi/2, pi/2] in place, as ``np.clip`` does, without its wrapper."""
-    np.maximum(thetas, -THETA_CLAMP, out=thetas)
-    np.minimum(thetas, THETA_CLAMP, out=thetas)
+    np.maximum(thetas, _LOW, out=thetas)
+    np.minimum(thetas, _HIGH, out=thetas)
 
 
 def threshold_mask(thetas: np.ndarray) -> np.ndarray:
@@ -174,25 +197,122 @@ def _steps(net: MaskedNetwork, acts, grads, alpha: float, n_angles: int) -> np.n
     return steps
 
 
+class _StepBuffers:
+    """Work vectors of the per-sample step, allocated once per training.
+
+    ``mask_bits`` is the step's flat mask in angle order and ``masks`` its
+    layer views. ``acts`` holds the input and every hidden layer's output,
+    layer i's input at its own offset, and ``grads`` every layer's dL/dI;
+    ``rows`` and ``cols`` gather angle j's activation and gradient from
+    them, so one multiply lays out every layer's outer product.
+    """
+
+    def __init__(self, net: MaskedNetwork):
+        specs = net.specs
+        n_angles = sum(s.fan_in * s.fan_out for s in specs)
+        self.keep = np.empty(n_angles)  # (1 + sin theta)/2
+        self.mask_bits = np.empty(n_angles)
+        self.masks = masknet.layer_views(self.mask_bits, net)
+        self.weights = np.concatenate([w.ravel() for w in net.weights])
+        self.masked = np.empty(n_angles)  # mask * W
+        self.step = np.empty(n_angles)
+        self.gathered = np.empty(n_angles)
+        self.acts = np.empty(sum(s.fan_in for s in specs))
+        self.grads = np.empty(sum(s.fan_out for s in specs))
+        self.rows = np.empty(n_angles, dtype=np.intp)
+        self.cols = np.empty(n_angles, dtype=np.intp)
+        a_off = np.cumsum([0] + [s.fan_in for s in specs])
+        g_off = np.cumsum([0] + [s.fan_out for s in specs])
+        acts = [self.acts[a:b] for a, b in zip(a_off, a_off[1:])]
+        grads = [self.grads[a:b] for a, b in zip(g_off, g_off[1:])]
+        outs = acts[1:] + [np.empty(specs[-1].fan_out)]
+        self.x, self.output, self.loss_grad = acts[0], outs[-1], grads[-1]
+        self.layers, self.backward = [], []
+        for i, (spec, rows, cols, masked) in enumerate(zip(
+                specs, masknet.layer_views(self.rows, net),
+                masknet.layer_views(self.cols, net),
+                masknet.layer_views(self.masked, net))):
+            rows[...] = a_off[i] + np.arange(spec.fan_in)[:, None]
+            cols[...] = g_off[i] + np.arange(spec.fan_out)
+            relu = spec.activation is Activation.RELU
+            pre = np.empty(spec.fan_out) if relu else outs[i]
+            # (bound dot of the layer's input, mask * W, pre-activation, bias,
+            # ReLU output or None)
+            self.layers.append((acts[i].dot, masked, pre, net.biases[i],
+                                outs[i] if relu else None))
+            # (ReLU pre-activation or None, its > 0 flags, dL/dI, bound dot
+            # of dL/dI, W^T, the previous layer's dL/dI or None)
+            self.backward.append((pre if relu else None, np.empty(spec.fan_out, dtype=bool),
+                                  grads[i], grads[i].dot, net.weights[i].T,
+                                  grads[i - 1] if i else None))
+        self.backward.reverse()
+
+
+def _check_step(net: MaskedNetwork, thetas, masks, x) -> None:
+    n_angles = sum(s.fan_in * s.fan_out for s in net.specs)
+    if np.shape(thetas) != (n_angles,):
+        raise ValueError(f"thetas has shape {np.shape(thetas)}, not ({n_angles},): "
+                         f"one angle per weight of the network")
+    if len(masks) != net.depth:
+        raise ValueError(f"masks has {len(masks)} entries, not one per layer ({net.depth})")
+    for i, (mask, spec) in enumerate(zip(masks, net.specs)):
+        if np.shape(mask) != (spec.fan_in, spec.fan_out):
+            raise ValueError(f"masks[{i}] has shape {np.shape(mask)}, layer {i} "
+                             f"has ({spec.fan_in}, {spec.fan_out})")
+    if x.shape != (net.input_dim,):
+        raise ValueError(f"x has shape {x.shape}, the network takes ({net.input_dim},)")
+
+
 def popup_update(net: MaskedNetwork, thetas: np.ndarray, masks, x, y,
-                 alpha: float) -> float:
+                 alpha: float, work: _StepBuffers | None = None) -> float:
     """One sample step under per-layer ``masks``: forward, straight-through
-    update, clamp.
+    update, clamp; returns the sample's loss.
 
     ``thetas`` is the flat angle vector; it moves in place by one step laid
-    out as that vector. Loss and gradients are :func:`straight_through_grads`'s
-    for the one sample, without its handling of stacked rows: calling it
-    here made per-sample training about 8% slower.
+    out as that vector. The floats are :func:`straight_through_grads`'s and
+    :func:`_steps`'s for the one sample, in the same order, computed in the
+    vectors of ``work``: :func:`popup_train` passes the buffers it allocated
+    for the training, with their ``masks``. Without ``work`` the call checks
+    its inputs, raising ``ValueError`` naming ``thetas``, ``masks`` or ``x``,
+    and allocates buffers for the one step.
     """
-    x64 = np.asarray(x, dtype=np.float64)
-    layers = masknet.masked_layers(net, x64, masks)
-    diff = layers[-1][1] - np.asarray(y, dtype=np.float64)
+    if work is None:
+        x = np.asarray(x, dtype=np.float64)
+        _check_step(net, thetas, masks, x)
+        work = _StepBuffers(net)
+    if masks is not work.masks:
+        for view, mask in zip(work.masks, masks):
+            view[...] = mask
+    work.x[...] = x
+    np.multiply(work.mask_bits, work.weights, out=work.masked)
+    for dot, masked, pre, bias, out in work.layers:
+        dot(masked, pre)
+        pre += bias
+        if out is not None:
+            np.maximum(pre, _ZERO, out=out)
+    diff = work.loss_grad
+    np.subtract(work.output, y, out=diff)
     loss = math.sqrt(diff.dot(diff))  # what np.linalg.norm takes of a 1-D real row
     if not math.isfinite(loss):
         raise FloatingPointError(f"non-finite loss in popup update (input {np.asarray(x)!r})")
-    grads = _backward(net, layers, diff / loss if loss > 0 else np.zeros(diff.shape))
-    acts = [x64] + [z for _, z in layers[:-1]]
-    thetas -= _steps(net, acts, grads, alpha, thetas.size)
+    if loss > 0:
+        diff /= loss
+    else:
+        diff.fill(0.0)
+    for pre, positive, g, dot, w_t, prev in work.backward:
+        if pre is not None:
+            np.greater(pre, _ZERO, out=positive)
+            g *= positive
+        if prev is not None:
+            dot(w_t, prev)  # full weights: the straight-through pass
+    step = work.step
+    # every index is in range; "clip" writes into ``out`` where "raise" copies
+    work.acts.take(work.rows, out=step, mode="clip")
+    work.grads.take(work.cols, out=work.gathered, mode="clip")
+    step *= work.gathered
+    step *= work.weights
+    step *= alpha
+    thetas -= step
     _clamp(thetas)
     return loss
 
@@ -227,17 +347,21 @@ def popup_train(net: MaskedNetwork, data: Dataset,
     (or the per-layer top-k rule when configured).
     """
     rng = np.random.default_rng(cfg.seed)
+    if data.inputs.shape[1] != net.input_dim:
+        raise ValueError(f"inputs have width {data.inputs.shape[1]}, "
+                         f"the network takes {net.input_dim}")
     # all angles zero: every weight starts with keep-probability 1/2
     thetas = np.zeros(sum(s.fan_in * s.fan_out for s in net.specs))
     layer_thetas = masknet.layer_views(thetas, net)
+    work = _StepBuffers(net)
+    alpha = np.array(cfg.alpha, dtype=np.float64)  # 0-d: see _constant
     # the step's masks: entry j is 1.0 iff its draw < prob_one(thetas[j])
-    mask_bits = np.empty(thetas.size)
-    masks = masknet.layer_views(mask_bits, net)
+    mask_bits, masks = work.mask_bits, work.masks
     loss_curve = []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(data))
         if cfg.resample is ResampleRule.PER_EPOCH:
-            np.less(rng.random(thetas.size), _keep_prob(thetas), out=mask_bits)
+            np.less(rng.random(thetas.size), _keep_prob(thetas, work.keep), out=mask_bits)
             for step in _epoch_steps(net, masks, data, order, cfg.alpha, thetas.size):
                 thetas -= step
                 _clamp(thetas)
@@ -245,10 +369,10 @@ def popup_train(net: MaskedNetwork, data: Dataset,
             # the same stream as one draw per layer per sample
             draws = rng.random((len(order), thetas.size))
             for idx, draw in zip(order, draws):
-                np.less(draw, _keep_prob(thetas), out=mask_bits)
+                np.less(draw, _keep_prob(thetas, work.keep), out=mask_bits)
                 try:
                     popup_update(net, thetas, masks, data.inputs[idx],
-                                 data.targets[idx], cfg.alpha)
+                                 data.targets[idx], alpha, work)
                 except FloatingPointError as err:
                     raise FloatingPointError(f"sample {idx}: {err}") from err
         eval_masks = _deterministic_masks(layer_thetas, cfg)

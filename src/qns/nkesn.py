@@ -111,8 +111,9 @@ def run_reservoir(r: Reservoir, inputs: np.ndarray, z0: np.ndarray | None = None
     """Roll the recurrence over a (T, input_dim) sequence; returns (T, size).
 
     The input drive ``inputs @ W_in.T`` is computed once, into the returned
-    array, and each step adds ``W_res z`` to its row in place, so the loop
-    makes one matrix-vector product per step and allocates nothing. At
+    array. Each step writes ``W_res z`` into one work vector through the
+    bound ``W_res.dot`` (the matrix-vector product ``W_res @ z`` runs) and
+    adds it to its row in place, so no step allocates a vector. At
     ``input_dim`` 1 the states equal a :func:`reservoir_step` loop bit for
     bit; at larger widths the drive's dot products may round differently in
     the last place. ``nonlinearity="tanh"`` wraps each step in tanh, the
@@ -127,11 +128,19 @@ def run_reservoir(r: Reservoir, inputs: np.ndarray, z0: np.ndarray | None = None
     if inputs.shape[1:] != (r.input_dim,):
         raise ValueError(f"input shape {inputs.shape[1:]} != ({r.input_dim},)")
     states = inputs @ r.w_in.T
-    for row in states:
-        row += r.w_res @ z
-        if nonlinearity == "tanh":
+    recurrent = np.empty(r.size)
+    dot = r.w_res.dot
+    if nonlinearity == "tanh":
+        for row in states:
+            dot(z, recurrent)
+            row += recurrent
             np.tanh(row, out=row)
-        z = row
+            z = row
+    else:
+        for row in states:
+            dot(z, recurrent)
+            row += recurrent
+            z = row
     return states
 
 

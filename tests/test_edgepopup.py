@@ -331,6 +331,39 @@ def test_clamped_training_matches_the_per_sample_loop(resample):
     _assert_same_training(result, reference.popup_train(net, data, cfg))
 
 
+@pytest.mark.parametrize("alpha", [0.05, 100.0])
+@pytest.mark.parametrize("resample", list(ResampleRule))
+def test_popup_train_matches_the_per_sample_loop_at_benchmark_widths(resample, alpha):
+    """Width 16 and 128 samples, the benchmark's shape: its matrix-vector
+    products take BLAS paths that the drawn widths of at most 4 do not."""
+    net, data, _ = make_planted_task(((4, 16, "relu"), (16, 16, "relu"),
+                                      (16, 1, "identity")), seed=7, n_samples=128)
+    cfg = PopupTrainConfig(alpha=alpha, epochs=3, seed=2, resample=resample)
+    result = popup_train(net, data, cfg)
+    clamped = any(np.any(np.abs(t) == THETA_CLAMP) for t in result.thetas)
+    assert clamped == (alpha == 100.0)
+    _assert_same_training(result, reference.popup_train(net, data, cfg))
+
+
+def test_popup_update_names_a_bad_input():
+    net = masknet.init_network([(2, 3, "relu"), (3, 1, "identity")], seed=1)
+    masks = [np.ones((2, 3)), np.ones((3, 1))]
+    x, y = np.array([0.5, -0.5]), np.array([0.1])
+    thetas = _zero_thetas(net)
+    cases = [(np.zeros(5), masks, x, r"thetas has shape \(5,\), not \(9,\)"),
+             (thetas, masks[:1], x, r"masks has 1 entries, not one per layer \(2\)"),
+             (thetas, [masks[0], np.ones((1, 3))], x,
+              r"masks\[1\] has shape \(1, 3\), layer 1 has \(3, 1\)"),
+             (thetas, masks, x[:1], r"x has shape \(1,\), the network takes \(2,\)")]
+    for angles, layer_masks, sample, message in cases:
+        with pytest.raises(ValueError, match=message):
+            popup_update(net, angles, layer_masks, sample, y, 0.1)
+    np.testing.assert_array_equal(thetas, 0.0)
+    narrow = masknet.Dataset(np.zeros((4, 1)), np.zeros((4, 1)))
+    with pytest.raises(ValueError, match="inputs have width 1, the network takes 2"):
+        popup_train(net, narrow, PopupTrainConfig(epochs=1))
+
+
 @pytest.mark.parametrize("resample", list(ResampleRule))
 def test_non_finite_loss_names_the_first_sample_in_shuffled_order(resample):
     net, data, _ = make_planted_task(POPUP_LAYERS, seed=4, n_samples=10)

@@ -104,6 +104,15 @@ def test_run_reservoir_equals_step_loop_bit_for_bit(nonlinearity, with_z0):
     np.testing.assert_array_equal(run_reservoir(r, inputs, z0, nonlinearity), expected)
 
 
+@pytest.mark.parametrize("nonlinearity", ["identity", "tanh"])
+def test_run_reservoir_equals_step_loop_at_benchmark_size(nonlinearity):
+    """Size 40 over 8,000 steps, the benchmark's NK reservoirs."""
+    r = make_reservoir(40, 1, seed=6)
+    inputs = sequence_data(8000).inputs
+    np.testing.assert_array_equal(run_reservoir(r, inputs, nonlinearity=nonlinearity),
+                                  stepped_states(r, inputs, None, nonlinearity))
+
+
 def test_run_reservoir_wide_input_matches_step_loop():
     """The drive is one matrix product for the whole series; its dot products
     may round differently from per-step ones when input_dim > 1."""
