@@ -415,12 +415,13 @@ class _RunTask:
     cost table, which Grover and the Hamiltonian methods all search; the
     searches' ``shared`` work (an anneal's evolved state, every QAOA
     objective value: seeds whose simplex paths coincide look theirs up, a
-    path that leaves the others computes its new points); the sequence
-    task; the teacher and its I/O data. Computed per seed: epsilon, the
-    measurement, and the seeded methods (VQE, edge-popup, distillation's
-    student, the NK model). The shared cost table and anneal state are
-    read-only. The object lives only as long as the call: the next call
-    reads a CSV task's or teacher's file again.
+    path that leaves the others computes its new points; a QAOA final
+    state per best point); the sequence task; the teacher and its I/O
+    data. Computed per seed: epsilon, the measurement, and the seeded
+    methods (VQE, edge-popup, distillation's student, the NK model). The
+    shared cost table and evolved states are read-only. The object lives
+    only as long as the call: the next call reads a CSV task's or teacher's
+    file again.
     """
 
     def __init__(self, spec: dict):

@@ -31,12 +31,19 @@ took 42 us; on an all-distinct table, the worst case, it takes 50 against
 51 us at n = 12 and 0.86 against 0.95 ms at n = 16 (one BLAS thread,
 2-core x86). Each state's phase is the cos and sin of the same
 -gamma*cost, so the amplitudes are the full-table ones bit for bit.
+The layers go in chunks of 16: a chunk's phases take one cos and one sin
+over a (layers, levels) array, and its transverse-field blocks one
+Kronecker broadcast over the layers' gates, so a 400-step anneal at
+n = 12 builds 25 of each instead of 400. Such a step takes about 48 us,
+of which its three 16 x 16 complex matrix products take 35.
 
 Grover, the anneal and QAOA run on complex128 amplitudes; the VQE ansatz
 (``qns.variational``) runs on float64, since Ry gates and CZ signs are
 real. Its amplitudes are bit for bit the real part of the complex128 run
-(see :func:`_apply_block`), and a 2-layer ansatz and its expectation take
-72 us at n = 12 where complex128 took 190 us (one BLAS thread, 2-core x86).
+(see :func:`_apply_block`). Its first layer, on |0...0>, is the product
+state of its blocks' first columns, with no matrix product. A 2-layer
+ansatz and its expectation take 46 us at n = 12 where the complex128
+circuit takes 122 us (one BLAS thread, 2-core x86).
 
 Convention: qubit ``j`` is bit ``j`` of a basis-state index, so the index
 ``6 = 0b110`` has qubit 0 clear and qubits 1 and 2 set. Gate functions
@@ -275,12 +282,31 @@ def _product_blocks(gates: np.ndarray) -> list[np.ndarray]:
 
 def _shared_blocks(gate: np.ndarray, n: int) -> list[np.ndarray]:
     """:func:`_product_blocks` of one 2x2 ``gate`` on each of n qubits,
-    every full block one matrix built once (a broadcast would repeat it)."""
+    every full block one matrix built once (a broadcast would repeat it).
+
+    ``gate`` may carry leading axes, (..., 2, 2), one gate per leading
+    index (a layer, say); each block is then (..., 2^k, 2^k), and its slice
+    at a leading index is that gate's block bit for bit (:func:`_kron`).
+    """
     full, rest = divmod(n, _KRON_BLOCK)
     blocks = [_kron([gate] * _KRON_BLOCK)] * full
     if rest:
         blocks.append(_kron([gate] * rest))
     return blocks
+
+
+def _transverse_gates(betas) -> np.ndarray:
+    """(len(betas), 2, 2) stack of exp(-i*beta*(-X)) = cos(beta) I + i sin(beta) X.
+
+    The one builder of transverse-field gates, for :func:`apply_mixer` and
+    :func:`apply_layers`. Its entries are ``math.cos(beta)`` and
+    ``1j * math.sin(beta)``, the same values whichever SIMD loops NumPy's
+    own cos and sin would run.
+    """
+    gates = np.empty((len(betas), 2, 2), dtype=np.complex128)
+    gates[:, 0, 0] = gates[:, 1, 1] = [math.cos(beta) for beta in betas]
+    gates[:, 0, 1] = gates[:, 1, 0] = [1j * math.sin(beta) for beta in betas]
+    return gates
 
 
 def _apply_block(amp: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -371,12 +397,13 @@ def sample(state: StateVector, rng: np.random.Generator, size: int) -> np.ndarra
     return np.minimum(np.searchsorted(cum, draws, side="right"), state.dim - 1)
 
 
-def cost_phase(costs: np.ndarray, angle: float) -> np.ndarray:
+def cost_phase(costs: np.ndarray, angle: float | np.ndarray) -> np.ndarray:
     """exp(-i*angle*costs), the diagonal of exp(-i*angle*H_C).
 
     Written as cos and sin of the real phases -angle*costs, the values the
     complex exponential of those imaginary arguments takes, at about half
-    its cost.
+    its cost. ``angle`` may be an array that broadcasts against ``costs``:
+    a column of k angles gives k rows of phases in one cos and one sin.
     """
     phases = -angle * costs
     out = np.empty(phases.shape, dtype=np.complex128)
@@ -416,9 +443,10 @@ def apply_mixer(state: StateVector, mixer: MixerSpec, beta: float) -> StateVecto
 
     The transverse field factorizes into one rotation per qubit, applied as
     one tensor product by :func:`apply_product`: n/4 matrix products with a
-    single 16 x 16 block matrix. A bit-flip mixer is built once per (mixer,
-    size) as a sparse matrix together with its largest eigenvalue
-    lambda_max, and applied by a Chebyshev expansion with Bessel
+    single 16 x 16 block matrix, built from :func:`_transverse_gates` as
+    :func:`apply_layers` builds a chunk of them. A bit-flip mixer is built
+    once per (mixer, size) as a sparse matrix together with its largest
+    eigenvalue lambda_max, and applied by a Chebyshev expansion with Bessel
     coefficients on the exact spectral interval [-lambda_max, lambda_max]:
     the degree grows with |beta| * lambda_max (about 0.6n on a ring) and
     stops once the coefficients fall below 1e-17 (see
@@ -427,37 +455,72 @@ def apply_mixer(state: StateVector, mixer: MixerSpec, beta: float) -> StateVecto
     Neither forms a dense 2^n x 2^n matrix, so both run up to
     :func:`max_qubits`.
     """
-    n = state.n_qubits
     if mixer.kind is MixerKind.TRANSVERSE_FIELD:
-        # exp(-i * beta * (-X)) = cos(beta) I + i sin(beta) X per qubit
-        cos_b = math.cos(beta)
-        isin_b = 1j * math.sin(beta)
-        return apply_product(state, np.array([[cos_b, isin_b], [isin_b, cos_b]]))
-    state.amplitudes = _bit_flip_propagator(mixer, n)(_complex(state), beta)
+        return apply_product(state, _transverse_gates([beta])[0])
+    state.amplitudes = _bit_flip_propagator(mixer, state.n_qubits)(_complex(state), beta)
     return state
+
+
+# Layers per chunk of apply_layers: a chunk's cost phases and transverse
+# blocks are built in one broadcast each. With 16-layer chunks the
+# transverse-variational benchmark's peak memory stayed at 42.2 MB. A chunk
+# holds at most _CHUNK_PHASES phases (1 MB of complex128), so an
+# all-distinct 16-qubit table takes one layer at a time: there, 16-layer
+# chunks raised a 32-step anneal's peak memory by 44 MB instead of 5 MB,
+# and took 58 ms instead of 45 (one BLAS thread, 2-core x86).
+_LAYER_CHUNK = 16
+_CHUNK_PHASES = 1 << 16
 
 
 def apply_layers(state: StateVector, h_c: DiagonalCostHamiltonian,
                  mixer: MixerSpec, gammas, betas) -> StateVector:
     """Apply exp(-i*gamma_k*H_C) then exp(-i*beta_k*H_mixer) for each k, in place.
 
-    The one loop of the anneal and QAOA. A cost phase takes cos and sin of
-    :func:`cost_phase` once per distinct cost (:attr:`DiagonalCostHamiltonian.levels`)
-    and gathers the results to the 2^n states into one buffer, allocated
-    once per call. Each state's phase is the cos and sin of the same
-    -gamma*cost as over the whole table, so the amplitudes are the same bit
-    for bit. ``np.take`` with ``mode="clip"`` writes straight into the
-    buffer (the indices come from ``np.unique``, so none is clipped), where
-    ``mode="raise"`` fills a copy first: a gather of 2^16 took 53 us
-    against 151 us (one BLAS thread, 2-core x86).
+    The one loop of the anneal and QAOA. ``gammas`` and ``betas`` are 1-d
+    and of equal length. The layers go in chunks of up to _LAYER_CHUNK
+    layers and _CHUNK_PHASES phases. For each chunk, :func:`cost_phase`
+    takes cos and sin once per distinct cost
+    (:attr:`DiagonalCostHamiltonian.levels`) and layer, in one call each on
+    a (chunk, levels) array; a transverse field's Kronecker blocks of every
+    layer in the chunk come from one :func:`_shared_blocks` broadcast over
+    the chunk's gates. A layer then gathers its phases to
+    the 2^n states in one buffer, allocated once per call, multiplies them
+    in, and applies its blocks; a bit-flip mixer takes one cached
+    Chebyshev propagator per layer. Each state's phase is the cos and sin
+    of the same -gamma*cost as over the whole table, and each block slice
+    is the block :func:`apply_mixer` builds, so the amplitudes are those of
+    the per-layer loop bit for bit. ``ndarray.take`` with ``mode="clip"``
+    writes straight into the buffer (the indices come from ``np.unique``,
+    so none is clipped), where ``mode="raise"`` fills a copy first: a
+    gather of 2^16 took 53 us against 151 us (one BLAS thread, 2-core x86).
     """
+    gammas = np.asarray(gammas, dtype=np.float64)
+    betas = np.asarray(betas, dtype=np.float64)
+    if gammas.ndim != 1 or gammas.shape != betas.shape:
+        raise ValueError(f"gammas {gammas.shape} and betas {betas.shape} "
+                         "must be 1-d sequences of equal length")
+    n = state.n_qubits
+    if h_c.n_qubits != n:
+        raise ValueError(f"h_c acts on {h_c.n_qubits} qubits, state has {n}")
     distinct, index = h_c.levels
+    transverse = mixer.kind is MixerKind.TRANSVERSE_FIELD
+    propagate = None if transverse else _bit_flip_propagator(mixer, n)
+    chunk = max(1, min(_LAYER_CHUNK, _CHUNK_PHASES // distinct.size))
     phase = np.empty(h_c.dim, dtype=np.complex128)
-    _complex(state)  # the cost phases are complex
-    for gamma, beta in zip(gammas, betas):
-        state.amplitudes *= np.take(cost_phase(distinct, gamma), index,
-                                    out=phase, mode="clip")
-        apply_mixer(state, mixer, beta)
+    amp = _complex(state)  # the cost phases are complex
+    for start in range(0, len(gammas), chunk):
+        layers = slice(start, start + chunk)
+        phases = cost_phase(distinct, gammas[layers, None])
+        if transverse:
+            blocks = _shared_blocks(_transverse_gates(betas[layers]), n)
+        for k, beta in enumerate(betas[layers]):
+            amp *= phases[k].take(index, out=phase, mode="clip")
+            if transverse:
+                for block in blocks:
+                    amp = _apply_block(amp, block[k])
+            else:
+                amp = propagate(amp, beta)
+    state.amplitudes = amp
     return state
 
 
@@ -470,25 +533,20 @@ def evolve(
 ) -> StateVector:
     """First-order Trotterized evolution under (1 - t/T)*H_mixer + (t/T)*H_C.
 
-    Each step applies the cost phase then :func:`apply_mixer`, both sampled
-    at the midpoint of the step's time interval (:func:`midpoint_ramp`), so
-    the result equals a QAOA state with the linear-ramp angles of ``steps``
-    blocks. The cost phase takes cos and sin once per distinct cost
-    (:func:`apply_layers`): a 400-step transverse anneal at n = 12 on a
-    512-level table takes 31 ms, 42 ms with the phase over all 4,096 costs,
-    and a step's phase on an all-distinct table 50 against 51 us (one BLAS
-    thread, 2-core x86).
+    Each step applies the cost phase then the mixer, both sampled at the
+    midpoint of the step's time interval (:func:`midpoint_ramp`), so the
+    result equals a QAOA state with the linear-ramp angles of ``steps``
+    blocks. The steps run in :func:`apply_layers`, in chunks of 16 whose
+    cost phases (once per distinct cost) and transverse blocks are each
+    built in one broadcast: a 400-step transverse anneal at n = 12 on a
+    512-level table takes 19 ms where one step at a time took 23 ms,
+    and 42 ms with the phase over all 4,096 costs (one BLAS thread, 2-core
+    x86).
     """
-    n = state.n_qubits
-    if h_c.n_qubits != n:
-        raise ValueError(
-            f"hamiltonian acts on {h_c.n_qubits} qubits, state has {n}"
-        )
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not total_time > 0:
         raise ValueError(f"total_time must be positive, got {total_time}")
-
     return apply_layers(state, h_c, mixer, *midpoint_ramp(total_time, steps))
 
 

@@ -94,8 +94,9 @@ def select(method: str, h: DiagonalCostHamiltonian, epsilon: float, params: dict
     search, and a Hamiltonian method picks its index by one measurement of
     its final state, drawn from the seed. ``shared`` keeps work that no
     seed changes, for callers that search one ``h`` with many seeds: anneal
-    results by (total time, steps, mixer), with their amplitudes read-only,
-    and QAOA objective memos by mixer (see :func:`shared_work`).
+    results by (total time, steps, mixer), QAOA objective memos by mixer,
+    and QAOA final states by (mixer, best point), every kept state's
+    amplitudes read-only (see :func:`shared_work`).
     """
     params = {**DEFAULTS[method], **params}
     shared = {} if shared is None else shared
@@ -136,7 +137,12 @@ def select(method: str, h: DiagonalCostHamiltonian, epsilon: float, params: dict
         result = variational.qaoa_optimize(h, params["p"], params["budget"], seed,
                                            mixer, memo=memo)
         shared["qaoa_calls"] = shared.get("qaoa_calls", 0) + len(result.trace)
-        state = variational.qaoa_state(h, result.best_params, mixer)
+        key = (mixer, result.best_params.to_vector().tobytes())
+        finals = shared.setdefault("qaoa_state", {})
+        if key not in finals:
+            finals[key] = variational.qaoa_state(h, result.best_params, mixer)
+            finals[key].amplitudes.flags.writeable = False  # shared by every seed
+        state = finals[key]
     else:
         ansatz = variational.make_ansatz(h.n_qubits, params["layers"], seed)
         result = variational.vqe_run(h, ansatz, params["budget"], seed)

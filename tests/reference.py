@@ -20,10 +20,12 @@ definition, for the exponentials that ``qns.qsim.apply_mixer`` must match.
 ``chebyshev_propagate`` is the Chebyshev loop on scipy's public sparse
 ``m @ v``, one new vector per term, that ``qns.bitflip.chebyshev_propagate``
 must equal bit for bit.
-``evolve`` and ``qaoa_state`` are the anneal and QAOA loops with the cos
-and sin of ``cost_phase`` over the whole cost table at every step, which
+``apply_layers``, ``evolve`` and ``qaoa_state`` are the layer, anneal and
+QAOA loops one layer at a time, with the cos and sin of ``cost_phase`` over
+the whole cost table at every step, which ``qns.qsim.apply_layers``,
 ``qns.qsim.evolve`` and ``qns.variational.qaoa_state``, taking them once per
-distinct cost, must equal bit for bit.
+distinct cost and building each chunk of layers in one broadcast, must
+equal bit for bit.
 ``ansatz_state`` is the VQE ansatz on complex128 amplitudes, one
 ``apply_product`` per layer; ``qns.variational.ansatz_state`` must give its
 real part bit for bit, in float64.
@@ -279,14 +281,21 @@ def evolve(state, h_c, mixer, total_time: float, steps: int):
     return state
 
 
-def qaoa_state(h_c, params, mixer=None):
-    """p QAOA blocks from the uniform state, each phase over the full cost table."""
-    mixer = mixer or MixerSpec.transverse_field()
-    state = uniform_superposition(h_c.n_qubits)
-    for gamma, beta in zip(params.gammas, params.betas):
+def apply_layers(state, h_c, mixer, gammas, betas):
+    """The cost-then-mixer layers one at a time, each phase over the full
+    cost table and each mixer one ``apply_mixer``."""
+    _complex(state)
+    for gamma, beta in zip(gammas, betas):
         state.amplitudes *= cost_phase(h_c.costs, gamma)
         apply_mixer(state, mixer, beta)
     return state
+
+
+def qaoa_state(h_c, params, mixer=None):
+    """p QAOA blocks from the uniform state, each phase over the full cost table."""
+    mixer = mixer or MixerSpec.transverse_field()
+    return apply_layers(uniform_superposition(h_c.n_qubits), h_c, mixer,
+                        params.gammas, params.betas)
 
 
 def ansatz_state(ansatz):

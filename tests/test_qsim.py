@@ -1,10 +1,12 @@
 """Statevector simulator: gates, oracle, diffusion, sampling, evolution."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
@@ -587,6 +589,50 @@ def test_evolve_equals_the_full_table_phase_loop_bit_for_bit(
     got = evolve(start.copy(), h, mixer, total_time, steps)
     want = reference.evolve(start.copy(), h, mixer, total_time, steps)
     assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
+# (2, k) arrays of k gammas over k betas, up to two chunks of apply_layers
+# and one layer more
+LAYER_ANGLES = st.integers(1, 2 * qsim._LAYER_CHUNK + 1).flatmap(lambda k: arrays(
+    np.float64, (2, k), elements=st.just(0.0) | st.floats(-4.0, 4.0)))
+
+
+# a 12-bit table of 512 levels, as a masked network's repeats itself
+BENCH_TABLE = (12, np.random.default_rng(12).integers(0, 512, 1 << 12) / 64.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    table=phase_tables(max_bits=9),
+    transverse=st.booleans(),
+    angles=LAYER_ANGLES,
+    # a chunk bounded by its phase count: one layer at a time, a few, or 16
+    chunk_phases=st.sampled_from([1, 100, qsim._CHUNK_PHASES]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(table=BENCH_TABLE, transverse=True, angles=np.stack(qsim.midpoint_ramp(50.0, 400)),
+         chunk_phases=qsim._CHUNK_PHASES, seed=0)
+def test_apply_layers_equals_the_full_table_per_layer_loop_bit_for_bit(
+        table, transverse, angles, chunk_phases, seed):
+    n, costs = table
+    h = DiagonalCostHamiltonian(n, costs)
+    mixer = MixerSpec.transverse_field() if transverse else MixerSpec.bit_flip(ring_graph(n))
+    start = signed_zero_state(n, seed)
+    with mock.patch.object(qsim, "_CHUNK_PHASES", chunk_phases):
+        got = qsim.apply_layers(start.copy(), h, mixer, *angles)
+    want = reference.apply_layers(start.copy(), h, mixer, *angles)
+    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
+def test_apply_layers_rejects_unequal_angles_and_a_foreign_hamiltonian():
+    h = DiagonalCostHamiltonian(3, np.zeros(8))
+    tf = MixerSpec.transverse_field()
+    with pytest.raises(ValueError, match="gammas .* and betas .* equal length"):
+        qsim.apply_layers(uniform_superposition(3), h, tf, [0.1, 0.2], [0.3])
+    with pytest.raises(ValueError, match="gammas .* 1-d"):
+        qsim.apply_layers(uniform_superposition(3), h, tf, [[0.1]], [[0.3]])
+    with pytest.raises(ValueError, match="h_c acts on 3 qubits, state has 4"):
+        qsim.apply_layers(uniform_superposition(4), h, tf, [0.1], [0.3])
 
 
 def test_bit_flip_evolve_has_no_dense_limit(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qns import search
+from qns import search, variational
 from qns.qsim import DiagonalCostHamiltonian
 
 MIXERS = st.sampled_from(list(search.Mixer))
@@ -83,3 +83,25 @@ def test_shared_work_counts_evolutions_and_lookups():
                                           "qaoa_objective_evaluations": 5,
                                           "qaoa_objective_lookups": 5}
 
+
+def test_seeds_with_one_best_point_simulate_its_final_state_once(monkeypatch):
+    h = DiagonalCostHamiltonian(3, np.array([0.4, 0.1, 0.3, 0.2, 0.7, 0.0, 0.5, 0.6]))
+    params = {"p": 1, "budget": 6}  # no restart: both seeds take one simplex path
+    separate = [search.select("qaoa", h, 0.2, params, seed, {}).metrics()
+                for seed in (1, 2)]
+    simulated, qaoa_state = [], variational.qaoa_state
+
+    def counting_state(h_c, qaoa_params, mixer=None):
+        simulated.append(qaoa_params.to_vector().tobytes())
+        return qaoa_state(h_c, qaoa_params, mixer)
+
+    monkeypatch.setattr(variational, "qaoa_state", counting_state)
+    shared = {}
+    together = [search.select("qaoa", h, 0.2, params, seed, shared).metrics()
+                for seed in (1, 2)]
+    assert together == separate
+    (state,) = shared["qaoa_state"].values()
+    assert not state.amplitudes.flags.writeable
+    # the simplex's own points, then the one best point's final state
+    assert len(simulated) == search.shared_work(shared)["qaoa_objective_evaluations"] + 1
+    assert simulated.count(simulated[-1]) == 2  # evaluated, then its final state
