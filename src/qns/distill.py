@@ -171,8 +171,16 @@ def block_table(teacher_acts: np.ndarray, block: MaskedNetwork,
 
 def _compressed_losses(columns, teacher_acts: np.ndarray,
                        mode: CompressMode) -> np.ndarray:
-    return masknet.mean_l2(compress_columns(columns, teacher_acts.shape[1], mode),
-                           teacher_acts)
+    """``masknet.mean_l2`` of the compressed columns. An average pool's
+    columns are fresh sums that nothing else holds, so the loss is finished
+    in them: the same ufuncs in the same order, without a second array of
+    differences per table block."""
+    pooled = compress_columns(columns, teacher_acts.shape[1], mode)
+    if CompressMode(mode) is CompressMode.MAGNITUDE_TOP_K:
+        return masknet.mean_l2(pooled, teacher_acts)
+    for column, target in zip(pooled, masknet.unstack(teacher_acts), strict=True):
+        column -= target
+    return masknet._mean_l2_of_differences(pooled, len(teacher_acts))
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +206,13 @@ class DistillResult:
         return float(sum(r.loss for r in self.reports))
 
 
-def _block_epsilon(costs_of, n_bits: int, rng: np.random.Generator,
+def _block_epsilon(costs: np.ndarray, n_bits: int, rng: np.random.Generator,
                    n_probe: int = 16, scale: float = 1.1) -> float:
-    best = costs_of(rng.integers(0, 2, size=(n_probe, n_bits)).astype(np.uint8)).min()
+    """``scale`` times the least cost of ``n_probe`` random masks, read from
+    the block's table ``costs`` (bit j of an index is flat bit j); the
+    table equals :func:`block_loss` of every mask bit for bit."""
+    probes = rng.integers(0, 2, size=(n_probe, n_bits))
+    best = costs[probes @ (1 << np.arange(n_bits))].min()
     return float(best * scale) if best > 0 else 1e-12
 
 
@@ -215,7 +227,10 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
     Every backend enumerates the block's cost table, so each block's maskable
     parameter count must fit the qubit ceiling. QAOA and annealing take the
     ``qns run`` defaults and measure their final state once, with the
-    block's seed, which is drawn after the block's epsilon probes.
+    block's seed, which is drawn after the block's epsilon probes. Grover's
+    probes read their losses from the block's table, and a block's reported
+    loss is :func:`block_loss` of its chosen mask: both equal the forward
+    passes bit for bit.
     """
     backend = Backend(backend)
     teacher_trace = record_activations(pair.teacher, data)
@@ -235,22 +250,22 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
                 f"block {i} needs {n_bits} qubits, ceiling is {max_qubits()}"
             )
         teacher_acts = teacher_trace.layers[i]
-        costs_of = functools.partial(block_loss, teacher_acts, block,
-                                     block_inputs=block_inputs, mode=mode)
+        h = DiagonalCostHamiltonian(n_bits, block_table(teacher_acts, block,
+                                                        block_inputs, mode))
         eps, params = 0.0, {}
         if backend is Backend.GROVER:
             eps = (epsilons[i] if epsilons is not None
-                   else _block_epsilon(costs_of, n_bits, rng))
+                   else _block_epsilon(h.costs, n_bits, rng))
             params = {"max_restarts": search.LOCAL_MAX_RESTARTS}
-        h = DiagonalCostHamiltonian(n_bits, block_table(teacher_acts, block,
-                                                        block_inputs, mode))
         chosen = search.select(backend.value, h, eps, params, int(rng.integers(2 ** 31)))
         if backend is Backend.GROVER and not chosen.success:
             raise RuntimeError(
                 f"block {i}: no mask below epsilon {eps} within "
                 f"{search.LOCAL_MAX_RESTARTS} restarts"
             )
-        report = BlockReport(i, chosen.bits, costs_of(chosen.bits), float(h.costs.min()))
+        report = BlockReport(i, chosen.bits,
+                             block_loss(teacher_acts, block, chosen.bits, block_inputs, mode),
+                             float(h.costs.min()))
         report.gap = report.loss - report.exhaustive_min
         if backend is Backend.GROVER:  # a threshold search reports its threshold and queries
             report.oracle_calls = chosen.oracle_calls

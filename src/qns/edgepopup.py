@@ -25,7 +25,7 @@ row: the batched epoch is bit-identical to the per-sample loop. (A
 resampling every mask depends on the previous step, so that loop stays
 sequential, one ``popup_update`` per sample, on work vectors that
 ``popup_train`` allocates once per training. The masks are drawn into one
-flat vector whose layer views are passed as the masks, and the masked
+flat bool vector whose layer views are passed as the masks, and the masked
 weights are one ``mask * W`` multiply over all layers. Each layer's
 pre-activation and gradient is written by ``ndarray.dot(..., out=)``, the
 vector-matrix product that ``@`` runs, and the outer products
@@ -200,18 +200,19 @@ def _steps(net: MaskedNetwork, acts, grads, alpha: float, n_angles: int) -> np.n
 class _StepBuffers:
     """Work vectors of the per-sample step, allocated once per training.
 
-    ``mask_bits`` is the step's flat mask in angle order and ``masks`` its
-    layer views. ``acts`` holds the input and every hidden layer's output,
-    layer i's input at its own offset, and ``grads`` every layer's dL/dI;
-    ``rows`` and ``cols`` gather angle j's activation and gradient from
-    them, so one multiply lays out every layer's outer product.
+    ``mask_bits`` is the step's flat mask in angle order, as bools, and
+    ``masks`` its layer views. ``acts`` holds the input and every hidden
+    layer's output, layer i's input at its own offset, and ``grads`` every
+    layer's dL/dI; ``rows`` and ``cols`` gather angle j's activation and
+    gradient from them, so one multiply lays out every layer's outer
+    product.
     """
 
     def __init__(self, net: MaskedNetwork):
         specs = net.specs
         n_angles = sum(s.fan_in * s.fan_out for s in specs)
         self.keep = np.empty(n_angles)  # (1 + sin theta)/2
-        self.mask_bits = np.empty(n_angles)
+        self.mask_bits = np.empty(n_angles, dtype=bool)
         self.masks = masknet.layer_views(self.mask_bits, net)
         self.weights = np.concatenate([w.ravel() for w in net.weights])
         self.masked = np.empty(n_angles)  # mask * W
@@ -280,11 +281,12 @@ def popup_update(net: MaskedNetwork, thetas: np.ndarray, masks, x, y,
         x = np.asarray(x, dtype=np.float64)
         _check_step(net, thetas, masks, x)
         work = _StepBuffers(net)
-    if masks is not work.masks:
-        for view, mask in zip(work.masks, masks):
-            view[...] = mask
+    if masks is work.masks:
+        np.multiply(work.mask_bits, work.weights, out=work.masked)
+    else:
+        for (_, masked, *_), mask, w in zip(work.layers, masks, net.weights):
+            np.multiply(mask, w, out=masked)
     work.x[...] = x
-    np.multiply(work.mask_bits, work.weights, out=work.masked)
     for dot, masked, pre, bias, out in work.layers:
         dot(masked, pre)
         pre += bias
@@ -355,7 +357,8 @@ def popup_train(net: MaskedNetwork, data: Dataset,
     layer_thetas = masknet.layer_views(thetas, net)
     work = _StepBuffers(net)
     alpha = np.array(cfg.alpha, dtype=np.float64)  # 0-d: see _constant
-    # the step's masks: entry j is 1.0 iff its draw < prob_one(thetas[j])
+    # the step's masks: entry j is True iff its draw < prob_one(thetas[j]);
+    # a bool multiplies a weight as 1.0 or 0.0 does
     mask_bits, masks = work.mask_bits, work.masks
     loss_curve = []
     for _ in range(cfg.epochs):

@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -253,31 +254,70 @@ def enumerate_table(net: MaskedNetwork, xs: np.ndarray, reduce) -> np.ndarray:
     Each unit's column spans only the axes of its own bits on the layer's
     bit grid, so a cost that sums over units adds their terms by
     broadcasting. The grid's axes, and the table's, come from
-    :func:`unit_bits`.
+    :func:`unit_bits`; this bookkeeping depends only on the network's
+    shapes, bias rule and the chunk, and is built once for each.
     """
-    units = unit_bits(net)
-    # bit k of a layer's pattern gates the layer's k-th lowest flat bit
-    sorted_bits = [np.sort(u, axis=None) for u in units]
-    ranks = [np.searchsorted(s, u) for s, u in zip(sorted_bits, units)]
-    n_hidden = sum(u.size for u in units[:-1])
-    n_last = units[-1].size
+    plan = _table_plan(net.specs, net.mask_biases, ENUMERATION_CHUNK)
+    sizes, n_last = plan.sizes, plan.sizes[-1]
     # last-layer bits (highest first), then the hidden layers' patterns as one
     # prefix index, the latest layer outermost
-    table = np.empty((2,) * n_last + (1 << n_hidden,))
+    table = np.empty((2,) * n_last + (1 << sum(sizes[:-1]),))
 
     def descend(i, z, start):
         # z: outputs of layer i - 1 under prefix patterns start, start + 1, ...
         if i == net.depth - 1:
             price_last(z, start)
             return
-        n_patterns, n_prefix = 1 << units[i].size, 1 << sum(u.size for u in units[:i])
+        n_patterns, n_prefix = 1 << sizes[i], 1 << sum(sizes[:i])
         # a power of two, so that every block of prefix patterns is contiguous
         step = 1 << (max(1, ENUMERATION_CHUNK // len(z)).bit_length() - 1)
         for lo in range(0, n_patterns, step):
             patterns = np.arange(lo, min(lo + step, n_patterns))
             # (this layer's patterns, earlier patterns, samples, fan_out)
-            out = _layer_under_bits(net, i, z, (patterns[:, None, None] >> ranks[i]) & 1)
+            out = _layer_under_bits(net, i, z, (patterns[:, None, None] >> plan.ranks[i]) & 1)
             descend(i + 1, out.reshape(-1, *out.shape[2:]), lo * n_prefix + start)
+
+    def price_last(z, start):
+        rows, m = plan.rows, plan.m
+        for lo in range(0, 1 << n_last, 1 << m):
+            bits = (np.where(plan.free, plan.reps, lo) >> plan.shift) & 1
+            fixed = tuple((lo >> k) & 1 for k in range(n_last - 1, m - 1, -1))
+            for a in range(0, len(z), rows):
+                out = _layer_under_bits(net, net.depth - 1, z[a:a + rows], bits)
+                columns = [out[:1 << f, ..., o].reshape(shape + out.shape[1:3])
+                           for o, (f, shape) in enumerate(zip(plan.n_free, plan.shapes))]
+                table[fixed + (..., slice(start + a, start + a + out.shape[1]))] = reduce(columns)
+
+    descend(0, xs[None], 0)
+    return table.reshape((2,) * len(plan.axes)).transpose(plan.axes).reshape(-1)
+
+
+class _TablePlan(NamedTuple):
+    """:func:`enumerate_table`'s bit bookkeeping for one network shape, bias
+    rule and chunk. Its arrays are read-only."""
+
+    ranks: tuple  # per layer: bit k of the layer's pattern gates its k-th lowest flat bit
+    sizes: tuple  # per layer: its number of bits
+    m: int  # last-layer grid bits free in a block
+    rows: int  # prefix patterns per last-layer product
+    n_free: tuple  # per unit: its free bits in a block
+    shapes: tuple  # per unit: its outputs' axes on a block's grid
+    free: np.ndarray  # representative mask r of block lo: (where(free, r, lo) >> shift) & 1
+    reps: np.ndarray
+    shift: np.ndarray
+    axes: np.ndarray  # the table's transpose into flat bit order
+
+
+@functools.lru_cache(maxsize=64)
+def _table_plan(specs, mask_biases: bool, chunk: int) -> _TablePlan:
+    """The :class:`_TablePlan` of networks with these layer specs and bias
+    rule, at ``chunk`` patterns per kernel step: the chunk is part of the
+    key, since ``ENUMERATION_CHUNK`` can be patched."""
+    units = unit_bits(init_network(specs, 0, mask_biases))  # reads only the shapes
+    # bit k of a layer's pattern gates the layer's k-th lowest flat bit
+    sorted_bits = [np.sort(u, axis=None) for u in units]
+    ranks = [np.searchsorted(s, u) for s, u in zip(sorted_bits, units)]
+    n_last = units[-1].size
 
     # The last layer's bit grid has one axis per bit, highest first. A block
     # fixes its n_last - m highest bits and holds at most ENUMERATION_CHUNK
@@ -285,33 +325,24 @@ def enumerate_table(net: MaskedNetwork, xs: np.ndarray, reduce) -> np.ndarray:
     # last, so its free bits in a block are its lowest n_free; representative
     # mask r takes them from r's bits and the fixed ones from the block.
     rank = ranks[-1]
-    m = min(n_last, ENUMERATION_CHUNK.bit_length() - 1)
-    rows = max(1, ENUMERATION_CHUNK >> n_last)
+    m = min(n_last, chunk.bit_length() - 1)
+    rows = max(1, chunk >> n_last)
     free = rank < m
     n_free = free.sum(axis=0)
     owner = np.empty(n_last, dtype=int)
     owner[rank] = np.arange(rank.shape[1])
     # unit o's outputs span the grid axes of its own free bits
-    shapes = [tuple(2 if owner[k] == o else 1 for k in range(m - 1, -1, -1))
-              for o in range(rank.shape[1])]
+    shapes = tuple(tuple(2 if owner[k] == o else 1 for k in range(m - 1, -1, -1))
+                   for o in range(rank.shape[1]))
     reps = np.arange(1 << n_free.max())[:, None, None]
     shift = np.where(free, np.arange(rank.shape[0])[:, None], rank)
-
-    def price_last(z, start):
-        for lo in range(0, 1 << n_last, 1 << m):
-            bits = (np.where(free, reps, lo) >> shift) & 1
-            fixed = tuple((lo >> k) & 1 for k in range(n_last - 1, m - 1, -1))
-            for a in range(0, len(z), rows):
-                out = _layer_under_bits(net, net.depth - 1, z[a:a + rows], bits)
-                columns = [out[:1 << f, ..., o].reshape(shape + out.shape[1:3])
-                           for o, (f, shape) in enumerate(zip(n_free, shapes))]
-                table[fixed + (..., slice(start + a, start + a + out.shape[1]))] = reduce(columns)
-
-    descend(0, xs[None], 0)
     # kernel bit k gates flat bit order[k]: move every axis to its flat place
     order = np.concatenate(sorted_bits)
-    n = len(order)
-    return table.reshape((2,) * n).transpose(n - 1 - np.argsort(order)[::-1]).reshape(-1)
+    axes = len(order) - 1 - np.argsort(order)[::-1]
+    for array in ranks + [free, reps, shift, axes]:
+        array.flags.writeable = False
+    return _TablePlan(tuple(ranks), tuple(u.size for u in units), m, rows,
+                      tuple(n_free.tolist()), shapes, free, reps, shift, axes)
 
 
 def _layer_under_bits(net: MaskedNetwork, i: int, z: np.ndarray, bits) -> np.ndarray:
@@ -351,17 +382,22 @@ def mean_l2(columns, targets: np.ndarray) -> np.ndarray:
     """Mean over samples of the L2 distance from each prediction row to its
     target row, from the prediction columns (see :func:`enumerate_table`):
     ``np.mean(np.linalg.norm(preds - targets, axis=-1), axis=-1)``."""
-    if targets.shape[-2] == 0:
+    return _mean_l2_of_differences(
+        [column - target for column, target in zip(columns, unstack(targets), strict=True)],
+        targets.shape[-2])
+
+
+def _mean_l2_of_differences(diffs, n_samples: int) -> np.ndarray:
+    """:func:`mean_l2` from the prediction-minus-target columns ``diffs``,
+    which it squares and roots in place: the caller's own arrays."""
+    if n_samples == 0:
         raise ValueError("dataset is empty")
-    squares = []
-    for column, target in zip(columns, unstack(targets), strict=True):
-        d = column - target
+    for d in diffs:
         d *= d
-        squares.append(d)
     # a square is never -0.0, so one needs no 0.0 added to match NumPy's sum
-    total = squares[0] if len(squares) == 1 else sum_columns(squares)
+    total = diffs[0] if len(diffs) == 1 else sum_columns(diffs)
     np.sqrt(total, out=total)
-    return np.add.reduce(total, axis=-1) / targets.shape[-2]  # np.mean's steps
+    return np.add.reduce(total, axis=-1) / n_samples  # np.mean's steps
 
 
 # ---------------------------------------------------------------------------

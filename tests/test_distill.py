@@ -1,4 +1,8 @@
 """Layerwise teacher-student selection: traces, compression, block search."""
+import copy
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -176,6 +180,74 @@ def test_block_table_equals_block_loss_of_every_mask(mode, group, fan_in, fan_ou
                           block_loss(acts, block, rows, inputs, mode))
 
 
+def test_block_table_peak_memory_is_one_loss_array_per_chunk():
+    """A 12-bit average-pool block table over 32 samples peaks at 2.9
+    chunks, a chunk being ENUMERATION_CHUNK rows of 32 floats: the pooled
+    column holds the loss. A second chunk-sized array of differences took
+    it to 3.4."""
+    teacher = init_network([(4, 1, "identity")], seed=0)
+    block = make_student(teacher, 2, seed=1).blocks[0]
+    rng = np.random.default_rng(0)
+    inputs, acts = rng.normal(size=(32, 4)), rng.normal(size=(32, 1))
+    distill.block_table(acts, block, inputs)  # fills the kernel's per-shape plan
+    chunk_bytes = masknet.ENUMERATION_CHUNK * 32 * 8
+    tracemalloc.start()
+    try:
+        table = distill.block_table(acts, block, inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (1 << 12,)
+    assert peak <= 3.15 * chunk_bytes
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(CompressMode), chaining=st.sampled_from(Chaining),
+       hidden=st.integers(1, 3), width=st.integers(1, 2),
+       n_samples=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       zeros=st.sampled_from([0.0, 0.3, 1.0]))
+def test_block_epsilon_read_from_the_table_equals_the_forward_pass_one(
+        mode, chaining, hidden, width, n_samples, seed, zeros):
+    """Each Grover block's epsilon, read from the block's table, is 1.1 times
+    the least forward-pass block_loss of the same 16 probe masks, bit for
+    bit, and leaves the run's generator where the probes left it. Inputs
+    and the blocks' biases hold a share ``zeros`` of 0.0 and -0.0."""
+    assume(hidden * width <= 3)  # block 0 within 12 bits
+    teacher = init_network([(1, hidden, "relu"), (hidden, 1, "identity")], seed)
+    pair = make_student(teacher, width, seed)
+    rng = np.random.default_rng(seed)
+    for block in pair.blocks:
+        block.biases = [with_signed_zeros(rng, rng.normal(size=b.shape), zeros)
+                        for b in block.biases]
+    inputs = with_signed_zeros(rng, rng.normal(size=(n_samples, 1)), zeros)
+    data = Dataset(inputs, masknet.forward_batch(teacher, inputs))
+    block_table, block_epsilon = distill.block_table, distill._block_epsilon
+    tables, epsilons = [], []
+
+    def recording_table(teacher_acts, block, block_inputs, mode):
+        tables.append((teacher_acts, block, block_inputs))
+        return block_table(teacher_acts, block, block_inputs, mode)
+
+    def checked_epsilon(costs, n_bits, rng):
+        teacher_acts, block, block_inputs = tables[-1]
+        twin = copy.deepcopy(rng)
+        probes = twin.integers(0, 2, size=(16, n_bits)).astype(np.uint8)
+        best = block_loss(teacher_acts, block, probes, block_inputs, mode).min()
+        eps = block_epsilon(costs, n_bits, rng)
+        assert eps == (float(best * 1.1) if best > 0 else 1e-12)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        epsilons.append(eps)
+        return eps
+
+    with mock.patch.object(distill, "block_table", recording_table), \
+            mock.patch.object(distill, "_block_epsilon", checked_epsilon):
+        result = distill_select(pair, data, backend=Backend.GROVER,
+                                per_block_bit_budget=12, mode=mode,
+                                chaining=chaining, seed=seed)
+    assert [r.epsilon for r in result.reports] == epsilons
+    assert len(epsilons) == 2
+
+
 # ---------------------------------------------------------------------------
 # Student construction.
 
@@ -250,6 +322,26 @@ def test_grover_backend_enumerates_each_block_once(monkeypatch):
                             per_block_bit_budget=12, seed=5)
     assert len(result.reports) == len(pair.blocks)
     assert [id(b) for b in tables] == [id(b) for b in pair.blocks]
+
+
+def test_grover_backend_prices_only_the_chosen_masks_by_forward_pass(monkeypatch):
+    """The epsilon probes read the block's table; ``block_loss`` runs once
+    per block, on the chosen mask."""
+    teacher = small_teacher()
+    data = teacher_io_data(teacher)
+    pair = make_student(teacher, width_factor=1, seed=1)
+    calls = []
+
+    def recording_loss(teacher_acts, block, bits, *args):
+        calls.append((block, np.array(bits)))
+        return block_loss(teacher_acts, block, bits, *args)
+
+    monkeypatch.setattr(distill, "block_loss", recording_loss)
+    result = distill_select(pair, data, backend=Backend.GROVER,
+                            per_block_bit_budget=12, seed=5)
+    assert [id(b) for b, _ in calls] == [id(b) for b in pair.blocks]
+    for (_, bits), report in zip(calls, result.reports, strict=True):
+        assert bits.ndim == 1 and np.array_equal(bits, report.bits)
 
 
 def test_hamiltonian_backends_report_gaps():

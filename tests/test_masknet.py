@@ -434,6 +434,28 @@ def test_enumerate_losses_equal_batch_losses(drawn, n_samples, chunk, zeros):
         assert np.array_equal(masknet.enumerate_losses(net, data), expected)
 
 
+def test_table_plan_is_shared_by_shape_and_chunk_and_read_only():
+    """Networks of one shape and bias rule share the kernel's bookkeeping at
+    one chunk, a patched chunk gets its own, and no call can change it."""
+    layers = [(2, 3, "relu"), (3, 2, "identity")]
+    a, b = (init_network(layers, seed, mask_biases=True) for seed in (0, 1))
+    rng = np.random.default_rng(0)
+    data = Dataset(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)))
+    masknet.enumerate_losses(a, data)
+    plan = masknet._table_plan(a.specs, True, masknet.ENUMERATION_CHUNK)
+    with mock.patch.object(masknet, "_table_plan", wraps=masknet._table_plan) as spy:
+        masknet.enumerate_losses(b, data)
+        with mock.patch.object(masknet, "ENUMERATION_CHUNK", 4):
+            small = masknet.enumerate_losses(b, data)
+    assert spy.call_args_list == [mock.call(b.specs, True, masknet.ENUMERATION_CHUNK),
+                                  mock.call(b.specs, True, 4)]
+    assert masknet._table_plan(b.specs, True, masknet.ENUMERATION_CHUNK) is plan
+    assert masknet._table_plan(b.specs, True, 4).m == 2 != plan.m
+    assert np.array_equal(small, masknet.enumerate_losses(b, data))
+    for array in (*plan.ranks, plan.free, plan.reps, plan.shift, plan.axes):
+        assert not array.flags.writeable
+
+
 def test_table_prices_the_last_layer_once_per_column_pattern(monkeypatch):
     """On [[2,2,relu],[2,4,identity]] the last layer runs under the 4 patterns
     of one unit's 2 weight bits, once for each of the 16 hidden-layer
