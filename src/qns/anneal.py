@@ -6,7 +6,6 @@ with most probability mass on the minimum-cost basis states.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,27 +59,3 @@ def anneal(h_c: DiagonalCostHamiltonian, sched: AnnealSchedule) -> AnnealResult:
     return AnnealResult(state, p_ground, ground,
                         within_table(expectation(state, h_c), h_c))
 
-
-def sweep_total_time(h_c: DiagonalCostHamiltonian, total_times, steps: int,
-                     mixer: MixerSpec | None = None) -> list[dict]:
-    """One anneal per T value; rows carry T, steps, p_ground, final expectation."""
-    mixer = mixer or MixerSpec.transverse_field()
-    rows = []
-    for total_time in total_times:
-        result = anneal(h_c, AnnealSchedule(total_time, steps, mixer))
-        rows.append({
-            "total_time": float(total_time),
-            "steps": steps,
-            "p_ground": result.p_ground,
-            "final_expectation": result.final_expectation,
-        })
-    return rows
-
-
-def write_sweep_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["total_time", "steps", "p_ground", "final_expectation"])
-        for row in rows:
-            writer.writerow([row["total_time"], row["steps"],
-                             repr(row["p_ground"]), repr(row["final_expectation"])])

@@ -10,8 +10,7 @@ The operator is the mixer's sparse matrix B scaled to 2B/r on its exact
 spectral interval [-r, r]; ``qsim`` builds and caches it once per (mixer,
 size). A Chebyshev term is one zero-fill, one call of scipy's CSR matvec
 kernel, one subtraction and one BLAS axpy, into three work vectors
-allocated once per apply: about 6 us at n = 10 (one BLAS thread, 2-core
-x86), where scipy's sparse ``@`` alone took 7.1 us.
+allocated once per apply.
 """
 from __future__ import annotations
 
@@ -88,8 +87,7 @@ def chebyshev_propagate(m: sparse.csr_matrix, r: float, v: np.ndarray,
     the sum in place. The matvec calls scipy's private ``csr_matvec``
     kernel on a zeroed work vector, which is what ``m @ cur`` runs after
     its own ``np.zeros``: the same sums in the same order, without
-    ``@``'s dispatch (about 3 us of its 7.1 us at n = 10) or a new vector
-    per term. Past k = |x|, J_k(x) falls faster than geometrically
+    ``@``'s dispatch or a new vector per term. Past k = |x|, J_k(x) falls faster than geometrically
     after a zone of width ~|x|^(1/3); the sum stops at the last k with
     |J_k(x)| >= _BESSEL_CUTOFF, which lies well inside the
     |x| + 16|x|^(1/3) + 25 coefficients computed.

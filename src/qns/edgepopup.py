@@ -210,7 +210,7 @@ class _StepBuffers:
 
     def __init__(self, net: MaskedNetwork):
         specs = net.specs
-        n_angles = sum(s.fan_in * s.fan_out for s in specs)
+        n_angles = net.total_maskable()
         self.keep = np.empty(n_angles)  # (1 + sin theta)/2
         self.mask_bits = np.empty(n_angles, dtype=bool)
         self.masks = masknet.layer_views(self.mask_bits, net)
@@ -250,7 +250,7 @@ class _StepBuffers:
 
 
 def _check_step(net: MaskedNetwork, thetas, masks, x) -> None:
-    n_angles = sum(s.fan_in * s.fan_out for s in net.specs)
+    n_angles = net.total_maskable()
     if np.shape(thetas) != (n_angles,):
         raise ValueError(f"thetas has shape {np.shape(thetas)}, not ({n_angles},): "
                          f"one angle per weight of the network")
@@ -353,7 +353,7 @@ def popup_train(net: MaskedNetwork, data: Dataset,
         raise ValueError(f"inputs have width {data.inputs.shape[1]}, "
                          f"the network takes {net.input_dim}")
     # all angles zero: every weight starts with keep-probability 1/2
-    thetas = np.zeros(sum(s.fan_in * s.fan_out for s in net.specs))
+    thetas = np.zeros(net.total_maskable())
     layer_thetas = masknet.layer_views(thetas, net)
     work = _StepBuffers(net)
     alpha = np.array(cfg.alpha, dtype=np.float64)  # 0-d: see _constant

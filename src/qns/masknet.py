@@ -4,7 +4,7 @@ The weights of a :class:`MaskedNetwork` are drawn once and never tuned;
 training means choosing which weights stay active, via per-layer binary
 masks or one flat 0/1 vector that other modules search over. The flat
 order is :func:`layer_views`'s: every layer's weights, row-major, layer by
-layer, then the bias bits when biases are masked.
+layer. Masks gate weights only; biases always enter unmasked.
 
 :func:`enumerate_table` reduces the outputs of every one of the 2^n masks
 to a cost table. Layer l's output depends only on the bits of layers <= l,
@@ -83,17 +83,12 @@ class Dataset:
 class MaskedNetwork:
     """Immutable random weights plus mutable per-layer binary masks."""
 
-    def __init__(self, specs, weights, biases, masks, seed=None,
-                 bias_masks=None, mask_biases=False):
+    def __init__(self, specs, weights, biases, masks, seed=None):
         self.specs = tuple(specs)
         self.weights = list(weights)
         self.biases = list(biases)
         self.masks = list(masks)
         self.seed = seed
-        self.mask_biases = mask_biases
-        if bias_masks is None:
-            bias_masks = [np.ones_like(b) for b in self.biases]
-        self.bias_masks = list(bias_masks)
         self._validate()
         for w in self.weights:
             w.setflags(write=False)
@@ -119,10 +114,6 @@ class MaskedNetwork:
                 raise ValueError(f"layer {i} bias shape {self.biases[i].shape}")
             if not np.all((self.masks[i] == 0) | (self.masks[i] == 1)):
                 raise ValueError(f"layer {i} mask has entries outside {{0, 1}}")
-            if self.bias_masks[i].shape != (spec.fan_out,):
-                raise ValueError(f"layer {i} bias mask shape {self.bias_masks[i].shape}")
-            if not np.all((self.bias_masks[i] == 0) | (self.bias_masks[i] == 1)):
-                raise ValueError(f"layer {i} bias mask has entries outside {{0, 1}}")
 
     @property
     def depth(self) -> int:
@@ -137,13 +128,10 @@ class MaskedNetwork:
         return self.specs[-1].fan_out
 
     def total_maskable(self) -> int:
-        n = sum(s.fan_in * s.fan_out for s in self.specs)
-        if self.mask_biases:
-            n += sum(s.fan_out for s in self.specs)
-        return n
+        return sum(s.fan_in * s.fan_out for s in self.specs)
 
 
-def init_network(specs, seed, mask_biases: bool = False) -> MaskedNetwork:
+def init_network(specs, seed) -> MaskedNetwork:
     """Fresh network: weights uniform in +-1/sqrt(fan_in), zero biases, all-ones masks."""
     specs = tuple(s if isinstance(s, LayerSpec) else LayerSpec(*s) for s in specs)
     rng = np.random.default_rng(seed)
@@ -153,8 +141,7 @@ def init_network(specs, seed, mask_biases: bool = False) -> MaskedNetwork:
         weights.append(rng.uniform(-bound, bound, size=(spec.fan_in, spec.fan_out)))
         biases.append(np.zeros(spec.fan_out))
         masks.append(np.ones((spec.fan_in, spec.fan_out)))
-    return MaskedNetwork(specs, weights, biases, masks, seed=seed,
-                         mask_biases=mask_biases)
+    return MaskedNetwork(specs, weights, biases, masks, seed=seed)
 
 
 def network_from_weights(specs, weights, biases=None, seed=None) -> MaskedNetwork:
@@ -181,32 +168,26 @@ def forward_batch(net: MaskedNetwork, xs: np.ndarray) -> np.ndarray:
     return masked_layers(net, xs)[-1][1]
 
 
-def masked_layers(net: MaskedNetwork, z: np.ndarray, masks=None,
-                  bias_masks=None) -> list[tuple[np.ndarray, np.ndarray]]:
+def masked_layers(net: MaskedNetwork, z: np.ndarray,
+                  masks=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """(pre-activation, output) of every layer, each ``z @ (m * W) + b``.
 
-    Without ``masks``, the network's own masks and bias rule apply; given
-    ``masks`` without ``bias_masks``, biases enter unmasked. Masks may carry a
-    leading axis of M masks (bias masks then (M, 1, fan_out)), giving outputs
-    of shape (M, samples, fan_out).
+    Without ``masks``, the network's own masks apply. Masks may carry a
+    leading axis of M masks, giving outputs of shape (M, samples, fan_out).
     """
     if masks is None:
         masks = net.masks
-        bias_masks = net.bias_masks if net.mask_biases else None
     layers = []
     for i in range(net.depth):
-        a, z = _masked_layer(net, i, z, masks[i],
-                             None if bias_masks is None else bias_masks[i])
+        a, z = _masked_layer(net, i, z, masks[i])
         layers.append((a, z))
     return layers
 
 
-def _masked_layer(net: MaskedNetwork, i: int, z: np.ndarray, mask,
-                  bias_mask=None) -> tuple[np.ndarray, np.ndarray]:
-    """(pre-activation, output) of layer i, ``z @ (mask * W) + b``; without
-    ``bias_mask`` the bias enters unmasked."""
-    b = net.biases[i] if bias_mask is None else net.biases[i] * bias_mask
-    a = z @ (mask * net.weights[i]) + b
+def _masked_layer(net: MaskedNetwork, i: int, z: np.ndarray,
+                  mask) -> tuple[np.ndarray, np.ndarray]:
+    """(pre-activation, output) of layer i, ``z @ (mask * W) + b``."""
+    a = z @ (mask * net.weights[i]) + net.biases[i]
     return a, (np.maximum(a, 0.0) if net.specs[i].activation is Activation.RELU else a)
 
 
@@ -227,8 +208,7 @@ def batch_losses(net: MaskedNetwork, data: Dataset, rows) -> np.ndarray:
 def batch_forward(net: MaskedNetwork, rows, xs: np.ndarray) -> np.ndarray:
     """Outputs (M, samples, fan_out) of ``net`` under each row of an (M, n) 0/1
     matrix in :func:`layer_views` order."""
-    masks, bias_masks = _layout_masks(net, rows)
-    return masked_layers(net, xs, masks, bias_masks if net.mask_biases else None)[-1][1]
+    return masked_layers(net, xs, _layout_masks(net, rows))[-1][1]
 
 
 def enumerate_losses(net: MaskedNetwork, data: Dataset) -> np.ndarray:
@@ -248,16 +228,16 @@ def enumerate_table(net: MaskedNetwork, xs: np.ndarray, reduce) -> np.ndarray:
     Hidden layers are computed depth first, each once per pattern of the
     bits before it, in blocks that keep at most ``ENUMERATION_CHUNK``
     patterns in flight. The last layer is priced once per pattern of one
-    unit's own bits (its weight column, then its bias bit), under
-    representative masks whose columns all take that pattern: unit o of
-    such a product is unit o of every mask whose column o has that pattern.
+    unit's own bits (its weight column), under representative masks whose
+    columns all take that pattern: unit o of such a product is unit o of
+    every mask whose column o has that pattern.
     Each unit's column spans only the axes of its own bits on the layer's
     bit grid, so a cost that sums over units adds their terms by
     broadcasting. The grid's axes, and the table's, come from
-    :func:`unit_bits`; this bookkeeping depends only on the network's
-    shapes, bias rule and the chunk, and is built once for each.
+    :func:`layer_views`; this bookkeeping depends only on the network's
+    shapes and the chunk, and is built once for each.
     """
-    plan = _table_plan(net.specs, net.mask_biases, ENUMERATION_CHUNK)
+    plan = _table_plan(net.specs, ENUMERATION_CHUNK)
     sizes, n_last = plan.sizes, plan.sizes[-1]
     # last-layer bits (highest first), then the hidden layers' patterns as one
     # prefix index, the latest layer outermost
@@ -293,8 +273,8 @@ def enumerate_table(net: MaskedNetwork, xs: np.ndarray, reduce) -> np.ndarray:
 
 
 class _TablePlan(NamedTuple):
-    """:func:`enumerate_table`'s bit bookkeeping for one network shape, bias
-    rule and chunk. Its arrays are read-only."""
+    """:func:`enumerate_table`'s bit bookkeeping for one network shape and
+    chunk. Its arrays are read-only."""
 
     ranks: tuple  # per layer: bit k of the layer's pattern gates its k-th lowest flat bit
     sizes: tuple  # per layer: its number of bits
@@ -309,11 +289,13 @@ class _TablePlan(NamedTuple):
 
 
 @functools.lru_cache(maxsize=64)
-def _table_plan(specs, mask_biases: bool, chunk: int) -> _TablePlan:
-    """The :class:`_TablePlan` of networks with these layer specs and bias
-    rule, at ``chunk`` patterns per kernel step: the chunk is part of the
-    key, since ``ENUMERATION_CHUNK`` can be patched."""
-    units = unit_bits(init_network(specs, 0, mask_biases))  # reads only the shapes
+def _table_plan(specs, chunk: int) -> _TablePlan:
+    """The :class:`_TablePlan` of networks with these layer specs, at
+    ``chunk`` patterns per kernel step: the chunk is part of the key, since
+    ``ENUMERATION_CHUNK`` can be patched."""
+    # per layer, the flat bit of each weight: column o holds unit o's bits by row
+    net = init_network(specs, 0)  # layer_views reads only the shapes
+    units = layer_views(np.arange(net.total_maskable()), net)
     # bit k of a layer's pattern gates the layer's k-th lowest flat bit
     sorted_bits = [np.sort(u, axis=None) for u in units]
     ranks = [np.searchsorted(s, u) for s, u in zip(sorted_bits, units)]
@@ -321,9 +303,9 @@ def _table_plan(specs, mask_biases: bool, chunk: int) -> _TablePlan:
 
     # The last layer's bit grid has one axis per bit, highest first. A block
     # fixes its n_last - m highest bits and holds at most ENUMERATION_CHUNK
-    # patterns (grid x prefix). A unit's bits rise with its row, the bias bit
-    # last, so its free bits in a block are its lowest n_free; representative
-    # mask r takes them from r's bits and the fixed ones from the block.
+    # patterns (grid x prefix). A unit's bits rise with its row, so its free
+    # bits in a block are its lowest n_free; representative mask r takes
+    # them from r's bits and the fixed ones from the block.
     rank = ranks[-1]
     m = min(n_last, chunk.bit_length() - 1)
     rows = max(1, chunk >> n_last)
@@ -347,11 +329,8 @@ def _table_plan(specs, mask_biases: bool, chunk: int) -> _TablePlan:
 
 def _layer_under_bits(net: MaskedNetwork, i: int, z: np.ndarray, bits) -> np.ndarray:
     """Outputs (patterns, prefix, samples, fan_out) of layer i on z (prefix,
-    samples, fan_in) under each pattern of ``bits`` (patterns, fan_in [+ 1
-    bias row], fan_out)."""
-    fan_in = net.specs[i].fan_in
-    bias_mask = bits[:, None, fan_in:] if net.mask_biases else None
-    return _masked_layer(net, i, z[None], bits[:, None, :fan_in], bias_mask)[1]
+    samples, fan_in) under each pattern of ``bits`` (patterns, fan_in, fan_out)."""
+    return _masked_layer(net, i, z[None], bits[:, None])[1]
 
 
 def unstack(x: np.ndarray) -> list[np.ndarray]:
@@ -401,13 +380,12 @@ def _mean_l2_of_differences(diffs, n_samples: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Flat masks: one 0/1 vector covering every maskable parameter.
+# Flat masks: one 0/1 vector covering every weight.
 
 def layer_views(flat: np.ndarray, net: MaskedNetwork) -> list[np.ndarray]:
-    """Per-layer (..., fan_in, fan_out) views of the weight part of ``flat``'s
-    last axis: entry ``off_l + row * fan_out + col`` addresses weight (row,
-    col) of layer l, where ``off_l`` counts the weights of the layers before
-    it. Masked biases take the entries after every weight (:func:`bias_views`).
+    """Per-layer (..., fan_in, fan_out) views of ``flat``'s last axis: entry
+    ``off_l + row * fan_out + col`` addresses weight (row, col) of layer l,
+    where ``off_l`` counts the weights of the layers before it.
     """
     views, start = [], 0
     for spec in net.specs:
@@ -418,38 +396,15 @@ def layer_views(flat: np.ndarray, net: MaskedNetwork) -> list[np.ndarray]:
     return views
 
 
-def bias_views(flat: np.ndarray, net: MaskedNetwork) -> list[np.ndarray]:
-    """Per-layer (..., fan_out) views of the bias part of ``flat``'s last axis,
-    when biases are masked: the entries after every weight, layer by layer."""
-    views, start = [], sum(s.fan_in * s.fan_out for s in net.specs)
-    for spec in net.specs:
-        views.append(flat[..., start:start + spec.fan_out])
-        start += spec.fan_out
-    return views
-
-
-def unit_bits(net: MaskedNetwork) -> list[np.ndarray]:
-    """Per layer, the flat bit that gates each parameter of each unit, as a
-    (fan_in [+ 1], fan_out) array: column o holds unit o's weight bits by
-    row, then its bias bit when biases are masked."""
-    index = np.arange(net.total_maskable())
-    weights = layer_views(index, net)
-    if not net.mask_biases:
-        return weights
-    return [np.vstack([w, b]) for w, b in zip(weights, bias_views(index, net))]
-
-
 def apply_flat_mask(net: MaskedNetwork, bits) -> MaskedNetwork:
     """Masked view of ``net`` under one 0/1 vector in :func:`layer_views`
     order: shares the frozen weights, owns fresh masks."""
-    masks, bias_masks = _layout_masks(net, np.asarray(bits)[None])
-    return _view(net, [w[0] for w in masks], [b[0, 0] for b in bias_masks])
+    return _view(net, [w[0] for w in _layout_masks(net, np.asarray(bits)[None])])
 
 
-def _layout_masks(net: MaskedNetwork, rows):
-    """Per-layer weight masks (M, fan_in, fan_out) and bias masks (M, 1, fan_out)
-    of an (M, n) 0/1 matrix in :func:`layer_views` order; without masked
-    biases the bias masks are 1."""
+def _layout_masks(net: MaskedNetwork, rows) -> list[np.ndarray]:
+    """Per-layer weight masks (M, fan_in, fan_out) of an (M, n) 0/1 matrix in
+    :func:`layer_views` order."""
     n = net.total_maskable()
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != n:
@@ -457,21 +412,13 @@ def _layout_masks(net: MaskedNetwork, rows):
                          f"of the network's {n} maskable parameters")
     if not np.all((rows == 0) | (rows == 1)):
         raise ValueError("mask bits must be 0 or 1")
-    masks = [w.astype(np.float64, order="C") for w in layer_views(rows, net)]
-    if not net.mask_biases:
-        return masks, [np.ones((len(rows), 1, s.fan_out)) for s in net.specs]
-    return masks, [b[:, None].astype(np.float64) for b in bias_views(rows, net)]
+    return [w.astype(np.float64, order="C") for w in layer_views(rows, net)]
 
 
-def _view(net: MaskedNetwork, masks, bias_masks=None) -> MaskedNetwork:
-    """``net`` under new masks, sharing its frozen weights; without
-    ``bias_masks`` its biases enter unmasked."""
+def _view(net: MaskedNetwork, masks) -> MaskedNetwork:
+    """``net`` under new masks, sharing its frozen weights."""
     view = copy.copy(net)
     view.masks = list(masks)
-    if bias_masks is None:
-        view.mask_biases = False
-    else:
-        view.bias_masks = list(bias_masks)
     return view
 
 
@@ -485,33 +432,32 @@ def network_to_json(net: MaskedNetwork) -> dict:
             for s in net.specs
         ],
         "seed": net.seed,
-        "mask_biases": net.mask_biases,
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
         "masks": [m.tolist() for m in net.masks],
-        "bias_masks": [m.tolist() for m in net.bias_masks],
     }
 
 
 def network_from_json(doc: dict) -> MaskedNetwork:
+    """The network of a :func:`network_to_json` document. Masks gate weights
+    only: a stored bias-mask rule must be false, and stored bias masks are
+    ignored."""
     specs = tuple(
         LayerSpec(s["fan_in"], s["fan_out"], Activation(s["activation"]))
         for s in doc["specs"]
     )
-    mask_biases = bool(doc.get("mask_biases", False))
+    if doc.get("mask_biases", False):
+        raise ValueError("mask_biases: masks gate weights only, biases cannot be masked")
     if "weights" in doc:
         net = network_from_weights(specs, doc["weights"], doc.get("biases"),
                                    seed=doc.get("seed"))
-        net.mask_biases = mask_biases
         if "masks" in doc:
             net.masks = [np.array(m, dtype=np.float64) for m in doc["masks"]]
-        if "bias_masks" in doc:
-            net.bias_masks = [np.array(m, dtype=np.float64) for m in doc["bias_masks"]]
         net._validate()
         return net
     if doc.get("seed") is None:
         raise ValueError("network document needs explicit weights or a seed")
-    return init_network(specs, doc["seed"], mask_biases=mask_biases)
+    return init_network(specs, doc["seed"])
 
 
 def save_network(net: MaskedNetwork, path) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -150,17 +150,9 @@ def run_reservoir(r: Reservoir, inputs: np.ndarray, z0: np.ndarray | None = None
 @dataclass
 class ProbeFilter:
     w_pf: np.ndarray
-    mask: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.w_pf = np.asarray(self.w_pf, dtype=np.float64)
-        if self.mask is None:
-            self.mask = np.ones(self.w_pf.shape[0], dtype=np.uint8)
-        self.mask = np.asarray(self.mask, dtype=np.uint8)
-        if self.mask.shape != (self.w_pf.shape[0],):
-            raise ValueError(
-                f"mask length {self.mask.shape} != probe count {self.w_pf.shape[0]}"
-            )
 
     @property
     def size(self) -> int:
@@ -185,7 +177,6 @@ class NKLandscape:
     k: int
     neighborhoods: np.ndarray
     topology: Topology
-    table: np.ndarray | None = None
 
     def __post_init__(self):
         self.neighborhoods = np.asarray(self.neighborhoods, dtype=np.int64)
@@ -326,7 +317,6 @@ def build_table(model: NkEsn, data: Dataset,
 
     with ThreadPoolExecutor(n_workers) as pool:
         list(pool.map(columns, range(n_workers)))  # re-raises a worker's exception
-    model.landscape.table = table
     return table
 
 

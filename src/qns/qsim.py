@@ -23,27 +23,19 @@ no bit-flip mixer run on numpy alone.
 The anneal and QAOA share one loop, :func:`apply_layers`: a cost phase
 exp(-i*gamma*H_C), then the mixer. The cost phase takes cos and sin once
 per distinct cost (:attr:`DiagonalCostHamiltonian.levels`) and gathers
-them to the 2^n states. A masked network's loss table repeats itself: the
-12-bit tables of the transverse-field benchmark hold 512 distinct costs
-in 4,096 entries, the 10-bit bit-flip ones 484 in 1,024. On those 12-bit
-tables a step's phase takes 15 us where cos and sin over the full table
-took 42 us; on an all-distinct table, the worst case, it takes 50 against
-51 us at n = 12 and 0.86 against 0.95 ms at n = 16 (one BLAS thread,
-2-core x86). Each state's phase is the cos and sin of the same
--gamma*cost, so the amplitudes are the full-table ones bit for bit.
+them to the 2^n states, as a masked network's loss table repeats itself.
+Each state's phase is the cos and sin of the same -gamma*cost, so the
+amplitudes are the full-table ones bit for bit.
 The layers go in chunks of 16: a chunk's phases take one cos and one sin
 over a (layers, levels) array, and its transverse-field blocks one
 Kronecker broadcast over the layers' gates, so a 400-step anneal at
-n = 12 builds 25 of each instead of 400. Such a step takes about 48 us,
-of which its three 16 x 16 complex matrix products take 35.
+n = 12 builds 25 of each instead of 400.
 
 Grover, the anneal and QAOA run on complex128 amplitudes; the VQE ansatz
 (``qns.variational``) runs on float64, since Ry gates and CZ signs are
 real. Its amplitudes are bit for bit the real part of the complex128 run
 (see :func:`_apply_block`). Its first layer, on |0...0>, is the product
-state of its blocks' first columns, with no matrix product. A 2-layer
-ansatz and its expectation take 46 us at n = 12 where the complex128
-circuit takes 122 us (one BLAS thread, 2-core x86).
+state of its blocks' first columns, with no matrix product.
 
 Convention: qubit ``j`` is bit ``j`` of a basis-state index, so the index
 ``6 = 0b110`` has qubit 0 clear and qubits 1 and 2 set. Gate functions
@@ -135,15 +127,6 @@ class StateVector:
         out.n_qubits = self.n_qubits
         out.amplitudes = self.amplitudes.copy()
         return out
-
-    @classmethod
-    def basis_state(cls, n_qubits: int, index: int) -> "StateVector":
-        state = cls(n_qubits)
-        if not 0 <= index < state.dim:
-            raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
-        state.amplitudes[0] = 0.0
-        state.amplitudes[index] = 1.0
-        return state
 
 
 def _complex(state: StateVector) -> np.ndarray:
@@ -462,12 +445,9 @@ def apply_mixer(state: StateVector, mixer: MixerSpec, beta: float) -> StateVecto
 
 
 # Layers per chunk of apply_layers: a chunk's cost phases and transverse
-# blocks are built in one broadcast each. With 16-layer chunks the
-# transverse-variational benchmark's peak memory stayed at 42.2 MB. A chunk
-# holds at most _CHUNK_PHASES phases (1 MB of complex128), so an
-# all-distinct 16-qubit table takes one layer at a time: there, 16-layer
-# chunks raised a 32-step anneal's peak memory by 44 MB instead of 5 MB,
-# and took 58 ms instead of 45 (one BLAS thread, 2-core x86).
+# blocks are built in one broadcast each. A chunk holds at most
+# _CHUNK_PHASES phases, so an all-distinct 16-qubit table takes one layer
+# at a time.
 _LAYER_CHUNK = 16
 _CHUNK_PHASES = 1 << 16
 
@@ -491,8 +471,7 @@ def apply_layers(state: StateVector, h_c: DiagonalCostHamiltonian,
     is the block :func:`apply_mixer` builds, so the amplitudes are those of
     the per-layer loop bit for bit. ``ndarray.take`` with ``mode="clip"``
     writes straight into the buffer (the indices come from ``np.unique``,
-    so none is clipped), where ``mode="raise"`` fills a copy first: a
-    gather of 2^16 took 53 us against 151 us (one BLAS thread, 2-core x86).
+    so none is clipped), where ``mode="raise"`` fills a copy first.
     """
     gammas = np.asarray(gammas, dtype=np.float64)
     betas = np.asarray(betas, dtype=np.float64)
@@ -538,10 +517,7 @@ def evolve(
     result equals a QAOA state with the linear-ramp angles of ``steps``
     blocks. The steps run in :func:`apply_layers`, in chunks of 16 whose
     cost phases (once per distinct cost) and transverse blocks are each
-    built in one broadcast: a 400-step transverse anneal at n = 12 on a
-    512-level table takes 19 ms where one step at a time took 23 ms,
-    and 42 ms with the phase over all 4,096 costs (one BLAS thread, 2-core
-    x86).
+    built in one broadcast.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")

@@ -122,11 +122,9 @@ def ansatz_state(ansatz: VqeAnsatz) -> StateVector:
     product has one nonzero term, so it is built as the product state of
     the blocks' first columns, one outer product per block in
     ``qsim._apply_block``'s order: the same products, with no matrix
-    product. A 2-layer ansatz at n = 12 takes 41 us, where a matrix product
-    per block took 47 us (one BLAS thread, 2-core x86). The state is bit
-    for bit the real part of the complex128 simulation, whose imaginary
-    part is exactly zero, but for the sign of an exact zero (see
-    ``qsim._apply_block``).
+    product. The state is bit for bit the real part of the complex128
+    simulation, whose imaginary part is exactly zero, but for the sign of
+    an exact zero (see ``qsim._apply_block``).
     """
     state = StateVector(ansatz.n_qubits)  # checks n before any 2^n array
     n = state.n_qubits

@@ -7,12 +7,13 @@ layer's angles separately. ``qns.edgepopup.popup_train`` must give the same
 angles, loss curve and final masks bit for bit.
 
 ``mask_layout`` writes the flat bit order out as a (layer, row, col) table
-of every maskable parameter, and ``layout_masks`` scatters a 0/1 matrix
+of every weight, and ``layout_masks`` scatters a 0/1 matrix
 through it; the slices of ``qns.masknet.layer_views`` must equal that
 scatter bit for bit.
 ``fit_identity_teacher`` fits a least-squares teacher layer.
 
-The single-qubit gates (``apply_ry``, ``apply_h``, ``apply_x``, ``apply_z``)
+``basis_state`` is the computational basis state with amplitude 1 at one
+index. The single-qubit gates (``apply_ry``, ``apply_h``, ``apply_x``, ``apply_z``)
 take one pass over the state per gate, and ``apply_cz`` one pass per edge;
 ``qns.qsim.apply_product`` and the cached CZ-ring diagonal must agree with
 them. ``mixer_dense`` writes a mixer Hamiltonian entry by entry from its
@@ -125,40 +126,28 @@ def popup_train(net, data, cfg) -> PopupTrainResult:
     return PopupTrainResult(thetas, loss_curve, _final_masks(thetas, cfg.topk_fraction))
 
 
-BIAS_ROW = -1
-
-
 def mask_layout(net):
-    """(layer, row, col) of every mask bit: layer by layer, weights row-major,
-    then every layer's biases (row ``BIAS_ROW``) if they are masked."""
+    """(layer, row, col) of every mask bit: layer by layer, weights row-major."""
     entries = []
     for layer, spec in enumerate(net.specs):
         for row in range(spec.fan_in):
             for col in range(spec.fan_out):
                 entries.append((layer, row, col))
-    if net.mask_biases:
-        for layer, spec in enumerate(net.specs):
-            for col in range(spec.fan_out):
-                entries.append((layer, BIAS_ROW, col))
     return tuple(entries)
 
 
 def layout_masks(net, rows):
-    """Per-layer weight masks (M, fan_in, fan_out) and bias masks (M, 1, fan_out)
-    of an (M, n) 0/1 matrix whose bit j masks parameter ``mask_layout(net)[j]``."""
+    """Per-layer weight masks (M, fan_in, fan_out) of an (M, n) 0/1 matrix
+    whose bit j masks weight ``mask_layout(net)[j]``."""
     rows = np.asarray(rows)
     layer, row, col = np.asarray(mask_layout(net), dtype=np.intp).reshape(-1, 3).T
-    masks, bias_masks = [], []
+    masks = []
     for i, spec in enumerate(net.specs):
-        on_bias = (layer == i) & (row == BIAS_ROW)
-        on_weight = (layer == i) & (row != BIAS_ROW)
+        on_layer = layer == i
         w = np.ones((len(rows), spec.fan_in, spec.fan_out))
-        w[:, row[on_weight], col[on_weight]] = rows[:, on_weight]
-        b = np.ones((len(rows), 1, spec.fan_out))
-        b[:, 0, col[on_bias]] = rows[:, on_bias]
+        w[:, row[on_layer], col[on_layer]] = rows[:, on_layer]
         masks.append(w)
-        bias_masks.append(b)
-    return masks, bias_masks
+    return masks
 
 
 def fit_identity_teacher(data):
@@ -171,7 +160,14 @@ def fit_identity_teacher(data):
 
 
 # ---------------------------------------------------------------------------
-# Gates, one pass over the state each.
+# Basis states, and gates taking one pass over the state each.
+
+def basis_state(n_qubits: int, index: int) -> StateVector:
+    state = StateVector(n_qubits)
+    state.amplitudes[0] = 0.0
+    state.amplitudes[index] = 1.0
+    return state
+
 
 def apply_single_qubit(state, qubit: int, u00, u01, u10, u11):
     if not 0 <= qubit < state.n_qubits:

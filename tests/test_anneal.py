@@ -11,8 +11,6 @@ from qns.anneal import (
     AnnealSchedule,
     anneal,
     ground_states,
-    sweep_total_time,
-    write_sweep_csv,
 )
 from qns.qsim import DiagonalCostHamiltonian, MixerSpec, ring_graph
 
@@ -129,16 +127,3 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         AnnealSchedule(total_time=1.0, steps=0)
 
-
-def test_sweep_rows_and_csv(tmp_path):
-    h = gapped_instance(seed=6)
-    rows = sweep_total_time(h, [1.0, 10.0], steps=300)
-    assert [r["total_time"] for r in rows] == [1.0, 10.0]
-    assert all(0.0 <= r["p_ground"] <= 1.0 for r in rows)
-    path = tmp_path / "sweep.csv"
-    write_sweep_csv(rows, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "total_time,steps,p_ground,final_expectation"
-    assert len(lines) == 3
-    # values survive the round trip exactly (repr serialization)
-    assert float(lines[1].split(",")[2]) == rows[0]["p_ground"]

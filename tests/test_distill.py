@@ -55,15 +55,6 @@ def test_trace_final_layer_equals_forward():
                                masknet.forward_batch(net, data.inputs))
 
 
-def test_record_activations_respects_bias_masks():
-    net = network_from_weights([LayerSpec(1, 1, Activation.IDENTITY)], [[[1.0]]], [[1.0]])
-    net.mask_biases = True
-    view = masknet.apply_flat_mask(net, [1, 0])  # bias cleared
-    trace = record_activations(view, Dataset([[0.0]], [[0.0]]))
-    np.testing.assert_array_equal(trace.layers[0], [[0.0]])
-    np.testing.assert_array_equal(trace.layers[0], masknet.forward_batch(view, np.zeros((1, 1))))
-
-
 def test_relu_trace_zeroes_negative_preactivations():
     net = network_from_weights(
         [LayerSpec(1, 2, Activation.RELU), LayerSpec(2, 1, Activation.IDENTITY)],

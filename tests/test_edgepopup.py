@@ -142,8 +142,7 @@ def test_update_equals_the_reference_step():
 def test_angle_j_and_mask_bit_j_address_the_same_weight():
     """The angle vector and a flat mask share one order: keeping only angle
     j's edge keeps the weight that mask bit j alone keeps."""
-    net = masknet.init_network([(2, 3, "relu"), (3, 2, "identity")], seed=8,
-                               mask_biases=True)
+    net = masknet.init_network([(2, 3, "relu"), (3, 2, "identity")], seed=8)
     n_angles = sum(w.size for w in net.weights)
     for j in range(n_angles):
         thetas = np.full(n_angles, -0.3)

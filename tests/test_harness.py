@@ -622,6 +622,8 @@ def test_cli_distill_malformed_teacher_is_config_error(tmp_path, capsys):
         ({"specs": 5}, "not iterable"),  # TypeError
         ({"specs": [{"fan_in": 2, "fan_out": 1, "activation": "relu"}],
           "seed": 3}, "identity activation"),  # ValueError
+        ({"specs": [{"fan_in": 2, "fan_out": 1, "activation": "identity"}],
+          "seed": 3, "mask_biases": True}, "mask_biases: "),  # masks gate weights only
     ]:
         teacher_path.write_text(json.dumps(teacher))
         assert cli.main(["run", str(cfg_path)]) == 2

@@ -248,8 +248,8 @@ TMP_PATH_EXAMPLES = settings(max_examples=50, deadline=None,
 
 @st.composite
 def stored_networks(draw):
-    """1-3 layer stacks with arbitrary finite weights and biases, random
-    masks and bias masks, and mask_biases either way."""
+    """1-3 layer stacks with arbitrary finite weights and biases and random
+    masks."""
     widths = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
     hidden = draw(st.lists(st.sampled_from(list(Activation)),
                            min_size=len(widths) - 2, max_size=len(widths) - 2))
@@ -261,8 +261,6 @@ def stored_networks(draw):
         [draw(arrays(np.float64, s.fan_out, elements=FINITE)) for s in specs],
         [draw(arrays(np.float64, (s.fan_in, s.fan_out), elements=BITS)) for s in specs],
         seed=draw(st.none() | st.integers(0, 2**63 - 1)),
-        bias_masks=[draw(arrays(np.float64, s.fan_out, elements=BITS)) for s in specs],
-        mask_biases=draw(st.booleans()),
     )
 
 
@@ -274,23 +272,22 @@ def test_network_json_round_trip(tmp_path, net):
     loaded = load_network(path)
     assert loaded.specs == net.specs
     assert loaded.seed == net.seed
-    assert loaded.mask_biases == net.mask_biases
-    for name in ("weights", "biases", "masks", "bias_masks"):
+    for name in ("weights", "biases", "masks"):
         stored, restored = getattr(net, name), getattr(loaded, name)
         assert len(restored) == len(stored)
         assert all(np.array_equal(a, b) for a, b in zip(stored, restored))
 
 
-def test_network_json_round_trip_keeps_bias_masks():
+def test_network_json_accepts_unmasked_biases_and_refuses_masked_ones():
+    """A document's bias-mask rule may be false, and its bias masks are
+    ignored; masks gate weights only, so true is refused."""
     net = network_from_weights([(1, 1, "identity")], [[[1.0]]], [[1.0]])
-    net.mask_biases = True
-    view = apply_flat_mask(net, [1, 0])  # weight kept, bias cleared
-    assert forward(view, [0.0])[0] == 0.0
-    loaded = masknet.network_from_json(masknet.network_to_json(view))
-    np.testing.assert_array_equal(loaded.bias_masks[0], [0.0])
-    assert forward(loaded, [0.0])[0] == 0.0
-    with pytest.raises(ValueError, match="bias mask"):
-        masknet.network_from_json({**masknet.network_to_json(view), "bias_masks": [[2.0]]})
+    doc = masknet.network_to_json(net)
+    loaded = masknet.network_from_json({**doc, "mask_biases": False,
+                                        "bias_masks": [[0.0]]})
+    assert forward(loaded, [0.0])[0] == 1.0  # the bias enters unmasked
+    with pytest.raises(ValueError, match="^mask_biases: "):
+        masknet.network_from_json({**doc, "mask_biases": True})
 
 
 def test_network_json_seed_only_document():
@@ -343,30 +340,6 @@ def test_weights_unchanged_by_full_optimization_pass():
         np.testing.assert_array_equal(w, snap)
 
 
-def test_bias_masking_is_optional_and_off_by_default():
-    net = init_network(SPECS, seed=0)
-    assert net.total_maskable() == 12
-    net_b = init_network(SPECS, seed=0, mask_biases=True)
-    assert net_b.total_maskable() == 12 + 5
-
-
-def test_bias_bits_come_after_every_weight():
-    """Bit 12 + off_l + col clears bias col of layer l, after all 12 weights."""
-    net = init_network(SPECS, seed=0, mask_biases=True)
-    biases = [(layer, col) for layer, spec in enumerate(net.specs)
-              for col in range(spec.fan_out)]
-    for j, (layer, col) in enumerate(biases, start=12):
-        bits = np.ones(net.total_maskable(), dtype=np.uint8)
-        bits[j] = 0
-        view = apply_flat_mask(net, bits)
-        assert all(np.all(m == 1.0) for m in view.masks)
-        for i, b in enumerate(view.bias_masks):
-            expected = np.ones_like(b)
-            if i == layer:
-                expected[col] = 0.0
-            assert np.array_equal(b, expected)
-
-
 # ---------------------------------------------------------------------------
 # Batched mask costs against the one-mask view.
 
@@ -379,7 +352,7 @@ def random_networks(draw):
     specs = [(a, b, act) for a, b, act in
              zip(widths[:-1], widths[1:], [*hidden, "identity"])]
     seed = draw(st.integers(0, 2**32 - 1))
-    net = init_network(specs, seed, mask_biases=draw(st.booleans()))
+    net = init_network(specs, seed)
     assume(net.total_maskable() <= 12)
     rng = np.random.default_rng(seed)
     net.biases = [rng.normal(size=b.shape) for b in net.biases]
@@ -402,8 +375,8 @@ def test_batch_losses_equal_per_mask_losses(drawn, n_samples):
 
 @st.composite
 def enumerable_networks(draw):
-    """1-3 layers with hidden widths 1-3 and output width 1-9, random biases
-    masked or not; at most 12 maskable bits."""
+    """1-3 layers with hidden widths 1-3 and output width 1-9, random biases;
+    at most 12 maskable bits."""
     widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     widths.append(draw(st.integers(1, 9)))
     hidden = draw(st.lists(st.sampled_from(["relu", "identity"]),
@@ -411,7 +384,7 @@ def enumerable_networks(draw):
     specs = [(a, b, act) for a, b, act in
              zip(widths[:-1], widths[1:], [*hidden, "identity"])]
     seed = draw(st.integers(0, 2**32 - 1))
-    net = init_network(specs, seed, mask_biases=draw(st.booleans()))
+    net = init_network(specs, seed)
     assume(net.total_maskable() <= 12)
     rng = np.random.default_rng(seed)
     net.biases = [rng.normal(size=b.shape) for b in net.biases]
@@ -435,22 +408,22 @@ def test_enumerate_losses_equal_batch_losses(drawn, n_samples, chunk, zeros):
 
 
 def test_table_plan_is_shared_by_shape_and_chunk_and_read_only():
-    """Networks of one shape and bias rule share the kernel's bookkeeping at
-    one chunk, a patched chunk gets its own, and no call can change it."""
+    """Networks of one shape share the kernel's bookkeeping at one chunk, a
+    patched chunk gets its own, and no call can change it."""
     layers = [(2, 3, "relu"), (3, 2, "identity")]
-    a, b = (init_network(layers, seed, mask_biases=True) for seed in (0, 1))
+    a, b = (init_network(layers, seed) for seed in (0, 1))
     rng = np.random.default_rng(0)
     data = Dataset(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)))
     masknet.enumerate_losses(a, data)
-    plan = masknet._table_plan(a.specs, True, masknet.ENUMERATION_CHUNK)
+    plan = masknet._table_plan(a.specs, masknet.ENUMERATION_CHUNK)
     with mock.patch.object(masknet, "_table_plan", wraps=masknet._table_plan) as spy:
         masknet.enumerate_losses(b, data)
         with mock.patch.object(masknet, "ENUMERATION_CHUNK", 4):
             small = masknet.enumerate_losses(b, data)
-    assert spy.call_args_list == [mock.call(b.specs, True, masknet.ENUMERATION_CHUNK),
-                                  mock.call(b.specs, True, 4)]
-    assert masknet._table_plan(b.specs, True, masknet.ENUMERATION_CHUNK) is plan
-    assert masknet._table_plan(b.specs, True, 4).m == 2 != plan.m
+    assert spy.call_args_list == [mock.call(b.specs, masknet.ENUMERATION_CHUNK),
+                                  mock.call(b.specs, 4)]
+    assert masknet._table_plan(b.specs, masknet.ENUMERATION_CHUNK) is plan
+    assert masknet._table_plan(b.specs, 4).m == 2 != plan.m
     assert np.array_equal(small, masknet.enumerate_losses(b, data))
     for array in (*plan.ranks, plan.free, plan.reps, plan.shift, plan.axes):
         assert not array.flags.writeable
@@ -467,8 +440,8 @@ def test_table_prices_the_last_layer_once_per_column_pattern(monkeypatch):
     batches = []
     masked_layer = masknet._masked_layer
 
-    def spy(net, i, z, mask, bias_mask=None):
-        layer = masked_layer(net, i, z, mask, bias_mask)
+    def spy(net, i, z, mask):
+        layer = masked_layer(net, i, z, mask)
         if i == net.depth - 1:
             batches.append(layer[1].shape[:2])  # (mask patterns, prefix patterns)
         return layer
@@ -545,13 +518,10 @@ def test_slices_equal_the_layout_table_scatter(drawn, n_samples):
     net, rng = drawn
     xs = rng.normal(size=(n_samples, net.input_dim))
     rows = rng.integers(0, 2, size=(8, net.total_maskable())).astype(np.uint8)
-    masks, bias_masks = reference.layout_masks(net, rows)
-    expected = masknet.masked_layers(net, xs, masks,
-                                     bias_masks if net.mask_biases else None)[-1][1]
+    masks = reference.layout_masks(net, rows)
+    expected = masknet.masked_layers(net, xs, masks)[-1][1]
     assert masknet.batch_forward(net, rows, xs).tobytes() == expected.tobytes()
     for k, row in enumerate(rows):
         view = apply_flat_mask(net, row)
         for ours, theirs in zip(view.masks, masks, strict=True):
             assert ours.tobytes() == theirs[k].tobytes()
-        for ours, theirs in zip(view.bias_masks, bias_masks, strict=True):
-            assert ours.tobytes() == theirs[k, 0].tobytes()

@@ -268,7 +268,6 @@ def test_table_shape_for_k1():
     model = make_nkesn(n_outputs=5, k=1, reservoir_size=20, seed=4)
     table = build_table(model, sequence_data())
     assert table.shape == (2, 5)
-    assert model.landscape.table is table  # filled lazily onto the landscape
 
 
 def test_table_entries_match_direct_evaluation_with_fillers():
