@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from qns import anneal, masknet, oracle
-from qns.qsim import DiagonalCostHamiltonian, MixerSpec, ring_graph
+from qns.qsim import DiagonalCostHamiltonian, Mixer, MixerSpec
 
 # Task seed 38 plants a unique zero-loss mask among 2^6 candidates.
 net_seed, mask_seed, data_seed = np.random.SeedSequence(38).generate_state(3)
@@ -55,8 +55,7 @@ print(f"\nsweep written to {out.name}")
 # agree. The uniform start is the *transverse-field* ground state, not the
 # bit-flip mixer's, so the same schedule stalls near the uniform baseline:
 # graph mixers need their own initial-state and schedule tuning.
-sched = anneal.AnnealSchedule(150.0, steps=1500,
-                              mixer=MixerSpec.bit_flip(ring_graph(h.n_qubits)))
+sched = anneal.AnnealSchedule(150.0, steps=1500, mixer=MixerSpec(Mixer.BIT_FLIP_RING))
 result = anneal.anneal(h, sched)
 print(f"bit-flip ring mixer, same schedule: p_ground = {result.p_ground:.4f} "
       f"(baseline {len(ground) / h.dim:.4f})")

@@ -8,7 +8,7 @@ Hamiltonian. Every reported value respects the variational bound.
 import numpy as np
 
 from qns import masknet, oracle, variational
-from qns.qsim import DiagonalCostHamiltonian
+from qns.qsim import DiagonalCostHamiltonian, midpoint_ramp
 
 net_seed, mask_seed, data_seed = np.random.SeedSequence(38).generate_state(3)
 net = masknet.init_network([(2, 2, "relu"), (2, 1, "identity")], int(net_seed))
@@ -38,7 +38,7 @@ for layers in (1, 2):
           f"(gap to optimum {gap:.4f})")
 
 # A linear-ramp schedule with many shallow blocks mimics slow annealing.
-ramp = variational.linear_ramp_params(p=64, total_time=30.0)
+ramp = variational.QaoaParams(*midpoint_ramp(30.0, 64))
 state = variational.qaoa_state(h, ramp)
 best = int(np.argmin(h.costs))
 print(f"\nlinear ramp, p=64, T=30: P(optimal mask) = "

@@ -28,7 +28,7 @@ GROUND_ATOL = 1e-12
 class AnnealSchedule:
     total_time: float
     steps: int = DEFAULT_TROTTER_STEPS
-    mixer: MixerSpec = field(default_factory=MixerSpec.transverse_field)
+    mixer: MixerSpec = field(default_factory=MixerSpec)
 
     def __post_init__(self):
         if not self.total_time > 0:
@@ -45,9 +45,9 @@ class AnnealResult:
     final_expectation: float
 
 
-def ground_states(h_c: DiagonalCostHamiltonian, atol: float = GROUND_ATOL) -> np.ndarray:
-    """Indices of every basis state within ``atol`` of the minimum cost."""
-    return np.flatnonzero(h_c.costs <= h_c.costs.min() + atol)
+def ground_states(h_c: DiagonalCostHamiltonian) -> np.ndarray:
+    """Indices of every basis state within GROUND_ATOL of the minimum cost."""
+    return np.flatnonzero(h_c.costs <= h_c.costs.min() + GROUND_ATOL)
 
 
 def anneal(h_c: DiagonalCostHamiltonian, sched: AnnealSchedule) -> AnnealResult:

@@ -21,7 +21,7 @@ from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import eigsh
 from scipy.special import jv
 
-from .qsim import MixerSpec
+from .qsim import MixerSpec, ring_graph
 
 # Bessel coefficients below this size end the Chebyshev expansion; each
 # dropped term moves a unit-norm state by at most twice its coefficient.
@@ -34,18 +34,16 @@ _SPECTRAL_MARGIN = 1e-6
 
 
 def mixer_sparse(mixer: MixerSpec, n_qubits: int) -> sparse.csr_matrix:
-    """CSR matrix B of a bit-flip mixer, 1.0 wherever a flip is allowed."""
-    if mixer.graph is None or len(mixer.graph) != n_qubits:
-        raise ValueError(f"bit-flip mixer graph must have exactly {n_qubits} vertices")
+    """CSR matrix B of the ring bit-flip mixer, 1.0 wherever a flip is allowed."""
     dim = 1 << n_qubits
     idx = np.arange(dim)
     b = mixer.target_bit
     flips = []
-    for v in range(n_qubits):
+    for v, neighbours in enumerate(ring_graph(n_qubits)):
         # The 1/2^d(v) prefactor cancels against the neighbor projectors,
         # leaving matrix element 1 exactly when every neighbor equals b.
         allowed = np.ones(dim, dtype=bool)
-        for w in mixer.graph[v]:
+        for w in neighbours:
             allowed &= ((idx >> w) & 1) == b
         src = idx[allowed]
         flips.append((src ^ (1 << v), src))
@@ -54,7 +52,7 @@ def mixer_sparse(mixer: MixerSpec, n_qubits: int) -> sparse.csr_matrix:
 
 
 def chebyshev_operator(mixer: MixerSpec, n_qubits: int) -> tuple[sparse.csr_matrix, float]:
-    """(2B/r as a complex CSR matrix, r) for a bit-flip mixer B.
+    """(2B/r as a complex CSR matrix, r) for the ring bit-flip mixer B.
 
     B is symmetric and nonnegative, so its largest eigenvalue is its spectral
     radius; every flip changes the parity of the Hamming weight, so the

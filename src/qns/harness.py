@@ -31,8 +31,7 @@ from . import distill as distill_mod
 from . import edgepopup, masknet, nkesn, oracle, search
 from .bitstrings import bits_to_index
 from .grover import GroverConfig
-from .qsim import MixerSpec, max_qubits
-from .search import Mixer
+from .qsim import Mixer, MixerSpec, max_qubits
 
 
 class ConfigError(ValueError):
@@ -129,7 +128,7 @@ def _check_layers(layers) -> None:
 
 _MIXER_PARAMS = {
     "mixer": Param(Mixer, Mixer.TRANSVERSE_FIELD),
-    "target_bit": Param(int, 0, lambda v: MixerSpec.bit_flip((), v)),
+    "target_bit": Param(int, 0, lambda v: MixerSpec(Mixer.BIT_FLIP_RING, v)),
 }
 
 # the methods that search a selection task's 2^bits cost table, and their defaults
@@ -478,7 +477,8 @@ def _run_edge_popup(cfg, seed, task):
                            net.total_maskable())
     train_cfg = edgepopup.PopupTrainConfig(seed=seed, **cfg.params)
     result = edgepopup.popup_train(net, data, train_cfg)
-    loss = result.loss_curve[-1] if result.loss_curve else masknet.dataset_loss(net, data)
+    loss = (result.loss_curve[-1] if result.loss_curve
+            else edgepopup.masked_loss(net, result.final_masks, data))
     return {
         "loss": float(loss),
         "success": bool(loss < eps),

@@ -96,7 +96,7 @@ def make_reservoir(size: int, input_dim: int, spectral_radius: float = 0.9,
 
 
 def reservoir_step(r: Reservoir, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Linear recurrence z' = W_res z + W_in x (no nonlinearity)."""
+    """Linear recurrence z' = W_res z + W_in x, with no squashing function."""
     z = np.asarray(z, dtype=np.float64)
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if z.shape != (r.size,):
@@ -106,41 +106,30 @@ def reservoir_step(r: Reservoir, z: np.ndarray, x: np.ndarray) -> np.ndarray:
     return r.w_res @ z + r.w_in @ x
 
 
-def run_reservoir(r: Reservoir, inputs: np.ndarray, z0: np.ndarray | None = None,
-                  nonlinearity: str = "identity") -> np.ndarray:
-    """Roll the recurrence over a (T, input_dim) sequence; returns (T, size).
+def run_reservoir(r: Reservoir, inputs: np.ndarray) -> np.ndarray:
+    """Roll the linear recurrence from z = 0 over a (T, input_dim) sequence;
+    returns (T, size).
 
+    The NK outputs' ``activation`` acts on the readout, never on the state.
     The input drive ``inputs @ W_in.T`` is computed once, into the returned
     array. Each step writes ``W_res z`` into one work vector through the
     bound ``W_res.dot`` (the matrix-vector product ``W_res @ z`` runs) and
     adds it to its row in place, so no step allocates a vector. At
     ``input_dim`` 1 the states equal a :func:`reservoir_step` loop bit for
     bit; at larger widths the drive's dot products may round differently in
-    the last place. ``nonlinearity="tanh"`` wraps each step in tanh, the
-    conventional reservoir variant; the default keeps the recurrence linear.
+    the last place.
     """
-    if nonlinearity not in ("identity", "tanh"):
-        raise ValueError(f"unknown nonlinearity {nonlinearity!r}")
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    z = np.zeros(r.size) if z0 is None else np.asarray(z0, dtype=np.float64)
-    if z.shape != (r.size,):
-        raise ValueError(f"state shape {z.shape} != ({r.size},)")
     if inputs.shape[1:] != (r.input_dim,):
         raise ValueError(f"input shape {inputs.shape[1:]} != ({r.input_dim},)")
     states = inputs @ r.w_in.T
+    z = np.zeros(r.size)
     recurrent = np.empty(r.size)
     dot = r.w_res.dot
-    if nonlinearity == "tanh":
-        for row in states:
-            dot(z, recurrent)
-            row += recurrent
-            np.tanh(row, out=row)
-            z = row
-    else:
-        for row in states:
-            dot(z, recurrent)
-            row += recurrent
-            z = row
+    for row in states:
+        dot(z, recurrent)
+        row += recurrent
+        z = row
     return states
 
 

@@ -4,8 +4,9 @@ Everything a register-level search needs: uniform superposition, tensor
 products of single-qubit gates over the whole register, diagonal phase oracles,
 mean-inversion diffusion, diagonal cost Hamiltonians and their phases,
 mixer operators and their exponential (the one kernel shared by annealing
-and QAOA: the transverse field as one tensor product, the bit-flip mixer as
-a Chebyshev expansion over a sparse matrix on its exact spectral interval),
+and QAOA: the transverse field as one tensor product, the bit-flip mixer,
+always on the ring of :func:`ring_graph`, as a Chebyshev expansion over a
+sparse matrix on its exact spectral interval),
 Trotterized annealing evolution, expectation values, and non-destructive
 Born-rule sampling.
 
@@ -187,9 +188,9 @@ class DiagonalCostHamiltonian:
         return 1 << self.n_qubits
 
 
-class MixerKind(Enum):
+class Mixer(str, Enum):
     TRANSVERSE_FIELD = "transverse_field"
-    BIT_FLIP_GRAPH = "bit_flip_graph"
+    BIT_FLIP_RING = "bit_flip_ring"
 
 
 @dataclass(frozen=True)
@@ -197,27 +198,18 @@ class MixerSpec:
     """Exploration Hamiltonian for annealing and QAOA blocks.
 
     TRANSVERSE_FIELD is -sum_v X_v, whose ground state is the uniform
-    superposition. BIT_FLIP_GRAPH flips vertex v only when every neighbor
-    of v (in ``graph``) sits in the ``target_bit`` state.
+    superposition. BIT_FLIP_RING flips qubit v only when every neighbour
+    of v on the ring (:func:`ring_graph`) sits in the ``target_bit`` state;
+    the ring is the only bit-flip graph. ``kind`` may be given by value.
     """
 
-    kind: MixerKind
-    graph: tuple[tuple[int, ...], ...] | None = None
+    kind: Mixer = Mixer.TRANSVERSE_FIELD
     target_bit: int = 0
 
-    @staticmethod
-    def transverse_field() -> "MixerSpec":
-        return MixerSpec(MixerKind.TRANSVERSE_FIELD)
-
-    @staticmethod
-    def bit_flip(graph, target_bit: int = 0) -> "MixerSpec":
-        adj = tuple(tuple(int(w) for w in nbrs) for nbrs in graph)
-        for v, nbrs in enumerate(adj):
-            if v in nbrs:
-                raise ValueError(f"vertex {v} has a self-loop")
-        if target_bit not in (0, 1):
-            raise ValueError(f"target_bit must be 0 or 1, got {target_bit}")
-        return MixerSpec(MixerKind.BIT_FLIP_GRAPH, adj, target_bit)
+    def __post_init__(self):
+        object.__setattr__(self, "kind", Mixer(self.kind))
+        if self.target_bit not in (0, 1):
+            raise ValueError(f"target_bit must be 0 or 1, got {self.target_bit}")
 
 
 def ring_graph(n: int) -> tuple[tuple[int, ...], ...]:
@@ -438,7 +430,7 @@ def apply_mixer(state: StateVector, mixer: MixerSpec, beta: float) -> StateVecto
     Neither forms a dense 2^n x 2^n matrix, so both run up to
     :func:`max_qubits`.
     """
-    if mixer.kind is MixerKind.TRANSVERSE_FIELD:
+    if mixer.kind is Mixer.TRANSVERSE_FIELD:
         return apply_product(state, _transverse_gates([beta])[0])
     state.amplitudes = _bit_flip_propagator(mixer, state.n_qubits)(_complex(state), beta)
     return state
@@ -482,7 +474,7 @@ def apply_layers(state: StateVector, h_c: DiagonalCostHamiltonian,
     if h_c.n_qubits != n:
         raise ValueError(f"h_c acts on {h_c.n_qubits} qubits, state has {n}")
     distinct, index = h_c.levels
-    transverse = mixer.kind is MixerKind.TRANSVERSE_FIELD
+    transverse = mixer.kind is Mixer.TRANSVERSE_FIELD
     propagate = None if transverse else _bit_flip_propagator(mixer, n)
     chunk = max(1, min(_LAYER_CHUNK, _CHUNK_PHASES // distinct.size))
     phase = np.empty(h_c.dim, dtype=np.complex128)

@@ -7,7 +7,6 @@ The global search of a run (:mod:`qns.harness`), each distillation block
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -19,18 +18,13 @@ from .oracle import CostOracle, count_solutions
 from .qsim import (
     DEFAULT_TROTTER_STEPS,
     DiagonalCostHamiltonian,
+    Mixer,
     MixerSpec,
     measure,
-    ring_graph,
     within_table,
 )
 
 LOCAL_MAX_RESTARTS = 8  # Grover restarts of a distillation block or an NK output
-
-
-class Mixer(str, Enum):
-    TRANSVERSE_FIELD = "transverse_field"
-    BIT_FLIP_RING = "bit_flip_ring"
 
 
 _MIXER = {"mixer": Mixer.TRANSVERSE_FIELD, "target_bit": 0}
@@ -79,12 +73,6 @@ class Selection:
                 **self.fields}
 
 
-def _mixer(params: dict, n_bits: int) -> MixerSpec:
-    if Mixer(params["mixer"]) is Mixer.BIT_FLIP_RING:
-        return MixerSpec.bit_flip(ring_graph(n_bits), params["target_bit"])
-    return MixerSpec.transverse_field()
-
-
 def select(method: str, h: DiagonalCostHamiltonian, epsilon: float, params: dict,
            seed: int, shared: dict | None = None) -> Selection:
     """Run ``method`` (``exhaustive``, ``grover``, ``anneal``, ``qaoa`` or
@@ -121,7 +109,7 @@ def select(method: str, h: DiagonalCostHamiltonian, epsilon: float, params: dict
         return scored(bits_to_index(result.bits), result.oracle_calls, **fields)
 
     if method == "anneal":
-        mixer = _mixer(params, h.n_qubits)
+        mixer = MixerSpec(params["mixer"], params["target_bit"])
         key = (params["total_time"], params["steps"], mixer)
         runs = shared.setdefault("anneal", {})
         if key not in runs:
@@ -132,7 +120,7 @@ def select(method: str, h: DiagonalCostHamiltonian, epsilon: float, params: dict
         fields = {"p_ground": result.p_ground,
                   "final_expectation": result.final_expectation}
     elif method == "qaoa":
-        mixer = _mixer(params, h.n_qubits)
+        mixer = MixerSpec(params["mixer"], params["target_bit"])
         memo = shared.setdefault("qaoa", {}).setdefault(mixer, {})
         result = variational.qaoa_optimize(h, params["p"], params["budget"], seed,
                                            mixer, memo=memo)
@@ -146,8 +134,7 @@ def select(method: str, h: DiagonalCostHamiltonian, epsilon: float, params: dict
     else:
         ansatz = variational.make_ansatz(h.n_qubits, params["layers"], seed)
         result = variational.vqe_run(h, ansatz, params["budget"], seed)
-        state = variational.ansatz_state(variational.VqeAnsatz(
-            ansatz.layers, result.best_params, ansatz.entangler))
+        state = variational.ansatz_state(variational.VqeAnsatz(ansatz.layers, result.best_params))
     if method != "anneal":
         fields = {"best_expectation": within_table(result.best_value, h),
                   "evaluations": len(result.trace)}

@@ -2,10 +2,10 @@
 
 QAOA alternates exact diagonal cost phases exp(-i*gamma*H_C) with mixer
 exponentials exp(-i*beta*H_0), on complex128 amplitudes; the VQE ansatz
-stacks per-qubit Ry layers with a ring of controlled-Z entanglers, each Ry
-layer applied as one tensor product (the first, on |0...0>, as a product
-state) and the CZ ring as one cached +-1 diagonal, on float64 amplitudes
-(see :func:`ansatz_state`). Both are driven by a seeded, derivative-free
+stacks per-qubit Ry layers, each followed by the ring of controlled-Z
+gates, its one entangler. Each Ry layer is applied as one tensor product
+(the first, on |0...0>, as a product state) and the CZ ring as one cached
++-1 diagonal, on float64 amplitudes (see :func:`ansatz_state`). Both are driven by a seeded, derivative-free
 simplex optimizer with random restarts.
 
 The optimizer is Nelder-Mead (Nelder & Mead, Comput. J. 7, 308, 1965),
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -29,7 +28,6 @@ from .qsim import (
     _product_blocks,
     apply_layers,
     expectation,
-    midpoint_ramp,
     ring_graph,
     uniform_superposition,
 )
@@ -65,18 +63,12 @@ class QaoaParams:
         return np.concatenate([self.gammas, self.betas])
 
 
-class Entangler(Enum):
-    RING_CZ = "ring_cz"
-    NONE = "none"
-
-
 @dataclass
 class VqeAnsatz:
-    """L layers of per-qubit Ry rotations, each followed by the entangler."""
+    """L layers of per-qubit Ry rotations, each followed by the CZ ring."""
 
     layers: int
     thetas: np.ndarray
-    entangler: Entangler = Entangler.RING_CZ
 
     def __post_init__(self):
         self.thetas = np.asarray(self.thetas, dtype=np.float64)
@@ -92,12 +84,10 @@ class VqeAnsatz:
         return self.thetas.shape[1]
 
 
-def make_ansatz(n_qubits: int, layers: int, seed,
-                entangler: Entangler = Entangler.RING_CZ,
-                init_scale: float = 0.5) -> VqeAnsatz:
-    rng = np.random.default_rng(seed)
-    thetas = rng.uniform(-init_scale, init_scale, size=(layers, n_qubits))
-    return VqeAnsatz(layers, thetas, entangler)
+def make_ansatz(n_qubits: int, layers: int, seed) -> VqeAnsatz:
+    """The ansatz with every theta drawn uniformly from [-0.5, 0.5]."""
+    thetas = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(layers, n_qubits))
+    return VqeAnsatz(layers, thetas)
 
 
 @lru_cache(maxsize=4)  # one 16-qubit entry holds 512 kB
@@ -127,7 +117,6 @@ def ansatz_state(ansatz: VqeAnsatz) -> StateVector:
     an exact zero (see ``qsim._apply_block``).
     """
     state = StateVector(ansatz.n_qubits)  # checks n before any 2^n array
-    n = state.n_qubits
     half = ansatz.thetas.T / 2.0
     # Ry(theta) = [[cos, -sin], [sin, cos]] of theta/2, one per (qubit, layer)
     gates = np.empty(half.shape + (2, 2))
@@ -135,7 +124,7 @@ def ansatz_state(ansatz: VqeAnsatz) -> StateVector:
     gates[..., 1, 0] = np.sin(half)
     gates[..., 0, 1] = -gates[..., 1, 0]
     blocks = _product_blocks(gates)
-    signs = _ring_cz_signs(n) if ansatz.entangler is Entangler.RING_CZ else None
+    signs = _ring_cz_signs(state.n_qubits)
     amp = np.ones(1)
     for block in blocks:  # layer 1 on |0...0>: its first columns' product
         amp = np.multiply.outer(block[0, :, 0], amp).reshape(-1)
@@ -143,8 +132,7 @@ def ansatz_state(ansatz: VqeAnsatz) -> StateVector:
         if layer:
             for block in blocks:
                 amp = _apply_block(amp, block[layer])
-        if signs is not None:
-            amp *= signs
+        amp *= signs
     state.amplitudes = amp
     return state
 
@@ -152,7 +140,7 @@ def ansatz_state(ansatz: VqeAnsatz) -> StateVector:
 def qaoa_state(h_c: DiagonalCostHamiltonian, params: QaoaParams,
                mixer: MixerSpec | None = None) -> StateVector:
     """Apply p blocks of U(gamma_j) then U(beta_j) to the uniform state."""
-    mixer = mixer or MixerSpec.transverse_field()
+    mixer = mixer or MixerSpec()
     return apply_layers(uniform_superposition(h_c.n_qubits), h_c, mixer,
                         params.gammas, params.betas)
 
@@ -286,7 +274,7 @@ def qaoa_optimize(h_c: DiagonalCostHamiltonian, p: int, budget: int, seed,
     is looked up, not simulated again. A looked-up value is the one a fresh
     evaluation gives, so the result does not depend on the memo.
     """
-    mixer = mixer or MixerSpec.transverse_field()
+    mixer = mixer or MixerSpec()
     memo = {} if memo is None else memo
 
     def objective(vec):
@@ -311,14 +299,10 @@ def vqe_run(h_c: DiagonalCostHamiltonian, ansatz: VqeAnsatz, budget: int,
     shape = ansatz.thetas.shape
 
     def objective(vec):
-        trial = VqeAnsatz(ansatz.layers, vec.reshape(shape), ansatz.entangler)
+        trial = VqeAnsatz(ansatz.layers, vec.reshape(shape))
         return expectation(ansatz_state(trial), h_c)
 
     result = optimize_variational(objective, ansatz.thetas.ravel(), budget, seed)
     result.best_params = result.best_params.reshape(shape)
     return result
 
-
-def linear_ramp_params(p: int, total_time: float) -> QaoaParams:
-    """Annealing-style schedule: gamma ramps up, beta ramps down, step dt = T/p."""
-    return QaoaParams(*midpoint_ramp(total_time, p))

@@ -65,7 +65,7 @@ from qns.edgepopup import (
 from qns.bitflip import _BESSEL_CUTOFF
 from qns.masknet import Activation, LayerSpec
 from qns.qsim import (
-    MixerKind,
+    Mixer,
     MixerSpec,
     StateVector,
     _complex,
@@ -74,7 +74,7 @@ from qns.qsim import (
     cost_phase,
     uniform_superposition,
 )
-from qns.variational import Entangler, OptimizeResult, _ring_cz_signs
+from qns.variational import OptimizeResult, _ring_cz_signs
 
 
 def _sample_mask(thetas, rng):
@@ -226,19 +226,19 @@ def mixer_dense(mixer, n_qubits: int) -> np.ndarray:
 
     The transverse field -sum_v X_v has -1 between every two patterns one bit
     flip apart. The bit-flip mixer has 1 from x to x with bit v flipped
-    exactly when every graph neighbour of v holds the target bit in x.
+    exactly when every ring neighbour of v, v - 1 and v + 1 mod n other than
+    v itself, holds the target bit in x.
     """
     dim = 1 << n_qubits
     h = np.zeros((dim, dim))
-    if mixer.kind is MixerKind.TRANSVERSE_FIELD:
+    if mixer.kind is Mixer.TRANSVERSE_FIELD:
         for x in range(dim):
             for v in range(n_qubits):
                 h[x ^ (1 << v), x] = -1.0
         return h
-    if len(mixer.graph) != n_qubits:
-        raise ValueError(f"bit-flip mixer graph must have exactly {n_qubits} vertices")
     for x in range(dim):
-        for v, neighbours in enumerate(mixer.graph):
+        for v in range(n_qubits):
+            neighbours = {(v - 1) % n_qubits, (v + 1) % n_qubits} - {v}
             if all((x >> w) & 1 == mixer.target_bit for w in neighbours):
                 h[x ^ (1 << v), x] = 1.0
     return h
@@ -289,7 +289,7 @@ def apply_layers(state, h_c, mixer, gammas, betas):
 
 def qaoa_state(h_c, params, mixer=None):
     """p QAOA blocks from the uniform state, each phase over the full cost table."""
-    mixer = mixer or MixerSpec.transverse_field()
+    mixer = mixer or MixerSpec()
     return apply_layers(uniform_superposition(h_c.n_qubits), h_c, mixer,
                         params.gammas, params.betas)
 
@@ -302,11 +302,9 @@ def ansatz_state(ansatz):
     cos, sin = np.cos(half), np.sin(half)
     # Ry(theta) = [[cos, -sin], [sin, cos]] of theta/2, one per (layer, qubit)
     gates = np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
-    ring = ansatz.entangler is Entangler.RING_CZ
     for layer in gates:
         apply_product(state, layer)
-        if ring:
-            state.amplitudes *= _ring_cz_signs(ansatz.n_qubits)
+        state.amplitudes *= _ring_cz_signs(ansatz.n_qubits)
     return state
 
 

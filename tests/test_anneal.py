@@ -12,7 +12,7 @@ from qns.anneal import (
     anneal,
     ground_states,
 )
-from qns.qsim import DiagonalCostHamiltonian, MixerSpec, ring_graph
+from qns.qsim import DiagonalCostHamiltonian, Mixer, MixerSpec
 
 
 def gapped_instance(seed, n=3, floor=0.3):
@@ -63,7 +63,7 @@ def test_trotter_evolution_matches_ode_integration():
     rng = np.random.default_rng(17)
     costs = rng.uniform(0, 1, 8)
     h = DiagonalCostHamiltonian(3, costs)
-    mixer = MixerSpec.transverse_field()
+    mixer = MixerSpec()
     total_time = 3.0
 
     hm = mixer_dense(mixer, 3)
@@ -103,7 +103,7 @@ def test_anneal_result_is_a_distribution_over_the_table(table, transverse,
                                                         total_time, steps):
     n, costs, _ = table
     h = DiagonalCostHamiltonian(n, costs)
-    mixer = MixerSpec.transverse_field() if transverse else MixerSpec.bit_flip(ring_graph(n))
+    mixer = MixerSpec() if transverse else MixerSpec(Mixer.BIT_FLIP_RING)
     result = anneal(h, AnnealSchedule(total_time, steps, mixer))
     assert result.final_state.norm_error() <= 1e-12
     probs = result.final_state.probabilities()
@@ -116,7 +116,7 @@ def test_anneal_result_is_a_distribution_over_the_table(table, transverse,
 
 def test_bit_flip_mixer_anneal_preserves_norm():
     h = gapped_instance(seed=5)
-    sched = AnnealSchedule(20.0, steps=400, mixer=MixerSpec.bit_flip(ring_graph(3)))
+    sched = AnnealSchedule(20.0, steps=400, mixer=MixerSpec(Mixer.BIT_FLIP_RING))
     result = anneal(h, sched)
     assert result.final_state.norm_error() < 1e-6
 

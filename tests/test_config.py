@@ -35,6 +35,8 @@ BAD_CONFIGS = [
     ("anneal-steps-bool", config("anneal", {"steps": True}), "method_params.steps"),
     ("target-bit-transverse", config("anneal", {"target_bit": 1}),
      "method_params.target_bit"),
+    ("target-bit-two", config("qaoa", {"mixer": "bit_flip_ring", "target_bit": 2}),
+     "method_params.target_bit"),
     ("unknown-k-string", config("grover", {"unknown_k": "no"}),
      "method_params.unknown_k"),
     ("exhaustive-stray-key", config("exhaustive", {"foo": 1}), "method_params.foo"),

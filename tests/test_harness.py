@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qns
-from qns import cli, harness, masknet, search, variational
+from qns import cli, edgepopup, harness, masknet, search, variational
 from qns.bitstrings import all_patterns
 from qns.harness import ConfigError, ExperimentConfig, compare, format_compare_table, run
 from qns.qsim import measure
@@ -670,6 +671,23 @@ def test_method_runners_produce_metrics(tmp_path, method, params):
     record = run(ExperimentConfig.from_dict(doc))
     metrics = record["per_seed"][0]["metrics"]
     assert "loss" in metrics and "success" in metrics
+
+
+@pytest.mark.parametrize("topk_fraction", [None, 0.5])
+def test_edge_popup_without_epochs_reports_its_final_masks_loss(tmp_path, topk_fraction):
+    # no epoch leaves the angles at zero: the threshold rule keeps every
+    # weight, and the top-k rule the first half of each layer's weights
+    doc = config_doc(method="edge_popup", out=str(tmp_path), seeds=[1], epsilon=1.0,
+                     method_params={"epochs": 0, "topk_fraction": topk_fraction})
+    doc["task"].update(layers=[[2, 4, "relu"], [4, 1, "identity"]], seed=3)
+    cfg = ExperimentConfig.from_dict(doc)
+    metrics = run(cfg)["per_seed"][0]["metrics"]
+    net, data = harness.build_selection_task(cfg.task)
+    rule = (edgepopup.threshold_mask if topk_fraction is None
+            else partial(edgepopup.topk_mask, fraction=topk_fraction))
+    masks = [rule(np.zeros_like(w)) for w in net.weights]
+    assert metrics["loss_curve"] == []
+    assert metrics["loss"] == edgepopup.masked_loss(net, masks, data)
 
 
 def test_nk_esn_runner(tmp_path):

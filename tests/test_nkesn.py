@@ -65,13 +65,13 @@ def test_reservoir_state_decays_without_input():
     assert np.linalg.norm(z) < 1e-2 * z0
 
 
-def test_run_reservoir_shapes_and_tanh_variant():
+def test_run_reservoir_shapes_and_zero_start():
     r = make_reservoir(12, 1, seed=2)
     inputs = np.linspace(-1, 1, 30)[:, None]
     states = run_reservoir(r, inputs)
     assert states.shape == (30, 12)
-    squashed = run_reservoir(r, inputs, nonlinearity="tanh")
-    assert np.all(np.abs(squashed) <= 1.0)
+    # z starts at zero, so the first state is the first input's drive alone
+    np.testing.assert_array_equal(states[0], r.w_in @ inputs[0])
 
 
 def test_reservoir_step_validates_shapes():
@@ -82,35 +82,27 @@ def test_reservoir_step_validates_shapes():
         reservoir_step(r, np.zeros(10), np.zeros(2))
 
 
-def stepped_states(r, inputs, z0=None, nonlinearity="identity"):
-    """Reference roll: one reservoir_step per input row."""
-    z = np.zeros(r.size) if z0 is None else z0
+def stepped_states(r, inputs):
+    """Reference roll from z = 0: one reservoir_step per input row."""
+    z = np.zeros(r.size)
     states = []
     for x in inputs:
         z = reservoir_step(r, z, x)
-        if nonlinearity == "tanh":
-            z = np.tanh(z)
         states.append(z)
     return np.array(states)
 
 
-@pytest.mark.parametrize("nonlinearity", ["identity", "tanh"])
-@pytest.mark.parametrize("with_z0", [False, True])
-def test_run_reservoir_equals_step_loop_bit_for_bit(nonlinearity, with_z0):
+def test_run_reservoir_equals_step_loop_bit_for_bit():
     r = make_reservoir(30, 1, seed=3)
     inputs = sequence_data(400).inputs
-    z0 = np.random.default_rng(1).normal(size=30) if with_z0 else None
-    expected = stepped_states(r, inputs, z0, nonlinearity)
-    np.testing.assert_array_equal(run_reservoir(r, inputs, z0, nonlinearity), expected)
+    np.testing.assert_array_equal(run_reservoir(r, inputs), stepped_states(r, inputs))
 
 
-@pytest.mark.parametrize("nonlinearity", ["identity", "tanh"])
-def test_run_reservoir_equals_step_loop_at_benchmark_size(nonlinearity):
+def test_run_reservoir_equals_step_loop_at_benchmark_size():
     """Size 40 over 8,000 steps, the benchmark's NK reservoirs."""
     r = make_reservoir(40, 1, seed=6)
     inputs = sequence_data(8000).inputs
-    np.testing.assert_array_equal(run_reservoir(r, inputs, nonlinearity=nonlinearity),
-                                  stepped_states(r, inputs, None, nonlinearity))
+    np.testing.assert_array_equal(run_reservoir(r, inputs), stepped_states(r, inputs))
 
 
 def test_run_reservoir_wide_input_matches_step_loop():
@@ -118,24 +110,14 @@ def test_run_reservoir_wide_input_matches_step_loop():
     may round differently from per-step ones when input_dim > 1."""
     r = make_reservoir(30, 3, seed=4)
     inputs = np.random.default_rng(2).normal(size=(400, 3))
-    for nonlinearity in ("identity", "tanh"):
-        np.testing.assert_allclose(run_reservoir(r, inputs, nonlinearity=nonlinearity),
-                                   stepped_states(r, inputs, None, nonlinearity),
-                                   rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(run_reservoir(r, inputs), stepped_states(r, inputs),
+                               rtol=1e-13, atol=1e-13)
 
 
 def test_run_reservoir_validates_shapes():
     r = make_reservoir(10, 1, seed=0)
-    with pytest.raises(ValueError, match=r"state shape \(9,\) != \(10,\)"):
-        run_reservoir(r, np.zeros((5, 1)), z0=np.zeros(9))
     with pytest.raises(ValueError, match=r"input shape \(2,\) != \(1,\)"):
         run_reservoir(r, np.zeros((5, 2)))
-
-
-def test_run_reservoir_rejects_unknown_nonlinearity():
-    r = make_reservoir(10, 1, seed=0)
-    with pytest.raises(ValueError, match="unknown nonlinearity 'relu'"):
-        run_reservoir(r, np.zeros((5, 1)), nonlinearity="relu")
 
 
 def test_nilpotent_reservoir_draw_is_a_method_failure():

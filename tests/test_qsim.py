@@ -21,6 +21,7 @@ from qns import bitflip, qsim
 from qns.bitstrings import all_patterns, bits_to_index, bits_to_string, index_to_bits
 from qns.qsim import (
     DiagonalCostHamiltonian,
+    Mixer,
     MixerSpec,
     StateVector,
     apply_diffusion,
@@ -218,8 +219,8 @@ def test_real_gates_keep_a_real_state_real(n, seed, shared):
     assert np.all(stored_complex.amplitudes.imag == 0)
 
 
-@pytest.mark.parametrize("mixer", [MixerSpec.transverse_field(),
-                                   MixerSpec.bit_flip(ring_graph(6))])
+@pytest.mark.parametrize("mixer", [MixerSpec(),
+                                   MixerSpec(Mixer.BIT_FLIP_RING)])
 def test_real_state_promoted_to_complex_gives_the_complex_states_bytes(mixer):
     n = 6
     rng = np.random.default_rng(41)
@@ -245,7 +246,7 @@ def test_sixteen_qubit_layers_match_per_qubit_loop():
     n = 16
     start = random_state(n, 3)
     beta = 0.83
-    tf = qsim.apply_mixer(start.copy(), MixerSpec.transverse_field(), beta)
+    tf = qsim.apply_mixer(start.copy(), MixerSpec(), beta)
     u = np.array([[math.cos(beta), 1j * math.sin(beta)],
                   [1j * math.sin(beta), math.cos(beta)]])
     expected = apply_per_qubit(start.copy(), [u] * n)
@@ -421,24 +422,27 @@ def test_ring_graph_shapes():
     assert ring_graph(4) == ((3, 1), (0, 2), (1, 3), (2, 0))
 
 
-def test_bit_flip_rejects_self_loops():
-    with pytest.raises(ValueError):
-        MixerSpec.bit_flip(((0,), (0,)))
-    with pytest.raises(ValueError):
-        MixerSpec.bit_flip(((1,), (0,)), target_bit=2)
+def test_mixer_spec_takes_a_kind_name_and_rejects_a_bad_kind_or_target_bit():
+    assert MixerSpec("bit_flip_ring", 1) == MixerSpec(Mixer.BIT_FLIP_RING, 1)
+    assert MixerSpec().kind is Mixer.TRANSVERSE_FIELD
+    with pytest.raises(ValueError, match="target_bit must be 0 or 1, got 2"):
+        MixerSpec(Mixer.BIT_FLIP_RING, 2)
+    with pytest.raises(ValueError, match="bit_flip_graph"):
+        MixerSpec("bit_flip_graph")
 
 
-def test_bit_flip_rejects_wrong_vertex_count():
-    mixer = MixerSpec.bit_flip(ring_graph(3))
-    with pytest.raises(ValueError, match="4 vertices"):
-        qsim.apply_mixer(uniform_superposition(4), mixer, 1.0)
+@pytest.mark.parametrize("n", [1, 2, 3])  # no neighbours, a path, a ring
+@pytest.mark.parametrize("b", [0, 1])
+def test_mixer_sparse_equals_the_ring_reference_entry_by_entry(n, b):
+    mixer = MixerSpec(Mixer.BIT_FLIP_RING, b)
+    np.testing.assert_array_equal(bitflip.mixer_sparse(mixer, n).toarray(),
+                                  mixer_dense(mixer, n))
 
 
 def test_transverse_field_dense_matches_kron():
     n = 3
     expected = -sum(kron_on(X, q, n) for q in range(n))
-    np.testing.assert_allclose(
-        mixer_dense(MixerSpec.transverse_field(), n), expected)
+    np.testing.assert_allclose(mixer_dense(MixerSpec(), n), expected)
 
 
 @pytest.mark.parametrize("n,b", [(2, 0), (4, 0), (6, 1)])
@@ -452,7 +456,7 @@ def test_bit_flip_dense_matches_product_formula(n, b):
         for w in graph[v]:
             term = term @ (np.eye(dim) + ((-1) ** b) * kron_on(Z, w, n))
         expected += term
-    got = mixer_dense(MixerSpec.bit_flip(graph, b), n)
+    got = mixer_dense(MixerSpec(Mixer.BIT_FLIP_RING, b), n)
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -461,7 +465,7 @@ def test_bit_flip_only_reaches_allowed_flips():
     n = 5
     graph = ring_graph(n)
     b = 0
-    h = mixer_dense(MixerSpec.bit_flip(graph, b), n)
+    h = mixer_dense(MixerSpec(Mixer.BIT_FLIP_RING, b), n)
     for x in range(1 << n):
         reached = np.flatnonzero(h[:, x])
         allowed = set()
@@ -477,7 +481,7 @@ def test_bit_flip_only_reaches_allowed_flips():
 def test_evolve_constant_costs_keeps_uniform():
     h = DiagonalCostHamiltonian(3, np.full(8, 2.5))
     s = uniform_superposition(3)
-    evolve(s, h, MixerSpec.transverse_field(), total_time=10.0, steps=200)
+    evolve(s, h, MixerSpec(), total_time=10.0, steps=200)
     np.testing.assert_allclose(s.probabilities(), 1 / 8, atol=1e-9)
 
 
@@ -487,7 +491,7 @@ def test_evolve_concentrates_on_planted_minimum():
     costs[5] = 0.0
     h = DiagonalCostHamiltonian(3, costs)
     s = uniform_superposition(3)
-    evolve(s, h, MixerSpec.transverse_field(), total_time=100.0, steps=2000)
+    evolve(s, h, MixerSpec(), total_time=100.0, steps=2000)
     probs = s.probabilities()
     assert np.argmax(probs) == 5
     assert all(probs[5] > probs[i] for i in range(8) if i != 5)
@@ -496,7 +500,7 @@ def test_evolve_concentrates_on_planted_minimum():
 def test_evolve_trotter_refinement_converges():
     rng = np.random.default_rng(12)
     h = DiagonalCostHamiltonian(3, rng.uniform(0, 1, 8))
-    mixer = MixerSpec.transverse_field()
+    mixer = MixerSpec()
     s400 = uniform_superposition(3)
     evolve(s400, h, mixer, total_time=1.0, steps=400)
     s800 = uniform_superposition(3)
@@ -508,7 +512,7 @@ def test_evolve_norm_preserved_over_full_schedule():
     rng = np.random.default_rng(8)
     h = DiagonalCostHamiltonian(4, rng.uniform(0, 2, 16))
     s = uniform_superposition(4)
-    evolve(s, h, MixerSpec.bit_flip(ring_graph(4)), total_time=50.0, steps=800)
+    evolve(s, h, MixerSpec(Mixer.BIT_FLIP_RING), total_time=50.0, steps=800)
     assert s.norm_error() < 1e-6
 
 
@@ -516,17 +520,17 @@ def test_evolve_validates_arguments():
     h = DiagonalCostHamiltonian(2, np.zeros(4))
     s = uniform_superposition(2)
     with pytest.raises(ValueError):
-        evolve(s, h, MixerSpec.transverse_field(), total_time=0.0, steps=10)
+        evolve(s, h, MixerSpec(), total_time=0.0, steps=10)
     with pytest.raises(ValueError):
-        evolve(s, h, MixerSpec.transverse_field(), total_time=1.0, steps=0)
+        evolve(s, h, MixerSpec(), total_time=1.0, steps=0)
     with pytest.raises(ValueError):
-        evolve(s, DiagonalCostHamiltonian(3, np.zeros(8)), MixerSpec.transverse_field(), 1.0)
+        evolve(s, DiagonalCostHamiltonian(3, np.zeros(8)), MixerSpec(), 1.0)
 
 
 def test_hamiltonian_holds_a_read_only_copy_of_its_costs():
     costs = np.linspace(-1.0, 1.0, 8)
     h = DiagonalCostHamiltonian(3, costs)
-    mixer = MixerSpec.transverse_field()
+    mixer = MixerSpec()
     with pytest.raises(ValueError):
         h.costs[0] = 5.0
     first = evolve(uniform_superposition(3), h, mixer, 1.0, steps=4).amplitudes
@@ -584,7 +588,7 @@ def test_evolve_equals_the_full_table_phase_loop_bit_for_bit(
         table, transverse, total_time, steps, seed):
     n, costs = table
     h = DiagonalCostHamiltonian(n, costs)
-    mixer = MixerSpec.transverse_field() if transverse else MixerSpec.bit_flip(ring_graph(n))
+    mixer = MixerSpec() if transverse else MixerSpec(Mixer.BIT_FLIP_RING)
     start = signed_zero_state(n, seed)
     got = evolve(start.copy(), h, mixer, total_time, steps)
     want = reference.evolve(start.copy(), h, mixer, total_time, steps)
@@ -616,7 +620,7 @@ def test_apply_layers_equals_the_full_table_per_layer_loop_bit_for_bit(
         table, transverse, angles, chunk_phases, seed):
     n, costs = table
     h = DiagonalCostHamiltonian(n, costs)
-    mixer = MixerSpec.transverse_field() if transverse else MixerSpec.bit_flip(ring_graph(n))
+    mixer = MixerSpec() if transverse else MixerSpec(Mixer.BIT_FLIP_RING)
     start = signed_zero_state(n, seed)
     with mock.patch.object(qsim, "_CHUNK_PHASES", chunk_phases):
         got = qsim.apply_layers(start.copy(), h, mixer, *angles)
@@ -626,7 +630,7 @@ def test_apply_layers_equals_the_full_table_per_layer_loop_bit_for_bit(
 
 def test_apply_layers_rejects_unequal_angles_and_a_foreign_hamiltonian():
     h = DiagonalCostHamiltonian(3, np.zeros(8))
-    tf = MixerSpec.transverse_field()
+    tf = MixerSpec()
     with pytest.raises(ValueError, match="gammas .* and betas .* equal length"):
         qsim.apply_layers(uniform_superposition(3), h, tf, [0.1, 0.2], [0.3])
     with pytest.raises(ValueError, match="gammas .* 1-d"):
@@ -639,7 +643,7 @@ def test_bit_flip_evolve_has_no_dense_limit(monkeypatch):
     monkeypatch.setenv("QNS_MAX_QUBITS", "16")
     n = 13
     h = DiagonalCostHamiltonian(n, np.random.default_rng(3).uniform(0, 1, 1 << n))
-    s = evolve(uniform_superposition(n), h, MixerSpec.bit_flip(ring_graph(n)), 2.0, steps=3)
+    s = evolve(uniform_superposition(n), h, MixerSpec(Mixer.BIT_FLIP_RING), 2.0, steps=3)
     assert s.norm_error() < 1e-9
 
 
@@ -647,36 +651,20 @@ def test_transverse_field_evolve_has_no_dense_limit(monkeypatch):
     monkeypatch.setenv("QNS_MAX_QUBITS", "16")
     n = 13
     h = DiagonalCostHamiltonian(n, np.random.default_rng(3).uniform(0, 1, 1 << n))
-    s = evolve(uniform_superposition(n), h, MixerSpec.transverse_field(), 2.0, steps=3)
+    s = evolve(uniform_superposition(n), h, MixerSpec(), 2.0, steps=3)
     assert s.norm_error() < 1e-9
-
-
-def graph_from_draws(n, edge_draws):
-    """Adjacency list over n vertices from (a, b) draws taken mod n, loops dropped."""
-    graph = [set() for _ in range(n)]
-    for a, b in edge_draws:
-        a, b = a % n, b % n
-        if a != b:
-            graph[a].add(b)
-            graph[b].add(a)
-    return [sorted(nbrs) for nbrs in graph]
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 8),
-    edge_draws=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=16),
     transverse=st.booleans(),
     target_bit=st.integers(0, 1),
     beta=st.floats(-4.0, 4.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_apply_mixer_matches_dense_exponential(n, edge_draws, transverse,
-                                               target_bit, beta, seed):
-    if transverse:
-        mixer = MixerSpec.transverse_field()
-    else:
-        mixer = MixerSpec.bit_flip(graph_from_draws(n, edge_draws), target_bit)
+def test_apply_mixer_matches_dense_exponential(n, transverse, target_bit, beta, seed):
+    mixer = MixerSpec() if transverse else MixerSpec(Mixer.BIT_FLIP_RING, target_bit)
     s = random_state(n, seed)
     expected = expm(-1j * beta * mixer_dense(mixer, n)) @ s.amplitudes
     qsim.apply_mixer(s, mixer, beta)
@@ -685,7 +673,7 @@ def test_apply_mixer_matches_dense_exponential(n, edge_draws, transverse,
 
 def test_sparse_bit_flip_mixer_matches_dense_exponential_on_ring():
     n = 10
-    mixer = MixerSpec.bit_flip(ring_graph(n))
+    mixer = MixerSpec(Mixer.BIT_FLIP_RING)
     h = mixer_dense(mixer, n)
     start = random_state(n, 17)
     for beta in (0.0, 0.05, 1.0, math.pi, -3.0):
@@ -701,36 +689,28 @@ def test_sparse_bit_flip_mixer_matches_dense_exponential_on_ring():
 def test_bit_flip_mixer_matches_dense_exponential_at_large_beta(beta):
     # |beta| * R = 300 needs ~375 Chebyshev terms: the degree must grow with |beta|
     n = 10
-    mixer = MixerSpec.bit_flip(ring_graph(n))
+    mixer = MixerSpec(Mixer.BIT_FLIP_RING)
     start = random_state(n, 23)
     s = qsim.apply_mixer(start.copy(), mixer, beta)
     expected = expm(-1j * beta * mixer_dense(mixer, n)) @ start.amplitudes
     np.testing.assert_allclose(s.amplitudes, expected, rtol=0, atol=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(1, 8),
-    edge_draws=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=16),
-    target_bit=st.integers(0, 1),
-)
-def test_bit_flip_row_count_bounds_spectral_radius(n, edge_draws, target_bit):
+@settings(deadline=None)
+@given(n=st.integers(1, 8), target_bit=st.integers(0, 1))
+def test_bit_flip_row_count_bounds_spectral_radius(n, target_bit):
     # Gershgorin: the largest row count R bounds the spectrum (a looser
     # interval than the [-r, r] the Chebyshev expansion runs on)
-    mixer = MixerSpec.bit_flip(graph_from_draws(n, edge_draws), target_bit)
+    mixer = MixerSpec(Mixer.BIT_FLIP_RING, target_bit)
     r = np.diff(bitflip.mixer_sparse(mixer, n).indptr).max()
     radius = np.abs(np.linalg.eigvalsh(mixer_dense(mixer, n))).max()
     assert r >= radius - 1e-12
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(1, 8),
-    edge_draws=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=16),
-    target_bit=st.integers(0, 1),
-)
-def test_bit_flip_chebyshev_interval_is_the_spectral_radius(n, edge_draws, target_bit):
-    mixer = MixerSpec.bit_flip(graph_from_draws(n, edge_draws), target_bit)
+@settings(deadline=None)
+@given(n=st.integers(1, 8), target_bit=st.integers(0, 1))
+def test_bit_flip_chebyshev_interval_is_the_spectral_radius(n, target_bit):
+    mixer = MixerSpec(Mixer.BIT_FLIP_RING, target_bit)
     m, r = bitflip.chebyshev_operator(mixer, n)
     eig = np.linalg.eigvalsh(mixer_dense(mixer, n))
     radius = np.abs(eig).max()
@@ -741,26 +721,18 @@ def test_bit_flip_chebyshev_interval_is_the_spectral_radius(n, edge_draws, targe
                                rtol=1e-15, atol=0)
 
 
-def drawn_bit_flip_mixer(n, ring, edge_draws, target_bit):
-    graph = ring_graph(n) if ring else graph_from_draws(n, edge_draws)
-    return MixerSpec.bit_flip(graph, target_bit)
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(1, 8),
-    ring=st.booleans(),
-    edge_draws=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=16),
     target_bit=st.integers(0, 1),
     # x = beta * r: zero, tiny (degrees 1 and 2 below |x| ~ 1e-5, fewer
     # terms than work vectors), negative and up to |x| = 50 (~90 terms)
     x=st.one_of(st.just(0.0), st.floats(-1e-5, 1e-5), st.floats(-50.0, 50.0)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_chebyshev_propagate_equals_public_matvec_loop_bit_for_bit(
-        n, ring, edge_draws, target_bit, x, seed):
+def test_chebyshev_propagate_equals_public_matvec_loop_bit_for_bit(n, target_bit, x, seed):
     # the CSR kernel into reused buffers must give the bits of ``m @ cur``
-    m, r = bitflip.chebyshev_operator(drawn_bit_flip_mixer(n, ring, edge_draws, target_bit), n)
+    m, r = bitflip.chebyshev_operator(MixerSpec(Mixer.BIT_FLIP_RING, target_bit), n)
     v = random_state(n, seed).amplitudes
     before = v.tobytes()
     beta = x / r
@@ -773,18 +745,15 @@ def test_chebyshev_propagate_equals_public_matvec_loop_bit_for_bit(
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 8),
-    ring=st.booleans(),
-    edge_draws=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=16),
     target_bit=st.integers(0, 1),
     angles=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
                     min_size=1, max_size=3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_bit_flip_mixer_and_cost_phase_keep_component_mass(
-        n, ring, edge_draws, target_bit, angles, seed):
+def test_bit_flip_mixer_and_cost_phase_keep_component_mass(n, target_bit, angles, seed):
     # neither the bit-flip mixer nor a diagonal phase moves probability
     # between the connected components of the mixer's flip graph
-    mixer = drawn_bit_flip_mixer(n, ring, edge_draws, target_bit)
+    mixer = MixerSpec(Mixer.BIT_FLIP_RING, target_bit)
     _, labels = connected_components(bitflip.mixer_sparse(mixer, n), directed=False)
     costs = np.random.default_rng(seed).uniform(0.0, 1.0, 1 << n)
     s = random_state(n, seed)
@@ -804,7 +773,7 @@ def test_bit_flip_operator_rebuilds_identically():
     # eigsh starts from a fixed vector, so a rebuilt cache gives the same r
     # and so the same amplitudes
     n = 10
-    mixer = MixerSpec.bit_flip(ring_graph(n))
+    mixer = MixerSpec(Mixer.BIT_FLIP_RING)
     start = random_state(n, 29)
     _, r = bitflip.chebyshev_operator(mixer, n)
     first = qsim.apply_mixer(start.copy(), mixer, 3.0).amplitudes
@@ -818,7 +787,7 @@ def test_bit_flip_operator_rebuilds_identically():
 def test_bit_flip_mixer_matches_expm_multiply_at_18_qubits(monkeypatch):
     monkeypatch.setenv("QNS_MAX_QUBITS", "18")
     n, beta = 18, 3.0
-    mixer = MixerSpec.bit_flip(ring_graph(n))
+    mixer = MixerSpec(Mixer.BIT_FLIP_RING)
     start = random_state(n, 31)
     expected = expm_multiply(-1j * beta * bitflip.mixer_sparse(mixer, n), start.amplitudes)
     s = qsim.apply_mixer(start.copy(), mixer, beta)
@@ -828,7 +797,7 @@ def test_bit_flip_mixer_matches_expm_multiply_at_18_qubits(monkeypatch):
 def test_bit_flip_evolve_preserves_norm_at_14_qubits():
     n = 14
     h = DiagonalCostHamiltonian(n, np.random.default_rng(5).uniform(0, 1, 1 << n))
-    s = evolve(uniform_superposition(n), h, MixerSpec.bit_flip(ring_graph(n)), 40.0,
+    s = evolve(uniform_superposition(n), h, MixerSpec(Mixer.BIT_FLIP_RING), 40.0,
                steps=400)
     assert s.norm_error() < 1e-9
 
@@ -868,7 +837,7 @@ def test_norm_preserved_by_drawn_gate_sequences(n, ops):
         elif op == 1:
             apply_h(s, draw % n)
         elif op == 2:
-            qsim.apply_mixer(s, MixerSpec.transverse_field(), angle)
+            qsim.apply_mixer(s, MixerSpec(), angle)
         elif op == 3:
             apply_product(s, random_gates(n, draw))
         elif op == 4:

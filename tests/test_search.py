@@ -5,9 +5,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qns import search, variational
-from qns.qsim import DiagonalCostHamiltonian
+from qns.qsim import DiagonalCostHamiltonian, Mixer
 
-MIXERS = st.sampled_from(list(search.Mixer))
+MIXERS = st.sampled_from(list(Mixer))
 
 # small settings per method, so that one example stays in the milliseconds
 _PARAMS = {

@@ -14,21 +14,20 @@ from reference import apply_cz, apply_ry, mixer_dense
 from qns import anneal, oracle
 from qns.qsim import (
     DiagonalCostHamiltonian,
+    Mixer,
     MixerSpec,
     StateVector,
     evolve,
     expectation,
     measure,
-    ring_graph,
+    midpoint_ramp,
     uniform_superposition,
 )
 from qns.variational import (
-    Entangler,
     _ring_cz_signs,
     QaoaParams,
     VqeAnsatz,
     ansatz_state,
-    linear_ramp_params,
     make_ansatz,
     optimize_variational,
     qaoa_expectation,
@@ -70,8 +69,7 @@ def test_beta_zero_keeps_distribution_uniform_exactly():
 def test_single_block_matches_dense_exponentials(mixer_name):
     """Independent oracle: multiply the two dense matrix exponentials."""
     h = random_instance(2, 2)
-    mixer = (MixerSpec.transverse_field() if mixer_name == "transverse"
-             else MixerSpec.bit_flip(ring_graph(2)))
+    mixer = MixerSpec() if mixer_name == "transverse" else MixerSpec(Mixer.BIT_FLIP_RING)
     gamma, beta = 0.7, 0.4
     state = qaoa_state(h, QaoaParams([gamma], [beta]), mixer)
     u = expm(-1j * beta * mixer_dense(mixer, 2)) @ expm(-1j * gamma * np.diag(h.costs))
@@ -102,7 +100,7 @@ def test_linear_ramp_qaoa_approaches_annealing():
     h = random_instance(3, 7)
     total_time = 12.0
     p = 48
-    state = qaoa_state(h, linear_ramp_params(p, total_time))
+    state = qaoa_state(h, QaoaParams(*midpoint_ramp(total_time, p)))
     ground = anneal.ground_states(h)
     p_qaoa = float(state.probabilities()[ground].sum())
     p_anneal = anneal.anneal(h, anneal.AnnealSchedule(total_time, steps=p)).p_ground
@@ -112,11 +110,10 @@ def test_linear_ramp_qaoa_approaches_annealing():
 @pytest.mark.parametrize("mixer_name", ["transverse", "bit_flip"])
 def test_annealing_is_linear_ramp_qaoa_bit_for_bit(mixer_name):
     h = random_instance(4, 11)
-    mixer = (MixerSpec.transverse_field() if mixer_name == "transverse"
-             else MixerSpec.bit_flip(ring_graph(4)))
+    mixer = MixerSpec() if mixer_name == "transverse" else MixerSpec(Mixer.BIT_FLIP_RING)
     total_time, steps = 7.5, 30
     annealed = evolve(uniform_superposition(4), h, mixer, total_time, steps)
-    ramped = qaoa_state(h, linear_ramp_params(steps, total_time), mixer)
+    ramped = qaoa_state(h, QaoaParams(*midpoint_ramp(total_time, steps)), mixer)
     assert np.array_equal(annealed.amplitudes, ramped.amplitudes)
 
 
@@ -132,7 +129,7 @@ def test_qaoa_state_equals_the_full_table_phase_loop_bit_for_bit(
         table, transverse, angles):
     n, costs = table
     h = DiagonalCostHamiltonian(n, costs)
-    mixer = MixerSpec.transverse_field() if transverse else MixerSpec.bit_flip(ring_graph(n))
+    mixer = MixerSpec() if transverse else MixerSpec(Mixer.BIT_FLIP_RING)
     params = QaoaParams(*zip(*angles))
     got = qaoa_state(h, params, mixer)
     assert got.amplitudes.tobytes() == reference.qaoa_state(h, params, mixer).amplitudes.tobytes()
@@ -259,11 +256,8 @@ def test_ansatz_validation():
     assert ansatz.thetas.shape == (2, 3)
 
 
-def test_ansatz_state_is_normalized_and_entangler_optional():
-    for entangler in (Entangler.RING_CZ, Entangler.NONE):
-        ansatz = make_ansatz(3, 2, seed=1, entangler=entangler)
-        state = ansatz_state(ansatz)
-        assert state.norm_error() < 1e-9
+def test_ansatz_state_is_normalized():
+    assert ansatz_state(make_ansatz(3, 2, seed=1)).norm_error() < 1e-9
 
 
 def _ring_edges(n):
@@ -285,16 +279,15 @@ def test_ring_cz_signs_equal_apply_cz_loop(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
-@pytest.mark.parametrize("entangler", list(Entangler))
-def test_ansatz_state_matches_gate_loop(n, entangler):
-    ansatz = make_ansatz(n, 3, seed=n, entangler=entangler, init_scale=3.0)
+def test_ansatz_state_matches_gate_loop(n):
+    # angles up to 3 rad, past make_ansatz's 0.5
+    ansatz = VqeAnsatz(3, np.random.default_rng(n).uniform(-3.0, 3.0, size=(3, n)))
     expected = StateVector(n)
     for layer in ansatz.thetas:
         for q, theta in enumerate(layer):
             apply_ry(expected, q, float(theta))
-        if entangler is Entangler.RING_CZ:
-            for a, b in _ring_edges(n):
-                apply_cz(expected, a, b)
+        for a, b in _ring_edges(n):
+            apply_cz(expected, a, b)
     np.testing.assert_allclose(ansatz_state(ansatz).amplitudes, expected.amplitudes,
                                rtol=0, atol=1e-13)
 
@@ -303,12 +296,12 @@ def test_ansatz_state_matches_gate_loop(n, entangler):
 @given(thetas=st.tuples(st.integers(1, 3), st.integers(1, 10)).flatmap(
            lambda shape: arrays(np.float64, shape,
                                 elements=st.floats(-2 * math.pi, 2 * math.pi))),
-       entangler=st.sampled_from(list(Entangler)), seed=st.integers(0, 2**32 - 1))
+       seed=st.integers(0, 2**32 - 1))
 # the benchmark's size: 2 layers at n = 12
-@example(thetas=make_ansatz(12, 2, 0).thetas, entangler=Entangler.RING_CZ, seed=0)
-def test_ansatz_state_is_the_real_part_of_the_complex_path(thetas, entangler, seed):
+@example(thetas=make_ansatz(12, 2, 0).thetas, seed=0)
+def test_ansatz_state_is_the_real_part_of_the_complex_path(thetas, seed):
     layers, n = thetas.shape
-    ansatz = VqeAnsatz(layers, thetas, entangler)
+    ansatz = VqeAnsatz(layers, thetas)
     state = ansatz_state(ansatz)
     stored_complex = reference.ansatz_state(ansatz)
     assert state.amplitudes.dtype == np.float64
