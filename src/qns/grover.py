@@ -1,10 +1,10 @@
 """Amplitude-amplification search over mask bitstrings.
 
-Wraps the simulator's phase-oracle/diffusion primitives into a verified
-search: measured candidates are always re-checked classically before being
-accepted, so a returned success is never a sampling fluke. Oracle-call
-accounting is at the query level: one call per oracle application inside
-the circuit plus one per classical verification.
+Builds each attempt's oracle+diffusion rounds from their closed form's two
+amplitudes (:func:`amplified_state`) into a verified search: measured
+candidates are always re-checked classically before being accepted, so a
+returned success is never a sampling fluke. Oracle-call accounting is at the
+query level: one call per oracle round plus one per classical verification.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from .bitstrings import bits_to_index, bits_to_string, index_to_bits
 from .oracle import CostOracle
-from .qsim import StateVector, apply_diffusion, apply_phase_oracle, measure, uniform_superposition
+from .qsim import StateVector, measure, uniform_superposition
 
 UNKNOWN_K_GROWTH = 6.0 / 5.0
 
@@ -63,18 +63,33 @@ def optimal_iterations(n_states: int, k: int) -> int:
     return max(1, math.floor(math.pi / 4.0 * math.sqrt(n_states / k)))
 
 
+def _amplified_angle(n_states: int, k: int, t: int) -> float:
+    """(2t+1) asin(sqrt(k/N)), the angle of the state after t rounds from the
+    uniform one (Boyer, Brassard, Hoyer & Tapp, Fortschr. Phys. 46, 493, 1998)."""
+    return (2 * t + 1) * math.asin(math.sqrt(k / n_states))
+
+
 def success_probability(n_states: int, k: int, t: int) -> float:
     """Closed form sin^2((2t+1) asin(sqrt(k/N))) for t oracle+diffusion rounds."""
-    theta = math.asin(math.sqrt(k / n_states))
-    return math.sin((2 * t + 1) * theta) ** 2
+    return math.sin(_amplified_angle(n_states, k, t)) ** 2
 
 
 def amplified_state(marked: np.ndarray, n_qubits: int, iterations: int) -> StateVector:
-    """Uniform state with ``iterations`` oracle+diffusion rounds applied."""
+    """Uniform state with ``iterations`` oracle+diffusion rounds applied.
+
+    The rounds leave sin(a)/sqrt(k) on each of the k states flagged in
+    ``marked`` and cos(a)/sqrt(N - k) on the rest, a = :func:`_amplified_angle`;
+    no round, no mark or every mark leaves the uniform state.
+    """
     state = uniform_superposition(n_qubits)
-    for _ in range(iterations):
-        apply_phase_oracle(state, marked)
-        apply_diffusion(state)
+    marked = np.asarray(marked, dtype=bool)
+    if marked.shape != (state.dim,):
+        raise ValueError(f"expected {state.dim} mark flags, got shape {marked.shape}")
+    k = int(np.count_nonzero(marked))
+    if iterations and 0 < k < state.dim:
+        a = _amplified_angle(state.dim, k, iterations)
+        state.amplitudes[:] = np.where(marked, math.sin(a) / math.sqrt(k),
+                                       math.cos(a) / math.sqrt(state.dim - k))
     return state
 
 
@@ -95,7 +110,7 @@ def _resolve_iterations(cfg: GroverConfig, n_states: int, k_marked: int) -> int:
 
 def _amplify_and_verify(o: CostOracle, marked: np.ndarray, t: int,
                         rng: np.random.Generator) -> tuple[np.ndarray, bool]:
-    """One attempt: t oracle+diffusion rounds, a measurement, a classical check.
+    """One attempt: t rounds (:func:`amplified_state`), a measurement, a classical check.
 
     Counts the t quantum queries on ``o.call_counter``; the attempt costs
     t + 1 oracle calls including the verification.
@@ -109,8 +124,8 @@ def _amplify_and_verify(o: CostOracle, marked: np.ndarray, t: int,
 def grover_search(o: CostOracle, cfg: GroverConfig) -> GroverResult:
     """Search for a pattern accepted by the oracle's threshold predicate.
 
-    Each restart prepares a fresh uniform state, runs the configured number
-    of oracle+diffusion iterations, measures, and verifies the candidate
+    Each restart prepares the state after the configured number of
+    oracle+diffusion iterations, measures it, and verifies the candidate
     classically. The reported ``oracle_calls`` is exactly
     iterations * restarts_used + restarts_used. The register has the
     oracle's ``n_bits`` qubits, so it is bounded by the ceiling its table is.

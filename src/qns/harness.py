@@ -259,6 +259,8 @@ def _check_combinations(cfg: "ExperimentConfig") -> None:
             for key in ("iterations", "known_k", "max_restarts"):
                 if key in written:
                     fail(f"method_params.{key}", "not used with unknown_k")
+        elif params["known_k"] is not None and params["iterations"] is not None:
+            fail("method_params.known_k", "not used with iterations")
         elif params["known_k"] is not None and params["known_k"] > 1 << bits:
             fail("method_params.known_k",
                  f"{params['known_k']} solutions among 2^{bits} masks")

@@ -1,12 +1,11 @@
 """Dense statevector simulation for small qubit registers.
 
 Everything a register-level search needs: uniform superposition, tensor
-products of single-qubit gates over the whole register, diagonal phase oracles,
-mean-inversion diffusion, diagonal cost Hamiltonians and their phases,
-mixer operators and their exponential (the one kernel shared by annealing
-and QAOA: the transverse field as one tensor product, the bit-flip mixer,
-always on the ring of :func:`ring_graph`, as a Chebyshev expansion over a
-sparse matrix on its exact spectral interval),
+products of single-qubit gates over the whole register, diagonal cost
+Hamiltonians and their phases, mixer operators and their exponential (the
+one kernel shared by annealing and QAOA: the transverse field as one tensor
+product, the bit-flip mixer, always on the ring of :func:`ring_graph`, as a
+Chebyshev expansion over a sparse matrix on its exact spectral interval),
 Trotterized annealing evolution, expectation values, and non-destructive
 Born-rule sampling.
 
@@ -32,7 +31,7 @@ over a (layers, levels) array, and its transverse-field blocks one
 Kronecker broadcast over the layers' gates, so a 400-step anneal at
 n = 12 builds 25 of each instead of 400.
 
-Grover, the anneal and QAOA run on complex128 amplitudes; the VQE ansatz
+The anneal and QAOA run on complex128 amplitudes; the VQE ansatz
 (``qns.variational``) runs on float64, since Ry gates and CZ signs are
 real. Its amplitudes are bit for bit the real part of the complex128 run
 (see :func:`_apply_block`). Its first layer, on |0...0>, is the product
@@ -334,42 +333,16 @@ def uniform_superposition(n_qubits: int) -> StateVector:
     return state
 
 
-def apply_phase_oracle(state: StateVector, marked) -> StateVector:
-    """Negate the amplitude of every basis state flagged in ``marked``.
-
-    ``marked`` is a boolean array of length 2^n. Unmarked amplitudes are
-    untouched, so the norm is preserved exactly.
-    """
-    flips = np.asarray(marked, dtype=bool)
-    if flips.shape != (state.dim,):
-        raise ValueError(f"expected {state.dim} mark flags, got shape {flips.shape}")
-    state.amplitudes[flips] *= -1.0
-    return state
-
-
-def apply_diffusion(state: StateVector) -> StateVector:
-    """Reflect about the uniform state: a_i -> 2*mean(a) - a_i."""
-    mean = state.amplitudes.mean()
-    state.amplitudes[:] = 2.0 * mean - state.amplitudes
-    return state
-
-
 def measure(state: StateVector, rng: np.random.Generator) -> int:
     """Draw one basis index with Born-rule probability |a_i|^2.
 
     Non-destructive: the state is left untouched so one prepared state can
-    be sampled repeatedly. Draws come from ``rng`` sequentially, so a fixed
-    seed reproduces the exact sample sequence.
+    be sampled repeatedly. Each call takes one ``rng.random()`` draw, so a
+    fixed seed reproduces the exact sample sequence.
     """
-    return int(sample(state, rng, 1)[0])
-
-
-def sample(state: StateVector, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized variant of :func:`measure` returning ``size`` indices."""
     p = state.probabilities()
     cum = np.cumsum(p / p.sum())
-    draws = rng.random(size)
-    return np.minimum(np.searchsorted(cum, draws, side="right"), state.dim - 1)
+    return int(min(np.searchsorted(cum, rng.random(), side="right"), state.dim - 1))
 
 
 def cost_phase(costs: np.ndarray, angle: float | np.ndarray) -> np.ndarray:

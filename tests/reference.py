@@ -16,7 +16,13 @@ scatter bit for bit.
 index. The single-qubit gates (``apply_ry``, ``apply_h``, ``apply_x``, ``apply_z``)
 take one pass over the state per gate, and ``apply_cz`` one pass per edge;
 ``qns.qsim.apply_product`` and the cached CZ-ring diagonal must agree with
-them. ``mixer_dense`` writes a mixer Hamiltonian entry by entry from its
+them. ``apply_phase_oracle`` and ``apply_diffusion`` are Grover's oracle and
+mean-inversion diffusion, one pass over the state each, and
+``amplified_state`` is the dense loop of t rounds of them from the uniform
+state; ``qns.grover.amplified_state``, built from the two amplitudes of the
+closed form, must give the same probabilities within rounding and the same
+measured index.
+``mixer_dense`` writes a mixer Hamiltonian entry by entry from its
 definition, for the exponentials that ``qns.qsim.apply_mixer`` must match.
 ``chebyshev_propagate`` is the Chebyshev loop on scipy's public sparse
 ``m @ v``, one new vector per term, that ``qns.bitflip.chebyshev_propagate``
@@ -215,6 +221,34 @@ def apply_cz(state, qubit_a: int, qubit_b: int):
     idx = np.arange(state.dim)
     both = (((idx >> qubit_a) & 1) & ((idx >> qubit_b) & 1)).astype(bool)
     state.amplitudes[both] *= -1.0
+    return state
+
+
+# ---------------------------------------------------------------------------
+# Grover's oracle and diffusion, and their dense loop.
+
+def apply_phase_oracle(state, marked):
+    """Negate the amplitude of every basis state flagged in ``marked``."""
+    flips = np.asarray(marked, dtype=bool)
+    if flips.shape != (state.dim,):
+        raise ValueError(f"expected {state.dim} mark flags, got shape {flips.shape}")
+    state.amplitudes[flips] *= -1.0
+    return state
+
+
+def apply_diffusion(state):
+    """Reflect about the uniform state: a_i -> 2*mean(a) - a_i."""
+    mean = state.amplitudes.mean()
+    state.amplitudes[:] = 2.0 * mean - state.amplitudes
+    return state
+
+
+def amplified_state(marked, n_qubits: int, iterations: int):
+    """The uniform state after ``iterations`` oracle+diffusion rounds."""
+    state = uniform_superposition(n_qubits)
+    for _ in range(iterations):
+        apply_phase_oracle(state, marked)
+        apply_diffusion(state)
     return state
 
 

@@ -52,6 +52,8 @@ BAD_CONFIGS = [
     ("qaoa-budget-negative", config("qaoa", {"budget": -3}), "method_params.budget"),
     ("known-k-too-large", config("grover", {"known_k": 10 ** 6}),
      "method_params.known_k"),
+    ("known-k-with-iterations", config("grover", {"iterations": 3, "known_k": 2}),
+     "method_params.known_k"),
 ]
 
 
@@ -177,6 +179,8 @@ def test_from_dict_resolves_or_names_a_method_param(teacher_file, method, data):
         assert resolved["mixer"] == "bit_flip_ring"
     if method == "grover" and resolved["unknown_k"]:
         assert not {"iterations", "known_k", "max_restarts"} & set(params)
+    if method == "grover" and resolved["iterations"] is not None:
+        assert resolved["known_k"] is None
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import LAYERS_6BIT, cost_tables, planted_oracle_with_k
 from qns.bitstrings import bits_to_index
 from qns.grover import (
@@ -17,6 +18,7 @@ from qns.grover import (
     success_probability,
 )
 from qns.oracle import CostOracle
+from qns.qsim import measure
 
 
 def column_oracle(costs, epsilon):
@@ -35,20 +37,45 @@ def test_optimal_iterations_formula():
         optimal_iterations(8, 9)
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8])
-@pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
-def test_statevector_success_matches_closed_form(n, k):
-    """Master analytic check: simulated success probability vs sin^2((2t+1) theta)."""
+@pytest.mark.parametrize("k,n", [(k, n) for k in (1, 2, 3, 5, 8) for n in (2, 4, 6, 8)
+                                  if k <= 1 << n])
+def test_statevector_success_matches_closed_form(k, n):
+    """Master analytic check: the dense oracle+diffusion loop's success
+    probability vs sin^2((2t+1) theta)."""
     n_states = 1 << n
-    if k > n_states:
-        pytest.skip("more solutions than states")
     rng = np.random.default_rng(n * 100 + k)
     marked = np.zeros(n_states, dtype=bool)
     marked[rng.choice(n_states, size=k, replace=False)] = True
     for t in range(0, optimal_iterations(n_states, k) + 2):
-        state = amplified_state(marked, n, t)
+        state = reference.amplified_state(marked, n, t)
         simulated = float(state.probabilities()[marked].sum())
         assert abs(simulated - success_probability(n_states, k, t)) < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), t=st.integers(0, 59), data=st.data())
+def test_closed_form_state_matches_the_dense_loop(n, t, data):
+    """The two-amplitude state gives the dense loop's probabilities within
+    1e-12 and the same measured index, for any marked set, empty and full
+    included."""
+    n_states = 1 << n
+    kind = data.draw(st.sampled_from(["empty", "full", "random"]))
+    marked = np.full(n_states, kind == "full")
+    if kind == "random":
+        fraction = data.draw(st.floats(0.0, 1.0))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        marked = np.random.default_rng(seed).random(n_states) < fraction
+    ours = amplified_state(marked, n, t)
+    dense = reference.amplified_state(marked, n, t)
+    assert np.max(np.abs(ours.probabilities() - dense.probabilities())) < 1e-12
+    for seed in range(5):
+        assert (measure(ours, np.random.default_rng(seed))
+                == measure(dense, np.random.default_rng(seed)))
+
+
+def test_amplified_state_rejects_a_marked_table_of_the_wrong_size():
+    with pytest.raises(ValueError, match="expected 8 mark flags"):
+        amplified_state(np.zeros(4, dtype=bool), 3, 1)
 
 
 def test_over_rotation_hurts():

@@ -1,4 +1,4 @@
-"""Statevector simulator: gates, oracle, diffusion, sampling, evolution."""
+"""Statevector simulator: gates, sampling, evolution; the reference Grover oracle and diffusion."""
 import math
 from unittest import mock
 
@@ -14,8 +14,8 @@ from scipy.sparse.linalg import expm_multiply
 import reference
 from conftest import phase_tables
 from reference import (
-    apply_single_qubit, apply_cz, apply_h, apply_ry, apply_x, apply_z,
-    basis_state, chebyshev_propagate, mixer_dense,
+    apply_single_qubit, apply_cz, apply_diffusion, apply_h, apply_phase_oracle,
+    apply_ry, apply_x, apply_z, basis_state, chebyshev_propagate, mixer_dense,
 )
 from qns import bitflip, qsim
 from qns.bitstrings import all_patterns, bits_to_index, bits_to_string, index_to_bits
@@ -24,15 +24,12 @@ from qns.qsim import (
     Mixer,
     MixerSpec,
     StateVector,
-    apply_diffusion,
-    apply_phase_oracle,
     apply_product,
     cost_phase,
     evolve,
     expectation,
     measure,
     ring_graph,
-    sample,
     uniform_superposition,
 )
 from qns.variational import _ring_cz_signs
@@ -273,7 +270,7 @@ def test_x_flips_and_z_signs_basis_states():
 
 
 # ---------------------------------------------------------------------------
-# Phase oracle.
+# Phase oracle (the dense Grover reference's).
 
 def test_oracle_no_marks_is_identity():
     s = random_state(3, 2)
@@ -310,7 +307,7 @@ def test_oracle_matches_predicate_brute_force(n):
 
 
 # ---------------------------------------------------------------------------
-# Diffusion.
+# Diffusion (the dense Grover reference's).
 
 def test_diffusion_fixes_uniform_state():
     s = uniform_superposition(3)
@@ -351,7 +348,7 @@ def test_measure_basis_state_is_deterministic():
 def test_measure_uniform_frequencies():
     s = uniform_superposition(2)
     rng = np.random.default_rng(42)
-    draws = sample(s, rng, 10000)
+    draws = [measure(s, rng) for _ in range(10000)]
     freqs = np.bincount(draws, minlength=4) / 10000
     np.testing.assert_allclose(freqs, 0.25, atol=0.03)  # binomial 3 sigma
 
@@ -362,9 +359,10 @@ def test_measure_is_seed_deterministic_and_non_destructive():
     a = [measure(s, np.random.default_rng(7)) for _ in range(5)]
     b = [measure(s, np.random.default_rng(7)) for _ in range(5)]
     assert a == b
-    seq1 = sample(s, np.random.default_rng(9), 50)
-    seq2 = sample(s, np.random.default_rng(9), 50)
-    np.testing.assert_array_equal(seq1, seq2)
+    rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
+    seq1 = [measure(s, rng1) for _ in range(50)]
+    seq2 = [measure(s, rng2) for _ in range(50)]
+    assert seq1 == seq2
     np.testing.assert_array_equal(s.amplitudes, before)
 
 
