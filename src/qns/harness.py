@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -591,9 +592,11 @@ def _config_hash(cfg: ExperimentConfig) -> str:
 def run(cfg: ExperimentConfig) -> dict:
     """Execute every seed, write an immutable record, return it.
 
-    The record path is timestamped so re-running never overwrites earlier
-    records. The metrics hash covers only the deterministic per-seed
-    payload; the call's ``work`` counts and the timings sit outside it.
+    The record is compact JSON with sorted keys. Its path is timestamped,
+    and the file is created exclusively, taking the next ``_N`` suffix when
+    the path is taken, so no run overwrites another's record. The metrics
+    hash covers only the deterministic per-seed payload; the call's
+    ``work`` counts and the timings sit outside it.
     """
     runner = _RUNNERS[cfg.method]
     task = _RunTask({"kind": cfg.task["kind"], **cfg.task_params})
@@ -618,12 +621,16 @@ def run(cfg: ExperimentConfig) -> dict:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%f")
-    path = out_dir / f"record_{cfg.method}_{stamp}.json"
-    counter = 0
-    while path.exists():
-        counter += 1
-        path = out_dir / f"record_{cfg.method}_{stamp}_{counter}.json"
-    path.write_text(json.dumps(record, indent=2, sort_keys=True))
+    text = json.dumps(record, sort_keys=True)
+    for counter in itertools.count():
+        suffix = f"_{counter}" if counter else ""
+        path = out_dir / f"record_{cfg.method}_{stamp}{suffix}.json"
+        try:
+            with path.open("x") as f:
+                f.write(text)
+        except FileExistsError:
+            continue
+        break
     record["path"] = str(path)
     return record
 

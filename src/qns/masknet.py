@@ -41,6 +41,9 @@ import numpy as np
 
 ENUMERATION_CHUNK = 1024  # mask patterns per kernel step: bounds its largest temporary
 PAIRWISE_MIN = 8  # NumPy sums a last axis this long or longer pairwise
+# layer outputs with this many rows of fan_out units or more take their bias
+# over whole rows of samples x fan_out: NumPy's inner loop is then that long
+BIAS_ROWS_MIN = 256
 
 
 class Activation(str, Enum):
@@ -186,8 +189,24 @@ def masked_layers(net: MaskedNetwork, z: np.ndarray,
 
 def _masked_layer(net: MaskedNetwork, i: int, z: np.ndarray,
                   mask) -> tuple[np.ndarray, np.ndarray]:
-    """(pre-activation, output) of layer i, ``z @ (mask * W) + b``."""
-    a = z @ (mask * net.weights[i]) + net.biases[i]
+    """(pre-activation, output) of layer i, ``z @ (mask * W) + b`` bit for bit.
+
+    The bias is added in place. On at least ``BIAS_ROWS_MIN`` rows of two or
+    more units, with more than one sample, it is added over whole rows of
+    samples x fan_out against the bias row tiled to that length, not in
+    loops fan_out wide. Either way each element gets the same ``a + b``.
+    """
+    a = z @ (mask * net.weights[i])
+    b = net.biases[i]
+    # the rows must be a view of a, hence C order
+    if (a.ndim > 1 and a.shape[-2] > 1 and len(b) > 1
+            and a.size >= BIAS_ROWS_MIN * len(b) and a.flags.c_contiguous):
+        row = np.empty(a.shape[-2:])
+        row[...] = b
+        rows = a.reshape(-1, row.size)
+        rows += row.reshape(-1)
+    else:
+        a += b
     return a, (np.maximum(a, 0.0) if net.specs[i].activation is Activation.RELU else a)
 
 

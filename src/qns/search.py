@@ -134,7 +134,7 @@ def select(method: str, h: DiagonalCostHamiltonian, epsilon: float, params: dict
     else:
         ansatz = variational.make_ansatz(h.n_qubits, params["layers"], seed)
         result = variational.vqe_run(h, ansatz, params["budget"], seed)
-        state = variational.ansatz_state(variational.VqeAnsatz(ansatz.layers, result.best_params))
+        state = result.best_state
     if method != "anneal":
         fields = {"best_expectation": within_table(result.best_value, h),
                   "evaluations": len(result.trace)}

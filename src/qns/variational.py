@@ -161,11 +161,13 @@ def qaoa_expectation(h_c: DiagonalCostHamiltonian, params: QaoaParams,
 @dataclass
 class OptimizeResult:
     """The best point found, its value, and every (point, value) evaluated.
-    QAOA gives ``best_params`` as :class:`QaoaParams`, VQE as a thetas matrix."""
+    QAOA gives ``best_params`` as :class:`QaoaParams`, VQE as a thetas matrix
+    and its ansatz state at that point as ``best_state``."""
 
     best_params: np.ndarray | QaoaParams
     best_value: float
     trace: list[tuple[np.ndarray, float]]
+    best_state: StateVector | None = None
 
 
 class _BudgetExhausted(Exception):
@@ -291,18 +293,25 @@ def qaoa_optimize(h_c: DiagonalCostHamiltonian, p: int, budget: int, seed,
 def vqe_run(h_c: DiagonalCostHamiltonian, ansatz: VqeAnsatz, budget: int,
             seed) -> OptimizeResult:
     """Minimize the ansatz expectation of the cost Hamiltonian over thetas;
-    ``best_params`` has the shape of ``ansatz.thetas``."""
+    ``best_params`` has the shape of ``ansatz.thetas``, and ``best_state`` is
+    the state the search evaluated there."""
     if ansatz.n_qubits != h_c.n_qubits:
         raise ValueError(
             f"ansatz acts on {ansatz.n_qubits} qubits, hamiltonian on {h_c.n_qubits}"
         )
     shape = ansatz.thetas.shape
+    best_value, best_state = math.inf, None
 
     def objective(vec):
-        trial = VqeAnsatz(ansatz.layers, vec.reshape(shape))
-        return expectation(ansatz_state(trial), h_c)
+        nonlocal best_value, best_state
+        state = ansatz_state(VqeAnsatz(ansatz.layers, vec.reshape(shape)))
+        value = expectation(state, h_c)
+        if value < best_value:  # optimize_variational's best-so-far rule
+            best_value, best_state = value, state
+        return value
 
     result = optimize_variational(objective, ansatz.thetas.ravel(), budget, seed)
     result.best_params = result.best_params.reshape(shape)
+    result.best_state = best_state
     return result
 

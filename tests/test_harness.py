@@ -95,9 +95,34 @@ def test_records_are_append_only(tmp_path):
 def test_record_file_content_matches_returned_record(tmp_path):
     cfg = ExperimentConfig.from_dict(config_doc(out=str(tmp_path)))
     record = run(cfg)
-    on_disk = json.loads(open(record["path"]).read())
-    assert on_disk["per_seed"] == record["per_seed"]
-    assert on_disk["hashes"] == record["hashes"]
+    text = open(record["path"]).read()
+    assert "\n" not in text  # compact: one line
+    on_disk = json.loads(text)
+    assert on_disk == {key: value for key, value in record.items() if key != "path"}
+    assert on_disk["hashes"]["metrics"] == harness._sha256(
+        [entry["metrics"] for entry in on_disk["per_seed"]])
+
+
+def test_run_never_overwrites_a_record_at_its_stamped_path(tmp_path, monkeypatch):
+    """Another run's record already at the stamped path stays untouched, even
+    when an existence probe would miss it (a second process between probe
+    and write): the file is created exclusively."""
+    stamp = harness.datetime(2026, 1, 2, 3, 4, 5, 678901, tzinfo=harness.timezone.utc)
+
+    class FixedClock(harness.datetime):
+        @classmethod
+        def now(cls, tz=None):
+            return stamp
+
+    monkeypatch.setattr(harness, "datetime", FixedClock)
+    cfg = ExperimentConfig.from_dict(config_doc(out=str(tmp_path)))
+    taken = tmp_path / "record_grover_20260102T030405678901.json"
+    taken.write_text("another run's record")
+    monkeypatch.setattr(Path, "exists", lambda self: False)
+    record = run(cfg)
+    assert taken.read_text() == "another run's record"
+    assert record["path"] == str(tmp_path / "record_grover_20260102T030405678901_1.json")
+    assert json.loads(Path(record["path"]).read_text())["hashes"] == record["hashes"]
 
 
 def test_config_hash_ignores_output_dir_and_input_location(tmp_path):

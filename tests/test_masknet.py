@@ -452,6 +452,46 @@ def test_table_prices_the_last_layer_once_per_column_pattern(monkeypatch):
     assert sum(prefix for _, prefix in batches) == 16
 
 
+@settings(max_examples=200, deadline=None)
+@given(layout=st.sampled_from(["vector", "samples", "stacks", "patterns"]),
+       fan_in=st.integers(1, 3), fan_out=st.integers(1, 4),
+       n_samples=st.integers(1, 40), n_prefix=st.integers(1, 8),
+       n_patterns=st.integers(1, 8), relu=st.booleans(),
+       rows_min=st.sampled_from([1, masknet.BIAS_ROWS_MIN]),
+       seed=st.integers(0, 2**32 - 1))
+def test_masked_layer_equals_product_plus_bias_bit_for_bit(
+        layout, fan_in, fan_out, n_samples, n_prefix, n_patterns, relu, rows_min, seed):
+    """Whether the bias goes in over rows of samples x fan_out or fan_out
+    at a time, ``_masked_layer`` gives ``z @ (mask * W) + b`` bit for bit,
+    signed zeros included, on every input layout the network passes it:
+    one vector, (samples, fan_in), edge-popup's (samples, 1, fan_in)
+    stacks and the table kernel's (1, prefix, samples, fan_in) under
+    (patterns, 1, fan_in, fan_out) masks."""
+    rng = np.random.default_rng(seed)
+    # layer 0 is under test; a network must end in an identity layer
+    specs = [(fan_in, fan_out, "relu" if relu else "identity"), (fan_out, 1, "identity")]
+    net = network_from_weights(
+        specs, [with_signed_zeros(rng, rng.normal(size=(i, o)), 0.2) for i, o, _ in specs],
+        [with_signed_zeros(rng, rng.normal(size=o), 0.5) for _, o, _ in specs])
+    z_shape, mask_shape = {
+        "vector": ((fan_in,), (fan_in, fan_out)),
+        "samples": ((n_samples, fan_in), (fan_in, fan_out)),
+        "stacks": ((n_samples, 1, fan_in), (fan_in, fan_out)),
+        "patterns": ((1, n_prefix, n_samples, fan_in), (n_patterns, 1, fan_in, fan_out)),
+    }[layout]
+    z = with_signed_zeros(rng, rng.normal(size=z_shape), 0.2)
+    mask = rng.integers(0, 2, size=mask_shape)
+    expected = z @ (mask * net.weights[0]) + net.biases[0]
+    with mock.patch.object(masknet, "BIAS_ROWS_MIN", rows_min):
+        a, out = masknet._masked_layer(net, 0, z, mask)
+    assert a.shape == expected.shape
+    assert np.array_equal(a, expected)
+    assert np.array_equal(np.signbit(a), np.signbit(expected))
+    expected_out = np.maximum(expected, 0.0) if relu else expected
+    assert np.array_equal(out, expected_out)
+    assert np.array_equal(np.signbit(out), np.signbit(expected_out))
+
+
 @settings(max_examples=100, deadline=None)
 @given(x=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 12),
                                       st.integers(1, 12)),

@@ -342,6 +342,19 @@ def test_vqe_gets_close_to_minimum_on_most_seeds():
     assert hits >= 8
 
 
+@pytest.mark.parametrize("n, layers, budget", [(2, 2, 60), (3, 1, 40), (4, 2, 7)])
+def test_vqe_best_state_is_the_ansatz_state_at_the_best_point(n, layers, budget):
+    """The state vqe_run keeps is the one a fresh ``ansatz_state`` gives at
+    ``best_params``, bit for bit, and the best value is its expectation."""
+    h = random_instance(n, 30 + n)
+    ansatz = make_ansatz(n, layers, seed=n)
+    result = vqe_run(h, ansatz, budget=budget, seed=n)
+    fresh = ansatz_state(VqeAnsatz(ansatz.layers, result.best_params))
+    assert np.array_equal(result.best_state.amplitudes, fresh.amplitudes)
+    assert result.best_value == expectation(fresh, h)
+    assert result.best_value == min(value for _, value in result.trace)
+
+
 def test_vqe_rejects_mismatched_sizes():
     h = random_instance(3, 0)
     with pytest.raises(ValueError):
