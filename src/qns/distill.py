@@ -271,6 +271,8 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
             report.oracle_calls = chosen.oracle_calls
             report.epsilon = eps
         reports.append(report)
+        if i + 1 == len(pair.blocks):
+            break  # nothing reads the last block's chained output
 
         # Chain: next block sees this block's compressed masked output (or
         # the teacher's own activations in the comparison variant).

@@ -5,10 +5,13 @@ A JSON config names a method, a task, method parameters, and a seed list.
 kind accepts, with its type, default and allowed values;
 ``ExperimentConfig.from_dict`` checks a config against them, so that every
 configuration problem is a ``ConfigError`` naming its field before anything
-runs. ``run`` executes every seed, collects deterministic metrics, and
-appends an immutable record file. ``compare`` summarizes records that share
-a task. (config, seed) determines every metric byte-for-byte; wall-clock
-timings are stored beside the metrics, never inside them.
+runs. A method's own module (anneal, variational, edge-popup, distillation,
+NK) is imported when its config is checked or its runner first runs, so a
+process loads only the methods it runs. ``run`` executes every seed,
+collects deterministic metrics, and appends an immutable record file.
+``compare`` summarizes records that share a task. (config, seed) determines
+every metric byte-for-byte; wall-clock timings are stored beside the
+metrics, never inside them.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import itertools
 import json
 import math
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -27,9 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import anneal as anneal_mod
-from . import distill as distill_mod
-from . import edgepopup, masknet, nkesn, oracle, search
+from . import masknet, oracle, search
 from .bitstrings import bits_to_index
 from .grover import GroverConfig
 from .qsim import Mixer, MixerSpec, max_qubits
@@ -135,8 +136,75 @@ _MIXER_PARAMS = {
 # the methods that search a selection task's 2^bits cost table, and their defaults
 _TABLE_METHODS = search.DEFAULTS
 
+
+def _schedule(**fields):
+    """An ``AnnealSchedule``, which checks ``fields``."""
+    from . import anneal
+    return anneal.AnnealSchedule(**fields)
+
+
+def _edge_popup_params() -> dict[str, Param]:
+    from .edgepopup import PopupTrainConfig, ResampleRule
+    return {
+        "alpha": Param(float, PopupTrainConfig.alpha,
+                       lambda v: PopupTrainConfig(alpha=v)),
+        "epochs": Param(int, PopupTrainConfig.epochs,
+                        lambda v: PopupTrainConfig(epochs=v)),
+        "resample": Param(ResampleRule, PopupTrainConfig.resample),
+        "topk_fraction": Param(float, None,
+                               lambda v: PopupTrainConfig(topk_fraction=v)),
+    }
+
+
+def _distill_params() -> dict[str, Param]:
+    from .distill import Backend, Chaining, CompressMode
+    return {
+        "width_factor": Param(int, 4, _POSITIVE),
+        "backend": Param(Backend, Backend.EXHAUSTIVE),
+        "bit_budget": Param(int, 12, _POSITIVE),
+        "compress": Param(CompressMode, CompressMode.AVERAGE_POOL),
+        "chaining": Param(Chaining, Chaining.STUDENT),
+    }
+
+
+def _nk_esn_params() -> dict[str, Param]:
+    from . import nkesn
+    return {
+        "n_outputs": Param(int, 8, _POSITIVE),
+        "k": Param(int, 2, _POSITIVE),
+        "reservoir_size": Param(int, 40, _POSITIVE),
+        "topology": Param(nkesn.Topology, nkesn.Topology.ADJACENT),
+        "spectral_radius": Param(float, 0.9, _rule("in (0, 1)", lambda v: 0 < v < 1)),
+        "connectivity": Param(float, 0.1, _rule("> 0", lambda v: v > 0)),
+        "activation": Param(str, "tanh", _rule("'tanh' or 'identity'",
+                                               lambda v: v in ("tanh", "identity"))),
+        "washout": Param(int, nkesn.DEFAULT_WASHOUT, _NONNEGATIVE),
+    }
+
+
+class _Tables(Mapping):
+    """Method name -> parameter table, where a builder's table is built on
+    first lookup: those tables need their method's enums and defaults, and
+    with them its module."""
+
+    def __init__(self, tables: dict):
+        self._tables = tables
+
+    def __getitem__(self, method: str) -> dict[str, Param]:
+        table = self._tables[method]
+        if callable(table):
+            table = self._tables[method] = table()
+        return table
+
+    def __iter__(self):
+        return iter(self._tables)
+
+    def __len__(self) -> int:
+        return len(self._tables)
+
+
 # Where a library constructor bounds a value, ``check`` builds it.
-METHOD_PARAMS: dict[str, dict[str, Param]] = {
+METHOD_PARAMS: Mapping[str, dict[str, Param]] = _Tables({
     "grover": {
         "unknown_k": Param(bool, False),
         "iterations": Param(int, None, lambda v: GroverConfig(iterations=v)),
@@ -146,9 +214,9 @@ METHOD_PARAMS: dict[str, dict[str, Param]] = {
     },
     "anneal": {
         "total_time": Param(float, _TABLE_METHODS["anneal"]["total_time"],
-                            lambda v: anneal_mod.AnnealSchedule(total_time=v)),
+                            lambda v: _schedule(total_time=v)),
         "steps": Param(int, _TABLE_METHODS["anneal"]["steps"],
-                       lambda v: anneal_mod.AnnealSchedule(1.0, steps=v)),
+                       lambda v: _schedule(total_time=1.0, steps=v)),
         **_MIXER_PARAMS,
     },
     "qaoa": {
@@ -160,35 +228,11 @@ METHOD_PARAMS: dict[str, dict[str, Param]] = {
         "layers": Param(int, _TABLE_METHODS["vqe"]["layers"], _POSITIVE),
         "budget": Param(int, _TABLE_METHODS["vqe"]["budget"], _POSITIVE),
     },
-    "edge_popup": {
-        "alpha": Param(float, edgepopup.PopupTrainConfig.alpha,
-                       lambda v: edgepopup.PopupTrainConfig(alpha=v)),
-        "epochs": Param(int, edgepopup.PopupTrainConfig.epochs,
-                        lambda v: edgepopup.PopupTrainConfig(epochs=v)),
-        "resample": Param(edgepopup.ResampleRule, edgepopup.PopupTrainConfig.resample),
-        "topk_fraction": Param(float, None,
-                               lambda v: edgepopup.PopupTrainConfig(topk_fraction=v)),
-    },
-    "distill": {
-        "width_factor": Param(int, 4, _POSITIVE),
-        "backend": Param(distill_mod.Backend, distill_mod.Backend.EXHAUSTIVE),
-        "bit_budget": Param(int, 12, _POSITIVE),
-        "compress": Param(distill_mod.CompressMode, distill_mod.CompressMode.AVERAGE_POOL),
-        "chaining": Param(distill_mod.Chaining, distill_mod.Chaining.STUDENT),
-    },
-    "nk_esn": {
-        "n_outputs": Param(int, 8, _POSITIVE),
-        "k": Param(int, 2, _POSITIVE),
-        "reservoir_size": Param(int, 40, _POSITIVE),
-        "topology": Param(nkesn.Topology, nkesn.Topology.ADJACENT),
-        "spectral_radius": Param(float, 0.9, _rule("in (0, 1)", lambda v: 0 < v < 1)),
-        "connectivity": Param(float, 0.1, _rule("> 0", lambda v: v > 0)),
-        "activation": Param(str, "tanh", _rule("'tanh' or 'identity'",
-                                               lambda v: v in ("tanh", "identity"))),
-        "washout": Param(int, nkesn.DEFAULT_WASHOUT, _NONNEGATIVE),
-    },
+    "edge_popup": _edge_popup_params,
+    "distill": _distill_params,
+    "nk_esn": _nk_esn_params,
     "exhaustive": {},
-}
+})
 
 _SEED = Param(int, _REQUIRED, _NONNEGATIVE)
 _LAYERS = Param(list, _REQUIRED, _check_layers)
@@ -268,6 +312,7 @@ def _check_combinations(cfg: "ExperimentConfig") -> None:
     if "target_bit" in written and params["mixer"] is not Mixer.BIT_FLIP_RING:
         fail("method_params.target_bit", "applies only to the bit_flip_ring mixer")
     if method == "nk_esn":
+        from . import nkesn
         n, k = params["n_outputs"], params["k"]
         if k > n:
             fail("method_params.k" if "k" in written else "method_params.n_outputs",
@@ -475,6 +520,7 @@ def _run_table(cfg, seed, task):
 
 
 def _run_edge_popup(cfg, seed, task):
+    from . import edgepopup
     net, data = task.selection
     eps = _resolve_epsilon(cfg, seed, partial(masknet.batch_losses, net, data),
                            net.total_maskable())
@@ -492,9 +538,10 @@ def _run_edge_popup(cfg, seed, task):
 
 
 def _run_distill(cfg, seed, task):
+    from . import distill
     params, path = cfg.params, cfg.task_params["teacher_path"]
     teacher, data = task.teacher_io
-    pair = distill_mod.make_student(teacher, params["width_factor"], seed)
+    pair = distill.make_student(teacher, params["width_factor"], seed)
     widest = max(block.total_maskable() for block in pair.blocks)
     if widest > params["bit_budget"]:
         raise ConfigError(f"field 'method_params.bit_budget': a student block of "
@@ -504,7 +551,7 @@ def _run_distill(cfg, seed, task):
         raise ConfigError(f"field 'method_params.width_factor': a student block of "
                           f"{path} has {widest} maskable weights, the qubit ceiling "
                           f"is {max_qubits()}")
-    result = distill_mod.distill_select(
+    result = distill.distill_select(
         pair, data,
         backend=params["backend"],
         per_block_bit_budget=params["bit_budget"],
@@ -525,6 +572,7 @@ def _run_distill(cfg, seed, task):
 
 
 def _run_nk_esn(cfg, seed, task):
+    from . import nkesn
     data = task.sequence
     params = dict(cfg.params)
     washout = params.pop("washout")

@@ -11,7 +11,6 @@ amplitude-amplification search.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -304,6 +303,7 @@ def build_table(model: NkEsn, data: Dataset,
                 buf[0] = buf[:hi - lo + 1].sum(axis=0)
             np.divide(buf[0], n_steps, out=table[:, i])
 
+    from concurrent.futures import ThreadPoolExecutor  # imported here: only NK runs load it
     with ThreadPoolExecutor(n_workers) as pool:
         list(pool.map(columns, range(n_workers)))  # re-raises a worker's exception
     return table

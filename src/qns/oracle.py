@@ -105,6 +105,20 @@ def count_solutions(h: DiagonalCostHamiltonian, epsilon: float) -> int:
     return int(np.count_nonzero(h.costs < epsilon))
 
 
+def _median(values) -> np.float64:
+    """``np.median(values)`` of a float64 array, bit for bit, signed zeros
+    and NaNs included, without the ``numpy.ma`` import of numpy's NaN check:
+    the same partition, the same mean of the middle entries, and the last
+    partitioned entry when it is NaN."""
+    n = np.size(values)
+    half = n // 2
+    kth = [half, -1] if n % 2 else [half - 1, half, -1]
+    part = np.partition(values, kth, axis=None)
+    if np.isnan(part[-1]):
+        return part[-1]
+    return np.mean(part[half - 1 + n % 2:half + 1], axis=0)
+
+
 def default_epsilon(losses_of, n_bits: int, seed, n_probe: int = 64,
                     scale: float = 0.5) -> float:
     """Half the median loss of ``n_probe`` random masks: a task-adaptive threshold.
@@ -112,7 +126,8 @@ def default_epsilon(losses_of, n_bits: int, seed, n_probe: int = 64,
     ``losses_of`` maps an (n_probe, n_bits) 0/1 row matrix to one loss per
     row: a lookup in the run's cost table when it has one, else forward
     passes. The two agree bit for bit, so either gives the same epsilon.
+    The median is :func:`_median`, which equals ``np.median`` bit for bit.
     """
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, 2, size=(n_probe, n_bits)).astype(np.uint8)
-    return float(np.median(losses_of(rows)) * scale)
+    return float(_median(losses_of(rows)) * scale)

@@ -3,6 +3,8 @@
 The global search of a run (:mod:`qns.harness`), each distillation block
 (:mod:`qns.distill`) and each NK output column (:mod:`qns.nkesn`) all call
 :func:`select`; they differ only in the table and the parameters they pass.
+The anneal and variational modules are imported by the first search that
+uses them.
 """
 from __future__ import annotations
 
@@ -10,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import anneal as anneal_mod
-from . import variational
 from .bitstrings import bits_to_index, index_to_bits
 from .grover import GroverConfig, grover_search, search_unknown_k
 from .oracle import CostOracle, count_solutions
@@ -109,6 +109,7 @@ def select(method: str, h: DiagonalCostHamiltonian, epsilon: float, params: dict
         return scored(bits_to_index(result.bits), result.oracle_calls, **fields)
 
     if method == "anneal":
+        from . import anneal as anneal_mod
         mixer = MixerSpec(params["mixer"], params["target_bit"])
         key = (params["total_time"], params["steps"], mixer)
         runs = shared.setdefault("anneal", {})
@@ -120,6 +121,7 @@ def select(method: str, h: DiagonalCostHamiltonian, epsilon: float, params: dict
         fields = {"p_ground": result.p_ground,
                   "final_expectation": result.final_expectation}
     elif method == "qaoa":
+        from . import variational
         mixer = MixerSpec(params["mixer"], params["target_bit"])
         memo = shared.setdefault("qaoa", {}).setdefault(mixer, {})
         result = variational.qaoa_optimize(h, params["p"], params["budget"], seed,
@@ -132,6 +134,7 @@ def select(method: str, h: DiagonalCostHamiltonian, epsilon: float, params: dict
             finals[key].amplitudes.flags.writeable = False  # shared by every seed
         state = finals[key]
     else:
+        from . import variational
         ansatz = variational.make_ansatz(h.n_qubits, params["layers"], seed)
         result = variational.vqe_run(h, ansatz, params["budget"], seed)
         state = result.best_state

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import with_signed_zeros
 from reference import fit_identity_teacher
-from qns import distill, masknet
+from qns import distill, masknet, search
 from qns.bitstrings import all_patterns, index_to_bits
 from qns.distill import (
     Backend,
@@ -25,6 +25,7 @@ from qns.distill import (
     record_activations,
 )
 from qns.masknet import Activation, Dataset, LayerSpec, init_network, network_from_weights
+from qns.qsim import DiagonalCostHamiltonian
 
 
 def small_teacher(seed=4):
@@ -354,6 +355,44 @@ def test_depth_one_teacher_optimizes_exactly_one_block():
     result = distill_select(pair, data, backend=Backend.EXHAUSTIVE,
                             per_block_bit_budget=12)
     assert len(result.reports) == 1
+
+
+@pytest.mark.parametrize("layers, chained", [([(2, 1, "identity")], 0),
+                                              ([(2, 2, "relu"), (2, 1, "identity")], 1)])
+def test_student_chaining_stops_at_the_last_block(monkeypatch, layers, chained):
+    """Only a block that feeds another is run forward and compressed, and the
+    reports equal those of the loop that chained past the last block too."""
+    teacher = init_network(layers, seed=7)
+    data = teacher_io_data(teacher, n=16)
+    pair = make_student(teacher, width_factor=1, seed=2)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return compress(*args, **kwargs)
+    monkeypatch.setattr(distill, "compress", spy)
+    result = distill_select(pair, data, backend=Backend.GROVER,
+                            per_block_bit_budget=12, seed=3)
+    assert len(calls) == chained
+
+    # the reference loop: every block by the same per-block search, each
+    # followed by the chaining step
+    trace = record_activations(teacher, data)
+    rng = np.random.default_rng(3)
+    inputs = data.inputs
+    for i, (block, report) in enumerate(zip(pair.blocks, result.reports, strict=True)):
+        acts = trace.layers[i]
+        h = DiagonalCostHamiltonian(block.total_maskable(),
+                                    distill.block_table(acts, block, inputs))
+        eps = distill._block_epsilon(h.costs, block.total_maskable(), rng)
+        chosen = search.select("grover", h, eps,
+                               {"max_restarts": search.LOCAL_MAX_RESTARTS},
+                               int(rng.integers(2 ** 31)))
+        np.testing.assert_array_equal(report.bits, chosen.bits)
+        assert report.loss == block_loss(acts, block, chosen.bits, inputs)
+        assert report.epsilon == eps and report.oracle_calls == chosen.oracle_calls
+        view = masknet.apply_flat_mask(block, chosen.bits)
+        inputs = compress(masknet.forward_batch(view, inputs), acts.shape[1])
 
 
 def test_bit_budget_is_enforced():

@@ -437,13 +437,13 @@ def test_anneal_seeds_share_one_evolution(tmp_path, monkeypatch):
     doc = config_doc("anneal", out=str(tmp_path), method_params={"steps": 20},
                      epsilon=None, seeds=[1, 2, 3])
     alone = _alone(doc)
-    anneal = harness.anneal_mod.anneal
+    anneal = qns.anneal.anneal
     schedules = []
 
     def spy(h, sched):
         schedules.append(sched)
         return anneal(h, sched)
-    monkeypatch.setattr(harness.anneal_mod, "anneal", spy)
+    monkeypatch.setattr(qns.anneal, "anneal", spy)
     record = run(ExperimentConfig.from_dict(doc))
     assert len(schedules) == 1
     shared = [e["metrics"] for e in record["per_seed"]]
@@ -815,3 +815,60 @@ def test_only_the_bit_flip_mixer_loads_scipy(tmp_path):
     assert "scipy.optimize" not in report["scipy"]
     assert report["hashes"] == [run(ExperimentConfig.from_dict(d))["hashes"]["metrics"]
                                 for d in with_scipy]
+
+
+_IMPORT_CHILD = """
+import json, sys
+import qns
+
+WATCHED = ("qns.anneal", "qns.variational", "qns.edgepopup", "qns.nkesn",
+           "qns.distill", "concurrent.futures", "numpy.ma", "scipy")
+
+def loaded():
+    return [m for m in WATCHED if m in sys.modules]
+
+report = {"after_import": sorted(m for m in sys.modules if m.startswith("qns."))}
+docs = json.loads(sys.argv[1])
+for doc in docs["table"]:
+    qns.harness.run(qns.harness.ExperimentConfig.from_dict(doc))
+report["after_table"] = loaded()
+qns.harness.run(qns.harness.ExperimentConfig.from_dict(docs["qaoa"]))
+report["after_qaoa"] = loaded()
+star = {}
+exec("from qns import *", star)
+report["star"] = sorted(name for name, value in star.items()
+                        if value is sys.modules.get("qns." + name))
+report["attributes"] = sorted(name for name in qns.__all__
+                              if getattr(qns, name) is sys.modules["qns." + name])
+try:
+    qns.no_such_module
+except AttributeError:
+    report["unknown"] = "AttributeError"
+print(json.dumps(report))
+"""
+
+
+def test_a_run_loads_only_its_methods_modules(tmp_path):
+    """``import qns`` loads no submodule, and a table run loads neither the
+    other methods' modules nor their imports: ``concurrent.futures`` (NK
+    tables), ``numpy.ma`` (``np.median``'s NaN check) and scipy."""
+    def doc(method, params):
+        return {"method": method, "task": dict(PLANTED_TASK, n_samples=8),
+                "method_params": params, "epsilon": 1.0, "seeds": [1],
+                "output_dir": str(tmp_path / method)}
+
+    table = [doc("exhaustive", {}), doc("grover", {}), doc("grover", {"unknown_k": True}),
+             dict(doc("grover", {}), epsilon=None)]  # the default epsilon's median
+    qaoa = doc("qaoa", {"p": 1, "budget": 20, "mixer": "transverse_field"})
+    src = Path(qns.__file__).resolve().parents[1]
+    child = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CHILD, json.dumps({"table": table, "qaoa": qaoa})],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout.splitlines()[-1])
+    assert report["after_import"] == []
+    assert report["after_table"] == []
+    assert report["after_qaoa"] == ["qns.variational"]
+    assert report["star"] == report["attributes"] == sorted(qns.__all__)
+    assert report["unknown"] == "AttributeError"

@@ -1,4 +1,5 @@
 """Reservoirs, probe filters, NK tables, and their optimizers."""
+import concurrent.futures
 import os
 import threading
 import tracemalloc
@@ -333,12 +334,12 @@ def test_table_is_the_same_on_any_number_of_cpus(monkeypatch, cpus, topology):
 def test_table_threads_are_capped(monkeypatch):
     sizes = []
 
-    class RecordingPool(nkesn.ThreadPoolExecutor):
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(nkesn, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     for cpus, n_outputs in ((64, 12), (64, 2), (3, 12)):
         monkeypatch.setattr(nkesn, "_usable_cpus", lambda: cpus)
         model = make_nkesn(n_outputs=n_outputs, k=2, reservoir_size=16, seed=1)

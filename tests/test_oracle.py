@@ -141,6 +141,42 @@ def test_default_epsilon_recipe_is_half_random_median():
     assert from_table == eps
 
 
+@st.composite
+def median_inputs(draw):
+    """float64 arrays of length 1..129 drawn from a small pool of values, so
+    that ties, +-0.0, +-inf and NaN land anywhere, odd and even lengths alike."""
+    n = draw(st.integers(1, 129))
+    pool = draw(st.lists(st.floats(allow_nan=True, allow_infinity=True)
+                         | st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+                         min_size=1, max_size=8))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+                    dtype=np.float64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(median_inputs())
+def test_median_is_numpys_bit_for_bit(values):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, huge sums
+        got = oracle._median(values.copy())
+        want = np.median(values)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert type(got) is type(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cost_tables(max_bits=8), st.integers(0, 2 ** 31 - 1),
+       st.integers(1, 80), st.floats(0.1, 2.0))
+def test_default_epsilon_is_half_numpys_median(table, seed, n_probe, scale):
+    """The value of the ``np.median`` recipe, bit for bit, on random tables."""
+    n_bits, costs, _ = table
+    losses_of = lambda rows: costs[rows @ (1 << np.arange(n_bits))]  # noqa: E731
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 2, size=(n_probe, n_bits)).astype(np.uint8)
+    want = float(np.median(losses_of(rows)) * scale)
+    got = default_epsilon(losses_of, n_bits, seed, n_probe=n_probe, scale=scale)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_function_oracle_wraps_arbitrary_costs():
     column = np.array([0.5, 0.1, 0.9, 0.3])
     o = CostOracle(lambda: column, 2, 0.2)
