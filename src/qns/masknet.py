@@ -159,11 +159,6 @@ def network_from_weights(specs, weights, biases=None, seed=None) -> MaskedNetwor
     return MaskedNetwork(specs, weights, biases, masks, seed=seed)
 
 
-def forward(net: MaskedNetwork, x) -> np.ndarray:
-    """Evaluate one input vector through the masked network."""
-    return forward_batch(net, np.atleast_2d(np.asarray(x, dtype=np.float64)))[0]
-
-
 def forward_batch(net: MaskedNetwork, xs: np.ndarray) -> np.ndarray:
     """Evaluate a (samples, fan_in) batch; returns (samples, fan_out)."""
     if xs.shape[1] != net.input_dim:

@@ -94,29 +94,18 @@ def make_reservoir(size: int, input_dim: int, spectral_radius: float = 0.9,
     return Reservoir(w_res, w_in, spectral_radius, connectivity, seed)
 
 
-def reservoir_step(r: Reservoir, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Linear recurrence z' = W_res z + W_in x, with no squashing function."""
-    z = np.asarray(z, dtype=np.float64)
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if z.shape != (r.size,):
-        raise ValueError(f"state shape {z.shape} != ({r.size},)")
-    if x.shape != (r.input_dim,):
-        raise ValueError(f"input shape {x.shape} != ({r.input_dim},)")
-    return r.w_res @ z + r.w_in @ x
-
-
 def run_reservoir(r: Reservoir, inputs: np.ndarray) -> np.ndarray:
-    """Roll the linear recurrence from z = 0 over a (T, input_dim) sequence;
-    returns (T, size).
+    """Roll the linear recurrence z' = W_res z + W_in x from z = 0 over a
+    (T, input_dim) sequence; returns (T, size).
 
-    The NK outputs' ``activation`` acts on the readout, never on the state.
-    The input drive ``inputs @ W_in.T`` is computed once, into the returned
-    array. Each step writes ``W_res z`` into one work vector through the
-    bound ``W_res.dot`` (the matrix-vector product ``W_res @ z`` runs) and
-    adds it to its row in place, so no step allocates a vector. At
-    ``input_dim`` 1 the states equal a :func:`reservoir_step` loop bit for
-    bit; at larger widths the drive's dot products may round differently in
-    the last place.
+    No squashing function: the NK outputs' ``activation`` acts on the
+    readout, never on the state. The input drive ``inputs @ W_in.T`` is
+    computed once, into the returned array. Each step writes ``W_res z``
+    into one work vector through the bound ``W_res.dot`` (the
+    matrix-vector product ``W_res @ z`` runs) and adds it to its row in
+    place, so no step allocates a vector. At ``input_dim`` 1 the states
+    equal a loop of ``z = W_res @ z + W_in @ x`` bit for bit; at larger
+    widths the drive's dot products may round differently in the last place.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     if inputs.shape[1:] != (r.input_dim,):

@@ -9,10 +9,12 @@ Chebyshev expansion over a sparse matrix on its exact spectral interval),
 Trotterized annealing evolution, expectation values, and non-destructive
 Born-rule sampling.
 
-A tensor product of gates (:func:`apply_product`) takes one matrix product
-per block of up to four qubits, with the block's 2^k x 2^k Kronecker matrix,
-instead of one pass over the state per qubit. The bit-flip mixer's sparse
-operator and Chebyshev loop live in :mod:`qns.bitflip`.
+A tensor product of single-qubit gates (a transverse-field layer of
+:func:`apply_layers`, an Ry layer of ``qns.variational.ansatz_state``) takes
+one matrix product per block of up to four qubits (:func:`_apply_block`),
+with the block's 2^k x 2^k Kronecker matrix, instead of one pass over the
+state per qubit. The bit-flip mixer's sparse operator and Chebyshev loop
+live in :mod:`qns.bitflip`.
 
 This module imports no scipy. The first bit-flip apply of a process
 imports :mod:`qns.bitflip`, and with it ``scipy.sparse``,
@@ -58,9 +60,10 @@ DEFAULT_TROTTER_STEPS = 400
 
 NORM_ATOL = 1e-9
 
-# Qubits per Kronecker block in apply_product: n/k passes over the state at
-# 2^k multiply-adds per amplitude each. Blocks of 2, 3 and 4 ran within
-# noise of each other at n = 10..16; 4 takes the fewest passes.
+# Qubits per Kronecker block of a tensor product of gates (_product_blocks,
+# _shared_blocks): n/k passes over the state at 2^k multiply-adds per
+# amplitude each. Blocks of 2, 3 and 4 ran within noise of each other at
+# n = 10..16; 4 takes the fewest passes.
 _KRON_BLOCK = 4
 
 
@@ -107,7 +110,7 @@ class StateVector:
             if amp.shape != (dim,):
                 raise ValueError(f"expected {dim} amplitudes, got shape {amp.shape}")
             total = float(np.vdot(amp, amp).real)
-            if abs(total - 1.0) > NORM_ATOL:
+            if not abs(total - 1.0) <= NORM_ATOL:  # NaN fails this test
                 raise ValueError(f"amplitudes are not normalized: sum |a|^2 = {total}")
         self.amplitudes = amp
 
@@ -121,12 +124,6 @@ class StateVector:
     def norm_error(self) -> float:
         """|sum of probabilities - 1|, the drift accumulated by fp arithmetic."""
         return abs(float(np.vdot(self.amplitudes, self.amplitudes).real) - 1.0)
-
-    def copy(self) -> "StateVector":
-        out = StateVector.__new__(StateVector)
-        out.n_qubits = self.n_qubits
-        out.amplitudes = self.amplitudes.copy()
-        return out
 
 
 def _complex(state: StateVector) -> np.ndarray:
@@ -238,7 +235,8 @@ def _kron(gates) -> np.ndarray:
 
 
 def _product_blocks(gates: np.ndarray) -> list[np.ndarray]:
-    """Kronecker matrices of :func:`apply_product`'s blocks, in its order.
+    """Kronecker matrices of the tensor product of ``gates``, block by block
+    from the lowest qubits up, the order :func:`_apply_block` takes them.
 
     ``gates`` is (n, ..., 2, 2): ``gates[q]`` acts on qubit q, and the axes
     in between (a layer axis, say) carry through, each block coming back as
@@ -272,10 +270,9 @@ def _shared_blocks(gate: np.ndarray, n: int) -> list[np.ndarray]:
 def _transverse_gates(betas) -> np.ndarray:
     """(len(betas), 2, 2) stack of exp(-i*beta*(-X)) = cos(beta) I + i sin(beta) X.
 
-    The one builder of transverse-field gates, for :func:`apply_mixer` and
-    :func:`apply_layers`. Its entries are ``math.cos(beta)`` and
-    ``1j * math.sin(beta)``, the same values whichever SIMD loops NumPy's
-    own cos and sin would run.
+    The one builder of transverse-field gates, for :func:`apply_layers`.
+    Its entries are ``math.cos(beta)`` and ``1j * math.sin(beta)``, the same
+    values whichever SIMD loops NumPy's own cos and sin would run.
     """
     gates = np.empty((len(betas), 2, 2), dtype=np.complex128)
     gates[:, 0, 0] = gates[:, 1, 1] = [math.cos(beta) for beta in betas]
@@ -300,30 +297,6 @@ def _apply_block(amp: np.ndarray, block: np.ndarray) -> np.ndarray:
     if cols.shape[1] == 1 and amp.dtype == np.float64:
         return (block @ cols.astype(np.complex128)).real.reshape(-1)
     return (block @ cols).reshape(-1)
-
-
-def apply_product(state: StateVector, gates) -> StateVector:
-    """Apply a tensor product of single-qubit gates, ``gates[q]`` on qubit q.
-
-    ``gates`` is an (n, 2, 2) stack, or one 2x2 matrix for every qubit; row
-    index = output bit, column index = input bit. The qubits go in blocks
-    of up to _KRON_BLOCK, one matrix product each (:func:`_apply_block`).
-    Real gates keep a real state real; complex gates make it complex. The
-    result replaces ``state.amplitudes`` (a new array).
-    """
-    n = state.n_qubits
-    gates = np.asarray(gates)
-    if gates.shape == (2, 2):
-        blocks = _shared_blocks(gates, n)
-    elif gates.shape == (n, 2, 2):
-        blocks = _product_blocks(gates)
-    else:
-        raise ValueError(f"expected one 2x2 gate or {n} of them, got shape {gates.shape}")
-    amp = _complex(state) if gates.dtype.kind == "c" else state.amplitudes
-    for block in blocks:
-        amp = _apply_block(amp, block)
-    state.amplitudes = amp
-    return state
 
 
 def uniform_superposition(n_qubits: int) -> StateVector:
@@ -386,29 +359,6 @@ def _bit_flip_propagator(mixer: MixerSpec, n_qubits: int):
     return partial(chebyshev_propagate, *chebyshev_operator(mixer, n_qubits))
 
 
-def apply_mixer(state: StateVector, mixer: MixerSpec, beta: float) -> StateVector:
-    """Apply exp(-i*beta*H_mixer) in place.
-
-    The transverse field factorizes into one rotation per qubit, applied as
-    one tensor product by :func:`apply_product`: n/4 matrix products with a
-    single 16 x 16 block matrix, built from :func:`_transverse_gates` as
-    :func:`apply_layers` builds a chunk of them. A bit-flip mixer is built
-    once per (mixer, size) as a sparse matrix together with its largest
-    eigenvalue lambda_max, and applied by a Chebyshev expansion with Bessel
-    coefficients on the exact spectral interval [-lambda_max, lambda_max]:
-    the degree grows with |beta| * lambda_max (about 0.6n on a ring) and
-    stops once the coefficients fall below 1e-17 (see
-    :func:`qns.bitflip.chebyshev_propagate`). Each term is one zero-fill,
-    one CSR kernel call, one subtraction and one axpy, with no allocation.
-    Neither forms a dense 2^n x 2^n matrix, so both run up to
-    :func:`max_qubits`.
-    """
-    if mixer.kind is Mixer.TRANSVERSE_FIELD:
-        return apply_product(state, _transverse_gates([beta])[0])
-    state.amplitudes = _bit_flip_propagator(mixer, state.n_qubits)(_complex(state), beta)
-    return state
-
-
 # Layers per chunk of apply_layers: a chunk's cost phases and transverse
 # blocks are built in one broadcast each. A chunk holds at most
 # _CHUNK_PHASES phases, so an all-distinct 16-qubit table takes one layer
@@ -433,10 +383,11 @@ def apply_layers(state: StateVector, h_c: DiagonalCostHamiltonian,
     in, and applies its blocks; a bit-flip mixer takes one cached
     Chebyshev propagator per layer. Each state's phase is the cos and sin
     of the same -gamma*cost as over the whole table, and each block slice
-    is the block :func:`apply_mixer` builds, so the amplitudes are those of
-    the per-layer loop bit for bit. ``ndarray.take`` with ``mode="clip"``
-    writes straight into the buffer (the indices come from ``np.unique``,
-    so none is clipped), where ``mode="raise"`` fills a copy first.
+    is bit for bit the block :func:`_shared_blocks` builds from that layer's
+    gate alone (:func:`_kron`), so the amplitudes are those of the per-layer
+    loop bit for bit. ``ndarray.take`` with ``mode="clip"`` writes straight
+    into the buffer (the indices come from ``np.unique``, so none is
+    clipped), where ``mode="raise"`` fills a copy first.
     """
     gammas = np.asarray(gammas, dtype=np.float64)
     betas = np.asarray(betas, dtype=np.float64)

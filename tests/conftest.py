@@ -1,11 +1,12 @@
-"""Shared helpers: planted-subnetwork tasks with controllable solution counts."""
+"""Shared helpers: planted-subnetwork tasks with controllable solution counts,
+a reservoir's free run, and drawn cost tables."""
 from __future__ import annotations
 
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qns import masknet, oracle
+from qns import masknet, nkesn, oracle
 
 
 def make_planted_task(layers, seed, n_samples=16, density=0.5, input_range=1.0):
@@ -34,6 +35,17 @@ def planted_oracle_with_k(layers, k_target, epsilon, base_seed=0, n_samples=16):
         seed += 1
         if seed - base_seed > 500:
             raise RuntimeError(f"no task with k={k_target} near seed {base_seed}")
+
+
+def free_run(reservoir, z, steps):
+    """The state ``steps`` steps of ``nkesn.run_reservoir`` after ``z``, with
+    no input: an input weight column of ``z`` and a unit impulse make the
+    first state ``z`` and each later one ``W_res`` times the one before."""
+    kick = nkesn.Reservoir(reservoir.w_res, np.asarray(z, dtype=np.float64)[:, None],
+                           reservoir.spectral_radius, reservoir.connectivity)
+    impulse = np.zeros((steps + 1, 1))
+    impulse[0] = 1.0
+    return nkesn.run_reservoir(kick, impulse)[-1]
 
 
 def with_signed_zeros(rng, x, share):

@@ -10,20 +10,33 @@ angles, loss curve and final masks bit for bit.
 of every weight, and ``layout_masks`` scatters a 0/1 matrix
 through it; the slices of ``qns.masknet.layer_views`` must equal that
 scatter bit for bit.
+``forward`` runs one input vector through a network under its own masks, a
+layer at a time and without ``qns.masknet.masked_layers``; the one-row batch
+of ``qns.masknet.forward_batch`` must agree with it to rounding.
 ``fit_identity_teacher`` fits a least-squares teacher layer.
 
 ``basis_state`` is the computational basis state with amplitude 1 at one
-index. The single-qubit gates (``apply_ry``, ``apply_h``, ``apply_x``, ``apply_z``)
-take one pass over the state per gate, and ``apply_cz`` one pass per edge;
-``qns.qsim.apply_product`` and the cached CZ-ring diagonal must agree with
-them. ``apply_phase_oracle`` and ``apply_diffusion`` are Grover's oracle and
-mean-inversion diffusion, one pass over the state each, and
+index, and ``copy_state`` a copy of a state made by the ``StateVector``
+constructor, so every copy a test starts from is checked for shape and norm.
+The single-qubit gates (``apply_ry``, ``apply_h``, ``apply_x``, ``apply_z``)
+take one pass over the state per gate, and ``apply_cz`` one pass per edge.
+``apply_product`` is a tensor product of gates on ``qns.qsim``'s own block
+kernels (``_shared_blocks``, ``_product_blocks``, ``_apply_block``), which
+carry the transverse field of ``qns.qsim.apply_layers`` and the Ry layers of
+``qns.variational.ansatz_state``; it and the cached CZ-ring diagonal must
+agree with the one-pass gates. ``apply_phase_oracle`` and
+``apply_diffusion`` are Grover's oracle and mean-inversion diffusion, one
+pass over the state each, and
 ``amplified_state`` is the dense loop of t rounds of them from the uniform
 state; ``qns.grover.amplified_state``, built from the two amplitudes of the
 closed form, must give the same probabilities within rounding and the same
 measured index.
-``mixer_dense`` writes a mixer Hamiltonian entry by entry from its
-definition, for the exponentials that ``qns.qsim.apply_mixer`` must match.
+``apply_mixer`` applies one mixer exponential through ``qns.qsim``'s
+transverse-field gates (``_transverse_gates``, then ``apply_product``) and
+its cached bit-flip propagator (``_bit_flip_propagator``), the kernels that
+``qns.qsim.apply_layers`` runs; ``mixer_dense`` writes a mixer Hamiltonian
+entry by entry from its definition, for the exponentials that
+``apply_mixer`` must match.
 ``chebyshev_propagate`` is the Chebyshev loop on scipy's public sparse
 ``m @ v``, one new vector per term, that ``qns.bitflip.chebyshev_propagate``
 must equal bit for bit.
@@ -40,6 +53,9 @@ real part bit for bit, in float64.
 Nelder-Mead (``scipy.optimize.minimize`` with ``maxfev`` set to the budget
 left); ``qns.variational.optimize_variational``, on its in-repo simplex,
 must evaluate the same points in the same order and keep the same best.
+``reservoir_step`` is one step of the NK reservoir's linear recurrence; a
+loop of it from z = 0 is what ``qns.nkesn.run_reservoir`` must equal, bit
+for bit at input width 1 and to rounding at larger widths.
 ``nkesn_output`` and ``per_output_losses`` evaluate the NK echo-state
 network's outputs one neighbourhood sum at a time, the definition that
 ``qns.nkesn.build_table`` tabulates. ``grover_table_select`` is one NK
@@ -74,9 +90,12 @@ from qns.qsim import (
     Mixer,
     MixerSpec,
     StateVector,
+    _apply_block,
+    _bit_flip_propagator,
     _complex,
-    apply_mixer,
-    apply_product,
+    _product_blocks,
+    _shared_blocks,
+    _transverse_gates,
     cost_phase,
     uniform_superposition,
 )
@@ -156,6 +175,17 @@ def layout_masks(net, rows):
     return masks
 
 
+def forward(net, x):
+    """One input vector through ``net`` under its own masks, a layer at a
+    time: ``z @ (mask * W) + b``, then ReLU on a ReLU layer."""
+    z = np.asarray(x, dtype=np.float64)
+    for spec, w, b, m in zip(net.specs, net.weights, net.biases, net.masks):
+        z = z @ (m * w) + b
+        if spec.activation is Activation.RELU:
+            z = np.maximum(z, 0.0)
+    return z
+
+
 def fit_identity_teacher(data):
     """A single identity layer fit to ``data`` by least squares, with a bias."""
     x = np.hstack([data.inputs, np.ones((len(data), 1))])
@@ -173,6 +203,12 @@ def basis_state(n_qubits: int, index: int) -> StateVector:
     state.amplitudes[0] = 0.0
     state.amplitudes[index] = 1.0
     return state
+
+
+def copy_state(state) -> StateVector:
+    """A new state with a copy of ``state``'s amplitudes, dtype and bytes
+    kept, built (and so checked) by the ``StateVector`` constructor."""
+    return StateVector(state.n_qubits, state.amplitudes)
 
 
 def apply_single_qubit(state, qubit: int, u00, u01, u10, u11):
@@ -221,6 +257,31 @@ def apply_cz(state, qubit_a: int, qubit_b: int):
     idx = np.arange(state.dim)
     both = (((idx >> qubit_a) & 1) & ((idx >> qubit_b) & 1)).astype(bool)
     state.amplitudes[both] *= -1.0
+    return state
+
+
+def apply_product(state, gates):
+    """Apply a tensor product of single-qubit gates, ``gates[q]`` on qubit q.
+
+    ``gates`` is an (n, 2, 2) stack, or one 2x2 matrix for every qubit; row
+    index = output bit, column index = input bit. The blocks come from
+    ``qns.qsim``'s own builders (``_shared_blocks``, ``_product_blocks``) and
+    go through its one block product (``_apply_block``). Real gates keep a
+    real state real; complex gates make it complex. The result replaces
+    ``state.amplitudes`` (a new array).
+    """
+    n = state.n_qubits
+    gates = np.asarray(gates)
+    if gates.shape == (2, 2):
+        blocks = _shared_blocks(gates, n)
+    elif gates.shape == (n, 2, 2):
+        blocks = _product_blocks(gates)
+    else:
+        raise ValueError(f"expected one 2x2 gate or {n} of them, got shape {gates.shape}")
+    amp = _complex(state) if gates.dtype.kind == "c" else state.amplitudes
+    for block in blocks:
+        amp = _apply_block(amp, block)
+    state.amplitudes = amp
     return state
 
 
@@ -276,6 +337,19 @@ def mixer_dense(mixer, n_qubits: int) -> np.ndarray:
             if all((x >> w) & 1 == mixer.target_bit for w in neighbours):
                 h[x ^ (1 << v), x] = 1.0
     return h
+
+
+def apply_mixer(state, mixer, beta: float):
+    """Apply exp(-i*beta*H_mixer) in place, one mixer at a time.
+
+    The transverse field is one :func:`apply_product` of the gate
+    ``qns.qsim._transverse_gates`` builds; a bit-flip mixer is one call of
+    the cached Chebyshev propagator, ``qns.qsim._bit_flip_propagator``.
+    """
+    if mixer.kind is Mixer.TRANSVERSE_FIELD:
+        return apply_product(state, _transverse_gates([beta])[0])
+    state.amplitudes = _bit_flip_propagator(mixer, state.n_qubits)(_complex(state), beta)
+    return state
 
 
 def chebyshev_propagate(m, r: float, v: np.ndarray, beta: float) -> np.ndarray:
@@ -368,7 +442,19 @@ def optimize_variational(objective, init, budget: int, seed) -> OptimizeResult:
 
 
 # ---------------------------------------------------------------------------
-# NK echo-state network outputs, one neighbourhood sum at a time.
+# NK echo-state network: one reservoir step, and outputs one neighbourhood
+# sum at a time.
+
+def reservoir_step(r, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Linear recurrence z' = W_res z + W_in x, with no squashing function."""
+    z = np.asarray(z, dtype=np.float64)
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if z.shape != (r.size,):
+        raise ValueError(f"state shape {z.shape} != ({r.size},)")
+    if x.shape != (r.input_dim,):
+        raise ValueError(f"input shape {x.shape} != ({r.input_dim},)")
+    return r.w_res @ z + r.w_in @ x
+
 
 def nkesn_output(z, pf, land, w_out, bits, activation: str = "tanh"):
     """All N outputs for one reservoir state under the given probe mask.

@@ -10,7 +10,9 @@ import time
 import numpy as np
 
 import reference
-from conftest import LAYERS_6BIT, LAYERS_8BIT, make_planted_task, planted_oracle_with_k
+from conftest import (
+    LAYERS_6BIT, LAYERS_8BIT, free_run, make_planted_task, planted_oracle_with_k,
+)
 from qns import anneal, edgepopup, harness, masknet, nkesn, oracle, search, variational
 from qns.bitstrings import all_patterns, bits_to_index, index_to_bits
 from qns.grover import (
@@ -346,8 +348,7 @@ def test_c10_echo_decay_and_radius():
         assert abs(nkesn.estimate_spectral_radius(reservoir.w_res) - 0.9) < 1e-6
         z = np.random.default_rng(1000 + seed).normal(size=40)
         z0 = np.linalg.norm(z)
-        for _ in range(200):
-            z = nkesn.reservoir_step(reservoir, z, np.zeros(1))
+        z = free_run(reservoir, z, 200)
         assert np.linalg.norm(z) < 1e-6 * z0, f"seed {seed}"
     _report(10, f"norm below 1e-6 of initial within 200 steps and radius "
                 f"within 1e-6 of 0.9 on all {len(ECHO_SEEDS)} seeds")

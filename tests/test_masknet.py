@@ -18,7 +18,6 @@ from qns.masknet import (
     LayerSpec,
     apply_flat_mask,
     dataset_loss,
-    forward,
     forward_batch,
     init_network,
     load_dataset_csv,
@@ -31,6 +30,11 @@ from qns.masknet import (
 )
 
 SPECS = [(2, 4, "relu"), (4, 1, "identity")]
+
+
+def forward_row(net, x):
+    """One input vector through ``forward_batch``, as a batch of one row."""
+    return forward_batch(net, np.atleast_2d(x))[0]
 
 
 def test_init_is_seed_deterministic():
@@ -71,25 +75,25 @@ def test_forward_all_ones_mask_equals_plain_product():
     net = init_network(SPECS, seed=2)
     x = np.array([0.4, -1.2])
     z = np.maximum(x @ net.weights[0], 0.0) @ net.weights[1]
-    np.testing.assert_allclose(forward(net, x), z)
+    np.testing.assert_allclose(forward_row(net, x), z)
 
 
 def test_forward_all_zero_mask_gives_zero():
     net = init_network(SPECS, seed=2)
     for m in net.masks:
         m[:] = 0.0
-    np.testing.assert_array_equal(forward(net, [1.0, 2.0]), [0.0])
+    np.testing.assert_array_equal(forward_row(net, [1.0, 2.0]), [0.0])
 
 
 def test_forward_scalar_relu_hand_case():
     net = network_from_weights([LayerSpec(1, 1, Activation.IDENTITY)], [[[0.5]]])
-    assert forward(net, [2.0])[0] == 1.0
+    assert forward_row(net, [2.0])[0] == 1.0
 
 
 def test_forward_dimension_mismatch():
     net = init_network(SPECS, seed=0)
     with pytest.raises(ValueError):
-        forward(net, [1.0, 2.0, 3.0])
+        forward_row(net, [1.0, 2.0, 3.0])
 
 
 def test_dataset_loss_examples():
@@ -150,17 +154,19 @@ def test_apply_all_ones_bits_matches_unmasked():
     net = init_network(SPECS, seed=4)
     view = apply_flat_mask(net, np.ones(12, dtype=np.uint8))
     x = np.array([0.3, 0.7])
-    np.testing.assert_allclose(forward(view, x), forward(net, x))
+    np.testing.assert_allclose(forward_row(view, x), forward_row(net, x))
 
 
 def test_single_bit_controls_exactly_one_weight():
     net = init_network(SPECS, seed=4)
     x = np.array([1.0, -0.5])
-    base = forward(apply_flat_mask(net, np.ones(12)), x)
+    base = forward_row(apply_flat_mask(net, np.ones(12)), x)
     for j, layer, row, col in _weight_bits(net):
         bits = np.ones(12, dtype=np.uint8)
         bits[j] = 0
         view = apply_flat_mask(net, bits)
+        np.testing.assert_allclose(forward_row(view, x), reference.forward(view, x),
+                                   rtol=1e-12, atol=1e-15)
         for i, mask in enumerate(view.masks):
             expected = np.ones_like(mask)
             if i == layer:
@@ -168,7 +174,7 @@ def test_single_bit_controls_exactly_one_weight():
             assert np.array_equal(mask, expected)
         # restoring the bit restores the output
         bits[j] = 1
-        back = forward(apply_flat_mask(net, bits), x)
+        back = forward_row(apply_flat_mask(net, bits), x)
         np.testing.assert_allclose(back, base)
 
 
@@ -285,7 +291,7 @@ def test_network_json_accepts_unmasked_biases_and_refuses_masked_ones():
     doc = masknet.network_to_json(net)
     loaded = masknet.network_from_json({**doc, "mask_biases": False,
                                         "bias_masks": [[0.0]]})
-    assert forward(loaded, [0.0])[0] == 1.0  # the bias enters unmasked
+    assert forward_row(loaded, [0.0])[0] == 1.0  # the bias enters unmasked
     with pytest.raises(ValueError, match="^mask_biases: "):
         masknet.network_from_json({**doc, "mask_biases": True})
 
@@ -335,7 +341,7 @@ def test_weights_unchanged_by_full_optimization_pass():
     for _ in range(50):
         bits = rng.integers(0, 2, net.total_maskable())
         view = apply_flat_mask(net, bits)
-        forward(view, rng.normal(size=2))
+        forward_row(view, rng.normal(size=2))
     for w, snap in zip(net.weights, snapshot):
         np.testing.assert_array_equal(w, snap)
 

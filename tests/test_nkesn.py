@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import grover_table_select, nkesn_output, per_output_losses
+from conftest import free_run
+from reference import grover_table_select, nkesn_output, per_output_losses, reservoir_step
 from qns import harness, nkesn, search
 from qns.bitstrings import all_patterns, bits_to_index, index_to_bits
 from qns.nkesn import (
@@ -26,7 +27,6 @@ from qns.nkesn import (
     make_nkesn,
     make_reservoir,
     mean_loss_from_table,
-    reservoir_step,
     run_reservoir,
     scale_to_spectral_radius,
     select_per_output,
@@ -47,23 +47,22 @@ def demo_model(seed=5, n=8, k=2, size=40):
 
 def test_reservoir_step_zero_in_zero_out():
     r = make_reservoir(10, 1, seed=0)
-    np.testing.assert_array_equal(reservoir_step(r, np.zeros(10), np.zeros(1)), 0.0)
+    np.testing.assert_array_equal(run_reservoir(r, np.zeros((5, 1))), 0.0)
 
 
 def test_reservoir_step_without_recurrence_is_input_projection():
     r = make_reservoir(10, 2, seed=0)
     frozen = Reservoir(np.zeros((10, 10)), r.w_in, 0.9, 0.1)
-    x = np.array([0.5, -1.0])
-    np.testing.assert_array_equal(reservoir_step(frozen, np.ones(10), x), r.w_in @ x)
+    xs = np.array([[0.5, -1.0], [2.0, 0.25], [-0.75, 1.5]])
+    # each state is its own input's drive, whatever the state before it
+    np.testing.assert_array_equal(run_reservoir(frozen, xs), xs @ r.w_in.T)
 
 
 def test_reservoir_state_decays_without_input():
     r = make_reservoir(40, 1, spectral_radius=0.9, seed=1)
     z = np.random.default_rng(0).normal(size=40)
     z0 = np.linalg.norm(z)
-    for _ in range(50):
-        z = reservoir_step(r, z, np.zeros(1))
-    assert np.linalg.norm(z) < 1e-2 * z0
+    assert np.linalg.norm(free_run(r, z, 50)) < 1e-2 * z0
 
 
 def test_run_reservoir_shapes_and_zero_start():
@@ -78,9 +77,9 @@ def test_run_reservoir_shapes_and_zero_start():
 def test_reservoir_step_validates_shapes():
     r = make_reservoir(10, 1, seed=0)
     with pytest.raises(ValueError):
-        reservoir_step(r, np.zeros(9), np.zeros(1))
+        run_reservoir(r, np.zeros((5, 1, 1)))  # a step's input must be a vector
     with pytest.raises(ValueError):
-        reservoir_step(r, np.zeros(10), np.zeros(2))
+        run_reservoir(r, np.zeros((5, 2)))
 
 
 def stepped_states(r, inputs):

@@ -14,8 +14,9 @@ from scipy.sparse.linalg import expm_multiply
 import reference
 from conftest import phase_tables
 from reference import (
-    apply_single_qubit, apply_cz, apply_diffusion, apply_h, apply_phase_oracle,
-    apply_ry, apply_x, apply_z, basis_state, chebyshev_propagate, mixer_dense,
+    apply_single_qubit, apply_cz, apply_diffusion, apply_h, apply_mixer,
+    apply_phase_oracle, apply_product, apply_ry, apply_x, apply_z, basis_state,
+    chebyshev_propagate, copy_state, mixer_dense,
 )
 from qns import bitflip, qsim
 from qns.bitstrings import all_patterns, bits_to_index, bits_to_string, index_to_bits
@@ -24,7 +25,6 @@ from qns.qsim import (
     Mixer,
     MixerSpec,
     StateVector,
-    apply_product,
     cost_phase,
     evolve,
     expectation,
@@ -100,6 +100,9 @@ def test_statevector_rejects_bad_inputs():
         StateVector(2, np.ones(3))
     with pytest.raises(ValueError):
         StateVector(1, np.array([1.0, 1.0]))  # not normalized
+    for bad in (np.nan, np.inf):  # a NaN norm compares false with any bound
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(1, np.array([bad, 0.0]))
 
 
 def test_qubit_ceiling_env_override(monkeypatch):
@@ -156,7 +159,7 @@ def test_h_then_ry_half_pi_measures_one():
 
 def test_ry_angles_add():
     s1 = random_state(2, 7)
-    s2 = s1.copy()
+    s2 = copy_state(s1)
     apply_ry(s1, 0, 0.3)
     apply_ry(s1, 0, 1.1)
     apply_ry(s2, 0, 1.4)
@@ -195,8 +198,8 @@ def test_cz_negates_both_ones():
 def test_apply_product_matches_per_qubit_loop(n, seed, shared):
     gates = random_gates(1 if shared else n, seed)
     start = random_state(n, seed)
-    out = apply_product(start.copy(), gates[0] if shared else gates)
-    expected = apply_per_qubit(start.copy(), np.broadcast_to(gates, (n, 2, 2)))
+    out = apply_product(copy_state(start), gates[0] if shared else gates)
+    expected = apply_per_qubit(copy_state(start), np.broadcast_to(gates, (n, 2, 2)))
     np.testing.assert_allclose(out.amplitudes, expected.amplitudes, rtol=0, atol=1e-13)
 
 
@@ -224,7 +227,7 @@ def test_real_state_promoted_to_complex_gives_the_complex_states_bytes(mixer):
     amp = rng.normal(size=1 << n)
     amp /= np.linalg.norm(amp)
     h = DiagonalCostHamiltonian(n, rng.uniform(0.0, 1.0, 1 << n))
-    for step in (lambda s: qsim.apply_mixer(s, mixer, 0.7),
+    for step in (lambda s: apply_mixer(s, mixer, 0.7),
                  lambda s: evolve(s, h, mixer, 1.3, steps=5)):
         real, stored_complex = StateVector(n, amp), StateVector(n, amp + 0j)
         assert real.amplitudes.dtype == np.float64
@@ -243,17 +246,17 @@ def test_sixteen_qubit_layers_match_per_qubit_loop():
     n = 16
     start = random_state(n, 3)
     beta = 0.83
-    tf = qsim.apply_mixer(start.copy(), MixerSpec(), beta)
+    tf = apply_mixer(copy_state(start), MixerSpec(), beta)
     u = np.array([[math.cos(beta), 1j * math.sin(beta)],
                   [1j * math.sin(beta), math.cos(beta)]])
-    expected = apply_per_qubit(start.copy(), [u] * n)
+    expected = apply_per_qubit(copy_state(start), [u] * n)
     np.testing.assert_allclose(tf.amplitudes, expected.amplitudes, rtol=0, atol=1e-12)
 
     thetas = np.random.default_rng(4).uniform(-math.pi, math.pi, n)
     c, s = np.cos(thetas / 2), np.sin(thetas / 2)
-    ry = apply_product(start.copy(), np.stack([np.stack([c, -s], -1),
-                                               np.stack([s, c], -1)], -2))
-    expected = start.copy()
+    ry = apply_product(copy_state(start), np.stack([np.stack([c, -s], -1),
+                                                    np.stack([s, c], -1)], -2))
+    expected = copy_state(start)
     for q, theta in enumerate(thetas):
         apply_ry(expected, q, float(theta))
     np.testing.assert_allclose(ry.amplitudes, expected.amplitudes, rtol=0, atol=1e-12)
@@ -588,8 +591,8 @@ def test_evolve_equals_the_full_table_phase_loop_bit_for_bit(
     h = DiagonalCostHamiltonian(n, costs)
     mixer = MixerSpec() if transverse else MixerSpec(Mixer.BIT_FLIP_RING)
     start = signed_zero_state(n, seed)
-    got = evolve(start.copy(), h, mixer, total_time, steps)
-    want = reference.evolve(start.copy(), h, mixer, total_time, steps)
+    got = evolve(copy_state(start), h, mixer, total_time, steps)
+    want = reference.evolve(copy_state(start), h, mixer, total_time, steps)
     assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
 
 
@@ -621,8 +624,8 @@ def test_apply_layers_equals_the_full_table_per_layer_loop_bit_for_bit(
     mixer = MixerSpec() if transverse else MixerSpec(Mixer.BIT_FLIP_RING)
     start = signed_zero_state(n, seed)
     with mock.patch.object(qsim, "_CHUNK_PHASES", chunk_phases):
-        got = qsim.apply_layers(start.copy(), h, mixer, *angles)
-    want = reference.apply_layers(start.copy(), h, mixer, *angles)
+        got = qsim.apply_layers(copy_state(start), h, mixer, *angles)
+    want = reference.apply_layers(copy_state(start), h, mixer, *angles)
     assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
 
 
@@ -665,7 +668,7 @@ def test_apply_mixer_matches_dense_exponential(n, transverse, target_bit, beta, 
     mixer = MixerSpec() if transverse else MixerSpec(Mixer.BIT_FLIP_RING, target_bit)
     s = random_state(n, seed)
     expected = expm(-1j * beta * mixer_dense(mixer, n)) @ s.amplitudes
-    qsim.apply_mixer(s, mixer, beta)
+    apply_mixer(s, mixer, beta)
     np.testing.assert_allclose(s.amplitudes, expected, atol=1e-10)
 
 
@@ -675,8 +678,8 @@ def test_sparse_bit_flip_mixer_matches_dense_exponential_on_ring():
     h = mixer_dense(mixer, n)
     start = random_state(n, 17)
     for beta in (0.0, 0.05, 1.0, math.pi, -3.0):
-        s = start.copy()
-        qsim.apply_mixer(s, mixer, beta)
+        s = copy_state(start)
+        apply_mixer(s, mixer, beta)
         expected = expm(-1j * beta * h) @ start.amplitudes
         np.testing.assert_allclose(s.amplitudes, expected, rtol=0, atol=1e-12)
         if beta == 0.0:
@@ -689,7 +692,7 @@ def test_bit_flip_mixer_matches_dense_exponential_at_large_beta(beta):
     n = 10
     mixer = MixerSpec(Mixer.BIT_FLIP_RING)
     start = random_state(n, 23)
-    s = qsim.apply_mixer(start.copy(), mixer, beta)
+    s = apply_mixer(copy_state(start), mixer, beta)
     expected = expm(-1j * beta * mixer_dense(mixer, n)) @ start.amplitudes
     np.testing.assert_allclose(s.amplitudes, expected, rtol=0, atol=1e-12)
 
@@ -763,7 +766,7 @@ def test_bit_flip_mixer_and_cost_phase_keep_component_mass(n, target_bit, angles
     for gamma, beta in angles:
         s.amplitudes *= cost_phase(costs, gamma)
         np.testing.assert_allclose(mass(), start, rtol=0, atol=1e-12)
-        qsim.apply_mixer(s, mixer, beta)
+        apply_mixer(s, mixer, beta)
         np.testing.assert_allclose(mass(), start, rtol=0, atol=1e-12)
 
 
@@ -774,10 +777,10 @@ def test_bit_flip_operator_rebuilds_identically():
     mixer = MixerSpec(Mixer.BIT_FLIP_RING)
     start = random_state(n, 29)
     _, r = bitflip.chebyshev_operator(mixer, n)
-    first = qsim.apply_mixer(start.copy(), mixer, 3.0).amplitudes
+    first = apply_mixer(copy_state(start), mixer, 3.0).amplitudes
     qsim._bit_flip_propagator.cache_clear()
     assert bitflip.chebyshev_operator(mixer, n)[1] == r
-    np.testing.assert_array_equal(qsim.apply_mixer(start.copy(), mixer, 3.0).amplitudes,
+    np.testing.assert_array_equal(apply_mixer(copy_state(start), mixer, 3.0).amplitudes,
                                   first)
 
 
@@ -788,7 +791,7 @@ def test_bit_flip_mixer_matches_expm_multiply_at_18_qubits(monkeypatch):
     mixer = MixerSpec(Mixer.BIT_FLIP_RING)
     start = random_state(n, 31)
     expected = expm_multiply(-1j * beta * bitflip.mixer_sparse(mixer, n), start.amplitudes)
-    s = qsim.apply_mixer(start.copy(), mixer, beta)
+    s = apply_mixer(copy_state(start), mixer, beta)
     np.testing.assert_allclose(s.amplitudes, expected, rtol=0, atol=1e-10)
 
 
@@ -835,7 +838,7 @@ def test_norm_preserved_by_drawn_gate_sequences(n, ops):
         elif op == 1:
             apply_h(s, draw % n)
         elif op == 2:
-            qsim.apply_mixer(s, MixerSpec(), angle)
+            apply_mixer(s, MixerSpec(), angle)
         elif op == 3:
             apply_product(s, random_gates(n, draw))
         elif op == 4:
