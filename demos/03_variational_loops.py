@@ -31,15 +31,14 @@ for p in (1, 2, 3):
 
 print("\nVQE: Ry layers + ring CZ entanglers")
 for layers in (1, 2):
-    ansatz = variational.make_ansatz(h.n_qubits, layers, seed=5)
-    result = variational.vqe_run(h, ansatz, budget=500, seed=5)
+    thetas = variational.make_ansatz(h.n_qubits, layers, seed=5)
+    result = variational.vqe_run(h, thetas, budget=500, seed=5)
     gap = result.best_value - h.costs.min()
     print(f"  L={layers}: <H> = {result.best_value:.4f} "
           f"(gap to optimum {gap:.4f})")
 
 # A linear-ramp schedule with many shallow blocks mimics slow annealing.
-ramp = variational.QaoaParams(*midpoint_ramp(30.0, 64))
-state = variational.qaoa_state(h, ramp)
+state = variational.qaoa_state(h, *midpoint_ramp(30.0, 64))
 best = int(np.argmin(h.costs))
 print(f"\nlinear ramp, p=64, T=30: P(optimal mask) = "
       f"{state.probabilities()[best]:.4f}")

@@ -91,21 +91,10 @@ def make_student(teacher: MaskedNetwork, width_factor: int, seed) -> TeacherStud
     return TeacherStudentPair(teacher, blocks, width_factor)
 
 
-@dataclass
-class ActivationTrace:
-    """Per-layer post-activation outputs over a dataset's samples."""
-
-    layers: list[np.ndarray]
-
-    def __post_init__(self):
-        counts = {len(a) for a in self.layers}
-        if len(counts) > 1:
-            raise ValueError(f"inconsistent sample counts across layers: {counts}")
-
-
-def record_activations(net: MaskedNetwork, data: Dataset) -> ActivationTrace:
-    """Exact post-activation outputs of every layer for every sample."""
-    return ActivationTrace([z for _, z in masknet.masked_layers(net, data.inputs)])
+def record_activations(net: MaskedNetwork, data: Dataset) -> list[np.ndarray]:
+    """Exact post-activation outputs of every layer for every sample: layer
+    l's is a (samples, fan_out_l) array."""
+    return [z for _, z in masknet.masked_layers(net, data.inputs)]
 
 
 def compress(vector: np.ndarray, target_dim: int,
@@ -233,7 +222,7 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
     passes bit for bit.
     """
     backend = Backend(backend)
-    teacher_trace = record_activations(pair.teacher, data)
+    teacher_outputs = record_activations(pair.teacher, data)
     rng = np.random.default_rng(seed)
 
     reports: list[BlockReport] = []
@@ -249,7 +238,7 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
             raise ValueError(
                 f"block {i} needs {n_bits} qubits, ceiling is {max_qubits()}"
             )
-        teacher_acts = teacher_trace.layers[i]
+        teacher_acts = teacher_outputs[i]
         h = DiagonalCostHamiltonian(n_bits, block_table(teacher_acts, block,
                                                         block_inputs, mode))
         eps, params = 0.0, {}

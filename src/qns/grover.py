@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstrings import bits_to_index, bits_to_string, index_to_bits
+from .bitstrings import index_to_bits
 from .oracle import CostOracle
 from .qsim import StateVector, measure, uniform_superposition
 
@@ -41,19 +41,6 @@ class GroverResult:
     oracle_calls: int
     iterations: int
     restarts: int
-    seed: int = 0
-
-    def to_record(self) -> dict:
-        """Flat run summary; the found bitstring is rendered as hex."""
-        return {
-            "seed": self.seed,
-            "t": self.iterations,
-            "restarts": self.restarts,
-            "oracle_calls": self.oracle_calls,
-            "success": self.measured_good,
-            "bits_hex": format(bits_to_index(self.bits), "x"),
-            "bits": bits_to_string(self.bits),
-        }
 
 
 def optimal_iterations(n_states: int, k: int) -> int:
@@ -139,8 +126,8 @@ def grover_search(o: CostOracle, cfg: GroverConfig) -> GroverResult:
         bits, good = _amplify_and_verify(o, marked, t, rng)
         calls += t + 1
         if good:
-            return GroverResult(bits, True, calls, t, restart, seed=cfg.seed)
-    return GroverResult(bits, False, calls, t, cfg.max_restarts, seed=cfg.seed)
+            return GroverResult(bits, True, calls, t, restart)
+    return GroverResult(bits, False, calls, t, cfg.max_restarts)
 
 
 def search_unknown_k(o: CostOracle, seed: int = 0) -> GroverResult:
@@ -168,6 +155,6 @@ def search_unknown_k(o: CostOracle, seed: int = 0) -> GroverResult:
         bits, good = _amplify_and_verify(o, marked, t, rng)
         calls += t + 1
         if good:
-            return GroverResult(bits, True, calls, t, rounds, seed=seed)
+            return GroverResult(bits, True, calls, t, rounds)
         m *= UNKNOWN_K_GROWTH
-    return GroverResult(bits, False, calls, t, rounds, seed=seed)
+    return GroverResult(bits, False, calls, t, rounds)

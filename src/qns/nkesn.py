@@ -96,7 +96,9 @@ def make_reservoir(size: int, input_dim: int, spectral_radius: float = 0.9,
 
 def run_reservoir(r: Reservoir, inputs: np.ndarray) -> np.ndarray:
     """Roll the linear recurrence z' = W_res z + W_in x from z = 0 over a
-    (T, input_dim) sequence; returns (T, size).
+    (T, input_dim) sequence; returns (T, size). At ``input_dim`` 1 a 1-d
+    series is read as (T, 1); elsewhere a 1-d input of ``input_dim``
+    entries is one step.
 
     No squashing function: the NK outputs' ``activation`` acts on the
     readout, never on the state. The input drive ``inputs @ W_in.T`` is
@@ -107,7 +109,10 @@ def run_reservoir(r: Reservoir, inputs: np.ndarray) -> np.ndarray:
     equal a loop of ``z = W_res @ z + W_in @ x`` bit for bit; at larger
     widths the drive's dot products may round differently in the last place.
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim == 1 and r.input_dim == 1:
+        inputs = inputs.reshape(-1, 1)  # T scalar inputs
+    inputs = np.atleast_2d(inputs)
     if inputs.shape[1:] != (r.input_dim,):
         raise ValueError(f"input shape {inputs.shape[1:]} != ({r.input_dim},)")
     states = inputs @ r.w_in.T
@@ -122,24 +127,7 @@ def run_reservoir(r: Reservoir, inputs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Probe filter and NK landscape.
-
-@dataclass
-class ProbeFilter:
-    w_pf: np.ndarray
-
-    def __post_init__(self):
-        self.w_pf = np.asarray(self.w_pf, dtype=np.float64)
-
-    @property
-    def size(self) -> int:
-        return self.w_pf.shape[0]
-
-
-def make_probe_filter(n_probe: int, reservoir_size: int, seed: int = 0) -> ProbeFilter:
-    rng = np.random.default_rng(seed)
-    return ProbeFilter(rng.uniform(-1.0, 1.0, size=(n_probe, reservoir_size)))
-
+# NK landscape.
 
 class Topology(str, Enum):
     ADJACENT = "adjacent"
@@ -190,8 +178,11 @@ def make_landscape(n: int, k: int, topology: Topology = Topology.ADJACENT,
 
 @dataclass
 class NkEsn:
+    """A reservoir read by the (N, size) probe filter ``w_pf``, whose N
+    neurons feed the outputs through ``w_out`` as ``landscape`` gates them."""
+
     reservoir: Reservoir
-    probe: ProbeFilter
+    w_pf: np.ndarray
     landscape: NKLandscape
     w_out: np.ndarray
     activation: str = "tanh"
@@ -205,11 +196,12 @@ def make_nkesn(n_outputs: int, k: int, reservoir_size: int, input_dim: int = 1,
     seeds = np.random.SeedSequence(seed).generate_state(4)
     reservoir = make_reservoir(reservoir_size, input_dim, spectral_radius,
                                connectivity, int(seeds[0]))
-    probe = make_probe_filter(n_outputs, reservoir_size, int(seeds[1]))
+    w_pf = np.random.default_rng(int(seeds[1])).uniform(
+        -1.0, 1.0, size=(n_outputs, reservoir_size))
     rng = np.random.default_rng(int(seeds[2]))
     w_out = rng.uniform(-1.0, 1.0, size=(n_outputs, n_outputs))
     landscape = make_landscape(n_outputs, k, topology, int(seeds[3]))
-    return NkEsn(reservoir, probe, landscape, w_out, activation, seed)
+    return NkEsn(reservoir, w_pf, landscape, w_out, activation, seed)
 
 
 def _usable_cpus() -> int:
@@ -233,7 +225,7 @@ def probe_signal_series(model: NkEsn, data: Dataset,
                         washout: int = DEFAULT_WASHOUT) -> tuple[np.ndarray, np.ndarray]:
     """Raw (unmasked) probe outputs and targets after the washout prefix."""
     states = run_reservoir(model.reservoir, data.inputs)
-    signals = states @ model.probe.w_pf.T
+    signals = states @ model.w_pf.T
     targets = data.targets[:, 0]
     if washout >= len(signals):
         raise ValueError(f"washout {washout} consumes the whole series of {len(signals)}")
@@ -298,17 +290,11 @@ def build_table(model: NkEsn, data: Dataset,
     return table
 
 
-def pattern_of(bits, land: NKLandscape, output: int) -> int:
-    """Pattern index of output ``output`` under a full N-bit assignment."""
-    bits = np.asarray(bits)
-    nb = land.neighborhoods[output]
-    return int(np.dot(bits[nb], 1 << np.arange(land.k)))
-
-
 def mean_loss_from_table(table: np.ndarray, land: NKLandscape, bits) -> float:
-    """(1/N) sum_i table[pattern_i(bits), i]."""
-    return float(np.mean([table[pattern_of(bits, land, i), i]
-                          for i in range(land.n)]))
+    """(1/N) sum_i table[pattern_i(bits), i], where bit j of output i's
+    pattern is the assignment's bit at neighborhoods[i, j]."""
+    patterns = np.asarray(bits)[land.neighborhoods] @ (1 << np.arange(land.k))
+    return float(np.mean(table[patterns, np.arange(land.n)]))
 
 
 # ---------------------------------------------------------------------------
@@ -445,15 +431,9 @@ def combine_per_output(patterns, land: NKLandscape,
     mask's mean loss is evaluated, and on adjacent topologies the gap to
     the dynamic-programming optimum is reported alongside.
     """
-    votes_one = np.zeros(land.n, dtype=np.int64)
-    votes_zero = np.zeros(land.n, dtype=np.int64)
-    for i, pattern in enumerate(patterns):
-        pattern = np.asarray(pattern)
-        for j, member in enumerate(land.neighborhoods[i]):
-            if pattern[j]:
-                votes_one[member] += 1
-            else:
-                votes_zero[member] += 1
+    ones = np.asarray(patterns, dtype=bool)  # (N, K): output i's vote on each member
+    votes_one = np.bincount(land.neighborhoods[ones], minlength=land.n)
+    votes_zero = np.bincount(land.neighborhoods[~ones], minlength=land.n)
     bits = (votes_one >= votes_zero).astype(np.uint8)
     conflicts = [
         {"bit": int(b), "votes_one": int(votes_one[b]), "votes_zero": int(votes_zero[b])}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstrings import bits_to_index, index_to_bits
+from .bitstrings import bits_to_index, bits_to_string, index_to_bits
 from .grover import GroverConfig, grover_search, search_unknown_k
 from .oracle import CostOracle, count_solutions
 from .qsim import (
@@ -104,9 +104,10 @@ def select(method: str, h: DiagonalCostHamiltonian, epsilon: float, params: dict
         else:
             result = grover_search(o, GroverConfig(seed=seed, **params))
         # the scored success, loss < epsilon, is the verified measured_good
-        fields = {k: v for k, v in result.to_record().items()
-                  if k not in ("success", "oracle_calls")}
-        return scored(bits_to_index(result.bits), result.oracle_calls, **fields)
+        index = bits_to_index(result.bits)
+        return scored(index, result.oracle_calls, seed=seed, t=result.iterations,
+                      restarts=result.restarts, bits_hex=format(index, "x"),
+                      bits=bits_to_string(result.bits))
 
     if method == "anneal":
         from . import anneal as anneal_mod
@@ -127,16 +128,17 @@ def select(method: str, h: DiagonalCostHamiltonian, epsilon: float, params: dict
         result = variational.qaoa_optimize(h, params["p"], params["budget"], seed,
                                            mixer, memo=memo)
         shared["qaoa_calls"] = shared.get("qaoa_calls", 0) + len(result.trace)
-        key = (mixer, result.best_params.to_vector().tobytes())
+        best, p = result.best_params, params["p"]
+        key = (mixer, best.tobytes())
         finals = shared.setdefault("qaoa_state", {})
         if key not in finals:
-            finals[key] = variational.qaoa_state(h, result.best_params, mixer)
+            finals[key] = variational.qaoa_state(h, best[:p], best[p:], mixer)
             finals[key].amplitudes.flags.writeable = False  # shared by every seed
         state = finals[key]
     else:
         from . import variational
-        ansatz = variational.make_ansatz(h.n_qubits, params["layers"], seed)
-        result = variational.vqe_run(h, ansatz, params["budget"], seed)
+        thetas = variational.make_ansatz(h.n_qubits, params["layers"], seed)
+        result = variational.vqe_run(h, thetas, params["budget"], seed)
         state = result.best_state
     if method != "anneal":
         fields = {"best_expectation": within_table(result.best_value, h),

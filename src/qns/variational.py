@@ -5,8 +5,10 @@ exponentials exp(-i*beta*H_0), on complex128 amplitudes; the VQE ansatz
 stacks per-qubit Ry layers, each followed by the ring of controlled-Z
 gates, its one entangler. Each Ry layer is applied as one tensor product
 (the first, on |0...0>, as a product state) and the CZ ring as one cached
-+-1 diagonal, on float64 amplitudes (see :func:`ansatz_state`). Both are driven by a seeded, derivative-free
-simplex optimizer with random restarts.
++-1 diagonal, on float64 amplitudes (see :func:`ansatz_state`). Both are
+driven by a seeded, derivative-free simplex optimizer with random restarts.
+The angles are plain float64 arrays: QAOA's p gammas and p betas, searched
+as one [gamma..., beta...] vector, and the VQE's (layers, n_qubits) thetas.
 
 The optimizer is Nelder-Mead (Nelder & Mead, Comput. J. 7, 308, 1965),
 an in-repo copy of the unbounded path of scipy's, which a test holds to
@@ -33,61 +35,9 @@ from .qsim import (
 )
 
 
-@dataclass
-class QaoaParams:
-    gammas: np.ndarray
-    betas: np.ndarray
-
-    def __post_init__(self):
-        self.gammas = np.atleast_1d(np.asarray(self.gammas, dtype=np.float64))
-        self.betas = np.atleast_1d(np.asarray(self.betas, dtype=np.float64))
-        if self.gammas.shape != self.betas.shape or self.gammas.ndim != 1:
-            raise ValueError(
-                f"gammas {self.gammas.shape} and betas {self.betas.shape} "
-                "must be 1-d sequences of equal length"
-            )
-        if self.p < 1:
-            raise ValueError("at least one block is required")
-
-    @property
-    def p(self) -> int:
-        return len(self.gammas)
-
-    @staticmethod
-    def from_vector(vec: np.ndarray) -> "QaoaParams":
-        vec = np.asarray(vec, dtype=np.float64)
-        p = vec.size // 2
-        return QaoaParams(vec[:p], vec[p:])
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.gammas, self.betas])
-
-
-@dataclass
-class VqeAnsatz:
-    """L layers of per-qubit Ry rotations, each followed by the CZ ring."""
-
-    layers: int
-    thetas: np.ndarray
-
-    def __post_init__(self):
-        self.thetas = np.asarray(self.thetas, dtype=np.float64)
-        if self.layers < 1:
-            raise ValueError("at least one ansatz layer is required")
-        if self.thetas.ndim != 2 or self.thetas.shape[0] != self.layers:
-            raise ValueError(
-                f"thetas shape {self.thetas.shape} != ({self.layers}, n_qubits)"
-            )
-
-    @property
-    def n_qubits(self) -> int:
-        return self.thetas.shape[1]
-
-
-def make_ansatz(n_qubits: int, layers: int, seed) -> VqeAnsatz:
-    """The ansatz with every theta drawn uniformly from [-0.5, 0.5]."""
-    thetas = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(layers, n_qubits))
-    return VqeAnsatz(layers, thetas)
+def make_ansatz(n_qubits: int, layers: int, seed) -> np.ndarray:
+    """The (layers, n_qubits) thetas, each drawn uniformly from [-0.5, 0.5]."""
+    return np.random.default_rng(seed).uniform(-0.5, 0.5, size=(layers, n_qubits))
 
 
 @lru_cache(maxsize=4)  # one 16-qubit entry holds 512 kB
@@ -104,31 +54,35 @@ def _ring_cz_signs(n: int) -> np.ndarray:
     return signs
 
 
-def ansatz_state(ansatz: VqeAnsatz) -> StateVector:
-    """The ansatz applied to |0...0>, in float64.
+def ansatz_state(thetas: np.ndarray) -> StateVector:
+    """The ansatz of (layers, n_qubits) ``thetas`` applied to |0...0>, in float64.
 
-    Ry gates and CZ signs are real. The block matrices of all layers come
-    from one broadcast. Layer 1 acts on |0...0>, where each sum of a block
-    product has one nonzero term, so it is built as the product state of
-    the blocks' first columns, one outer product per block in
-    ``qsim._apply_block``'s order: the same products, with no matrix
-    product. The state is bit for bit the real part of the complex128
-    simulation, whose imaginary part is exactly zero, but for the sign of
-    an exact zero (see ``qsim._apply_block``).
+    Row l holds layer l's Ry angles, one per qubit. Ry gates and CZ signs
+    are real. The block matrices of all layers come from one broadcast.
+    Layer 1 acts on |0...0>, where each sum of a block product has one
+    nonzero term, so it is built as the product state of the blocks' first
+    columns, one outer product per block in ``qsim._apply_block``'s order:
+    the same products, with no matrix product. The state is bit for bit the
+    real part of the complex128 simulation, whose imaginary part is exactly
+    zero, but for the sign of an exact zero (see ``qsim._apply_block``).
     """
-    state = StateVector(ansatz.n_qubits)  # checks n before any 2^n array
-    half = ansatz.thetas.T / 2.0
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if thetas.ndim != 2 or thetas.shape[0] < 1:
+        raise ValueError(f"thetas shape {thetas.shape} is not (layers >= 1, n_qubits)")
+    layers, n = thetas.shape
+    state = StateVector(n)  # checks n before any 2^n array
+    half = thetas.T / 2.0
     # Ry(theta) = [[cos, -sin], [sin, cos]] of theta/2, one per (qubit, layer)
     gates = np.empty(half.shape + (2, 2))
     gates[..., 0, 0] = gates[..., 1, 1] = np.cos(half)
     gates[..., 1, 0] = np.sin(half)
     gates[..., 0, 1] = -gates[..., 1, 0]
     blocks = _product_blocks(gates)
-    signs = _ring_cz_signs(state.n_qubits)
+    signs = _ring_cz_signs(n)
     amp = np.ones(1)
     for block in blocks:  # layer 1 on |0...0>: its first columns' product
         amp = np.multiply.outer(block[0, :, 0], amp).reshape(-1)
-    for layer in range(ansatz.layers):
+    for layer in range(layers):
         if layer:
             for block in blocks:
                 amp = _apply_block(amp, block[layer])
@@ -137,17 +91,17 @@ def ansatz_state(ansatz: VqeAnsatz) -> StateVector:
     return state
 
 
-def qaoa_state(h_c: DiagonalCostHamiltonian, params: QaoaParams,
+def qaoa_state(h_c: DiagonalCostHamiltonian, gammas, betas,
                mixer: MixerSpec | None = None) -> StateVector:
-    """Apply p blocks of U(gamma_j) then U(beta_j) to the uniform state."""
+    """Apply p blocks of U(gamma_j) then U(beta_j) to the uniform state;
+    ``gammas`` and ``betas`` are 1-d of length p (see ``qsim.apply_layers``)."""
     mixer = mixer or MixerSpec()
-    return apply_layers(uniform_superposition(h_c.n_qubits), h_c, mixer,
-                        params.gammas, params.betas)
+    return apply_layers(uniform_superposition(h_c.n_qubits), h_c, mixer, gammas, betas)
 
 
-def qaoa_expectation(h_c: DiagonalCostHamiltonian, params: QaoaParams,
+def qaoa_expectation(h_c: DiagonalCostHamiltonian, gammas, betas,
                      mixer: MixerSpec | None = None) -> float:
-    return expectation(qaoa_state(h_c, params, mixer), h_c)
+    return expectation(qaoa_state(h_c, gammas, betas, mixer), h_c)
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +115,10 @@ def qaoa_expectation(h_c: DiagonalCostHamiltonian, params: QaoaParams,
 @dataclass
 class OptimizeResult:
     """The best point found, its value, and every (point, value) evaluated.
-    QAOA gives ``best_params`` as :class:`QaoaParams`, VQE as a thetas matrix
-    and its ansatz state at that point as ``best_state``."""
+    QAOA gives ``best_params`` as its [gamma..., beta...] vector, VQE as a
+    thetas matrix and its ansatz state at that point as ``best_state``."""
 
-    best_params: np.ndarray | QaoaParams
+    best_params: np.ndarray
     best_value: float
     trace: list[tuple[np.ndarray, float]]
     best_state: StateVector | None = None
@@ -269,48 +223,49 @@ def optimize_variational(objective, init, budget: int, seed) -> OptimizeResult:
 def qaoa_optimize(h_c: DiagonalCostHamiltonian, p: int, budget: int, seed,
                   mixer: MixerSpec | None = None,
                   memo: dict[bytes, float] | None = None) -> OptimizeResult:
-    """Optimize the 2p block angles against the cost expectation.
+    """Optimize the 2p block angles against the cost expectation;
+    ``best_params`` is the searched vector, p gammas then p betas.
 
     ``memo`` maps the bytes of an angle vector to its objective value. Calls
     on the same Hamiltonian, mixer and p may share one: a point met before
     is looked up, not simulated again. A looked-up value is the one a fresh
     evaluation gives, so the result does not depend on the memo.
     """
+    if p < 1:
+        raise ValueError(f"at least one block is required, got p={p}")
     mixer = mixer or MixerSpec()
     memo = {} if memo is None else memo
 
     def objective(vec):
         key = vec.tobytes()
         if key not in memo:
-            memo[key] = qaoa_expectation(h_c, QaoaParams.from_vector(vec), mixer)
+            memo[key] = qaoa_expectation(h_c, vec[:p], vec[p:], mixer)
         return memo[key]
 
-    result = optimize_variational(objective, np.zeros(2 * p), budget, seed)
-    result.best_params = QaoaParams.from_vector(result.best_params)
-    return result
+    return optimize_variational(objective, np.zeros(2 * p), budget, seed)
 
 
-def vqe_run(h_c: DiagonalCostHamiltonian, ansatz: VqeAnsatz, budget: int,
+def vqe_run(h_c: DiagonalCostHamiltonian, thetas: np.ndarray, budget: int,
             seed) -> OptimizeResult:
-    """Minimize the ansatz expectation of the cost Hamiltonian over thetas;
-    ``best_params`` has the shape of ``ansatz.thetas``, and ``best_state`` is
-    the state the search evaluated there."""
-    if ansatz.n_qubits != h_c.n_qubits:
-        raise ValueError(
-            f"ansatz acts on {ansatz.n_qubits} qubits, hamiltonian on {h_c.n_qubits}"
-        )
-    shape = ansatz.thetas.shape
+    """Minimize the ansatz expectation of the cost Hamiltonian over thetas,
+    starting from the (layers, n_qubits) ``thetas``; ``best_params`` has
+    their shape, and ``best_state`` is the state the search evaluated there."""
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if thetas.shape[1:] != (h_c.n_qubits,):
+        raise ValueError(f"thetas shape {thetas.shape} != (layers, {h_c.n_qubits}), "
+                         "the hamiltonian's qubits")
+    shape = thetas.shape
     best_value, best_state = math.inf, None
 
     def objective(vec):
         nonlocal best_value, best_state
-        state = ansatz_state(VqeAnsatz(ansatz.layers, vec.reshape(shape)))
+        state = ansatz_state(vec.reshape(shape))
         value = expectation(state, h_c)
         if value < best_value:  # optimize_variational's best-so-far rule
             best_value, best_state = value, state
         return value
 
-    result = optimize_variational(objective, ansatz.thetas.ravel(), budget, seed)
+    result = optimize_variational(objective, thetas.ravel(), budget, seed)
     result.best_params = result.best_params.reshape(shape)
     result.best_state = best_state
     return result

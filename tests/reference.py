@@ -58,7 +58,12 @@ loop of it from z = 0 is what ``qns.nkesn.run_reservoir`` must equal, bit
 for bit at input width 1 and to rounding at larger widths.
 ``nkesn_output`` and ``per_output_losses`` evaluate the NK echo-state
 network's outputs one neighbourhood sum at a time, the definition that
-``qns.nkesn.build_table`` tabulates. ``grover_table_select`` is one NK
+``qns.nkesn.build_table`` tabulates. ``mean_loss_from_table`` reads an
+assignment's table entries one output at a time, and ``majority_votes``
+counts the stitch's votes one neighbourhood member at a time; the gather and
+``np.bincount`` of ``qns.nkesn.mean_loss_from_table`` and
+``qns.nkesn.combine_per_output`` must give the same values bit for bit.
+``grover_table_select`` is one NK
 output's K-qubit search written directly on ``grover_search`` with 8
 restarts, which ``qns.nkesn.select_per_output`` must reproduce through
 ``qns.search.select``.
@@ -395,24 +400,24 @@ def apply_layers(state, h_c, mixer, gammas, betas):
     return state
 
 
-def qaoa_state(h_c, params, mixer=None):
+def qaoa_state(h_c, gammas, betas, mixer=None):
     """p QAOA blocks from the uniform state, each phase over the full cost table."""
     mixer = mixer or MixerSpec()
-    return apply_layers(uniform_superposition(h_c.n_qubits), h_c, mixer,
-                        params.gammas, params.betas)
+    return apply_layers(uniform_superposition(h_c.n_qubits), h_c, mixer, gammas, betas)
 
 
-def ansatz_state(ansatz):
-    """The Ry+CZ ansatz on complex128 amplitudes from |0...0>: one
-    ``apply_product`` per layer, then the CZ-ring signs."""
-    state = StateVector(ansatz.n_qubits)  # |0...0>, complex128
-    half = ansatz.thetas / 2.0
+def ansatz_state(thetas):
+    """The Ry+CZ ansatz of (layers, n) ``thetas`` on complex128 amplitudes
+    from |0...0>: one ``apply_product`` per layer, then the CZ-ring signs."""
+    n = thetas.shape[1]
+    state = StateVector(n)  # |0...0>, complex128
+    half = thetas / 2.0
     cos, sin = np.cos(half), np.sin(half)
     # Ry(theta) = [[cos, -sin], [sin, cos]] of theta/2, one per (layer, qubit)
     gates = np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
     for layer in gates:
         apply_product(state, layer)
-        state.amplitudes *= _ring_cz_signs(ansatz.n_qubits)
+        state.amplitudes *= _ring_cz_signs(n)
     return state
 
 
@@ -456,7 +461,7 @@ def reservoir_step(r, z: np.ndarray, x: np.ndarray) -> np.ndarray:
     return r.w_res @ z + r.w_in @ x
 
 
-def nkesn_output(z, pf, land, w_out, bits, activation: str = "tanh"):
+def nkesn_output(z, w_pf, land, w_out, bits, activation: str = "tanh"):
     """All N outputs for one reservoir state under the given probe mask.
 
     Output i sums only its K neighborhood terms: the probe signal, gated by
@@ -465,7 +470,7 @@ def nkesn_output(z, pf, land, w_out, bits, activation: str = "tanh"):
     bits = np.asarray(bits, dtype=np.float64)
     if bits.shape != (land.n,):
         raise ValueError(f"mask has shape {bits.shape}, expected ({land.n},)")
-    signals = pf.w_pf @ np.asarray(z, dtype=np.float64)
+    signals = w_pf @ np.asarray(z, dtype=np.float64)
     gated = signals * bits
     sums = np.array([
         np.dot(w_out[land.neighborhoods[i], i], gated[land.neighborhoods[i]])
@@ -486,6 +491,30 @@ def per_output_losses(model, data, bits, washout: int = DEFAULT_WASHOUT):
                       model.activation)
         losses[i] = np.mean((series - targets) ** 2)
     return losses
+
+
+def mean_loss_from_table(table, land, bits) -> float:
+    """(1/N) sum_i table[pattern_i(bits), i], each output's pattern index
+    summed from its neighbourhood's bits."""
+    bits = np.asarray(bits)
+    losses = []
+    for i in range(land.n):
+        pattern = int(np.dot(bits[land.neighborhoods[i]], 1 << np.arange(land.k)))
+        losses.append(table[pattern, i])
+    return float(np.mean(losses))
+
+
+def majority_votes(patterns, land):
+    """(votes for 1, votes for 0) of every probe bit over the outputs' patterns."""
+    votes_one = np.zeros(land.n, dtype=np.int64)
+    votes_zero = np.zeros(land.n, dtype=np.int64)
+    for i, pattern in enumerate(patterns):
+        for j, member in enumerate(land.neighborhoods[i]):
+            if pattern[j]:
+                votes_one[member] += 1
+            else:
+                votes_zero[member] += 1
+    return votes_one, votes_zero
 
 
 def grover_table_select(column: np.ndarray, epsilon: float, seed: int = 0) -> GroverResult:

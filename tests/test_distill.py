@@ -1,4 +1,4 @@
-"""Layerwise teacher-student selection: traces, compression, block search."""
+"""Layerwise teacher-student selection: recorded activations, compression, block search."""
 import copy
 import tracemalloc
 from unittest import mock
@@ -39,20 +39,22 @@ def teacher_io_data(teacher, n=20, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Activation traces.
+# Recorded activations.
 
 def test_record_activations_identity_layer():
     net = network_from_weights([LayerSpec(2, 2, Activation.IDENTITY)],
                                [np.eye(2)])
-    trace = record_activations(net, Dataset([[1.0, 2.0]], [[0.0, 0.0]]))
-    np.testing.assert_array_equal(trace.layers[0], [[1.0, 2.0]])
+    outputs = record_activations(net, Dataset([[1.0, 2.0]], [[0.0, 0.0]]))
+    np.testing.assert_array_equal(outputs[0], [[1.0, 2.0]])
 
 
 def test_trace_final_layer_equals_forward():
     net = small_teacher()
     data = teacher_io_data(net)
-    trace = record_activations(net, data)
-    np.testing.assert_allclose(trace.layers[-1],
+    outputs = record_activations(net, data)
+    # one (samples, fan_out) array per layer
+    assert [a.shape for a in outputs] == [(len(data.inputs), s.fan_out) for s in net.specs]
+    np.testing.assert_allclose(outputs[-1],
                                masknet.forward_batch(net, data.inputs))
 
 
@@ -60,8 +62,8 @@ def test_relu_trace_zeroes_negative_preactivations():
     net = network_from_weights(
         [LayerSpec(1, 2, Activation.RELU), LayerSpec(2, 1, Activation.IDENTITY)],
         [np.array([[-1.0, -2.0]]), np.ones((2, 1))])
-    trace = record_activations(net, Dataset([[3.0]], [[0.0]]))
-    np.testing.assert_array_equal(trace.layers[0], [[0.0, 0.0]])
+    outputs = record_activations(net, Dataset([[3.0]], [[0.0]]))
+    np.testing.assert_array_equal(outputs[0], [[0.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +132,10 @@ def test_block_loss_zero_mask_equals_teacher_activation_norm():
     teacher = small_teacher()
     data = teacher_io_data(teacher)
     pair = make_student(teacher, width_factor=1, seed=1)
-    trace = record_activations(teacher, data)
+    outputs = record_activations(teacher, data)
     bits = np.zeros(pair.blocks[0].total_maskable(), dtype=np.uint8)
-    loss = block_loss(trace.layers[0], pair.blocks[0], bits, data.inputs)
-    expected = float(np.mean(np.linalg.norm(trace.layers[0], axis=1)))
+    loss = block_loss(outputs[0], pair.blocks[0], bits, data.inputs)
+    expected = float(np.mean(np.linalg.norm(outputs[0], axis=1)))
     assert loss == pytest.approx(expected, abs=1e-12)
 
 
@@ -141,11 +143,11 @@ def test_block_loss_sample_order_invariant():
     teacher = small_teacher()
     data = teacher_io_data(teacher)
     pair = make_student(teacher, width_factor=1, seed=1)
-    trace = record_activations(teacher, data)
+    outputs = record_activations(teacher, data)
     bits = np.ones(pair.blocks[0].total_maskable(), dtype=np.uint8)
     perm = np.random.default_rng(0).permutation(len(data))
-    a = block_loss(trace.layers[0], pair.blocks[0], bits, data.inputs)
-    b = block_loss(trace.layers[0][perm], pair.blocks[0], bits, data.inputs[perm])
+    a = block_loss(outputs[0], pair.blocks[0], bits, data.inputs)
+    b = block_loss(outputs[0][perm], pair.blocks[0], bits, data.inputs[perm])
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -271,17 +273,17 @@ def test_exhaustive_selection_attains_independent_enumeration():
     result = distill_select(pair, data, backend=Backend.EXHAUSTIVE,
                             per_block_bit_budget=12)
 
-    trace = record_activations(teacher, data)
+    outputs = record_activations(teacher, data)
     inputs = data.inputs
     for i, block in enumerate(pair.blocks):
         n_bits = block.total_maskable()
-        best = min(block_loss(trace.layers[i], block, index_to_bits(x, n_bits), inputs)
+        best = min(block_loss(outputs[i], block, index_to_bits(x, n_bits), inputs)
                    for x in range(1 << n_bits))
         assert result.reports[i].loss == best
         assert result.reports[i].gap == 0.0
         view = masknet.apply_flat_mask(block, result.reports[i].bits)
         out = masknet.forward_batch(view, inputs)
-        inputs = compress(out, trace.layers[i].shape[1])
+        inputs = compress(out, outputs[i].shape[1])
 
 
 def test_grover_backend_succeeds_with_epsilon_above_minimum():
@@ -377,11 +379,11 @@ def test_student_chaining_stops_at_the_last_block(monkeypatch, layers, chained):
 
     # the reference loop: every block by the same per-block search, each
     # followed by the chaining step
-    trace = record_activations(teacher, data)
+    outputs = record_activations(teacher, data)
     rng = np.random.default_rng(3)
     inputs = data.inputs
     for i, (block, report) in enumerate(zip(pair.blocks, result.reports, strict=True)):
-        acts = trace.layers[i]
+        acts = outputs[i]
         h = DiagonalCostHamiltonian(block.total_maskable(),
                                     distill.block_table(acts, block, inputs))
         eps = distill._block_epsilon(h.costs, block.total_maskable(), rng)
@@ -425,16 +427,16 @@ def test_total_loss_not_worse_than_random_masks():
                             per_block_bit_budget=12)
 
     rng = np.random.default_rng(9)
-    trace = record_activations(teacher, data)
+    outputs = record_activations(teacher, data)
     best_random = np.inf
     for _ in range(32):
         total, inputs = 0.0, data.inputs
         for i, block in enumerate(pair.blocks):
             bits = rng.integers(0, 2, block.total_maskable()).astype(np.uint8)
-            total += block_loss(trace.layers[i], block, bits, inputs)
+            total += block_loss(outputs[i], block, bits, inputs)
             view = masknet.apply_flat_mask(block, bits)
             inputs = compress(masknet.forward_batch(view, inputs),
-                              trace.layers[i].shape[1])
+                              outputs[i].shape[1])
         best_random = min(best_random, total)
     assert result.total_loss <= best_random + 1e-12
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import LAYERS_6BIT, cost_tables, planted_oracle_with_k
+from qns import search
 from qns.bitstrings import bits_to_index
 from qns.grover import (
     GroverConfig,
@@ -18,7 +19,7 @@ from qns.grover import (
     success_probability,
 )
 from qns.oracle import CostOracle
-from qns.qsim import measure
+from qns.qsim import DiagonalCostHamiltonian, measure
 
 
 def column_oracle(costs, epsilon):
@@ -159,14 +160,14 @@ def test_auto_iterations_uses_known_k_then_marked_count():
 
 
 def test_result_record_serialization():
+    """The record fields of a Grover search, as ``search.select`` writes them."""
     costs = np.array([1.0, 0.0, 1.0, 1.0])
-    o = column_oracle(costs, 0.5)
-    result = grover_search(o, GroverConfig(seed=3))
-    rec = result.to_record()
-    assert rec["success"] is True
-    assert rec["bits_hex"] == "1"
-    assert rec["t"] == result.iterations
-    assert rec["oracle_calls"] == result.oracle_calls
+    result = grover_search(column_oracle(costs, 0.5), GroverConfig(seed=3))
+    rec = search.select("grover", DiagonalCostHamiltonian(2, costs), 0.5, {}, 3).metrics()
+    assert rec == {"loss": 0.0, "success": True, "oracle_calls": result.oracle_calls,
+                   "epsilon": 0.5, "seed": 3, "t": result.iterations,
+                   "restarts": result.restarts, "bits_hex": "1", "bits": "10"}
+    assert result.measured_good and bits_to_index(result.bits) == 1
 
 
 def test_unknown_k_succeeds_fast_with_half_space_marked():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import free_run
 from reference import grover_table_select, nkesn_output, per_output_losses, reservoir_step
 from qns import harness, nkesn, search
@@ -120,6 +121,25 @@ def test_run_reservoir_validates_shapes():
         run_reservoir(r, np.zeros((5, 2)))
 
 
+def test_run_reservoir_reads_a_1d_series_as_scalar_steps():
+    r = make_reservoir(10, 1, seed=0)
+    series = np.linspace(-1, 1, 9)
+    states = run_reservoir(r, series)
+    assert states.shape == (9, 10)
+    assert states.tobytes() == run_reservoir(r, series[:, None]).tobytes()
+    # a scalar is one step
+    assert run_reservoir(r, 0.5).tobytes() == run_reservoir(r, [[0.5]]).tobytes()
+    # wider reservoirs keep their shapes: a 1-d input of input_dim entries
+    # is one step, and any other width is an error naming it
+    wide = make_reservoir(10, 3, seed=0)
+    step = np.array([0.5, -1.0, 0.25])
+    assert run_reservoir(wide, step).tobytes() == run_reservoir(wide, step[None]).tobytes()
+    with pytest.raises(ValueError, match=r"input shape \(9,\) != \(3,\)"):
+        run_reservoir(wide, series)
+    with pytest.raises(ValueError, match=r"input shape \(1,\) != \(3,\)"):
+        run_reservoir(wide, series[:, None])
+
+
 def test_nilpotent_reservoir_draw_is_a_method_failure():
     """Seed 578 draws a 20x20 matrix with spectral radius 0: a seed-dependent
     failure, not a bad argument."""
@@ -199,7 +219,7 @@ def test_landscape_validation():
 def test_all_zero_mask_gives_phi_of_zero():
     model = demo_model()
     z = np.random.default_rng(0).normal(size=model.reservoir.size)
-    out = nkesn_output(z, model.probe, model.landscape, model.w_out,
+    out = nkesn_output(z, model.w_pf, model.landscape, model.w_out,
                        np.zeros(8), activation="tanh")
     np.testing.assert_array_equal(out, np.tanh(0.0))
 
@@ -208,9 +228,9 @@ def test_full_neighborhood_equals_full_dot_product():
     model = make_nkesn(n_outputs=4, k=4, reservoir_size=20, seed=1)
     z = np.random.default_rng(1).normal(size=20)
     bits = np.ones(4)
-    out = nkesn_output(z, model.probe, model.landscape, model.w_out, bits,
+    out = nkesn_output(z, model.w_pf, model.landscape, model.w_out, bits,
                        activation="identity")
-    signals = model.probe.w_pf @ z
+    signals = model.w_pf @ z
     for i in range(4):
         nb = model.landscape.neighborhoods[i]
         assert out[i] == pytest.approx(
@@ -600,6 +620,35 @@ def test_select_per_output_equals_the_direct_grover_search(k):
             sel = selections[i]
             assert (sel.oracle_calls, sel.fields["restarts"], sel.success) == (
                 ref.oracle_calls, ref.restarts, ref.measured_good)
+
+
+@st.composite
+def stitch_cases(draw):
+    """A landscape of either topology, a table and one pattern per output."""
+    n = draw(st.integers(2, 39))
+    k = draw(st.integers(1, min(n, 8)))
+    topology = draw(st.sampled_from(list(Topology)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    land = make_landscape(n, k, topology, seed=seed)
+    rng = np.random.default_rng(seed)
+    table = rng.uniform(0, 1, (1 << k, n))
+    patterns = [rng.integers(0, 2, k).astype(np.uint8) for _ in range(n)]
+    return land, table, patterns, rng.integers(0, 2, n).astype(np.uint8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=stitch_cases())
+def test_stitch_equals_per_output_loops(case):
+    land, table, patterns, bits = case
+    assert (mean_loss_from_table(table, land, bits)
+            == reference.mean_loss_from_table(table, land, bits))
+    votes_one, votes_zero = reference.majority_votes(patterns, land)
+    result = combine_per_output(patterns, land, table)
+    np.testing.assert_array_equal(result.bits, votes_one >= votes_zero)
+    assert result.conflicts == [
+        {"bit": b, "votes_one": int(votes_one[b]), "votes_zero": int(votes_zero[b])}
+        for b in range(land.n) if votes_one[b] and votes_zero[b]]
+    assert result.mean_loss == reference.mean_loss_from_table(table, land, result.bits)
 
 
 def test_combine_agreeing_patterns_has_no_conflicts():

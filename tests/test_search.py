@@ -91,9 +91,9 @@ def test_seeds_with_one_best_point_simulate_its_final_state_once(monkeypatch):
                 for seed in (1, 2)]
     simulated, qaoa_state = [], variational.qaoa_state
 
-    def counting_state(h_c, qaoa_params, mixer=None):
-        simulated.append(qaoa_params.to_vector().tobytes())
-        return qaoa_state(h_c, qaoa_params, mixer)
+    def counting_state(h_c, gammas, betas, mixer=None):
+        simulated.append(np.concatenate([gammas, betas]).tobytes())
+        return qaoa_state(h_c, gammas, betas, mixer)
 
     monkeypatch.setattr(variational, "qaoa_state", counting_state)
     shared = {}

@@ -25,8 +25,6 @@ from qns.qsim import (
 )
 from qns.variational import (
     _ring_cz_signs,
-    QaoaParams,
-    VqeAnsatz,
     ansatz_state,
     make_ansatz,
     optimize_variational,
@@ -43,25 +41,27 @@ def random_instance(n, seed):
 
 
 def test_qaoa_params_validation():
-    with pytest.raises(ValueError):
-        QaoaParams([0.1, 0.2], [0.3])
-    params = QaoaParams([0.1], [0.2])
-    assert params.p == 1
-    np.testing.assert_array_equal(QaoaParams.from_vector(params.to_vector()).gammas,
-                                  params.gammas)
+    """The angles are 1-d gammas and betas of one length, p >= 1 of each."""
+    h = random_instance(2, 0)
+    with pytest.raises(ValueError, match=r"gammas \(2,\) and betas \(1,\)"):
+        qaoa_state(h, [0.1, 0.2], [0.3])
+    with pytest.raises(ValueError, match=r"gammas \(1, 2\) and betas \(1, 2\)"):
+        qaoa_state(h, [[0.1, 0.2]], [[0.3, 0.4]])
+    with pytest.raises(ValueError, match="p=0"):
+        qaoa_optimize(h, p=0, budget=10, seed=0)
 
 
 def test_zero_angles_leave_uniform_state():
     h = random_instance(3, 0)
-    state = qaoa_state(h, QaoaParams([0.0, 0.0], [0.0, 0.0]))
+    state = qaoa_state(h, [0.0, 0.0], [0.0, 0.0])
     np.testing.assert_allclose(state.amplitudes, uniform_superposition(3).amplitudes)
-    assert qaoa_expectation(h, QaoaParams([0.0], [0.0])) == pytest.approx(
+    assert qaoa_expectation(h, [0.0], [0.0]) == pytest.approx(
         h.costs.mean(), abs=1e-12)
 
 
 def test_beta_zero_keeps_distribution_uniform_exactly():
     h = random_instance(2, 1)
-    state = qaoa_state(h, QaoaParams([1.234], [0.0]))
+    state = qaoa_state(h, [1.234], [0.0])
     np.testing.assert_array_equal(state.probabilities(), np.full(4, 0.25))
 
 
@@ -71,7 +71,7 @@ def test_single_block_matches_dense_exponentials(mixer_name):
     h = random_instance(2, 2)
     mixer = MixerSpec() if mixer_name == "transverse" else MixerSpec(Mixer.BIT_FLIP_RING)
     gamma, beta = 0.7, 0.4
-    state = qaoa_state(h, QaoaParams([gamma], [beta]), mixer)
+    state = qaoa_state(h, [gamma], [beta], mixer)
     u = expm(-1j * beta * mixer_dense(mixer, 2)) @ expm(-1j * gamma * np.diag(h.costs))
     expected = u @ (np.ones(4) / 2.0)
     np.testing.assert_allclose(state.amplitudes, expected, atol=1e-9)
@@ -82,25 +82,25 @@ def test_qaoa_expectation_equals_brute_force_weighted_mean():
     for n in (2, 4, 6):
         for p in (1, 2, 3):
             h = random_instance(n, n * 10 + p)
-            params = QaoaParams(rng.uniform(-1, 1, p), rng.uniform(-1, 1, p))
-            state = qaoa_state(h, params)
+            angles = rng.uniform(-1, 1, p), rng.uniform(-1, 1, p)
+            state = qaoa_state(h, *angles)
             brute = float(np.sum(np.abs(state.amplitudes) ** 2 * h.costs))
-            assert abs(qaoa_expectation(h, params) - brute) < 1e-9
+            assert abs(qaoa_expectation(h, *angles) - brute) < 1e-9
 
 
 def test_variational_bound_holds_for_qaoa():
     rng = np.random.default_rng(9)
     for trial in range(20):
         h = random_instance(3, trial)
-        params = QaoaParams(rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2))
-        assert qaoa_expectation(h, params) >= h.costs.min() - 1e-9
+        angles = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
+        assert qaoa_expectation(h, *angles) >= h.costs.min() - 1e-9
 
 
 def test_linear_ramp_qaoa_approaches_annealing():
     h = random_instance(3, 7)
     total_time = 12.0
     p = 48
-    state = qaoa_state(h, QaoaParams(*midpoint_ramp(total_time, p)))
+    state = qaoa_state(h, *midpoint_ramp(total_time, p))
     ground = anneal.ground_states(h)
     p_qaoa = float(state.probabilities()[ground].sum())
     p_anneal = anneal.anneal(h, anneal.AnnealSchedule(total_time, steps=p)).p_ground
@@ -113,7 +113,7 @@ def test_annealing_is_linear_ramp_qaoa_bit_for_bit(mixer_name):
     mixer = MixerSpec() if mixer_name == "transverse" else MixerSpec(Mixer.BIT_FLIP_RING)
     total_time, steps = 7.5, 30
     annealed = evolve(uniform_superposition(4), h, mixer, total_time, steps)
-    ramped = qaoa_state(h, QaoaParams(*midpoint_ramp(total_time, steps)), mixer)
+    ramped = qaoa_state(h, *midpoint_ramp(total_time, steps), mixer)
     assert np.array_equal(annealed.amplitudes, ramped.amplitudes)
 
 
@@ -130,9 +130,10 @@ def test_qaoa_state_equals_the_full_table_phase_loop_bit_for_bit(
     n, costs = table
     h = DiagonalCostHamiltonian(n, costs)
     mixer = MixerSpec() if transverse else MixerSpec(Mixer.BIT_FLIP_RING)
-    params = QaoaParams(*zip(*angles))
-    got = qaoa_state(h, params, mixer)
-    assert got.amplitudes.tobytes() == reference.qaoa_state(h, params, mixer).amplitudes.tobytes()
+    gammas, betas = (np.array(column) for column in zip(*angles))
+    got = qaoa_state(h, gammas, betas, mixer)
+    want = reference.qaoa_state(h, gammas, betas, mixer)
+    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -236,24 +237,25 @@ def test_qaoa_optimizer_evaluates_the_points_of_scipys_nelder_mead(p, budget, se
     assert h.n_qubits == 6
 
     def objective(vec):
-        return qaoa_expectation(h, QaoaParams.from_vector(vec))
+        return qaoa_expectation(h, vec[:p], vec[p:])
 
     got = qaoa_optimize(h, p, budget, seed)
     want = reference.optimize_variational(objective, np.zeros(2 * p), budget, seed)
-    got.best_params = got.best_params.to_vector()
-    _assert_same_run(got, want)
+    _assert_same_run(got, want)  # best_params is the searched [gammas, betas] vector
 
 
 # ---------------------------------------------------------------------------
 # VQE.
 
 def test_ansatz_validation():
-    with pytest.raises(ValueError):
-        VqeAnsatz(0, np.zeros((1, 2)))
-    with pytest.raises(ValueError):
-        VqeAnsatz(2, np.zeros((1, 2)))
-    ansatz = make_ansatz(3, layers=2, seed=0)
-    assert ansatz.thetas.shape == (2, 3)
+    """The thetas are a (layers >= 1, n_qubits) matrix."""
+    with pytest.raises(ValueError, match=r"thetas shape \(3,\)"):
+        ansatz_state(np.zeros(3))
+    with pytest.raises(ValueError, match=r"thetas shape \(0, 2\)"):
+        ansatz_state(np.zeros((0, 2)))
+    thetas = make_ansatz(3, layers=2, seed=0)
+    assert thetas.shape == (2, 3)
+    assert ansatz_state(thetas).n_qubits == 3
 
 
 def test_ansatz_state_is_normalized():
@@ -281,14 +283,14 @@ def test_ring_cz_signs_equal_apply_cz_loop(n):
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_ansatz_state_matches_gate_loop(n):
     # angles up to 3 rad, past make_ansatz's 0.5
-    ansatz = VqeAnsatz(3, np.random.default_rng(n).uniform(-3.0, 3.0, size=(3, n)))
+    thetas = np.random.default_rng(n).uniform(-3.0, 3.0, size=(3, n))
     expected = StateVector(n)
-    for layer in ansatz.thetas:
+    for layer in thetas:
         for q, theta in enumerate(layer):
             apply_ry(expected, q, float(theta))
         for a, b in _ring_edges(n):
             apply_cz(expected, a, b)
-    np.testing.assert_allclose(ansatz_state(ansatz).amplitudes, expected.amplitudes,
+    np.testing.assert_allclose(ansatz_state(thetas).amplitudes, expected.amplitudes,
                                rtol=0, atol=1e-13)
 
 
@@ -298,12 +300,11 @@ def test_ansatz_state_matches_gate_loop(n):
                                 elements=st.floats(-2 * math.pi, 2 * math.pi))),
        seed=st.integers(0, 2**32 - 1))
 # the benchmark's size: 2 layers at n = 12
-@example(thetas=make_ansatz(12, 2, 0).thetas, seed=0)
+@example(thetas=make_ansatz(12, 2, 0), seed=0)
 def test_ansatz_state_is_the_real_part_of_the_complex_path(thetas, seed):
-    layers, n = thetas.shape
-    ansatz = VqeAnsatz(layers, thetas)
-    state = ansatz_state(ansatz)
-    stored_complex = reference.ansatz_state(ansatz)
+    n = thetas.shape[1]
+    state = ansatz_state(thetas)
+    stored_complex = reference.ansatz_state(thetas)
     assert state.amplitudes.dtype == np.float64
     # bit for bit but for the sign of an exact zero: the complex product's
     # real part subtracts +-0 imaginary terms, which can flip it (seen when
@@ -347,9 +348,10 @@ def test_vqe_best_state_is_the_ansatz_state_at_the_best_point(n, layers, budget)
     """The state vqe_run keeps is the one a fresh ``ansatz_state`` gives at
     ``best_params``, bit for bit, and the best value is its expectation."""
     h = random_instance(n, 30 + n)
-    ansatz = make_ansatz(n, layers, seed=n)
-    result = vqe_run(h, ansatz, budget=budget, seed=n)
-    fresh = ansatz_state(VqeAnsatz(ansatz.layers, result.best_params))
+    thetas = make_ansatz(n, layers, seed=n)
+    result = vqe_run(h, thetas, budget=budget, seed=n)
+    assert result.best_params.shape == thetas.shape
+    fresh = ansatz_state(result.best_params)
     assert np.array_equal(result.best_state.amplitudes, fresh.amplitudes)
     assert result.best_value == expectation(fresh, h)
     assert result.best_value == min(value for _, value in result.trace)
@@ -357,8 +359,10 @@ def test_vqe_best_state_is_the_ansatz_state_at_the_best_point(n, layers, budget)
 
 def test_vqe_rejects_mismatched_sizes():
     h = random_instance(3, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"thetas shape \(2, 2\) != \(layers, 3\)"):
         vqe_run(h, make_ansatz(2, 2, seed=0), budget=10, seed=0)
+    with pytest.raises(ValueError, match=r"thetas shape \(3,\)"):
+        vqe_run(h, np.zeros(3), budget=10, seed=0)
 
 
 def test_deeper_qaoa_does_not_lose_to_shallow():
