@@ -2,8 +2,9 @@
 """Amplitude-amplified subnetwork search on a planted task.
 
 Builds a tiny fixed-random network whose targets are generated by a hidden
-mask, wraps the loss threshold as a verification oracle, and compares the
-search's oracle-call count against the exhaustive scan.
+mask, enumerates its cost table, searches the table for a mask whose loss
+beats the threshold (each measured mask is verified against the table), and
+compares the search's oracle-call count against the exhaustive scan.
 """
 import numpy as np
 
@@ -20,19 +21,18 @@ data = masknet.make_planted_dataset(net, hidden, n_samples=16, seed=int(data_see
 print(f"search space: 2^{net.total_maskable()} = {2 ** net.total_maskable()} masks")
 print(f"hidden mask: {hidden} (loss 0 by construction)")
 
-# The oracle accepts any mask whose dataset loss beats the threshold.
-o = oracle.SubnetworkOracle(net, data, epsilon=1e-9)
+# A search accepts any mask whose dataset loss beats the threshold.
+epsilon = 1e-9
 h = oracle.build_cost_hamiltonian(net, data)
-k = oracle.count_solutions(h, o.epsilon)
+k = oracle.count_solutions(h, epsilon)
 print(f"solutions below epsilon: k = {k}")
 print(f"optimal iterations for N=64, k={k}: {optimal_iterations(64, k)}")
 
-result = grover_search(o, GroverConfig(seed=3))
+result = grover_search(h.costs, epsilon, GroverConfig(seed=3))
 print(f"\nknown-k search: found {result.bits} verified={result.measured_good} "
       f"oracle_calls={result.oracle_calls}")
 
-o.call_counter = 0
-result = search_unknown_k(o, seed=3)
+result = search_unknown_k(h.costs, epsilon, seed=3)
 print(f"unknown-k schedule: found {result.bits} after {result.restarts} rounds, "
       f"oracle_calls={result.oracle_calls}")
 print(f"exhaustive scan would cost {h.dim} evaluations")
@@ -40,8 +40,7 @@ print(f"exhaustive scan would cost {h.dim} evaluations")
 # Success probability over many seeded runs approaches the closed form.
 from qns.grover import success_probability
 
-hits = sum(grover_search(oracle.SubnetworkOracle(net, data, 1e-9),
-                         GroverConfig(max_restarts=1, seed=s)).measured_good
+hits = sum(grover_search(h.costs, epsilon, GroverConfig(max_restarts=1, seed=s)).measured_good
            for s in range(200))
 t = optimal_iterations(64, k)
 print(f"\nsingle-shot success over 200 seeds: {hits / 200:.3f} "

@@ -1,10 +1,11 @@
-"""Amplitude-amplification search over mask bitstrings.
+"""Amplitude-amplification search over a cost table.
 
-Builds each attempt's oracle+diffusion rounds from their closed form's two
-amplitudes (:func:`amplified_state`) into a verified search: measured
-candidates are always re-checked classically before being accepted, so a
-returned success is never a sampling fluke. Oracle-call accounting is at the
-query level: one call per oracle round plus one per classical verification.
+A search marks the table entries below epsilon once, then builds each
+attempt's oracle+diffusion rounds from their closed form's two amplitudes
+(:func:`amplified_state`) into a verified search: the measured index is
+always checked against the marks before it is accepted, so a returned
+success is never a sampling fluke. Oracle-call accounting is at the query
+level: one call per oracle round plus one per classical verification.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitstrings import index_to_bits
-from .oracle import CostOracle
 from .qsim import StateVector, measure, uniform_superposition
 
 UNKNOWN_K_GROWTH = 6.0 / 5.0
@@ -32,6 +32,8 @@ class GroverConfig:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         if self.max_restarts < 1:
             raise ValueError(f"max_restarts must be >= 1, got {self.max_restarts}")
+        if self.known_k is not None and self.known_k < 1:
+            raise ValueError(f"known_k must be >= 1, got {self.known_k}")
 
 
 @dataclass
@@ -95,51 +97,59 @@ def _resolve_iterations(cfg: GroverConfig, n_states: int, k_marked: int) -> int:
     return t
 
 
-def _amplify_and_verify(o: CostOracle, marked: np.ndarray, t: int,
+def _marked(costs, epsilon: float) -> np.ndarray:
+    """The entries of ``costs`` below ``epsilon``: the predicate every attempt checks."""
+    # epsilon 0 is allowed as a degenerate probe: no cost is below 0.
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    return np.asarray(costs) < epsilon
+
+
+def _amplify_and_verify(marked: np.ndarray, n_bits: int, t: int,
                         rng: np.random.Generator) -> tuple[np.ndarray, bool]:
-    """One attempt: t rounds (:func:`amplified_state`), a measurement, a classical check.
-
-    Counts the t quantum queries on ``o.call_counter``; the attempt costs
-    t + 1 oracle calls including the verification.
-    """
-    state = amplified_state(marked, o.n_bits, t)
-    o.call_counter += t
-    bits = index_to_bits(measure(state, rng), o.n_bits).astype(np.uint8)
-    return bits, bool(o.is_good(bits))
+    """One attempt: t rounds (:func:`amplified_state`), a measurement, a classical
+    check of the measured index; t + 1 oracle calls including the verification."""
+    index = measure(amplified_state(marked, n_bits, t), rng)
+    return index_to_bits(index, n_bits).astype(np.uint8), bool(marked[index])
 
 
-def grover_search(o: CostOracle, cfg: GroverConfig) -> GroverResult:
-    """Search for a pattern accepted by the oracle's threshold predicate.
+def grover_search(costs, epsilon: float, cfg: GroverConfig) -> GroverResult:
+    """Search the table ``costs`` (entry x the cost of pattern x) for a
+    pattern with cost below ``epsilon``.
 
     Each restart prepares the state after the configured number of
     oracle+diffusion iterations, measures it, and verifies the candidate
     classically. The reported ``oracle_calls`` is exactly
-    iterations * restarts_used + restarts_used. The register has the
-    oracle's ``n_bits`` qubits, so it is bounded by the ceiling its table is.
+    iterations * restarts_used + restarts_used. The register has log2 of
+    the table's length in qubits, refused past the qubit ceiling before
+    any state is built.
     """
-    marked = o.marked_table()
+    marked = _marked(costs, epsilon)
+    n_bits = marked.size.bit_length() - 1
     t = _resolve_iterations(cfg, marked.size, int(marked.sum()))
     rng = np.random.default_rng(cfg.seed)
 
     calls = 0
     for restart in range(1, cfg.max_restarts + 1):
-        bits, good = _amplify_and_verify(o, marked, t, rng)
+        bits, good = _amplify_and_verify(marked, n_bits, t, rng)
         calls += t + 1
         if good:
             return GroverResult(bits, True, calls, t, restart)
     return GroverResult(bits, False, calls, t, cfg.max_restarts)
 
 
-def search_unknown_k(o: CostOracle, seed: int = 0) -> GroverResult:
+def search_unknown_k(costs, epsilon: float, seed: int = 0) -> GroverResult:
     """Exponentially-growing random-iteration schedule for an unknown solution count.
 
-    Round r draws t uniformly from [0, min(ceil(m), ceil(pi/4 sqrt(N)))] with
-    m growing by 6/5 per round, runs t iterations, and verifies the
+    Searches ``costs`` for an entry below ``epsilon``, as :func:`grover_search`
+    does. Round r draws t uniformly from [0, min(ceil(m), ceil(pi/4 sqrt(N)))]
+    with m growing by 6/5 per round, runs t iterations, and verifies the
     measurement. Stops on success or when the call budget
     3 * sqrt(N) * log2(N) is exhausted.
     """
-    marked = o.marked_table()
+    marked = _marked(costs, epsilon)
     n_states = marked.size
+    n_bits = n_states.bit_length() - 1
     budget = int(3 * math.sqrt(n_states) * math.log2(n_states))
     t_cap = math.ceil(math.pi / 4.0 * math.sqrt(n_states))
     rng = np.random.default_rng(seed)
@@ -148,11 +158,11 @@ def search_unknown_k(o: CostOracle, seed: int = 0) -> GroverResult:
     calls = 0
     rounds = 0
     t = 0
-    bits = np.zeros(o.n_bits, dtype=np.uint8)
+    bits = np.zeros(n_bits, dtype=np.uint8)
     while calls < budget:
         rounds += 1
         t = int(rng.integers(0, min(math.ceil(m), t_cap) + 1))
-        bits, good = _amplify_and_verify(o, marked, t, rng)
+        bits, good = _amplify_and_verify(marked, n_bits, t, rng)
         calls += t + 1
         if good:
             return GroverResult(bits, True, calls, t, rounds)

@@ -208,7 +208,7 @@ METHOD_PARAMS: Mapping[str, dict[str, Param]] = _Tables({
     "grover": {
         "unknown_k": Param(bool, False),
         "iterations": Param(int, None, lambda v: GroverConfig(iterations=v)),
-        "known_k": Param(int, None, _POSITIVE),
+        "known_k": Param(int, None, lambda v: GroverConfig(known_k=v)),
         "max_restarts": Param(int, GroverConfig.max_restarts,
                               lambda v: GroverConfig(max_restarts=v)),
     },

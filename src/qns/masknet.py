@@ -455,7 +455,8 @@ def network_to_json(net: MaskedNetwork) -> dict:
 def network_from_json(doc: dict) -> MaskedNetwork:
     """The network of a :func:`network_to_json` document. Masks gate weights
     only: a stored bias-mask rule must be false, and stored bias masks are
-    ignored."""
+    ignored. A non-finite weight or bias raises ``ValueError`` naming its
+    layer."""
     specs = tuple(
         LayerSpec(s["fan_in"], s["fan_out"], Activation(s["activation"]))
         for s in doc["specs"]
@@ -468,6 +469,9 @@ def network_from_json(doc: dict) -> MaskedNetwork:
         if "masks" in doc:
             net.masks = [np.array(m, dtype=np.float64) for m in doc["masks"]]
         net._validate()
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ValueError(f"layer {i} has a non-finite weight or bias")
         return net
     if doc.get("seed") is None:
         raise ValueError("network document needs explicit weights or a seed")
@@ -485,8 +489,8 @@ def load_network(path) -> MaskedNetwork:
 def load_dataset_csv(path, n_inputs: int, name: str | None = None) -> Dataset:
     """One row = input values then target values; split after ``n_inputs`` columns.
 
-    A non-numeric cell, or a row whose length differs from the first row's,
-    raises ``ValueError`` naming its line.
+    A non-numeric or non-finite cell, or a row whose length differs from the
+    first row's, raises ``ValueError`` naming its line.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -498,9 +502,13 @@ def load_dataset_csv(path, n_inputs: int, name: str | None = None) -> Dataset:
                 raise ValueError(f"line {reader.line_num} has {len(row)} cells, "
                                  f"the first row has {len(rows[0])}")
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError as err:
                 raise ValueError(f"line {reader.line_num}: {err}") from None
+            for cell, value in zip(row, values):
+                if not math.isfinite(value):
+                    raise ValueError(f"line {reader.line_num}: non-finite value {cell!r}")
+            rows.append(values)
     arr = np.asarray(rows, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] <= n_inputs:
         raise ValueError(

@@ -1,103 +1,49 @@
-"""Threshold predicates and cost Hamiltonians over mask bitstrings.
+"""Cost Hamiltonians over mask bitstrings, and the default loss threshold.
 
-The bridge between subnetwork quality and the quantum modules: a
-:class:`SubnetworkOracle` answers "does this mask beat the loss threshold?"
-(the verification predicate), and full enumeration of a bitstring space
-yields the diagonal cost Hamiltonian that annealing and the variational
-loops act on.
-
-An oracle is its cost table: every price it gives is an entry of the table,
-enumerated once on first use, so an oracle is bounded by the qubit ceiling.
-A subnetwork's table comes from :func:`qns.masknet.enumerate_losses`, the
-layer-prefix kernel, which computes each layer once per pattern of the bits
-before it and equals the pattern-by-pattern losses bit for bit.
+The bridge between subnetwork quality and the quantum modules: full
+enumeration of a network's mask space yields the diagonal cost Hamiltonian
+whose table every search reads (Grover marks the entries below epsilon;
+annealing and the variational loops act on the Hamiltonian). The table comes
+from :func:`qns.masknet.enumerate_losses`, the layer-prefix kernel, which
+computes each layer once per pattern of the bits before it and equals the
+pattern-by-pattern losses bit for bit.
 """
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
 from . import masknet
-from .bitstrings import bits_to_index
 from .qsim import DiagonalCostHamiltonian, max_qubits
 
 
 class CostOracle:
-    """Predicate `cost(bits) < epsilon` over n-bit patterns, with call accounting.
+    """The enumeration of one network's cost table, bounded by the qubit ceiling.
 
-    ``table`` takes no arguments and returns the cost of every pattern
-    0..2^n-1, bit j of the index being bit j of the pattern; :meth:`cost`
-    reads that table. ``call_counter`` counts predicate-level queries only:
-    one per :meth:`is_good` call and one per oracle application charged by a
-    search (see :mod:`qns.grover`). ``cost`` itself is free so that searches
-    can compile the phase oracle without distorting the accounting.
+    :func:`build_cost_hamiltonian` is its only user. The class remains
+    because three benchmark workloads require the span
+    ``CostOracle.enumerate_costs``, whose counter reads the instance
+    (``self``) it is called on; once the span moves into
+    :func:`build_cost_hamiltonian`, the class can go.
     """
 
-    def __init__(self, table, n_bits: int, epsilon: float):
-        self._table = table
-        self.n_bits = n_bits
-        self.epsilon = epsilon
-        self.call_counter = 0
-        self._enumerated: np.ndarray | None = None
-
-    @property
-    def epsilon(self) -> float:
-        return self._epsilon
-
-    @epsilon.setter
-    def epsilon(self, value: float) -> None:
-        # epsilon 0 is allowed as a degenerate probe: no mask has loss < 0.
-        if not value >= 0:
-            raise ValueError(f"epsilon must be nonnegative, got {value}")
-        self._epsilon = float(value)
-
-    def cost(self, bits) -> float:
-        bits = np.asarray(bits)
-        if bits.size != self.n_bits:
-            raise ValueError(f"pattern has {bits.size} bits, oracle expects {self.n_bits}")
-        if not np.all((bits == 0) | (bits == 1)):
-            raise ValueError("pattern bits must be 0 or 1")
-        return float(self.enumerate_costs()[bits_to_index(bits.ravel())])
-
-    def is_good(self, bits) -> bool:
-        self.call_counter += 1
-        return self.cost(bits) < self.epsilon
+    def __init__(self, net: masknet.MaskedNetwork, data: masknet.Dataset):
+        self.net = net
+        self.data = data
 
     def enumerate_costs(self) -> np.ndarray:
-        """Cost of every pattern 0..2^n-1 (cached; does not touch the counter)."""
-        if self._enumerated is None:
-            if self.n_bits > max_qubits():
-                raise ValueError(
-                    f"{self.n_bits} bits is too large to enumerate "
-                    f"(limit {max_qubits()})"
-                )
-            costs = np.asarray(self._table(), dtype=np.float64)
-            if costs.shape != (1 << self.n_bits,):
-                raise ValueError(f"cost table has shape {costs.shape}, "
-                                 f"{self.n_bits} bits need {1 << self.n_bits} entries")
-            self._enumerated = costs
-        return self._enumerated
-
-    def marked_table(self) -> np.ndarray:
-        return self.enumerate_costs() < self.epsilon
-
-
-class SubnetworkOracle(CostOracle):
-    """Accepts a flat mask iff the masked network's dataset loss is below epsilon."""
-
-    def __init__(self, net: masknet.MaskedNetwork, data: masknet.Dataset,
-                 epsilon: float):
-        super().__init__(functools.partial(masknet.enumerate_losses, net, data),
-                         net.total_maskable(), epsilon)
+        """Dataset loss of every mask 0..2^n-1, bit j of the index being bit j of the mask."""
+        n_bits = self.net.total_maskable()
+        if n_bits > max_qubits():
+            raise ValueError(f"{n_bits} bits is too large to enumerate "
+                             f"(limit {max_qubits()})")
+        return masknet.enumerate_losses(self.net, self.data)
 
 
 def build_cost_hamiltonian(net: masknet.MaskedNetwork,
                            data: masknet.Dataset) -> DiagonalCostHamiltonian:
     """costs[x] = dataset loss of the network masked with bitstring x."""
-    # epsilon is irrelevant for enumeration; any positive value works.
-    costs = SubnetworkOracle(net, data, epsilon=1.0).enumerate_costs()
-    return DiagonalCostHamiltonian(net.total_maskable(), costs)
+    return DiagonalCostHamiltonian(net.total_maskable(),
+                                   CostOracle(net, data).enumerate_costs())
 
 
 def count_solutions(h: DiagonalCostHamiltonian, epsilon: float) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bitstrings import bits_to_index, bits_to_string, index_to_bits
 from .grover import GroverConfig, grover_search, search_unknown_k
-from .oracle import CostOracle, count_solutions
+from .oracle import count_solutions
 from .qsim import (
     DEFAULT_TROTTER_STEPS,
     DiagonalCostHamiltonian,
@@ -98,11 +98,10 @@ def select(method: str, h: DiagonalCostHamiltonian, epsilon: float, params: dict
         return scored(best, h.dim, best_bits_hex=format(best, "x"),
                       k_solutions=count_solutions(h, epsilon))
     if method == "grover":
-        o = CostOracle(lambda: h.costs, h.n_qubits, epsilon)
         if params.pop("unknown_k"):
-            result = search_unknown_k(o, seed=seed)
+            result = search_unknown_k(h.costs, epsilon, seed)
         else:
-            result = grover_search(o, GroverConfig(seed=seed, **params))
+            result = grover_search(h.costs, epsilon, GroverConfig(seed=seed, **params))
         # the scored success, loss < epsilon, is the verified measured_good
         index = bits_to_index(result.bits)
         return scored(index, result.oracle_calls, seed=seed, t=result.iterations,

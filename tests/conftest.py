@@ -20,18 +20,20 @@ def make_planted_task(layers, seed, n_samples=16, density=0.5, input_range=1.0):
     return net, data, hidden
 
 
-def planted_oracle(layers, seed, epsilon, n_samples=16):
+def planted_costs(layers, seed, n_samples=16):
+    """The cost table of a planted task: its dataset loss under every mask."""
     net, data, _ = make_planted_task(layers, seed, n_samples)
-    return oracle.SubnetworkOracle(net, data, epsilon)
+    return oracle.build_cost_hamiltonian(net, data).costs
 
 
-def planted_oracle_with_k(layers, k_target, epsilon, base_seed=0, n_samples=16):
-    """First seed at or after ``base_seed`` whose task has exactly k solutions."""
+def planted_costs_with_k(layers, k_target, epsilon, base_seed=0, n_samples=16):
+    """(costs, seed): the table of the first seed at or after ``base_seed``
+    whose task has exactly k entries below ``epsilon``."""
     seed = base_seed
     while True:
-        o = planted_oracle(layers, seed, epsilon, n_samples)
-        if int(o.marked_table().sum()) == k_target:
-            return o, seed
+        costs = planted_costs(layers, seed, n_samples)
+        if int(np.count_nonzero(costs < epsilon)) == k_target:
+            return costs, seed
         seed += 1
         if seed - base_seed > 500:
             raise RuntimeError(f"no task with k={k_target} near seed {base_seed}")

@@ -80,7 +80,6 @@ from scipy.special import jv
 from qns import masknet
 from qns.nkesn import DEFAULT_WASHOUT, _phi, probe_signal_series
 from qns.grover import GroverConfig, GroverResult, grover_search
-from qns.oracle import CostOracle
 from qns.edgepopup import (
     THETA_CLAMP,
     PopupTrainResult,
@@ -523,5 +522,4 @@ def grover_table_select(column: np.ndarray, epsilon: float, seed: int = 0) -> Gr
     k = int(column.size).bit_length() - 1
     if 1 << k != column.size:
         raise ValueError(f"column length {column.size} is not a power of two")
-    oracle = CostOracle(lambda: column, k, epsilon)
-    return grover_search(oracle, GroverConfig(max_restarts=8, seed=seed))
+    return grover_search(column, epsilon, GroverConfig(max_restarts=8, seed=seed))

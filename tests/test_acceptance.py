@@ -11,7 +11,7 @@ import numpy as np
 
 import reference
 from conftest import (
-    LAYERS_6BIT, LAYERS_8BIT, free_run, make_planted_task, planted_oracle_with_k,
+    LAYERS_6BIT, LAYERS_8BIT, free_run, make_planted_task, planted_costs_with_k,
 )
 from qns import anneal, edgepopup, harness, masknet, nkesn, oracle, search, variational
 from qns.bitstrings import all_patterns, bits_to_index, index_to_bits
@@ -74,16 +74,19 @@ def test_c03_oracle_consistency():
         net, data, _ = make_planted_task(LAYERS_8BIT, seed=task_seed)
         per_row = functools.partial(masknet.batch_losses, net, data)
         eps = oracle.default_epsilon(per_row, 8, seed=task_seed)
-        o = oracle.SubnetworkOracle(net, data, eps)
         h = oracle.build_cost_hamiltonian(net, data)
-        losses = per_row(all_patterns(8))
-        for x in range(256):
-            assert o.is_good(index_to_bits(x, 8)) == bool(h.costs[x] < eps)
-            assert o.cost(index_to_bits(x, 8)) == losses[x]
+        # every table entry is its mask's batch_losses, bit for bit
+        assert h.costs.tobytes() == per_row(all_patterns(8)).tobytes()
+        for seed in range(4):
+            for result in (grover_search(h.costs, eps, GroverConfig(seed=seed)),
+                           search_unknown_k(h.costs, eps, seed)):
+                index = bits_to_index(result.bits)
+                assert result.measured_good == bool(h.costs[index] < eps)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
-    _report(3, f"100 planted 8-bit tasks: is_good(x) <=> cost(x) < eps on all "
-               f"256 masks, {elapsed:.1f}s")
+    _report(3, f"100 planted 8-bit tasks: cost(x) is batch_losses bit for bit "
+               f"on all 256 masks, and 800 searches accept x iff cost(x) < eps, "
+               f"{elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +94,12 @@ def test_c03_oracle_consistency():
 
 def test_c04_quadratic_advantage_accounting():
     started = time.perf_counter()
-    o, task_seed = planted_oracle_with_k(LAYERS_6BIT, k_target=1, epsilon=1e-9)
+    costs, task_seed = planted_costs_with_k(LAYERS_6BIT, k_target=1, epsilon=1e-9)
 
     known = []
     for seed in range(200):
-        result = grover_search(o, GroverConfig(known_k=1, max_restarts=10, seed=seed))
+        result = grover_search(costs, 1e-9, GroverConfig(known_k=1, max_restarts=10,
+                                                          seed=seed))
         assert result.measured_good
         known.append(result.oracle_calls)
     mean_known = float(np.mean(known))
@@ -103,7 +107,7 @@ def test_c04_quadratic_advantage_accounting():
 
     unknown = []
     for seed in range(200):
-        result = search_unknown_k(o, seed=seed)
+        result = search_unknown_k(costs, 1e-9, seed)
         assert result.measured_good
         unknown.append(result.oracle_calls)
     mean_unknown = float(np.mean(unknown))
@@ -363,13 +367,13 @@ def test_c11_reproducibility(tmp_path):
         return canon({**vars(result), "bits": result.bits.tolist()})
 
     # grover search + unknown-k schedule
-    o1, _ = planted_oracle_with_k(LAYERS_6BIT, k_target=1, epsilon=1e-9)
-    o2, _ = planted_oracle_with_k(LAYERS_6BIT, k_target=1, epsilon=1e-9)
-    r1 = grover_search(o1, GroverConfig(known_k=1, seed=7))
-    r2 = grover_search(o2, GroverConfig(known_k=1, seed=7))
+    c1, _ = planted_costs_with_k(LAYERS_6BIT, k_target=1, epsilon=1e-9)
+    c2, _ = planted_costs_with_k(LAYERS_6BIT, k_target=1, epsilon=1e-9)
+    r1 = grover_search(c1, 1e-9, GroverConfig(known_k=1, seed=7))
+    r2 = grover_search(c2, 1e-9, GroverConfig(known_k=1, seed=7))
     assert grover_fields(r1) == grover_fields(r2)
-    u1 = search_unknown_k(o1, seed=13)
-    u2 = search_unknown_k(o2, seed=13)
+    u1 = search_unknown_k(c1, 1e-9, 13)
+    u2 = search_unknown_k(c2, 1e-9, 13)
     assert grover_fields(u1) == grover_fields(u2)
 
     # annealing statevector bytes

@@ -52,6 +52,7 @@ BAD_CONFIGS = [
     ("qaoa-budget-negative", config("qaoa", {"budget": -3}), "method_params.budget"),
     ("known-k-too-large", config("grover", {"known_k": 10 ** 6}),
      "method_params.known_k"),
+    ("known-k-zero", config("grover", {"known_k": 0}), "method_params.known_k"),
     ("known-k-with-iterations", config("grover", {"iterations": 3, "known_k": 2}),
      "method_params.known_k"),
 ]

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import LAYERS_6BIT, cost_tables, planted_oracle_with_k
-from qns import search
+from conftest import LAYERS_6BIT, cost_tables, planted_costs_with_k
+from qns import grover, search
 from qns.bitstrings import bits_to_index
 from qns.grover import (
     GroverConfig,
@@ -18,14 +18,23 @@ from qns.grover import (
     search_unknown_k,
     success_probability,
 )
-from qns.oracle import CostOracle
 from qns.qsim import DiagonalCostHamiltonian, measure
 
 
-def column_oracle(costs, epsilon):
-    costs = np.asarray(costs, dtype=np.float64)
-    n = int(costs.size).bit_length() - 1
-    return CostOracle(lambda: costs, n, epsilon)
+def counted(search_fn, *args):
+    """``search_fn(*args)`` and its oracle calls, counted apart from the
+    search's own tally: t + 1 for each attempt's ``amplified_state`` of t
+    rounds, the rounds plus the classical verification."""
+    calls = []
+    real = grover.amplified_state
+
+    def spy(marked, n_qubits, iterations):
+        calls.append(iterations + 1)
+        return real(marked, n_qubits, iterations)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grover, "amplified_state", spy)
+        result = search_fn(*args)
+    return result, sum(calls)
 
 
 def test_optimal_iterations_formula():
@@ -92,8 +101,7 @@ def test_search_finds_unique_solution_with_certainty():
     """n=2, k=1, t=1: success probability is exactly 1, every seed."""
     costs = np.array([1.0, 1.0, 0.0, 1.0])
     for seed in range(10):
-        o = column_oracle(costs, 0.5)
-        result = grover_search(o, GroverConfig(seed=seed))
+        result = grover_search(costs, 0.5, GroverConfig(seed=seed))
         assert result.measured_good
         assert result.iterations == 1
         assert result.restarts == 1
@@ -107,29 +115,26 @@ def test_single_shot_frequency_matches_analytic_probability():
     p = success_probability(64, 1, 6)
     hits = 0
     for seed in range(1000):
-        o = column_oracle(costs, 0.5)
-        result = grover_search(o, GroverConfig(iterations=6, max_restarts=1, seed=seed))
+        result = grover_search(costs, 0.5, GroverConfig(iterations=6, max_restarts=1,
+                                                        seed=seed))
         hits += result.measured_good
     sigma = math.sqrt(p * (1 - p) / 1000)
     assert abs(hits / 1000 - p) <= 3 * sigma
 
 
 def test_oracle_call_accounting_is_exact():
-    """Reported calls are t*restarts + restarts and match the counter delta."""
+    """Reported calls are t*restarts + restarts and match the attempts counted."""
     costs = np.linspace(0, 1, 8)  # single solution below 0.1 at index 0
     for seed in range(30):
-        o = column_oracle(costs, 0.1)
         cfg = GroverConfig(iterations=1, max_restarts=6, seed=seed)
-        before = o.call_counter
-        result = grover_search(o, cfg)
+        result, calls = counted(grover_search, costs, 0.1, cfg)
         assert result.oracle_calls == result.iterations * result.restarts + result.restarts
-        assert o.call_counter - before == result.oracle_calls
+        assert calls == result.oracle_calls
 
 
 def test_search_reports_failure_when_nothing_is_marked():
     costs = np.ones(8)
-    o = column_oracle(costs, 0.5)
-    result = grover_search(o, GroverConfig(max_restarts=4, seed=0))
+    result = grover_search(costs, 0.5, GroverConfig(max_restarts=4, seed=0))
     assert not result.measured_good
     assert result.restarts == 4
 
@@ -140,8 +145,7 @@ def test_auto_mode_falls_back_to_sampling_when_amplification_overshoots():
     costs[:49] = 0.0  # k = 49 of 64: sin^2(3 asin(sqrt(49/64))) ~ 0.003
     wins = 0
     for seed in range(50):
-        o = column_oracle(costs, 0.5)
-        result = grover_search(o, GroverConfig(max_restarts=5, seed=seed))
+        result = grover_search(costs, 0.5, GroverConfig(max_restarts=5, seed=seed))
         assert result.iterations == 0
         assert result.oracle_calls == result.restarts  # verification only
         wins += result.measured_good
@@ -151,18 +155,16 @@ def test_auto_mode_falls_back_to_sampling_when_amplification_overshoots():
 def test_auto_iterations_uses_known_k_then_marked_count():
     costs = np.zeros(16)
     costs[5:] = 1.0  # k = 5 marked below 0.5
-    o = column_oracle(costs, 0.5)
-    r = grover_search(o, GroverConfig(seed=1))
+    r = grover_search(costs, 0.5, GroverConfig(seed=1))
     assert r.iterations == optimal_iterations(16, 5)
-    o2 = column_oracle(costs, 0.5)
-    r2 = grover_search(o2, GroverConfig(known_k=1, seed=1))
+    r2 = grover_search(costs, 0.5, GroverConfig(known_k=1, seed=1))
     assert r2.iterations == optimal_iterations(16, 1)
 
 
 def test_result_record_serialization():
     """The record fields of a Grover search, as ``search.select`` writes them."""
     costs = np.array([1.0, 0.0, 1.0, 1.0])
-    result = grover_search(column_oracle(costs, 0.5), GroverConfig(seed=3))
+    result = grover_search(costs, 0.5, GroverConfig(seed=3))
     rec = search.select("grover", DiagonalCostHamiltonian(2, costs), 0.5, {}, 3).metrics()
     assert rec == {"loss": 0.0, "success": True, "oracle_calls": result.oracle_calls,
                    "epsilon": 0.5, "seed": 3, "t": result.iterations,
@@ -176,45 +178,51 @@ def test_unknown_k_succeeds_fast_with_half_space_marked():
     costs[8:] = 1.0
     within_two = 0
     for seed in range(100):
-        o = column_oracle(costs, 0.5)
-        result = search_unknown_k(o, seed=seed)
+        result = search_unknown_k(costs, 0.5, seed)
         assert result.measured_good
         within_two += result.restarts <= 2
     assert within_two >= 60  # expected ~75, 3 sigma ~ 62
 
 
 def test_unknown_k_beats_exhaustive_scan_for_single_solution():
-    o, seed = planted_oracle_with_k(LAYERS_6BIT, k_target=1, epsilon=1e-9)
+    costs, _ = planted_costs_with_k(LAYERS_6BIT, k_target=1, epsilon=1e-9)
     calls = []
     for s in range(50):
-        o.call_counter = 0
-        result = search_unknown_k(o, seed=s)
+        result, counted_calls = counted(search_unknown_k, costs, 1e-9, s)
         assert result.measured_good
+        assert counted_calls == result.oracle_calls
         calls.append(result.oracle_calls)
     assert np.mean(calls) < 64
 
 
 def test_unknown_k_exhausts_budget_when_no_solution_exists():
     costs = np.ones(16)
-    o = column_oracle(costs, 0.5)
-    result = search_unknown_k(o, seed=2)
+    result = search_unknown_k(costs, 0.5, 2)
     assert not result.measured_good
     budget = int(3 * math.sqrt(16) * math.log2(16))
     assert result.oracle_calls >= budget
 
 
 def test_search_validates_sizes(monkeypatch):
-    """The register is the oracle's: beyond the qubit ceiling its table refuses."""
+    """The register is log2 of the table's length: beyond the qubit ceiling
+    the state refuses it. Epsilon and the config are checked too."""
     monkeypatch.setenv("QNS_MAX_QUBITS", "2")
-    o = column_oracle(np.ones(8), 0.5)
-    with pytest.raises(ValueError, match="too large"):
-        grover_search(o, GroverConfig(seed=0))
-    with pytest.raises(ValueError, match="too large"):
-        search_unknown_k(o, seed=0)
+    with pytest.raises(ValueError, match="n_qubits must be in 1..2, got 3"):
+        grover_search(np.ones(8), 0.5, GroverConfig(seed=0))
+    with pytest.raises(ValueError, match="n_qubits must be in 1..2, got 3"):
+        search_unknown_k(np.ones(8), 0.5, 0)
+    for epsilon in (-1e-12, math.nan):
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            grover_search(np.ones(4), epsilon, GroverConfig(seed=0))
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            search_unknown_k(np.ones(4), epsilon, 0)
     with pytest.raises(ValueError):
         GroverConfig(iterations=-1)
     with pytest.raises(ValueError):
         GroverConfig(max_restarts=0)
+    for known_k in (0, -3):
+        with pytest.raises(ValueError, match=f"known_k must be >= 1, got {known_k}"):
+            GroverConfig(known_k=known_k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -223,11 +231,10 @@ def test_search_validates_sizes(monkeypatch):
 def test_search_accounting_and_verification_on_any_table(drawn, iterations,
                                                          max_restarts, seed):
     n, costs, eps = drawn
-    o = column_oracle(costs, eps)
-    result = grover_search(o, GroverConfig(iterations=iterations,
-                                           max_restarts=max_restarts, seed=seed))
+    result, calls = counted(grover_search, costs, eps, GroverConfig(
+        iterations=iterations, max_restarts=max_restarts, seed=seed))
     assert result.oracle_calls == result.iterations * result.restarts + result.restarts
-    assert o.call_counter == result.oracle_calls
+    assert calls == result.oracle_calls
     assert result.bits.size == n
     assert result.measured_good == (costs[bits_to_index(result.bits)] < eps)
 
@@ -236,8 +243,7 @@ def test_search_accounting_and_verification_on_any_table(drawn, iterations,
 @given(drawn=cost_tables(), seed=st.integers(0, 2 ** 31 - 1))
 def test_unknown_k_verification_on_any_table(drawn, seed):
     n, costs, eps = drawn
-    o = column_oracle(costs, eps)
-    result = search_unknown_k(o, seed=seed)
-    assert o.call_counter == result.oracle_calls
+    result, calls = counted(search_unknown_k, costs, eps, seed)
+    assert calls == result.oracle_calls
     assert result.bits.size == n
     assert result.measured_good == (costs[bits_to_index(result.bits)] < eps)

@@ -239,8 +239,9 @@ def test_cli_run_method_failure_exit_code(tmp_path):
     assert cli.main(["run", str(path)]) == 3
 
 
-@pytest.mark.parametrize("content", ["1,2,3\n4,x,6\n", "1,2,3\n4,5\n"],
-                         ids=["bad-cell", "short-row"])
+@pytest.mark.parametrize("content", ["1,2,3\n4,x,6\n", "1,2,3\n4,5\n", "1,2,3\n4,nan,6\n",
+                                     "1,2,3\n4,5,inf\n"],
+                         ids=["bad-cell", "short-row", "nan-cell", "inf-cell"])
 def test_cli_malformed_csv_task_is_config_error(tmp_path, capsys, content):
     csv_path = tmp_path / "task.csv"
     csv_path.write_text(content)
@@ -650,6 +651,9 @@ def test_cli_distill_malformed_teacher_is_config_error(tmp_path, capsys):
           "seed": 3}, "identity activation"),  # ValueError
         ({"specs": [{"fan_in": 2, "fan_out": 1, "activation": "identity"}],
           "seed": 3, "mask_biases": True}, "mask_biases: "),  # masks gate weights only
+        ({"specs": [{"fan_in": 2, "fan_out": 1, "activation": "identity"}],
+          "weights": [[[0.5], [float("nan")]]]},
+         "layer 0 has a non-finite weight or bias"),  # json writes NaN, and reads it
     ]:
         teacher_path.write_text(json.dumps(teacher))
         assert cli.main(["run", str(cfg_path)]) == 2

@@ -326,6 +326,25 @@ def test_dataset_csv_rejects_bad_split(tmp_path):
         load_dataset_csv(path, n_inputs=2)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_dataset_csv_rejects_non_finite_cells(tmp_path, cell):
+    path = tmp_path / "data.csv"
+    path.write_text(f"1.0,2.0,3.0\n\n4.0,{cell},6.0\n")  # the blank line counts
+    with pytest.raises(ValueError, match=f"^line 3: non-finite value '{cell}'$"):
+        load_dataset_csv(path, n_inputs=2)
+
+
+def test_network_json_rejects_non_finite_weights_and_biases():
+    net = network_from_weights([(2, 2, "relu"), (2, 1, "identity")],
+                               [[[1.0, 0.5], [0.5, 1.0]], [[1.0], [-1.0]]])
+    doc = masknet.network_to_json(net)
+    for key, layer, value in [("weights", 1, float("nan")), ("biases", 0, float("inf"))]:
+        bad = {**doc, key: list(doc[key])}
+        bad[key][layer] = np.full(np.shape(doc[key][layer]), value).tolist()
+        with pytest.raises(ValueError, match=f"^layer {layer} has a non-finite weight or bias$"):
+            masknet.network_from_json(bad)
+
+
 def test_planted_dataset_has_zero_loss_solution():
     net = init_network(SPECS, seed=9)
     rng = np.random.default_rng(4)

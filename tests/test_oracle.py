@@ -1,4 +1,4 @@
-"""Threshold oracle and cost Hamiltonians."""
+"""Cost Hamiltonians, the default epsilon, and Grover's threshold check on them."""
 import functools
 
 import numpy as np
@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LAYERS_6BIT, cost_tables, make_planted_task, planted_oracle
+from conftest import LAYERS_6BIT, cost_tables, make_planted_task, planted_costs
 from qns import masknet, oracle
-from qns.bitstrings import index_to_bits
+from qns.bitstrings import bits_to_index, index_to_bits
+from qns.grover import GroverConfig, grover_search, search_unknown_k
 from qns.oracle import (
-    CostOracle,
-    SubnetworkOracle,
     build_cost_hamiltonian,
     count_solutions,
     default_epsilon,
@@ -19,54 +18,38 @@ from qns.oracle import (
 
 
 def test_huge_epsilon_accepts_everything():
-    o = planted_oracle(LAYERS_6BIT, seed=1, epsilon=1e9)
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        assert o.is_good(rng.integers(0, 2, o.n_bits))
+    costs = planted_costs(LAYERS_6BIT, seed=1)
+    for seed in range(10):
+        result = grover_search(costs, 1e9, GroverConfig(seed=seed))
+        assert result.measured_good and result.restarts == 1
 
 
 def test_zero_epsilon_accepts_nothing():
-    o = planted_oracle(LAYERS_6BIT, seed=1, epsilon=0.0)
-    rng = np.random.default_rng(0)
-    assert not any(o.is_good(rng.integers(0, 2, o.n_bits)) for _ in range(10))
+    costs = planted_costs(LAYERS_6BIT, seed=1)
+    for seed in range(10):
+        assert not grover_search(costs, 0.0, GroverConfig(seed=seed)).measured_good
+        assert not search_unknown_k(costs, 0.0, seed).measured_good
 
 
 def test_planted_mask_is_accepted_at_tight_epsilon():
     net, data, hidden = make_planted_task(LAYERS_6BIT, seed=3)
-    o = SubnetworkOracle(net, data, epsilon=1e-6)
-    assert o.is_good(hidden)
-    assert o.cost(hidden) == 0.0
-
-
-def test_call_counter_counts_predicate_queries_only():
-    o = planted_oracle(LAYERS_6BIT, seed=2, epsilon=0.1)
-    assert o.call_counter == 0
-    bits = np.ones(o.n_bits, dtype=np.uint8)
-    o.is_good(bits)
-    o.is_good(bits)
-    assert o.call_counter == 2
-    o.cost(bits)
-    o.enumerate_costs()
-    assert o.call_counter == 2
-
-
-def test_is_good_rejects_wrong_length():
-    o = planted_oracle(LAYERS_6BIT, seed=2, epsilon=0.1)
-    with pytest.raises(ValueError):
-        o.is_good(np.ones(o.n_bits + 1, dtype=np.uint8))
+    h = build_cost_hamiltonian(net, data)
+    assert h.costs[bits_to_index(hidden)] == 0.0
+    result = grover_search(h.costs, 1e-6, GroverConfig(seed=0))
+    assert result.measured_good
+    assert h.costs[bits_to_index(result.bits)] < 1e-6
 
 
 def test_cost_rejects_bits_outside_zero_one():
+    """The batched cost evaluator refuses a bit outside 0/1 and a row of the
+    wrong width."""
     net, data, _ = make_planted_task(LAYERS_6BIT, seed=2)
-    o = SubnetworkOracle(net, data, epsilon=0.1)
-    bits = np.ones(o.n_bits, dtype=np.uint8)
+    bits = np.ones(net.total_maskable(), dtype=np.uint8)
     bits[0] = 2  # would double a weight if it reached the forward pass
-    with pytest.raises(ValueError, match="0 or 1"):
-        o.cost(bits)
     with pytest.raises(ValueError, match="0 or 1"):
         masknet.batch_losses(net, data, bits[None, :])
     with pytest.raises(ValueError, match="maskable"):
-        masknet.batch_losses(net, data, np.ones((3, o.n_bits + 1), dtype=np.uint8))
+        masknet.batch_losses(net, data, np.ones((3, bits.size + 1), dtype=np.uint8))
 
 
 def test_build_cost_hamiltonian_single_bit_network():
@@ -104,7 +87,7 @@ def test_hamiltonian_argmin_matches_exhaustive_loop():
 def test_enumeration_refuses_beyond_ceiling(monkeypatch):
     monkeypatch.setenv("QNS_MAX_QUBITS", "4")
     net, data, _ = make_planted_task(LAYERS_6BIT, seed=7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="6 bits is too large to enumerate"):
         build_cost_hamiltonian(net, data)
 
 
@@ -116,12 +99,15 @@ def test_count_solutions_examples():
 
 
 def test_is_good_iff_enumerated_cost_below_epsilon():
-    for seed in range(5):
-        o = planted_oracle(LAYERS_6BIT, seed=seed, epsilon=0.05)
-        costs = o.enumerate_costs()
-        for x in range(1 << o.n_bits):
-            bits = index_to_bits(x, o.n_bits)
-            assert o.is_good(bits) == (costs[x] < o.epsilon)
+    """A search's verification accepts the measured index iff its table
+    entry is below epsilon; without rounds it samples indices uniformly."""
+    for task_seed in range(5):
+        costs = planted_costs(LAYERS_6BIT, seed=task_seed)
+        for iterations in (0, None):
+            for seed in range(20):
+                result = grover_search(costs, 0.05, GroverConfig(
+                    iterations=iterations, max_restarts=1, seed=seed))
+                assert result.measured_good == (costs[bits_to_index(result.bits)] < 0.05)
 
 
 def test_default_epsilon_recipe_is_half_random_median():
@@ -178,52 +164,34 @@ def test_default_epsilon_is_half_numpys_median(table, seed, n_probe, scale):
 
 
 def test_function_oracle_wraps_arbitrary_costs():
+    """A search reads any table: here a single entry, index 1, is below 0.2."""
     column = np.array([0.5, 0.1, 0.9, 0.3])
-    o = CostOracle(lambda: column, 2, 0.2)
-    assert o.is_good(np.array([1, 0]))
-    assert not o.is_good(np.array([0, 0]))
-    np.testing.assert_array_equal(o.enumerate_costs(), column)
-
-
-def _counted(costs):
-    """A table function that records each call."""
-    calls = []
-
-    def table():
-        calls.append(1)
-        return costs
-    return table, calls
+    for seed in range(5):
+        result = grover_search(column, 0.2, GroverConfig(seed=seed))
+        assert result.measured_good and bits_to_index(result.bits) == 1
+        assert result.oracle_calls == 2  # one round finds it with certainty
+    assert not grover_search(column, 0.1, GroverConfig(seed=0)).measured_good
 
 
 @settings(max_examples=100, deadline=None)
-@given(drawn=cost_tables(), data=st.data())
-def test_oracle_prices_and_judges_by_its_table(drawn, data):
+@given(drawn=cost_tables(), seed=st.integers(0, 2 ** 31 - 1))
+def test_oracle_prices_and_judges_by_its_table(drawn, seed):
+    """build_cost_hamiltonian enumerates the table once and keeps it bit for
+    bit; a search over it accepts exactly the entries below epsilon."""
     n, costs, eps = drawn
-    table, calls = _counted(costs)
-    o = CostOracle(table, n, eps)
-    index = data.draw(st.integers(0, (1 << n) - 1))
-    bits = index_to_bits(index, n)
-    assert o.cost(bits) == costs[index]
-    assert o.call_counter == 0
-    assert o.is_good(bits) == (costs[index] < eps)
-    assert o.call_counter == 1
-    np.testing.assert_array_equal(o.marked_table(), costs < eps)
-    assert o.enumerate_costs() is o.enumerate_costs()
-    assert o.call_counter == 1
-    assert len(calls) == 1  # enumerated once, on first use
+    net = masknet.init_network([(n, 1, "identity")], seed=0)
+    data = masknet.Dataset(np.zeros((1, n)), np.zeros((1, 1)))
+    calls = []
 
-
-@settings(max_examples=50, deadline=None)
-@given(drawn=cost_tables(), data=st.data())
-def test_malformed_pattern_raises_before_the_table_is_built(drawn, data):
-    n, costs, eps = drawn
-    table, calls = _counted(costs)
-    o = CostOracle(table, n, eps)
-    length = data.draw(st.integers(0, n + 2).filter(lambda m: m != n))
-    with pytest.raises(ValueError, match="bits"):
-        o.cost(np.zeros(length, dtype=np.uint8))
-    bad = np.zeros(n, dtype=np.int64)
-    bad[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from([-1, 2, 3]))
-    with pytest.raises(ValueError, match="0 or 1"):
-        o.is_good(bad)
-    assert calls == []
+    def table(*args):
+        calls.append(args)
+        return costs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(masknet, "enumerate_losses", table)
+        h = build_cost_hamiltonian(net, data)
+    ((got_net, got_data),) = calls
+    assert got_net is net and got_data is data
+    assert h.costs.tobytes() == costs.tobytes()
+    for result in (grover_search(h.costs, eps, GroverConfig(seed=seed)),
+                   search_unknown_k(h.costs, eps, seed)):
+        assert result.measured_good == (costs[bits_to_index(result.bits)] < eps)
