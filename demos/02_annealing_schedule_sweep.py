@@ -33,7 +33,7 @@ h = DiagonalCostHamiltonian(h_raw.n_qubits, h_raw.costs * scale)
 
 # One transverse-field anneal per total time T.
 steps = 1500
-rows = [(total_time, anneal.anneal(h, anneal.AnnealSchedule(total_time, steps)))
+rows = [(total_time, anneal.anneal(h, total_time, steps))
         for total_time in [1.0, 5.0, 20.0, 80.0, 200.0]]
 print(f"\nuniform baseline: p_ground = {len(ground) / h.dim:.4f}")
 print("\n   T      p_ground   <H>")
@@ -55,7 +55,6 @@ print(f"\nsweep written to {out.name}")
 # agree. The uniform start is the *transverse-field* ground state, not the
 # bit-flip mixer's, so the same schedule stalls near the uniform baseline:
 # graph mixers need their own initial-state and schedule tuning.
-sched = anneal.AnnealSchedule(150.0, steps=1500, mixer=MixerSpec(Mixer.BIT_FLIP_RING))
-result = anneal.anneal(h, sched)
+result = anneal.anneal(h, 150.0, steps=1500, mixer=MixerSpec(Mixer.BIT_FLIP_RING))
 print(f"bit-flip ring mixer, same schedule: p_ground = {result.p_ground:.4f} "
       f"(baseline {len(ground) / h.dim:.4f})")

@@ -19,7 +19,7 @@ from qns import distill, masknet
 teacher = masknet.init_network([(2, 2, "relu"), (2, 1, "identity")], seed=4)
 rng = np.random.default_rng(0)
 xs = rng.uniform(-1, 1, (24, 2))
-data = masknet.Dataset(xs, masknet.forward_batch(teacher, xs), name="teacher-io")
+data = masknet.Dataset(xs, masknet.forward_batch(teacher, xs))
 
 pair = distill.make_student(teacher, width_factor=1, seed=1)
 print(f"teacher depth {teacher.depth}, student depth {pair.student_depth}")
@@ -28,16 +28,16 @@ print(f"block sizes (maskable bits): "
 
 for backend in (distill.Backend.EXHAUSTIVE, distill.Backend.GROVER,
                 distill.Backend.QAOA, distill.Backend.ANNEAL):
-    result = distill.distill_select(pair, data, backend=backend,
-                                    per_block_bit_budget=12, seed=9)
-    losses = ", ".join(f"{r.loss:.4f}" for r in result.reports)
-    gaps = ", ".join(f"{r.gap:.4f}" for r in result.reports)
-    calls = sum(r.oracle_calls for r in result.reports)
+    reports = distill.distill_select(pair, data, backend=backend,
+                                     per_block_bit_budget=12, seed=9)
+    losses = ", ".join(f"{r.loss:.4f}" for r in reports)
+    gaps = ", ".join(f"{r.gap:.4f}" for r in reports)
+    calls = sum(r.oracle_calls for r in reports)
     extra = f", oracle calls {calls}" if calls else ""
     print(f"{backend.value:>10}: block losses [{losses}], "
           f"gaps to optimum [{gaps}]{extra}")
 
-result = distill.distill_select(pair, data, backend=distill.Backend.EXHAUSTIVE,
-                                per_block_bit_budget=12)
+reports = distill.distill_select(pair, data, backend=distill.Backend.EXHAUSTIVE,
+                                 per_block_bit_budget=12)
 print(f"\nselected masks: "
-      f"{[''.join(map(str, r.bits)) for r in result.reports]}")
+      f"{[''.join(map(str, r.bits)) for r in reports]}")

@@ -6,7 +6,7 @@ with most probability mass on the minimum-cost basis states.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,23 +25,9 @@ GROUND_ATOL = 1e-12
 
 
 @dataclass
-class AnnealSchedule:
-    total_time: float
-    steps: int = DEFAULT_TROTTER_STEPS
-    mixer: MixerSpec = field(default_factory=MixerSpec)
-
-    def __post_init__(self):
-        if not self.total_time > 0:
-            raise ValueError(f"total_time must be positive, got {self.total_time}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-
-
-@dataclass
 class AnnealResult:
     final_state: StateVector
     p_ground: float
-    ground: np.ndarray
     final_expectation: float
 
 
@@ -50,12 +36,13 @@ def ground_states(h_c: DiagonalCostHamiltonian) -> np.ndarray:
     return np.flatnonzero(h_c.costs <= h_c.costs.min() + GROUND_ATOL)
 
 
-def anneal(h_c: DiagonalCostHamiltonian, sched: AnnealSchedule) -> AnnealResult:
+def anneal(h_c: DiagonalCostHamiltonian, total_time: float,
+           steps: int = DEFAULT_TROTTER_STEPS, mixer: MixerSpec | None = None) -> AnnealResult:
+    """Evolve the uniform state for ``total_time`` in ``steps`` Trotter steps
+    (:func:`qns.qsim.evolve`, which checks both) under ``mixer``, the
+    transverse field by default."""
     state = uniform_superposition(h_c.n_qubits)
-    evolve(state, h_c, sched.mixer, sched.total_time, sched.steps)
-    ground = ground_states(h_c)
+    evolve(state, h_c, MixerSpec() if mixer is None else mixer, total_time, steps)
     # rounding can carry a normalized state's probabilities past 1 in sum
-    p_ground = min(float(state.probabilities()[ground].sum()), 1.0)
-    return AnnealResult(state, p_ground, ground,
-                        within_table(expectation(state, h_c), h_c))
-
+    p_ground = min(float(state.probabilities()[ground_states(h_c)].sum()), 1.0)
+    return AnnealResult(state, p_ground, within_table(expectation(state, h_c), h_c))

@@ -177,22 +177,12 @@ def _compressed_losses(columns, teacher_acts: np.ndarray,
 
 @dataclass
 class BlockReport:
-    index: int
     bits: np.ndarray
     loss: float
-    exhaustive_min: float | None = None
-    gap: float | None = None
-    oracle_calls: int = 0
-    epsilon: float | None = None
-
-
-@dataclass
-class DistillResult:
-    reports: list[BlockReport]
-
-    @property
-    def total_loss(self) -> float:
-        return float(sum(r.loss for r in self.reports))
+    exhaustive_min: float
+    gap: float
+    oracle_calls: int  # a threshold search's queries, else 0
+    epsilon: float | None  # a threshold search's threshold
 
 
 def _block_epsilon(costs: np.ndarray, n_bits: int, rng: np.random.Generator,
@@ -210,7 +200,7 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
                    per_block_bit_budget: int = 12,
                    mode: CompressMode = CompressMode.AVERAGE_POOL,
                    chaining: Chaining = Chaining.STUDENT,
-                   epsilons=None, seed: int = 0) -> DistillResult:
+                   epsilons=None, seed: int = 0) -> list[BlockReport]:
     """Select one mask per student block, feeding blocks forward in order.
 
     Every backend enumerates the block's cost table, so each block's maskable
@@ -222,6 +212,7 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
     passes bit for bit.
     """
     backend = Backend(backend)
+    grover = backend is Backend.GROVER
     teacher_outputs = record_activations(pair.teacher, data)
     rng = np.random.default_rng(seed)
 
@@ -242,34 +233,31 @@ def distill_select(pair: TeacherStudentPair, data: Dataset,
         h = DiagonalCostHamiltonian(n_bits, block_table(teacher_acts, block,
                                                         block_inputs, mode))
         eps, params = 0.0, {}
-        if backend is Backend.GROVER:
+        if grover:
             eps = (epsilons[i] if epsilons is not None
                    else _block_epsilon(h.costs, n_bits, rng))
             params = {"max_restarts": search.LOCAL_MAX_RESTARTS}
         chosen = search.select(backend.value, h, eps, params, int(rng.integers(2 ** 31)))
-        if backend is Backend.GROVER and not chosen.success:
+        if grover and not chosen.success:
             raise RuntimeError(
                 f"block {i}: no mask below epsilon {eps} within "
                 f"{search.LOCAL_MAX_RESTARTS} restarts"
             )
-        report = BlockReport(i, chosen.bits,
-                             block_loss(teacher_acts, block, chosen.bits, block_inputs, mode),
-                             float(h.costs.min()))
-        report.gap = report.loss - report.exhaustive_min
-        if backend is Backend.GROVER:  # a threshold search reports its threshold and queries
-            report.oracle_calls = chosen.oracle_calls
-            report.epsilon = eps
-        reports.append(report)
+        loss = block_loss(teacher_acts, block, chosen.bits, block_inputs, mode)
+        best = float(h.costs.min())
+        reports.append(BlockReport(chosen.bits, loss, best, loss - best,
+                                   chosen.oracle_calls if grover else 0,
+                                   eps if grover else None))
         if i + 1 == len(pair.blocks):
             break  # nothing reads the last block's chained output
 
         # Chain: next block sees this block's compressed masked output (or
         # the teacher's own activations in the comparison variant).
         if chaining is Chaining.STUDENT:
-            view = masknet.apply_flat_mask(block, report.bits)
+            view = masknet.apply_flat_mask(block, chosen.bits)
             out = masknet.forward_batch(view, block_inputs)
             block_inputs = compress(out, teacher_acts.shape[1], mode)
         else:
             block_inputs = teacher_acts
-    return DistillResult(reports)
+    return reports
 

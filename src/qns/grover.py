@@ -98,11 +98,16 @@ def _resolve_iterations(cfg: GroverConfig, n_states: int, k_marked: int) -> int:
 
 
 def _marked(costs, epsilon: float) -> np.ndarray:
-    """The entries of ``costs`` below ``epsilon``: the predicate every attempt checks."""
+    """The entries of ``costs`` below ``epsilon``: the predicate every attempt
+    checks. The table must be 1-d with 2^n entries, n >= 1."""
+    costs = np.asarray(costs)
+    if costs.ndim != 1 or costs.size < 2 or costs.size & (costs.size - 1):
+        raise ValueError(f"cost table must be 1-d with 2^n entries, n >= 1, "
+                         f"got shape {costs.shape}")
     # epsilon 0 is allowed as a degenerate probe: no cost is below 0.
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    return np.asarray(costs) < epsilon
+    return costs < epsilon
 
 
 def _amplify_and_verify(marked: np.ndarray, n_bits: int, t: int,

@@ -137,12 +137,6 @@ _MIXER_PARAMS = {
 _TABLE_METHODS = search.DEFAULTS
 
 
-def _schedule(**fields):
-    """An ``AnnealSchedule``, which checks ``fields``."""
-    from . import anneal
-    return anneal.AnnealSchedule(**fields)
-
-
 def _edge_popup_params() -> dict[str, Param]:
     from .edgepopup import PopupTrainConfig, ResampleRule
     return {
@@ -214,9 +208,8 @@ METHOD_PARAMS: Mapping[str, dict[str, Param]] = _Tables({
     },
     "anneal": {
         "total_time": Param(float, _TABLE_METHODS["anneal"]["total_time"],
-                            lambda v: _schedule(total_time=v)),
-        "steps": Param(int, _TABLE_METHODS["anneal"]["steps"],
-                       lambda v: _schedule(total_time=1.0, steps=v)),
+                            _rule("> 0", lambda v: v > 0)),
+        "steps": Param(int, _TABLE_METHODS["anneal"]["steps"], _POSITIVE),
         **_MIXER_PARAMS,
     },
     "qaoa": {
@@ -414,7 +407,7 @@ def make_sequence_task(length: int, seed: int) -> masknet.Dataset:
     phase = rng.uniform(0, 2 * np.pi)
     u = np.sin(0.3 * t + phase) + 0.1 * rng.normal(size=length)
     y = 0.6 * np.sin(0.3 * (t - 2) + phase) + 0.2 * np.cos(0.15 * t + phase)
-    return masknet.Dataset(u[:, None], y[:, None], name="sequence")
+    return masknet.Dataset(u[:, None], y[:, None])
 
 
 def build_selection_task(task: dict) -> tuple[masknet.MaskedNetwork, masknet.Dataset]:
@@ -499,8 +492,7 @@ class _RunTask:
         data_seed = int(np.random.SeedSequence(self.spec["seed"]).generate_state(1)[0])
         rng = np.random.default_rng(data_seed)
         xs = rng.uniform(-1, 1, size=(self.spec["n_samples"], teacher.input_dim))
-        return teacher, masknet.Dataset(xs, masknet.forward_batch(teacher, xs),
-                                        name="teacher-io")
+        return teacher, masknet.Dataset(xs, masknet.forward_batch(teacher, xs))
 
     def work(self) -> dict:
         """What the call computed, and what its seeds looked up instead."""
@@ -551,7 +543,7 @@ def _run_distill(cfg, seed, task):
         raise ConfigError(f"field 'method_params.width_factor': a student block of "
                           f"{path} has {widest} maskable weights, the qubit ceiling "
                           f"is {max_qubits()}")
-    result = distill.distill_select(
+    reports = distill.distill_select(
         pair, data,
         backend=params["backend"],
         per_block_bit_budget=params["bit_budget"],
@@ -560,14 +552,14 @@ def _run_distill(cfg, seed, task):
         seed=seed,
     )
     metrics = {
-        "loss": result.total_loss,
+        "loss": float(sum(r.loss for r in reports)),
         "success": True,
-        "oracle_calls": int(sum(r.oracle_calls for r in result.reports)),
-        "block_losses": [float(r.loss) for r in result.reports],
-        "block_gaps": [float(r.gap) for r in result.reports],
+        "oracle_calls": int(sum(r.oracle_calls for r in reports)),
+        "block_losses": [float(r.loss) for r in reports],
+        "block_gaps": [float(r.gap) for r in reports],
     }
-    if any(r.epsilon is not None for r in result.reports):
-        metrics["block_epsilons"] = [r.epsilon for r in result.reports]
+    if any(r.epsilon is not None for r in reports):
+        metrics["block_epsilons"] = [r.epsilon for r in reports]
     return metrics
 
 
@@ -578,18 +570,20 @@ def _run_nk_esn(cfg, seed, task):
     washout = params.pop("washout")
     model = nkesn.make_nkesn(input_dim=1, seed=seed, **params)
     table = nkesn.build_table(model, data, washout=washout)
-    patterns, selections = nkesn.select_per_output(table, model.landscape, seed=seed)
-    combined = nkesn.combine_per_output(patterns, model.landscape, table)
+    land = model.landscape
+    selections = nkesn.select_per_output(table, land, seed=seed)
+    bits, conflicts = nkesn.combine_per_output([s.bits for s in selections], land)
+    loss = nkesn.mean_loss_from_table(table, land, bits)
     metrics = {
-        "loss": combined.mean_loss,
+        "loss": loss,
         "success": all(s.success for s in selections),
         "oracle_calls": sum(s.oracle_calls for s in selections),
-        "conflicts": len(combined.conflicts),
-        "combined_bits_hex": format(bits_to_index(combined.bits), "x"),
+        "conflicts": len(conflicts),
+        "combined_bits_hex": format(bits_to_index(bits), "x"),
     }
-    if combined.dp_loss is not None:
-        metrics["dp_loss"] = combined.dp_loss
-        metrics["dp_gap"] = combined.dp_gap
+    if land.topology is nkesn.Topology.ADJACENT:
+        _, dp_loss = nkesn.dp_optimize(land, table)
+        metrics.update(dp_loss=dp_loss, dp_gap=loss - dp_loss)
     return metrics
 
 

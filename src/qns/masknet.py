@@ -69,7 +69,6 @@ class Dataset:
 
     inputs: np.ndarray
     targets: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=np.float64))
@@ -486,7 +485,7 @@ def load_network(path) -> MaskedNetwork:
     return network_from_json(json.loads(Path(path).read_text()))
 
 
-def load_dataset_csv(path, n_inputs: int, name: str | None = None) -> Dataset:
+def load_dataset_csv(path, n_inputs: int) -> Dataset:
     """One row = input values then target values; split after ``n_inputs`` columns.
 
     A non-numeric or non-finite cell, or a row whose length differs from the
@@ -514,8 +513,7 @@ def load_dataset_csv(path, n_inputs: int, name: str | None = None) -> Dataset:
         raise ValueError(
             f"csv rows have {arr.shape[-1]} columns, need more than {n_inputs}"
         )
-    return Dataset(arr[:, :n_inputs], arr[:, n_inputs:],
-                   name=name or Path(path).stem)
+    return Dataset(arr[:, :n_inputs], arr[:, n_inputs:])
 
 
 def save_dataset_csv(data: Dataset, path) -> None:
@@ -535,4 +533,4 @@ def make_planted_dataset(net: MaskedNetwork, hidden, n_samples: int,
     xs = rng.uniform(-input_range, input_range, size=(n_samples, net.input_dim))
     planted = apply_flat_mask(net, hidden)
     ys = forward_batch(planted, xs)
-    return Dataset(xs, ys, name="planted")
+    return Dataset(xs, ys)

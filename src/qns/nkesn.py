@@ -402,34 +402,22 @@ def dp_optimize(land: NKLandscape, table: np.ndarray) -> tuple[np.ndarray, float
 # Per-output amplitude amplification over K-bit patterns.
 
 def select_per_output(table: np.ndarray, land: NKLandscape,
-                      seed: int = 0) -> tuple[list[np.ndarray], list[search.Selection]]:
+                      seed: int = 0) -> list[search.Selection]:
     """Run the K-qubit Grover search on every output column, 1e-12 above its minimum."""
     run_seeds = np.random.SeedSequence(seed).generate_state(land.n)
-    selections = [
+    return [
         search.select("grover", DiagonalCostHamiltonian(land.k, table[:, i]),
                       float(table[:, i].min()) + 1e-12,
                       {"max_restarts": search.LOCAL_MAX_RESTARTS}, int(run_seeds[i]))
         for i in range(land.n)]
-    return [s.bits for s in selections], selections
 
 
-@dataclass
-class CombineResult:
-    bits: np.ndarray
-    conflicts: list[dict]
-    mean_loss: float | None = None
-    dp_loss: float | None = None
-    dp_gap: float | None = None
-
-
-def combine_per_output(patterns, land: NKLandscape,
-                       table: np.ndarray | None = None) -> CombineResult:
+def combine_per_output(patterns, land: NKLandscape) -> tuple[np.ndarray, list[dict]]:
     """Stitch per-output patterns into one probe mask by majority vote.
 
     Overlapping neighborhoods can disagree; every contested bit lands in
-    the conflict report (ties resolve to 1). With a table, the stitched
-    mask's mean loss is evaluated, and on adjacent topologies the gap to
-    the dynamic-programming optimum is reported alongside.
+    the conflict report (ties resolve to 1). Returns the mask and the
+    conflicts; :func:`mean_loss_from_table` prices the mask.
     """
     ones = np.asarray(patterns, dtype=bool)  # (N, K): output i's vote on each member
     votes_one = np.bincount(land.neighborhoods[ones], minlength=land.n)
@@ -440,10 +428,4 @@ def combine_per_output(patterns, land: NKLandscape,
         for b in range(land.n)
         if votes_one[b] > 0 and votes_zero[b] > 0
     ]
-    result = CombineResult(bits, conflicts)
-    if table is not None:
-        result.mean_loss = mean_loss_from_table(table, land, bits)
-        if land.topology is Topology.ADJACENT:
-            _, result.dp_loss = dp_optimize(land, table)
-            result.dp_gap = result.mean_loss - result.dp_loss
-    return result
+    return bits, conflicts

@@ -114,7 +114,7 @@ def select(method: str, h: DiagonalCostHamiltonian, epsilon: float, params: dict
         key = (params["total_time"], params["steps"], mixer)
         runs = shared.setdefault("anneal", {})
         if key not in runs:
-            runs[key] = anneal_mod.anneal(h, anneal_mod.AnnealSchedule(*key))
+            runs[key] = anneal_mod.anneal(h, *key)
             runs[key].final_state.amplitudes.flags.writeable = False  # shared by every seed
         result = runs[key]
         state = result.final_state

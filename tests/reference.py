@@ -61,8 +61,9 @@ network's outputs one neighbourhood sum at a time, the definition that
 ``qns.nkesn.build_table`` tabulates. ``mean_loss_from_table`` reads an
 assignment's table entries one output at a time, and ``majority_votes``
 counts the stitch's votes one neighbourhood member at a time; the gather and
-``np.bincount`` of ``qns.nkesn.mean_loss_from_table`` and
-``qns.nkesn.combine_per_output`` must give the same values bit for bit.
+``np.bincount`` of ``qns.nkesn.mean_loss_from_table`` and of
+``qns.nkesn.combine_per_output``'s vote must give the same values bit for
+bit.
 ``grover_table_select`` is one NK
 output's K-qubit search written directly on ``grover_search`` with 8
 restarts, which ``qns.nkesn.select_per_output`` must reproduce through

@@ -8,7 +8,6 @@ from conftest import cost_tables
 from reference import mixer_dense
 from qns.anneal import (
     GROUND_ATOL,
-    AnnealSchedule,
     anneal,
     ground_states,
 )
@@ -39,19 +38,19 @@ def test_ground_states_match_brute_force_scan():
 
 def test_constant_costs_make_every_state_ground():
     h = DiagonalCostHamiltonian(2, np.full(4, 1.3))
-    result = anneal(h, AnnealSchedule(total_time=5.0, steps=100))
+    result = anneal(h, 5.0, steps=100)
     assert result.p_ground == pytest.approx(1.0, abs=1e-9)
 
 
 def test_p_ground_increases_with_total_time():
     h = gapped_instance(seed=1)
-    probs = [anneal(h, AnnealSchedule(T, steps=2000)).p_ground for T in (1, 10, 100)]
+    probs = [anneal(h, T, steps=2000).p_ground for T in (1, 10, 100)]
     assert probs[0] < probs[1] < probs[2]
 
 
 def test_long_schedule_reaches_ground_state():
     h = gapped_instance(seed=2)
-    result = anneal(h, AnnealSchedule(200.0, steps=2000))
+    result = anneal(h, 200.0, steps=2000)
     assert result.p_ground > 0.9
     assert result.final_state.norm_error() < 1e-6
 
@@ -104,11 +103,11 @@ def test_anneal_result_is_a_distribution_over_the_table(table, transverse,
     n, costs, _ = table
     h = DiagonalCostHamiltonian(n, costs)
     mixer = MixerSpec() if transverse else MixerSpec(Mixer.BIT_FLIP_RING)
-    result = anneal(h, AnnealSchedule(total_time, steps, mixer))
+    result = anneal(h, total_time, steps, mixer)
     assert result.final_state.norm_error() <= 1e-12
     probs = result.final_state.probabilities()
     ground = [x for x in range(1 << n) if costs[x] <= costs.min() + GROUND_ATOL]
-    assert result.ground.tolist() == ground
+    assert ground_states(h).tolist() == ground
     assert 0.0 <= result.p_ground <= 1.0
     assert result.p_ground == pytest.approx(sum(probs[x] for x in ground), abs=1e-12)
     assert costs.min() <= result.final_expectation <= costs.max()
@@ -116,14 +115,14 @@ def test_anneal_result_is_a_distribution_over_the_table(table, transverse,
 
 def test_bit_flip_mixer_anneal_preserves_norm():
     h = gapped_instance(seed=5)
-    sched = AnnealSchedule(20.0, steps=400, mixer=MixerSpec(Mixer.BIT_FLIP_RING))
-    result = anneal(h, sched)
+    result = anneal(h, 20.0, steps=400, mixer=MixerSpec(Mixer.BIT_FLIP_RING))
     assert result.final_state.norm_error() < 1e-6
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        AnnealSchedule(total_time=0.0)
-    with pytest.raises(ValueError):
-        AnnealSchedule(total_time=1.0, steps=0)
+    h = DiagonalCostHamiltonian(2, [0.0, 1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="total_time must be positive, got 0.0"):
+        anneal(h, 0.0)
+    with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
+        anneal(h, 1.0, steps=0)
 

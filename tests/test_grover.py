@@ -211,6 +211,13 @@ def test_search_validates_sizes(monkeypatch):
         grover_search(np.ones(8), 0.5, GroverConfig(seed=0))
     with pytest.raises(ValueError, match="n_qubits must be in 1..2, got 3"):
         search_unknown_k(np.ones(8), 0.5, 0)
+    # a table that is not 1-d with 2^n entries, n >= 1, is refused by name
+    for costs, shape in ((np.ones(6), r"\(6,\)"), (np.zeros(1), r"\(1,\)"),
+                         (np.ones((2, 2)), r"\(2, 2\)")):
+        with pytest.raises(ValueError, match=rf"cost table .* got shape {shape}"):
+            grover_search(costs, 0.5, GroverConfig(seed=0))
+        with pytest.raises(ValueError, match=rf"cost table .* got shape {shape}"):
+            search_unknown_k(costs, 0.5, 0)
     for epsilon in (-1e-12, math.nan):
         with pytest.raises(ValueError, match="epsilon must be nonnegative"):
             grover_search(np.ones(4), epsilon, GroverConfig(seed=0))

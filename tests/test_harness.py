@@ -13,8 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qns
-from qns import cli, edgepopup, harness, masknet, search, variational
-from qns.bitstrings import all_patterns
+from qns import cli, edgepopup, harness, masknet, nkesn, search, variational
+from qns.bitstrings import all_patterns, index_to_bits
 from qns.harness import ConfigError, ExperimentConfig, compare, format_compare_table, run
 from qns.qsim import measure
 
@@ -441,9 +441,9 @@ def test_anneal_seeds_share_one_evolution(tmp_path, monkeypatch):
     anneal = qns.anneal.anneal
     schedules = []
 
-    def spy(h, sched):
-        schedules.append(sched)
-        return anneal(h, sched)
+    def spy(h, *schedule):
+        schedules.append(schedule)
+        return anneal(h, *schedule)
     monkeypatch.setattr(qns.anneal, "anneal", spy)
     record = run(ExperimentConfig.from_dict(doc))
     assert len(schedules) == 1
@@ -720,17 +720,39 @@ def test_edge_popup_without_epochs_reports_its_final_masks_loss(tmp_path, topk_f
 
 
 def test_nk_esn_runner(tmp_path):
-    doc = {
-        "method": "nk_esn",
-        "task": {"kind": "sequence", "length": 100, "seed": 2},
-        "method_params": {"n_outputs": 6, "k": 2, "reservoir_size": 30},
-        "seeds": [4],
-        "output_dir": str(tmp_path),
-    }
-    record = run(ExperimentConfig.from_dict(doc))
-    metrics = record["per_seed"][0]["metrics"]
-    assert metrics["success"] is True
-    assert metrics["dp_gap"] >= 0.0
+    """On both topologies the record's loss is the table price of the
+    stitched mask it names, bit for bit, and its conflicts are the vote's;
+    only an adjacent landscape has the DP reference."""
+    for topology in ("adjacent", "random"):
+        doc = {
+            "method": "nk_esn",
+            "task": {"kind": "sequence", "length": 100, "seed": 2},
+            "method_params": {"n_outputs": 6, "k": 2, "reservoir_size": 30,
+                              "topology": topology},
+            "seeds": [4],
+            "output_dir": str(tmp_path),
+        }
+        cfg = ExperimentConfig.from_dict(doc)
+        metrics = run(cfg)["per_seed"][0]["metrics"]
+        assert metrics["success"] is True
+
+        params = dict(cfg.params)
+        washout = params.pop("washout")
+        model = nkesn.make_nkesn(input_dim=1, seed=4, **params)
+        land = model.landscape
+        table = nkesn.build_table(model, harness.make_sequence_task(100, 2), washout)
+        bits = index_to_bits(int(metrics["combined_bits_hex"], 16), land.n)
+        assert metrics["loss"] == nkesn.mean_loss_from_table(table, land, bits)
+        patterns = [s.bits for s in nkesn.select_per_output(table, land, seed=4)]
+        voted, conflicts = nkesn.combine_per_output(patterns, land)
+        np.testing.assert_array_equal(voted, bits)
+        assert metrics["conflicts"] == len(conflicts)
+        if topology == "adjacent":
+            assert metrics["dp_loss"] == nkesn.dp_optimize(land, table)[1]
+            assert metrics["dp_gap"] == metrics["loss"] - metrics["dp_loss"]
+            assert metrics["dp_gap"] >= 0.0
+        else:
+            assert "dp_loss" not in metrics and "dp_gap" not in metrics
 
 
 def test_distill_runner(tmp_path):
@@ -749,11 +771,13 @@ def test_distill_runner(tmp_path):
     record = run(ExperimentConfig.from_dict(doc))
     metrics = record["per_seed"][0]["metrics"]
     assert metrics["block_gaps"] == [0.0, 0.0]
+    assert metrics["loss"] == float(sum(metrics["block_losses"]))
 
     doc["method_params"]["backend"] = "grover"
-    searched = run(ExperimentConfig.from_dict(doc))
-    eps = searched["per_seed"][0]["metrics"]["block_epsilons"]
+    searched = run(ExperimentConfig.from_dict(doc))["per_seed"][0]["metrics"]
+    eps = searched["block_epsilons"]
     assert len(eps) == 2 and all(e > 0 for e in eps)  # thresholds recorded
+    assert searched["loss"] == float(sum(searched["block_losses"]))
 
 
 def test_sequence_task_is_seed_deterministic():

@@ -590,11 +590,11 @@ def test_grover_select_on_a_column_fails_below_minimum():
 def test_select_per_output_verifies_every_column():
     model = demo_model()
     table = build_table(model, sequence_data())
-    patterns, results = select_per_output(table, model.landscape, seed=9)
+    results = select_per_output(table, model.landscape, seed=9)
     cap = int(np.ceil(np.pi / 4 * np.sqrt(table.shape[0])))
-    for i, (pattern, result) in enumerate(zip(patterns, results)):
+    for i, result in enumerate(results):
         assert result.success
-        assert table[bits_to_index(pattern), i] < table[:, i].min() + 1e-12
+        assert table[bits_to_index(result.bits), i] < table[:, i].min() + 1e-12
         assert result.oracle_calls <= (cap + 1) * result.fields["restarts"]
 
 
@@ -610,14 +610,14 @@ def test_select_per_output_equals_the_direct_grover_search(k):
         # some columns with tied minima, some with most entries under epsilon
         table[:, 0] = np.round(table[:, 0], 1)
         table[: (1 << k) - 1, 1] = table[:, 1].min()
-        patterns, selections = select_per_output(table, land, seed=seed)
+        selections = select_per_output(table, land, seed=seed)
         run_seeds = np.random.SeedSequence(seed).generate_state(n)
         for i in range(n):
             ref = grover_table_select(table[:, i], float(table[:, i].min()) + 1e-12,
                                       seed=int(run_seeds[i]))
-            np.testing.assert_array_equal(patterns[i], ref.bits)
-            assert patterns[i].dtype == ref.bits.dtype
             sel = selections[i]
+            np.testing.assert_array_equal(sel.bits, ref.bits)
+            assert sel.bits.dtype == ref.bits.dtype
             assert (sel.oracle_calls, sel.fields["restarts"], sel.success) == (
                 ref.oracle_calls, ref.restarts, ref.measured_good)
 
@@ -643,30 +643,31 @@ def test_stitch_equals_per_output_loops(case):
     assert (mean_loss_from_table(table, land, bits)
             == reference.mean_loss_from_table(table, land, bits))
     votes_one, votes_zero = reference.majority_votes(patterns, land)
-    result = combine_per_output(patterns, land, table)
-    np.testing.assert_array_equal(result.bits, votes_one >= votes_zero)
-    assert result.conflicts == [
+    stitched, conflicts = combine_per_output(patterns, land)
+    np.testing.assert_array_equal(stitched, votes_one >= votes_zero)
+    assert conflicts == [
         {"bit": b, "votes_one": int(votes_one[b]), "votes_zero": int(votes_zero[b])}
         for b in range(land.n) if votes_one[b] and votes_zero[b]]
-    assert result.mean_loss == reference.mean_loss_from_table(table, land, result.bits)
+    assert (mean_loss_from_table(table, land, stitched)
+            == reference.mean_loss_from_table(table, land, stitched))
 
 
 def test_combine_agreeing_patterns_has_no_conflicts():
     land = make_landscape(4, 2)
     patterns = [np.array([1, 0]), np.array([0, 1]), np.array([1, 1]), np.array([1, 1])]
     # assignment x = (1, 0, 1, 1): every neighborhood view agrees
-    result = combine_per_output(patterns, land)
-    np.testing.assert_array_equal(result.bits, [1, 0, 1, 1])
-    assert result.conflicts == []
+    bits, conflicts = combine_per_output(patterns, land)
+    np.testing.assert_array_equal(bits, [1, 0, 1, 1])
+    assert conflicts == []
 
 
 def test_combine_majority_and_tie_to_one():
     land = make_landscape(2, 2)  # both outputs read bits (0, 1) / (1, 0)
     patterns = [np.array([1, 0]), np.array([1, 1])]
     # bit 0: votes 1 (from p0[0]) and 1 (p1[1]) -> 1; bit 1: votes 0 and 1 -> tie -> 1
-    result = combine_per_output(patterns, land)
-    np.testing.assert_array_equal(result.bits, [1, 1])
-    assert any(c["bit"] == 1 for c in result.conflicts)
+    bits, conflicts = combine_per_output(patterns, land)
+    np.testing.assert_array_equal(bits, [1, 1])
+    assert any(c["bit"] == 1 for c in conflicts)
 
 
 def test_combine_blockwise_independent_groups():
@@ -677,19 +678,19 @@ def test_combine_blockwise_independent_groups():
                       [0.1, 0.1, 0.9, 0.9],
                       [0.5, 0.5, 0.5, 0.5],
                       [0.7, 0.7, 0.3, 0.3]])
-    patterns, _ = select_per_output(table, land, seed=3)
-    result = combine_per_output(patterns, land, table)
-    assert result.conflicts == []
+    patterns = [s.bits for s in select_per_output(table, land, seed=3)]
+    bits, conflicts = combine_per_output(patterns, land)
+    assert conflicts == []
     expected = float(np.mean([table[:, i].min() for i in range(4)]))
-    assert result.mean_loss == pytest.approx(expected, abs=1e-12)
+    assert mean_loss_from_table(table, land, bits) == pytest.approx(expected, abs=1e-12)
 
 
 def test_combined_loss_reported_against_dp():
     model = demo_model()
     table = build_table(model, sequence_data())
-    patterns, _ = select_per_output(table, model.landscape, seed=11)
-    result = combine_per_output(patterns, model.landscape, table)
-    assert result.dp_loss is not None
-    assert result.mean_loss >= result.dp_loss - 1e-12
-    assert result.dp_gap == pytest.approx(result.mean_loss - result.dp_loss)
+    land = model.landscape
+    patterns = [s.bits for s in select_per_output(table, land, seed=11)]
+    bits, _ = combine_per_output(patterns, land)
+    _, dp_loss = dp_optimize(land, table)
+    assert mean_loss_from_table(table, land, bits) >= dp_loss - 1e-12
 

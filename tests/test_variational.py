@@ -103,7 +103,7 @@ def test_linear_ramp_qaoa_approaches_annealing():
     state = qaoa_state(h, *midpoint_ramp(total_time, p))
     ground = anneal.ground_states(h)
     p_qaoa = float(state.probabilities()[ground].sum())
-    p_anneal = anneal.anneal(h, anneal.AnnealSchedule(total_time, steps=p)).p_ground
+    p_anneal = anneal.anneal(h, total_time, steps=p).p_ground
     assert abs(p_qaoa - p_anneal) < 0.1
 
 
