@@ -37,12 +37,12 @@ def ground_states(h_c: DiagonalCostHamiltonian) -> np.ndarray:
 
 
 def anneal(h_c: DiagonalCostHamiltonian, total_time: float,
-           steps: int = DEFAULT_TROTTER_STEPS, mixer: MixerSpec | None = None) -> AnnealResult:
+           steps: int = DEFAULT_TROTTER_STEPS, mixer: MixerSpec = MixerSpec()) -> AnnealResult:
     """Evolve the uniform state for ``total_time`` in ``steps`` Trotter steps
     (:func:`qns.qsim.evolve`, which checks both) under ``mixer``, the
     transverse field by default."""
     state = uniform_superposition(h_c.n_qubits)
-    evolve(state, h_c, MixerSpec() if mixer is None else mixer, total_time, steps)
+    evolve(state, h_c, mixer, total_time, steps)
     # rounding can carry a normalized state's probabilities past 1 in sum
     p_ground = min(float(state.probabilities()[ground_states(h_c)].sum()), 1.0)
     return AnnealResult(state, p_ground, within_table(expectation(state, h_c), h_c))

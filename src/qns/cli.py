@@ -6,7 +6,7 @@ Subcommands: ``run <config.json>``, ``compare <record...>``, and
 message names the field); 3 any failure inside a method, whether the
 method reports it or raises ``ValueError``, ``RuntimeError`` or
 ``FloatingPointError``. The QNS_MAX_QUBITS environment variable overrides
-the qubit ceiling.
+the qubit ceiling, and an invalid value is a configuration error.
 """
 from __future__ import annotations
 
@@ -92,13 +92,13 @@ def _cmd_compare(args) -> int:
     records = []
     for path in args.records:
         p = Path(path)
-        if not p.exists():
-            print(f"config error: record file not found: {p}", file=sys.stderr)
+        if problem := harness.file_problem(p):
+            print(f"config error: record {p}: {problem}", file=sys.stderr)
             return EXIT_CONFIG
         try:
             record = json.loads(p.read_text())
             harness.compare([record])  # checks the fields a comparison reads
-        except (ValueError, KeyError, TypeError) as err:
+        except (OSError, ValueError, KeyError, TypeError) as err:
             detail = f"missing field {err}" if isinstance(err, KeyError) else err
             print(f"config error: record {p}: {detail}", file=sys.stderr)
             return EXIT_CONFIG

@@ -42,15 +42,14 @@ class Chaining(str, Enum):
 class TeacherStudentPair:
     """Teacher network plus a student stored as one two-layer block per teacher layer.
 
-    Block i maps the teacher's layer-i input width to ``width_factor`` times
-    its output width (ReLU hidden, identity output); compression brings the
-    block output back down to the teacher width for both the loss and the
-    chained input of the next block.
+    Block i maps the teacher's layer-i input width to at least its output
+    width (:func:`make_student` takes ``width_factor`` times it; ReLU hidden,
+    identity output); compression brings the block output back down to the
+    teacher width for both the loss and the chained input of the next block.
     """
 
     teacher: MaskedNetwork
     blocks: list[MaskedNetwork]
-    width_factor: int
 
     def __post_init__(self):
         if len(self.blocks) != self.teacher.depth:
@@ -88,7 +87,7 @@ def make_student(teacher: MaskedNetwork, width_factor: int, seed) -> TeacherStud
              LayerSpec(wide, wide, Activation.IDENTITY)],
             int(block_seed),
         ))
-    return TeacherStudentPair(teacher, blocks, width_factor)
+    return TeacherStudentPair(teacher, blocks)
 
 
 def record_activations(net: MaskedNetwork, data: Dataset) -> list[np.ndarray]:

@@ -20,13 +20,12 @@ epoch's steps with one forward and one backward pass over the shuffled
 samples, and only the clamped subtraction stays sequential. The stack is fed
 as (samples, 1, fan_in), so NumPy runs one vector-matrix product per sample,
 the same one a single sample runs, and each loss is the 2-norm of one 1-D
-row: the batched epoch is bit-identical to the per-sample loop. (A
-(samples, fan_in) matrix product rounds differently.) With per-sample
-resampling every mask depends on the previous step, so that loop stays
-sequential, one ``popup_update`` per sample, on work vectors that
-``popup_train`` allocates once per training. The masks are drawn into one
-flat bool vector whose layer views are passed as the masks, and the masked
-weights are one ``mask * W`` multiply over all layers. Each layer's
+row: the batched epoch is bit-identical to the per-sample loop. (A (samples,
+fan_in) matrix product rounds differently.) With per-sample resampling every
+mask depends on the previous step, so that loop stays sequential, one
+``popup_update`` per sample, on work vectors that ``popup_train`` allocates
+once per training. The masks are drawn into one flat bool vector, and the
+masked weights are one ``mask * W`` multiply over all layers. Each layer's
 pre-activation and gradient is written by ``ndarray.dot(..., out=)``, the
 vector-matrix product that ``@`` runs, and the outer products
 outer(activation, gradient) of every layer are gathered from the flat
@@ -249,43 +248,19 @@ class _StepBuffers:
         self.backward.reverse()
 
 
-def _check_step(net: MaskedNetwork, thetas, masks, x) -> None:
-    n_angles = net.total_maskable()
-    if np.shape(thetas) != (n_angles,):
-        raise ValueError(f"thetas has shape {np.shape(thetas)}, not ({n_angles},): "
-                         f"one angle per weight of the network")
-    if len(masks) != net.depth:
-        raise ValueError(f"masks has {len(masks)} entries, not one per layer ({net.depth})")
-    for i, (mask, spec) in enumerate(zip(masks, net.specs)):
-        if np.shape(mask) != (spec.fan_in, spec.fan_out):
-            raise ValueError(f"masks[{i}] has shape {np.shape(mask)}, layer {i} "
-                             f"has ({spec.fan_in}, {spec.fan_out})")
-    if x.shape != (net.input_dim,):
-        raise ValueError(f"x has shape {x.shape}, the network takes ({net.input_dim},)")
-
-
-def popup_update(net: MaskedNetwork, thetas: np.ndarray, masks, x, y,
-                 alpha: float, work: _StepBuffers | None = None) -> float:
-    """One sample step under per-layer ``masks``: forward, straight-through
-    update, clamp; returns the sample's loss.
+def popup_update(net: MaskedNetwork, thetas: np.ndarray, x, y, alpha: float,
+                 work: _StepBuffers) -> float:
+    """One sample step of :func:`popup_train`: forward under the mask drawn
+    into ``work.mask_bits``, straight-through update, clamp; returns the
+    sample's loss.
 
     ``thetas`` is the flat angle vector; it moves in place by one step laid
     out as that vector. The floats are :func:`straight_through_grads`'s and
     :func:`_steps`'s for the one sample, in the same order, computed in the
-    vectors of ``work``: :func:`popup_train` passes the buffers it allocated
-    for the training, with their ``masks``. Without ``work`` the call checks
-    its inputs, raising ``ValueError`` naming ``thetas``, ``masks`` or ``x``,
-    and allocates buffers for the one step.
+    vectors of ``work``, the buffers :func:`popup_train` allocated for the
+    training.
     """
-    if work is None:
-        x = np.asarray(x, dtype=np.float64)
-        _check_step(net, thetas, masks, x)
-        work = _StepBuffers(net)
-    if masks is work.masks:
-        np.multiply(work.mask_bits, work.weights, out=work.masked)
-    else:
-        for (_, masked, *_), mask, w in zip(work.layers, masks, net.weights):
-            np.multiply(mask, w, out=masked)
+    np.multiply(work.mask_bits, work.weights, out=work.masked)
     work.x[...] = x
     for dot, masked, pre, bias, out in work.layers:
         dot(masked, pre)
@@ -296,7 +271,7 @@ def popup_update(net: MaskedNetwork, thetas: np.ndarray, masks, x, y,
     np.subtract(work.output, y, out=diff)
     loss = math.sqrt(diff.dot(diff))  # what np.linalg.norm takes of a 1-D real row
     if not math.isfinite(loss):
-        raise FloatingPointError(f"non-finite loss in popup update (input {np.asarray(x)!r})")
+        raise FloatingPointError(f"non-finite loss in popup update (input {x!r})")
     if loss > 0:
         diff /= loss
     else:
@@ -374,8 +349,8 @@ def popup_train(net: MaskedNetwork, data: Dataset,
             for idx, draw in zip(order, draws):
                 np.less(draw, _keep_prob(thetas, work.keep), out=mask_bits)
                 try:
-                    popup_update(net, thetas, masks, data.inputs[idx],
-                                 data.targets[idx], alpha, work)
+                    popup_update(net, thetas, data.inputs[idx], data.targets[idx],
+                                 alpha, work)
                 except FloatingPointError as err:
                     raise FloatingPointError(f"sample {idx}: {err}") from err
         eval_masks = _deterministic_masks(layer_thetas, cfg)

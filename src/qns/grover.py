@@ -110,37 +110,42 @@ def _marked(costs, epsilon: float) -> np.ndarray:
     return costs < epsilon
 
 
-def _amplify_and_verify(marked: np.ndarray, n_bits: int, t: int,
-                        rng: np.random.Generator) -> tuple[np.ndarray, bool]:
-    """One attempt: t rounds (:func:`amplified_state`), a measurement, a classical
-    check of the measured index; t + 1 oracle calls including the verification."""
-    index = measure(amplified_state(marked, n_bits, t), rng)
-    return index_to_bits(index, n_bits).astype(np.uint8), bool(marked[index])
+def _verified_search(marked: np.ndarray, next_t, budget: int,
+                     rng: np.random.Generator) -> GroverResult:
+    """Verified attempts until one measures a marked index or the oracle
+    calls reach ``budget``.
+
+    Each attempt takes t = ``next_t()`` oracle+diffusion rounds
+    (:func:`amplified_state`), measures once and checks the measured index
+    against ``marked``: t + 1 oracle calls including the verification.
+    ``restarts`` counts the attempts and ``iterations`` is the last one's t.
+    """
+    n_bits = marked.size.bit_length() - 1
+    calls = attempts = t = index = 0
+    good = False
+    while not good and calls < budget:
+        attempts += 1
+        t = next_t()
+        index = measure(amplified_state(marked, n_bits, t), rng)
+        calls += t + 1
+        good = bool(marked[index])
+    return GroverResult(index_to_bits(index, n_bits).astype(np.uint8), good,
+                        calls, t, attempts)
 
 
 def grover_search(costs, epsilon: float, cfg: GroverConfig) -> GroverResult:
     """Search the table ``costs`` (entry x the cost of pattern x) for a
     pattern with cost below ``epsilon``.
 
-    Each restart prepares the state after the configured number of
-    oracle+diffusion iterations, measures it, and verifies the candidate
-    classically. The reported ``oracle_calls`` is exactly
-    iterations * restarts_used + restarts_used. The register has log2 of
-    the table's length in qubits, refused past the qubit ceiling before
-    any state is built.
+    Up to ``cfg.max_restarts`` verified attempts of the configured t rounds:
+    a budget of max_restarts * (t + 1) calls, so ``oracle_calls`` is exactly
+    (t + 1) * restarts. The register has log2 of the table's length in
+    qubits, refused past the qubit ceiling before any state is built.
     """
     marked = _marked(costs, epsilon)
-    n_bits = marked.size.bit_length() - 1
     t = _resolve_iterations(cfg, marked.size, int(marked.sum()))
-    rng = np.random.default_rng(cfg.seed)
-
-    calls = 0
-    for restart in range(1, cfg.max_restarts + 1):
-        bits, good = _amplify_and_verify(marked, n_bits, t, rng)
-        calls += t + 1
-        if good:
-            return GroverResult(bits, True, calls, t, restart)
-    return GroverResult(bits, False, calls, t, cfg.max_restarts)
+    return _verified_search(marked, lambda: t, cfg.max_restarts * (t + 1),
+                            np.random.default_rng(cfg.seed))
 
 
 def search_unknown_k(costs, epsilon: float, seed: int = 0) -> GroverResult:
@@ -154,22 +159,14 @@ def search_unknown_k(costs, epsilon: float, seed: int = 0) -> GroverResult:
     """
     marked = _marked(costs, epsilon)
     n_states = marked.size
-    n_bits = n_states.bit_length() - 1
-    budget = int(3 * math.sqrt(n_states) * math.log2(n_states))
     t_cap = math.ceil(math.pi / 4.0 * math.sqrt(n_states))
     rng = np.random.default_rng(seed)
 
-    m = 1.0
-    calls = 0
-    rounds = 0
-    t = 0
-    bits = np.zeros(n_bits, dtype=np.uint8)
-    while calls < budget:
-        rounds += 1
-        t = int(rng.integers(0, min(math.ceil(m), t_cap) + 1))
-        bits, good = _amplify_and_verify(marked, n_bits, t, rng)
-        calls += t + 1
-        if good:
-            return GroverResult(bits, True, calls, t, rounds)
-        m *= UNKNOWN_K_GROWTH
-    return GroverResult(bits, False, calls, t, rounds)
+    def draws():
+        m = 1.0
+        while True:
+            yield int(rng.integers(0, min(math.ceil(m), t_cap) + 1))
+            m *= UNKNOWN_K_GROWTH
+
+    budget = int(3 * math.sqrt(n_states) * math.log2(n_states))
+    return _verified_search(marked, draws().__next__, budget, rng)

@@ -110,22 +110,14 @@ _NONNEGATIVE = _rule(">= 0", lambda v: v >= 0)
 
 def _check_layers(layers) -> None:
     """Raise ValueError unless ``layers`` chain into a masknet network."""
-    if not layers:
-        raise ValueError("needs at least one layer")
-    specs = []
     for i, layer in enumerate(layers):
         if not (isinstance(layer, list) and len(layer) in (2, 3)
                 and all(_is_int(v) for v in layer[:2])
                 and all(isinstance(v, str) for v in layer[2:])):
             raise ValueError(f"layer {i} must be [fan_in, fan_out, activation], "
                              f"got {layer!r}")
-        specs.append(masknet.LayerSpec(*layer))  # checks the sizes and activation
-    for i, (a, b) in enumerate(zip(specs, specs[1:])):
-        if a.fan_out != b.fan_in:
-            raise ValueError(f"layer {i} fan_out {a.fan_out} does not feed "
-                             f"layer {i + 1} fan_in {b.fan_in}")
-    if specs[-1].activation is not masknet.Activation.IDENTITY:
-        raise ValueError("the final layer must use the identity activation")
+    # LayerSpec checks the sizes and activation
+    masknet.check_specs([masknet.LayerSpec(*layer) for layer in layers])
 
 
 _MIXER_PARAMS = {
@@ -342,6 +334,10 @@ class ExperimentConfig:
     def from_dict(doc: dict, base_dir: Path | None = None) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ConfigError("the config must be a JSON object")
+        try:
+            max_qubits()  # every config is refused under an invalid ceiling
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
         top = _resolve("", CONFIG_FIELDS, doc)
         method = top["method"].lower()
         if method not in METHOD_PARAMS:
@@ -366,14 +362,18 @@ class ExperimentConfig:
         return cfg
 
     def _check_paths(self, base_dir: Path) -> None:
+        """Input paths, relative to ``base_dir``, must name files; ``output_dir``,
+        relative to the working directory, must be or go under a directory."""
         for key in _PATH_FIELDS:
             if key in self.task:
-                path = Path(self.task[key])
-                if not path.is_absolute():
-                    path = base_dir / path
-                if not path.exists():
-                    raise ConfigError(f"field 'task.{key}': no such file {path}")
+                path = base_dir / self.task[key]  # an absolute path stays itself
+                if problem := file_problem(path):
+                    raise ConfigError(f"field 'task.{key}': {path}: {problem}")
                 self.task[key] = self.task_params[key] = str(path)
+        out = Path(self.output_dir)
+        nearest = next(p for p in itertools.chain([out], out.parents) if p.exists())
+        if not nearest.is_dir():
+            raise ConfigError(f"field 'output_dir': {nearest} is not a directory")
 
     def to_dict(self) -> dict:
         return {
@@ -386,13 +386,20 @@ class ExperimentConfig:
         }
 
 
+def file_problem(path: Path) -> str | None:
+    """Why ``path`` names no file to read, or None if it names one."""
+    return None if path.is_file() else "not a file" if path.exists() else "not found"
+
+
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    if problem := file_problem(path):
+        raise ConfigError(f"config file {path}: {problem}")
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
+    except OSError as err:
+        raise ConfigError(f"config file {path}: {err}") from err
+    except ValueError as err:  # invalid JSON or text that is not UTF-8
         raise ConfigError(f"config is not valid JSON: {err}") from err
     return ExperimentConfig.from_dict(doc, base_dir=path.parent)
 
@@ -424,7 +431,7 @@ def build_selection_task(task: dict) -> tuple[masknet.MaskedNetwork, masknet.Dat
         return net, data
     try:
         data = masknet.load_dataset_csv(task["path"], task["n_inputs"])
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         raise ConfigError(f"field 'task.path': {task['path']}: {err}") from err
     net = masknet.init_network(
         [tuple(layer) for layer in task["layers"]], task["net_seed"])
@@ -486,7 +493,7 @@ class _RunTask:
         path = self.spec["teacher_path"]
         try:
             teacher = masknet.load_network(path)
-        except (ValueError, KeyError, TypeError) as err:
+        except (OSError, ValueError, KeyError, TypeError) as err:
             detail = f"missing field {err}" if isinstance(err, KeyError) else err
             raise ConfigError(f"field 'task.teacher_path': {path}: {detail}") from err
         data_seed = int(np.random.SeedSequence(self.spec["seed"]).generate_state(1)[0])
@@ -625,9 +632,12 @@ def _config_hash(cfg: ExperimentConfig) -> str:
     the same in any output directory or checkout."""
     doc = cfg.to_dict()
     del doc["output_dir"]
-    doc["task"] = {key: (hashlib.sha256(Path(value).read_bytes()).hexdigest()
-                         if key in _PATH_FIELDS else value)
-                   for key, value in doc["task"].items()}
+    task = doc["task"] = dict(doc["task"])
+    for key in task.keys() & _PATH_FIELDS:
+        try:
+            task[key] = hashlib.sha256(Path(task[key]).read_bytes()).hexdigest()
+        except OSError as err:
+            raise ConfigError(f"field 'task.{key}': {err}") from err
     return _sha256(doc)
 
 

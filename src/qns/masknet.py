@@ -82,6 +82,19 @@ class Dataset:
         return len(self.inputs)
 
 
+def check_specs(specs) -> None:
+    """Raise ValueError unless ``specs`` chain into a network: at least one
+    layer, each fan_out feeding the next fan_in, an identity final layer."""
+    if not specs:
+        raise ValueError("network needs at least one layer")
+    for i, (a, b) in enumerate(zip(specs, specs[1:])):
+        if a.fan_out != b.fan_in:
+            raise ValueError(f"layer {i} fan_out {a.fan_out} does not feed "
+                             f"layer {i + 1} fan_in {b.fan_in}")
+    if specs[-1].activation is not Activation.IDENTITY:
+        raise ValueError("final layer must use the identity activation")
+
+
 class MaskedNetwork:
     """Immutable random weights plus mutable per-layer binary masks."""
 
@@ -96,16 +109,7 @@ class MaskedNetwork:
             w.setflags(write=False)
 
     def _validate(self):
-        if not self.specs:
-            raise ValueError("network needs at least one layer")
-        for i in range(len(self.specs) - 1):
-            if self.specs[i].fan_out != self.specs[i + 1].fan_in:
-                raise ValueError(
-                    f"layer {i} fan_out {self.specs[i].fan_out} does not feed "
-                    f"layer {i + 1} fan_in {self.specs[i + 1].fan_in}"
-                )
-        if self.specs[-1].activation is not Activation.IDENTITY:
-            raise ValueError("final layer must use the identity activation")
+        check_specs(self.specs)
         for i, spec in enumerate(self.specs):
             shape = (spec.fan_in, spec.fan_out)
             if self.weights[i].shape != shape:

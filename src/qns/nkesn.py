@@ -39,7 +39,6 @@ class Reservoir:
     w_in: np.ndarray
     spectral_radius: float
     connectivity: float
-    seed: int | None = None
 
     @property
     def size(self) -> int:
@@ -91,7 +90,7 @@ def make_reservoir(size: int, input_dim: int, spectral_radius: float = 0.9,
             f"{connectivity} with spectral radius 0; another seed is needed"
         ) from err
     w_in = rng.uniform(-1.0, 1.0, size=(size, input_dim))
-    return Reservoir(w_res, w_in, spectral_radius, connectivity, seed)
+    return Reservoir(w_res, w_in, spectral_radius, connectivity)
 
 
 def run_reservoir(r: Reservoir, inputs: np.ndarray) -> np.ndarray:
@@ -186,7 +185,6 @@ class NkEsn:
     landscape: NKLandscape
     w_out: np.ndarray
     activation: str = "tanh"
-    seed: int | None = None
 
 
 def make_nkesn(n_outputs: int, k: int, reservoir_size: int, input_dim: int = 1,
@@ -201,7 +199,7 @@ def make_nkesn(n_outputs: int, k: int, reservoir_size: int, input_dim: int = 1,
     rng = np.random.default_rng(int(seeds[2]))
     w_out = rng.uniform(-1.0, 1.0, size=(n_outputs, n_outputs))
     landscape = make_landscape(n_outputs, k, topology, int(seeds[3]))
-    return NkEsn(reservoir, w_pf, landscape, w_out, activation, seed)
+    return NkEsn(reservoir, w_pf, landscape, w_out, activation)
 
 
 def _usable_cpus() -> int:

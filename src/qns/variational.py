@@ -92,15 +92,14 @@ def ansatz_state(thetas: np.ndarray) -> StateVector:
 
 
 def qaoa_state(h_c: DiagonalCostHamiltonian, gammas, betas,
-               mixer: MixerSpec | None = None) -> StateVector:
+               mixer: MixerSpec = MixerSpec()) -> StateVector:
     """Apply p blocks of U(gamma_j) then U(beta_j) to the uniform state;
     ``gammas`` and ``betas`` are 1-d of length p (see ``qsim.apply_layers``)."""
-    mixer = mixer or MixerSpec()
     return apply_layers(uniform_superposition(h_c.n_qubits), h_c, mixer, gammas, betas)
 
 
 def qaoa_expectation(h_c: DiagonalCostHamiltonian, gammas, betas,
-                     mixer: MixerSpec | None = None) -> float:
+                     mixer: MixerSpec = MixerSpec()) -> float:
     return expectation(qaoa_state(h_c, gammas, betas, mixer), h_c)
 
 
@@ -221,7 +220,7 @@ def optimize_variational(objective, init, budget: int, seed) -> OptimizeResult:
 # Method entry points.
 
 def qaoa_optimize(h_c: DiagonalCostHamiltonian, p: int, budget: int, seed,
-                  mixer: MixerSpec | None = None,
+                  mixer: MixerSpec = MixerSpec(),
                   memo: dict[bytes, float] | None = None) -> OptimizeResult:
     """Optimize the 2p block angles against the cost expectation;
     ``best_params`` is the searched vector, p gammas then p betas.
@@ -233,7 +232,6 @@ def qaoa_optimize(h_c: DiagonalCostHamiltonian, p: int, budget: int, seed,
     """
     if p < 1:
         raise ValueError(f"at least one block is required, got p={p}")
-    mixer = mixer or MixerSpec()
     memo = {} if memo is None else memo
 
     def objective(vec):

@@ -64,6 +64,12 @@ counts the stitch's votes one neighbourhood member at a time; the gather and
 ``np.bincount`` of ``qns.nkesn.mean_loss_from_table`` and of
 ``qns.nkesn.combine_per_output``'s vote must give the same values bit for
 bit.
+``known_k_search`` and ``unknown_k_search`` are the verified-attempt loops of
+Grover search written out per schedule: a fixed t for ``max_restarts``
+attempts, and a t drawn before each attempt from a range growing by 6/5 per
+attempt until the call budget 3 sqrt(N) log2 N is spent.
+``qns.grover.grover_search`` and ``qns.grover.search_unknown_k``, which share
+one loop, must return the same result.
 ``grover_table_select`` is one NK
 output's K-qubit search written directly on ``grover_search`` with 8
 restarts, which ``qns.nkesn.select_per_output`` must reproduce through
@@ -78,7 +84,8 @@ from scipy.linalg.blas import zaxpy
 from scipy.optimize import minimize
 from scipy.special import jv
 
-from qns import masknet
+from qns import grover, masknet
+from qns.bitstrings import index_to_bits
 from qns.nkesn import DEFAULT_WASHOUT, _phi, probe_signal_series
 from qns.grover import GroverConfig, GroverResult, grover_search
 from qns.edgepopup import (
@@ -102,6 +109,7 @@ from qns.qsim import (
     _shared_blocks,
     _transverse_gates,
     cost_phase,
+    measure,
     uniform_superposition,
 )
 from qns.variational import OptimizeResult, _ring_cz_signs
@@ -316,6 +324,47 @@ def amplified_state(marked, n_qubits: int, iterations: int):
         apply_phase_oracle(state, marked)
         apply_diffusion(state)
     return state
+
+
+def known_k_search(costs, epsilon: float, cfg: GroverConfig) -> GroverResult:
+    """Up to ``cfg.max_restarts`` attempts of the configured t rounds, each
+    measured and checked: t + 1 oracle calls per attempt."""
+    marked = np.asarray(costs) < epsilon
+    n_bits = marked.size.bit_length() - 1
+    t = grover._resolve_iterations(cfg, marked.size, int(marked.sum()))
+    rng = np.random.default_rng(cfg.seed)
+    calls = 0
+    for restart in range(1, cfg.max_restarts + 1):
+        index = measure(grover.amplified_state(marked, n_bits, t), rng)
+        calls += t + 1
+        bits = index_to_bits(index, n_bits).astype(np.uint8)
+        if marked[index]:
+            return GroverResult(bits, True, calls, t, restart)
+    return GroverResult(bits, False, calls, t, cfg.max_restarts)
+
+
+def unknown_k_search(costs, epsilon: float, seed: int) -> GroverResult:
+    """Attempts of t drawn from [0, min(ceil(m), ceil(pi/4 sqrt(N)))], m
+    growing by 6/5 per attempt, until one verifies or the calls reach
+    3 sqrt(N) log2 N."""
+    marked = np.asarray(costs) < epsilon
+    n_states = marked.size
+    n_bits = n_states.bit_length() - 1
+    budget = int(3 * math.sqrt(n_states) * math.log2(n_states))
+    t_cap = math.ceil(math.pi / 4.0 * math.sqrt(n_states))
+    rng = np.random.default_rng(seed)
+    m, calls, rounds, t = 1.0, 0, 0, 0
+    bits = np.zeros(n_bits, dtype=np.uint8)
+    while calls < budget:
+        rounds += 1
+        t = int(rng.integers(0, min(math.ceil(m), t_cap) + 1))
+        index = measure(grover.amplified_state(marked, n_bits, t), rng)
+        calls += t + 1
+        bits = index_to_bits(index, n_bits).astype(np.uint8)
+        if marked[index]:
+            return GroverResult(bits, True, calls, t, rounds)
+        m *= 6.0 / 5.0
+    return GroverResult(bits, False, calls, t, rounds)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from qns.harness import METHOD_PARAMS, ConfigError, ExperimentConfig
 PLANTED = {"kind": "planted", "layers": [[2, 2, "relu"], [2, 1, "identity"]],
            "n_samples": 8, "seed": 9}
 SEQUENCE = {"kind": "sequence", "length": 60, "seed": 1}
+CSV = {"kind": "csv", "n_inputs": 2, "layers": [[2, 1, "identity"]], "net_seed": 1}
 
 
 def config(method="exhaustive", params=None, task=PLANTED, **top):
@@ -109,6 +110,125 @@ def test_distill_block_over_bit_budget_is_config_error(tmp_path, capsys):
     assert cli.main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert "method_params.bit_budget" in err and "24 maskable weights" in err
+
+
+# ---------------------------------------------------------------------------
+# Paths and the environment: what the filesystem or QNS_MAX_QUBITS refuses is
+# a config problem, exit 2, named before anything runs.
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "seeds", "--values", "1"],
+                                     ["compare"]], ids=["run", "sweep", "compare"])
+def test_a_directory_for_a_config_or_record_exits_2(tmp_path, capsys, command):
+    assert cli.main([command[0], str(tmp_path), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{tmp_path}: not a file" in err
+
+
+@pytest.mark.parametrize("method,task,key", [
+    ("exhaustive", CSV, "path"),
+    ("distill", {"kind": "distill"}, "teacher_path"),
+], ids=["csv", "teacher"])
+def test_a_directory_for_an_input_file_exits_2_naming_the_field(tmp_path, capsys,
+                                                                method, task, key):
+    (tmp_path / "inputs").mkdir()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config(method, task={**task, key: "inputs"},
+                                      output_dir=str(tmp_path / "runs"))))
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"field 'task.{key}': {tmp_path / 'inputs'}: not a file" in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_an_output_dir_that_is_a_file_exits_2_before_any_seed_runs(tmp_path, capsys,
+                                                                   monkeypatch):
+    seeds = []
+    monkeypatch.setitem(harness._RUNNERS, "exhaustive",
+                        lambda cfg, seed, task: seeds.append(seed))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path = tmp_path / "cfg.json"
+    for output_dir in (taken, taken / "runs"):
+        path.write_text(json.dumps(config(output_dir=str(output_dir))))
+        assert cli.main(["run", str(path)]) == 2
+        assert f"field 'output_dir': {taken} is not a directory" in capsys.readouterr().err
+    assert seeds == []
+
+
+def _refuse_reading(monkeypatch, refused: Path) -> None:
+    """Path.read_text raises PermissionError for ``refused``, as an
+    unreadable file does."""
+    read_text = Path.read_text
+
+    def guarded(self, *args, **kwargs):
+        if self == refused:
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_text(self, *args, **kwargs)
+    monkeypatch.setattr(Path, "read_text", guarded)
+
+
+def test_an_unreadable_config_or_record_exits_2_naming_it(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config(output_dir=str(tmp_path / "runs"))))
+    assert cli.main(["run", str(path)]) == 0
+    (record,) = (tmp_path / "runs").glob("record_*.json")
+    capsys.readouterr()
+    for command, refused in (["run", path], ["sweep", path], ["compare", record]):
+        with monkeypatch.context() as patch:
+            _refuse_reading(patch, refused)
+            argv = [command, str(refused)]
+            if command == "sweep":
+                argv += ["--param", "seeds", "--values", "1"]
+            assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{refused}: " in err
+        assert "Permission denied" in err
+
+
+@pytest.mark.parametrize("method,task,key", [
+    ("exhaustive", CSV, "path"),
+    ("distill", {"kind": "distill"}, "teacher_path"),
+], ids=["csv", "teacher"])
+def test_an_input_file_gone_after_the_check_is_a_config_error(tmp_path, monkeypatch,
+                                                              method, task, key):
+    inputs = tmp_path / "inputs"
+    if key == "path":
+        inputs.write_text("0.5,1.0,0.25\n")
+    else:
+        masknet.save_network(masknet.init_network([(2, 1, "identity")], seed=1), inputs)
+    cfg = ExperimentConfig.from_dict(config(method, task={**task, key: str(inputs)},
+                                            output_dir=str(tmp_path / "runs")))
+    inputs_text = inputs.read_text()
+    inputs.unlink()  # before the run reads it
+    with pytest.raises(ConfigError, match=f"field 'task.{key}': .*No such file"):
+        harness.run(cfg)
+    # gone during the run, before the record hashes it
+    inputs.write_text(inputs_text)
+    seeds = []
+
+    def remove_during_the_run(cfg, seed, task):
+        seeds.append(seed)
+        inputs.unlink()
+        return {}
+    monkeypatch.setitem(harness._RUNNERS, method, remove_during_the_run)
+    with pytest.raises(ConfigError, match=f"field 'task.{key}': .*No such file"):
+        harness.run(cfg)
+    assert seeds == [1]
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+@pytest.mark.parametrize("method", ["exhaustive", "distill", "edge_popup"])
+def test_an_invalid_qubit_ceiling_exits_2_naming_it(tmp_path, capsys, monkeypatch,
+                                                    teacher_file, method, value):
+    task = {"kind": "distill", "teacher_path": teacher_file} if method == "distill" else PLANTED
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config(method, task=task, output_dir=str(tmp_path / "runs"))))
+    monkeypatch.setenv("QNS_MAX_QUBITS", value)
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert f"QNS_MAX_QUBITS must be a positive integer, got {value!r}" in err
+    assert not (tmp_path / "runs").exists()
 
 
 # ---------------------------------------------------------------------------

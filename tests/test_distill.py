@@ -260,7 +260,7 @@ def test_pair_validation_rejects_mismatched_blocks():
     teacher = small_teacher()
     good = make_student(teacher, width_factor=1, seed=0)
     with pytest.raises(ValueError):
-        TeacherStudentPair(teacher, good.blocks[:1], 1)
+        TeacherStudentPair(teacher, good.blocks[:1])
 
 
 # ---------------------------------------------------------------------------

@@ -53,13 +53,20 @@ def _zero_thetas(net):
     return np.zeros(sum(w.size for w in net.weights))
 
 
+def _step(net, thetas, masks, x, y, alpha):
+    """popup_update under per-layer ``masks``, drawn into a training's buffers."""
+    work = edgepopup._StepBuffers(net)
+    work.mask_bits[:] = np.concatenate([np.ravel(m) for m in masks])
+    return popup_update(net, thetas, x, y, alpha, work)
+
+
 def _recorded_draws(monkeypatch, net, data, cfg):
     """(angles before the step, flat mask) of every per-sample step of a training."""
     steps = []
 
-    def recording_update(net, thetas, masks, *args):
-        steps.append((thetas.copy(), np.concatenate([m.ravel() for m in masks])))
-        return popup_update(net, thetas, masks, *args)
+    def recording_update(net, thetas, x, y, alpha, work):
+        steps.append((thetas.copy(), work.mask_bits.copy()))
+        return popup_update(net, thetas, x, y, alpha, work)
 
     monkeypatch.setattr(edgepopup, "popup_update", recording_update)
     popup_train(net, data, cfg)
@@ -98,8 +105,7 @@ def test_scalar_update_matches_hand_derivation():
     """1x1 identity layer, w=1, x=1, y=0, mask 1: delta theta = -alpha."""
     net = network_from_weights([LayerSpec(1, 1, Activation.IDENTITY)], [[[1.0]]])
     thetas = _zero_thetas(net)
-    loss = popup_update(net, thetas, [np.ones((1, 1))], np.array([1.0]),
-                        np.array([0.0]), 0.25)
+    loss = _step(net, thetas, [np.ones((1, 1))], np.array([1.0]), np.array([0.0]), 0.25)
     assert loss == 1.0
     assert thetas[0] == -0.25
 
@@ -109,7 +115,7 @@ def test_zero_alpha_is_a_no_op():
     thetas = _zero_thetas(net)
     masks = [(np.random.default_rng(0).random(w.shape) < 0.5).astype(float)
              for w in net.weights]
-    popup_update(net, thetas, masks, np.array([0.5, -0.5]), np.array([0.1]), 0.0)
+    _step(net, thetas, masks, np.array([0.5, -0.5]), np.array([0.1]), 0.0)
     np.testing.assert_array_equal(thetas, 0.0)
 
 
@@ -131,7 +137,7 @@ def test_update_equals_the_reference_step():
         if case % 4 == 0:
             y = masknet.masked_layers(net, x, masks)[-1][1]  # a zero loss
         alpha = float(rng.choice([0.0, 0.05, 0.5, 100.0]))
-        loss = popup_update(net, thetas, masks, x, y, alpha)
+        loss = _step(net, thetas, masks, x, y, alpha)
         assert loss == float(np.linalg.norm(masknet.masked_layers(net, x, masks)[-1][1] - y))
         assert (loss == 0.0) == (case % 4 == 0)
         expected = reference._update(net, before, masks, x, y, alpha)
@@ -345,19 +351,8 @@ def test_popup_train_matches_the_per_sample_loop_at_benchmark_widths(resample, a
 
 
 def test_popup_update_names_a_bad_input():
+    """popup_train refuses data of the wrong width before any step."""
     net = masknet.init_network([(2, 3, "relu"), (3, 1, "identity")], seed=1)
-    masks = [np.ones((2, 3)), np.ones((3, 1))]
-    x, y = np.array([0.5, -0.5]), np.array([0.1])
-    thetas = _zero_thetas(net)
-    cases = [(np.zeros(5), masks, x, r"thetas has shape \(5,\), not \(9,\)"),
-             (thetas, masks[:1], x, r"masks has 1 entries, not one per layer \(2\)"),
-             (thetas, [masks[0], np.ones((1, 3))], x,
-              r"masks\[1\] has shape \(1, 3\), layer 1 has \(3, 1\)"),
-             (thetas, masks, x[:1], r"x has shape \(1,\), the network takes \(2,\)")]
-    for angles, layer_masks, sample, message in cases:
-        with pytest.raises(ValueError, match=message):
-            popup_update(net, angles, layer_masks, sample, y, 0.1)
-    np.testing.assert_array_equal(thetas, 0.0)
     narrow = masknet.Dataset(np.zeros((4, 1)), np.zeros((4, 1)))
     with pytest.raises(ValueError, match="inputs have width 1, the network takes 2"):
         popup_train(net, narrow, PopupTrainConfig(epochs=1))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -254,3 +254,26 @@ def test_unknown_k_verification_on_any_table(drawn, seed):
     assert calls == result.oracle_calls
     assert result.bits.size == n
     assert result.measured_good == (costs[bits_to_index(result.bits)] < eps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=cost_tables(), iterations=st.none() | st.integers(0, 4),
+       known_k=st.none() | st.integers(1, 2), max_restarts=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 31 - 1))
+@example(drawn=(2, np.array([1.0, 2.0, 3.0, 4.0]), 0.0), iterations=None, known_k=None,
+         max_restarts=3, seed=0)  # nothing marked: both searches fail
+def test_both_schedules_return_what_their_plain_loops_return(drawn, iterations, known_k,
+                                                             max_restarts, seed):
+    """The one verified-attempt loop behind both schedules returns each
+    schedule's plain loop's result, failed searches included."""
+    _, costs, eps = drawn
+    cfg = GroverConfig(iterations=iterations, known_k=known_k,
+                       max_restarts=max_restarts, seed=seed)
+    for ours, theirs in ((grover_search(costs, eps, cfg),
+                          reference.known_k_search(costs, eps, cfg)),
+                         (search_unknown_k(costs, eps, seed),
+                          reference.unknown_k_search(costs, eps, seed))):
+        assert ours.bits.dtype == theirs.bits.dtype
+        assert np.array_equal(ours.bits, theirs.bits)
+        assert (ours.measured_good, ours.oracle_calls, ours.iterations, ours.restarts) == (
+            theirs.measured_good, theirs.oracle_calls, theirs.iterations, theirs.restarts)
